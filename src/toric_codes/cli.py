@@ -129,7 +129,7 @@ def load_build(path: str) -> tuple[GF, LinearCode, dict]:
     with open(path) as fh:
         doc = json.load(fh)
     gf = make_field(doc["field"]["p"], doc["field"]["m"], doc["field"]["modulus"])
-    code = LinearCode(gf, np.array(doc["generator"], dtype=np.int16))
+    code = LinearCode(gf, doc["generator"])
     return gf, code, doc
 
 
@@ -236,6 +236,10 @@ def cmd_decode(args) -> int:
         raise ValidationError(f"cannot read received vector: {exc}") from exc
     if len(received) != st.n:
         raise ValidationError(f"received vector has {len(received)} symbols, n = {st.n}")
+    q = spec.gf.q
+    bad = [x for x in received if not 0 <= x < q]
+    if bad:
+        raise ValidationError(f"received symbol {bad[0]} is not an element index of GF({q})")
     out = decoder_decode(
         np.array(received, dtype=np.int16),
         st,

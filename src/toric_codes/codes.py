@@ -1,7 +1,10 @@
 """Linear codes over GF(q): exact row reduction, duals, syndromes, two
 exact minimum-distance engines, and the Reed-Muller baseline family.
 
-Matrices are numpy int16 arrays of element indices.  The exhaustive engine
+Matrices are numpy int16 arrays of element indices.  Row reduction is
+exact and vectorized: each pivot eliminates its column from every other row
+in one rank-1 update, and a null-space basis (hence a dual) is read off the
+reduced form without a second reduction.  The exhaustive engine
 enumerates one representative per projective message class; the
 information-set engine is a Brouwer-Zimmermann-style search over systematic
 generators on (maximally) disjoint information sets, maintaining a
@@ -35,18 +38,30 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
 
     col_order optionally gives the column scan order (used to steer pivots
     into chosen information sets).  Returns (R, rank, pivot_columns).
+
+    The columns are first permuted into scan order, so the pivot row is
+    zero left of its pivot and each pivot costs one rank-1 update of the
+    columns from the pivot on, over the rows that are nonzero there.
     """
     R = np.array(mat, dtype=np.int16, copy=True)
     if R.ndim != 2:
         raise CodeError("rref expects a 2-D matrix")
     rows, cols = R.shape
-    order = range(cols) if col_order is None else col_order
+    scan = cols
+    perm = None
+    if col_order is not None:
+        scan = len(col_order)
+        perm = np.asarray(list(col_order), dtype=np.intp)
+        unscanned = np.ones(cols, dtype=bool)
+        unscanned[perm] = False
+        perm = np.concatenate([perm, np.flatnonzero(unscanned)])
+        R = R[:, perm]
     pivots: list[int] = []
     r = 0
-    for c in order:
+    for c in range(scan):
         if r == rows:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        nz = np.flatnonzero(R[r:, c])
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
@@ -54,15 +69,20 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
             R[[r, pr]] = R[[pr, r]]
         piv = int(R[r, c])
         if piv != 1:
-            R[r] = gf.vscale(gf.inv(piv), R[r])
-        # eliminate c from every other row
-        other = np.nonzero(R[:, c])[0]
-        for i in other:
-            if i == r:
-                continue
-            R[i] = gf.vsub(R[i], gf.vscale(int(R[i, c]), R[r]))
+            R[r, c:] = gf.vscale(gf.inv(piv), R[r, c:])
+        other = np.flatnonzero(R[:, c])
+        other = other[other != r]
+        if other.size:
+            # table[j, x] = -R[other[j], c] * x for every element x
+            table = gf.mul_table[gf.neg_table[R[other, c]]]
+            R[other, c:] = gf.vadd(R[other, c:], table[:, R[r, c:]])
         pivots.append(c)
         r += 1
+    if perm is not None:
+        out = np.empty_like(R)
+        out[:, perm] = R
+        R = out
+        pivots = [int(perm[c]) for c in pivots]
     return R, r, pivots
 
 
@@ -70,18 +90,24 @@ def rref_rank(gf: GF, mat: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     return rref(gf, mat)
 
 
+def _null_basis(gf: GF, R: np.ndarray, pivots: list[int], cols: int) -> np.ndarray:
+    """Null-space basis of the first ``cols`` columns of a reduced matrix R
+    with the given pivot columns: the vector for free column f has x_f = 1
+    and x_p = -R[row of p, f] at each pivot p."""
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((free.size, cols), dtype=np.int16)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = gf.neg_table[R[: len(pivots), free]].T
+    return basis
+
+
 def null_space(gf: GF, mat: np.ndarray) -> np.ndarray:
     """Basis of {x : mat @ x = 0}, one row per free column, deterministic:
     the vector for free column f has x_f = 1 and pivot entries solved."""
-    R, rank, pivots = rref(gf, mat)
-    cols = mat.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int16)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for r, p in enumerate(pivots):
-            basis[k, p] = gf.neg(int(R[r, f]))
-    return basis
+    R, _, pivots = rref(gf, mat)
+    return _null_basis(gf, R, pivots, R.shape[1])
 
 
 def matmul(gf: GF, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -118,12 +144,21 @@ def solve(gf: GF, A: np.ndarray, b: np.ndarray):
     if ncols in pivots:
         return None  # pivot in the augmented column: inconsistent
     x = np.zeros(ncols, dtype=np.int16)
-    for r, p in enumerate(pivots):
-        x[p] = R[r, ncols]
-    return x, null_space(gf, A)
+    x[pivots] = R[:rank, ncols]
+    # R[:, :ncols] is the reduced form of A itself, so its null space needs
+    # no second reduction
+    return x, _null_basis(gf, R, pivots, ncols)
 
 
 # -- the code object --------------------------------------------------------
+
+
+def _rows_own_columns(M: np.ndarray) -> bool:
+    """True when every row has a column in which it is the only nonzero
+    entry.  Such rows are linearly independent, so their rank needs no
+    elimination; a null-space basis and a systematic generator qualify."""
+    nz = M != 0
+    return bool(nz[:, nz.sum(axis=0) == 1].any(axis=1).all())
 
 
 @dataclass
@@ -144,18 +179,26 @@ class LinearCode:
 
     def __init__(self, gf: GF, rows, d: int | None = None):
         self.gf = gf
-        rows = np.asarray(rows, dtype=np.int16)
+        rows = np.asarray(rows)
         if rows.ndim != 2:
             raise CodeError("generator must be a 2-D matrix")
+        if rows.size and (
+            rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= gf.q
+        ):
+            raise CodeError(f"generator entries must be element indices 0..{gf.q - 1}")
+        rows = rows.astype(np.int16)
         self.warnings = []
-        R, rank, _ = rref(gf, rows)
+        if _rows_own_columns(rows):
+            rank = rows.shape[0]
+        else:
+            R, rank, _ = rref(gf, rows)
         if rank < rows.shape[0]:
             self.warnings.append(
                 f"generator rows are dependent: rank {rank} < {rows.shape[0]}; reduced"
             )
             self.gen = R[:rank].copy()
         else:
-            self.gen = rows.copy()
+            self.gen = rows
         self.n = int(rows.shape[1])
         self.k = int(rank)
         self.d = d

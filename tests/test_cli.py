@@ -93,6 +93,19 @@ def test_mindist_from_build_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["d"] == 10
 
 
+@pytest.mark.parametrize("entry", [-1, 5, 70000])
+def test_mindist_rejects_generator_entry_outside_field(tmp_path, capsys, entry):
+    spec = write_job(tmp_path)
+    out = tmp_path / "code.json"
+    main(["build", "--spec", spec, "--output", str(out)])
+    doc = json.loads(out.read_text())
+    doc["generator"][0][0] = entry
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["mindist", "--code", str(out)]) == 3
+    assert "element indices" in capsys.readouterr().err
+
+
 def test_bounds_cmd(tmp_path, capsys):
     spec = write_job(tmp_path)
     assert main(["bounds", "--spec", spec]) == 0
@@ -132,6 +145,22 @@ def test_decode_single_torus_error(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "unique"
     assert doc["error"] == vec  # 0 is a codeword, so e = r
+
+
+@pytest.mark.parametrize("symbol", [-1, 5, 70000])
+def test_decode_rejects_symbol_outside_field(tmp_path, capsys, symbol):
+    spec = write_job(
+        tmp_path,
+        fan={"rays": [[1, 0], [0, 1], [-1, -1]]},
+        divisor=[0, 0, 3],
+        decoder={"gprime": [0, 0, 1]},
+    )
+    received = tmp_path / "r.txt"
+    vec = [0] * 16
+    vec[4] = symbol
+    received.write_text(" ".join(str(x) for x in vec))
+    assert main(["decode", "--spec", spec, "--received", str(received)]) == 2
+    assert f"received symbol {symbol}" in capsys.readouterr().err
 
 
 def test_reproduce_rm(capsys):

@@ -47,6 +47,86 @@ def random_code(gf, n, k, rng):
 # -- rref / dual / syndrome ------------------------------------------------
 
 
+def rref_reference(gf, mat, col_order=None):
+    """The row-by-row elimination that rref replaced, kept as its oracle."""
+    R = np.array(mat, dtype=np.int16, copy=True)
+    rows, cols = R.shape
+    order = range(cols) if col_order is None else col_order
+    pivots = []
+    r = 0
+    for c in order:
+        if r == rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+        piv = int(R[r, c])
+        if piv != 1:
+            R[r] = gf.vscale(gf.inv(piv), R[r])
+        for i in np.nonzero(R[:, c])[0]:
+            if i != r:
+                R[i] = gf.vsub(R[i], gf.vscale(int(R[i, c]), R[r]))
+        pivots.append(c)
+        r += 1
+    return R, r, pivots
+
+
+def random_matrix(gf, rows, cols, rank, rng):
+    """A rows x cols matrix of rank at most ``rank`` (a product of two
+    random factors), so that dependent rows occur."""
+    A = rng.integers(0, gf.q, size=(rows, rank)).astype(np.int16)
+    B = rng.integers(0, gf.q, size=(rank, cols)).astype(np.int16)
+    return matmul(gf, A, B)
+
+
+ORACLE_FIELDS = [(2, 1), (2, 3), (2, 4), (5, 1), (7, 1), (3, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_rref_matches_row_by_row_reference(p, m):
+    gf = GF(p, m)
+    rng = np.random.default_rng(1000 + 10 * p + m)
+    shapes = [(1, 1), (3, 3), (4, 9), (9, 4), (6, 20), (12, 12), (20, 7)]
+    for rows, cols in shapes:
+        for rank in sorted({0, 1, min(rows, cols) // 2, min(rows, cols)}):
+            M = random_matrix(gf, rows, cols, rank, rng)
+            orders = [None, list(rng.permutation(cols)), list(rng.permutation(cols))[: cols // 2]]
+            for order in orders:
+                got = rref(gf, M, col_order=order)
+                want = rref_reference(gf, M, col_order=order)
+                assert np.array_equal(got[0], want[0])
+                assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_dual_is_the_null_space_basis(p, m):
+    gf = GF(p, m)
+    rng = np.random.default_rng(2000 + 10 * p + m)
+    for n, k in [(6, 1), (10, 4), (12, 9), (5, 5)]:
+        M = random_matrix(gf, k + 1, n, k, rng)
+        code = LinearCode(gf, M)
+        assert code.k == rref(gf, M)[1]
+        h = code.dual()
+        assert (h.n, h.k) == (n, n - code.k) and h.k == rref(gf, h.gen)[1]
+        assert np.array_equal(h.gen, null_space(gf, code.gen))
+        assert not matmul(gf, code.gen, h.gen.T).any()
+        assert bool(h.warnings) == (code.k == n)
+
+
+def test_rank_of_rows_with_private_columns():
+    gf = GF(3)
+    # row 0 alone is nonzero in column 0, yet rows 1 and 2 are dependent
+    code = LinearCode(gf, [[1, 0, 0], [0, 1, 2], [0, 2, 1]])
+    assert code.k == 2 and code.warnings
+    # every row owns a column: independent, stored unchanged
+    G = np.array([[1, 0, 2, 1], [0, 2, 1, 1]], dtype=np.int16)
+    code = LinearCode(gf, G)
+    assert code.k == 2 and np.array_equal(code.gen, G) and not code.warnings
+
+
 def test_rref_examples():
     gf = GF(5)
     R, rank, piv = rref(gf, np.eye(4, dtype=np.int16))
@@ -214,6 +294,12 @@ def test_monomial_equivalence():
     M = code.gen[:, perm]
     M = gf.mul_table[M, scales[None, :]]
     assert min_distance_exhaustive(LinearCode(gf, M)).d == d0
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, 9]], [[1, 2, -1]], [[8, 0, 0]], [[1.0, 2.0, 3.0]]])
+def test_generator_entries_must_be_field_elements(rows):
+    with pytest.raises(CodeError, match="element indices"):
+        LinearCode(GF(2, 3), rows)
 
 
 def test_rank_deficient_generator_warns():
