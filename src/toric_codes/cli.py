@@ -37,6 +37,8 @@ EXIT_MISMATCH = 4
 
 
 def _require_keys(obj: dict, allowed: dict[str, bool], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: expected a JSON object")
     for key in obj:
         if key not in allowed:
             raise ValidationError(f"{where}: unknown key {key!r}")
@@ -45,16 +47,18 @@ def _require_keys(obj: dict, allowed: dict[str, bool], where: str) -> None:
             raise ValidationError(f"{where}: missing required key {key!r}")
 
 
-def load_job(path: str) -> dict:
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            job = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read job file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"job file is not valid JSON: {exc}") from exc
-    if not isinstance(job, dict):
-        raise ValidationError("job file must contain a JSON object")
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not text
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_job(path: str) -> dict:
+    job = _read_json(path, "job file")
     _require_keys(
         job,
         {"field": True, "fan": True, "divisor": True, "points": False,
@@ -77,27 +81,24 @@ def load_job(path: str) -> dict:
 
 
 def job_to_spec(job: dict) -> ToricCodeSpec:
-    fld = job["field"]
+    fld, pts_cfg = job["field"], job.get("points", {})
     try:
         gf = make_field(int(fld["p"]), int(fld.get("m", 1)), fld.get("modulus"))
         fan = Fan2D(job["fan"]["rays"])
         div = TDivisor(job["divisor"])
-        if len(div) != fan.s:
-            raise ValidationError(
-                f"divisor has {len(div)} coefficients for a {fan.s}-ray fan"
-            )
-        pts_cfg = job.get("points", {})
         torus = bool(pts_cfg.get("torus", True))
         orbits = [int(i) - 1 for i in pts_cfg.get("orbits", [])]  # 1-based in files
-        for i in orbits:
-            if not 0 <= i < fan.s:
-                raise ValidationError(f"orbit ray index {i + 1} out of range 1..{fan.s}")
-        points = default_points(gf, fan, torus=torus, orbits=orbits)
-        if not points:
-            raise ValidationError("empty point set")
-        return ToricCodeSpec(gf, fan, div, points)
-    except (FieldError, FanError) as exc:
+    except (TypeError, ValueError) as exc:  # FieldError and FanError included
         raise ValidationError(str(exc)) from exc
+    if len(div) != fan.s:
+        raise ValidationError(f"divisor has {len(div)} coefficients for a {fan.s}-ray fan")
+    for i in orbits:
+        if not 0 <= i < fan.s:
+            raise ValidationError(f"orbit ray index {i + 1} out of range 1..{fan.s}")
+    points = default_points(gf, fan, torus=torus, orbits=orbits)
+    if not points:
+        raise ValidationError("empty point set")
+    return ToricCodeSpec(gf, fan, div, points)
 
 
 # -- build output serialization ----------------------------------------------------
@@ -126,11 +127,14 @@ def serialize_build(result) -> str:
 
 
 def load_build(path: str) -> tuple[GF, LinearCode, dict]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    gf = make_field(doc["field"]["p"], doc["field"]["m"], doc["field"]["modulus"])
-    code = LinearCode(gf, doc["generator"])
-    return gf, code, doc
+    doc = _read_json(path, "build file")
+    try:
+        fld = doc["field"]
+        gf = make_field(int(fld["p"]), int(fld["m"]), fld["modulus"])
+        gen = np.array(doc["generator"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed build file: {exc!r}") from exc
+    return gf, LinearCode(gf, gen), doc
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -151,12 +155,13 @@ def cmd_build(args) -> int:
 def _mindist_report(code: LinearCode, job: dict, args):
     cfg = job.get("mindist", {})
     method = args.method or cfg.get("method", "auto")
-    workers = args.workers or int(cfg.get("workers", 1))
     cap = args.work_cap or cfg.get("work_cap")
-    kwargs = {"workers": workers}
-    if cap is not None:
-        kwargs["work_cap"] = int(cap)
-        kwargs["work_budget"] = int(cap)
+    try:
+        kwargs = {"workers": args.workers or int(cfg.get("workers", 1))}
+        if cap is not None:
+            kwargs["work_cap"] = kwargs["work_budget"] = int(cap)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"mindist: {exc}") from exc
     return min_distance(code, method=method, **kwargs)
 
 
@@ -225,7 +230,10 @@ def cmd_decode(args) -> int:
     if "decoder" not in job:
         raise ValidationError("job file has no decoder block")
     spec = job_to_spec(job)
-    gprime = TDivisor(job["decoder"]["gprime"])
+    try:
+        gprime = TDivisor(job["decoder"]["gprime"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"decoder.gprime: {exc}") from exc
     if len(gprime) != spec.fan.s:
         raise ValidationError("decoder.gprime length does not match the fan")
     st = decoder_setup(spec, gprime)

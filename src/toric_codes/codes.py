@@ -188,10 +188,12 @@ class LinearCode:
             raise CodeError(f"generator entries must be element indices 0..{gf.q - 1}")
         rows = rows.astype(np.int16)
         self.warnings = []
+        self._reduced = None  # (R, pivots) of rows, hence of gen, for dual()
         if _rows_own_columns(rows):
             rank = rows.shape[0]
         else:
-            R, rank, _ = rref(gf, rows)
+            R, rank, pivots = rref(gf, rows)
+            self._reduced = (R, pivots)
         if rank < rows.shape[0]:
             self.warnings.append(
                 f"generator rows are dependent: rank {rank} < {rows.shape[0]}; reduced"
@@ -210,8 +212,11 @@ class LinearCode:
         """The (n-k)-dimensional annihilator code; G @ H^T = 0."""
         if self.k == 0:
             raise CodeError("dual of the zero-dimensional code is everything")
-        H = null_space(self.gf, self.gen)
-        code = LinearCode(self.gf, H)
+        if self._reduced is None:
+            R, _, pivots = rref(self.gf, self.gen)
+        else:
+            R, pivots = self._reduced
+        code = LinearCode(self.gf, _null_basis(self.gf, R, pivots, self.n))
         if self.k == self.n:
             code.warnings.append("dual of the full space is the zero code")
         return code

@@ -10,14 +10,13 @@ of L(G).
 Boundary subtleties: a basis monomial of L(G') may have a pole at an
 orbit point (G' can carry positive coefficients on rays that host
 points).  The locator is therefore evaluated at orbit points through its
-graded expansion in the transverse parameter: terms are bucketed by their
-vanishing order <a, v_ray>, each bucket restricted to the orbit as a unit
-multiple of the orbit character, and the leading nonzero bucket decides
-zero (order > 0), a value (order 0), or a pole (order < 0).  Pole
-positions cannot be certified error-free, so they are kept in the
-candidate set N(f); the value system stays exact either way because the
-products f_j g_i and the h_j are always pole-free (hard setup error
-otherwise).
+graded expansion in the transverse parameter: ``geometry.graded_evaluation``
+gives each term's vanishing order <a, v_ray> and its leading value, terms
+are bucketed by order, and the leading nonzero bucket decides zero
+(order > 0), a value (order 0), or a pole (order < 0).  Pole positions
+cannot be certified error-free, so they are kept in the candidate set
+N(f); the value system stays exact either way because the products
+f_j g_i and the h_j are always pole-free (hard setup error otherwise).
 """
 
 from __future__ import annotations
@@ -29,12 +28,10 @@ import numpy as np
 from .field import GF
 from .codes import LinearCode, matvec, min_distance, null_space, solve
 from .geometry import (
-    Fan2D,
-    OrbitPoint,
     PoleError,
     TDivisor,
-    TorusPoint,
     evaluation_matrix,
+    graded_evaluation,
     lattice_points,
     polytope_of_divisor,
 )
@@ -86,13 +83,6 @@ class DecodeOutcome:
     diagnostics: str = ""
 
 
-def _strict_eval_rows(exponents, spec: ToricCodeSpec, what: str) -> np.ndarray:
-    try:
-        return evaluation_matrix(exponents, spec.points, spec.gf, spec.fan)
-    except PoleError as exc:
-        raise SetupError(f"pole in required {what}: {exc}") from exc
-
-
 def setup(
     spec: ToricCodeSpec,
     gprime: TDivisor,
@@ -125,50 +115,34 @@ def setup(
     prod_exps = [
         (fa[0] + ga[0], fa[1] + ga[1]) for ga in basis_gap for fa in basis_locator
     ]
-    FGflat = _strict_eval_rows(prod_exps, spec, "product f_j * g_i")
-    FG = FGflat.reshape(len(basis_gap), len(basis_locator), len(spec.points))
-
-    # locator evaluation data: strict values where possible, graded buckets
-    # at orbit points where some basis monomial has a pole
+    try:
+        FG = evaluation_matrix(prod_exps, spec.points, gf, fan)
+    except PoleError as exc:
+        raise SetupError(f"pole in required product f_j * g_i: {exc}") from exc
     n = len(spec.points)
+    FG = FG.reshape(len(basis_gap), len(basis_locator), n)
+
+    # locator evaluation data: strict values at every pole-free column,
+    # graded buckets at orbit points where some basis monomial has a pole
     ell = len(basis_locator)
-    locator_torus = np.zeros((ell, n), dtype=np.int16)
+    order, value = graded_evaluation(basis_locator, spec.points, gf, fan)
+    clean = order.min(axis=0) >= 0
+    locator_torus = np.where((order == 0) & clean, value, 0)
     graded: dict[int, GradedPointData] = {}
-    clean_cols: list[int] = []
-    torus_cols = [i for i, pt in enumerate(spec.points) if isinstance(pt, TorusPoint)]
-    if torus_cols:
-        sub = evaluation_matrix(basis_locator, [spec.points[i] for i in torus_cols], gf)
-        locator_torus[:, torus_cols] = sub
-        clean_cols.extend(torus_cols)
-    for i, pt in enumerate(spec.points):
-        if not isinstance(pt, OrbitPoint):
-            continue
-        v = fan.rays[pt.ray]
-        m_r = fan.transverse_vector(pt.ray)
-        u_r = fan.orbit_lattice_generator(pt.ray)
-        pairings = [a[0] * v[0] + a[1] * v[1] for a in basis_locator]
-        levels = sorted(set(pairings))
-        bucket = np.zeros((len(levels), ell), dtype=np.int16)
-        for j, (a, c) in enumerate(zip(basis_locator, pairings)):
-            red = (a[0] - c * m_r[0], a[1] - c * m_r[1])
-            lam = red[0] // u_r[0] if u_r[0] else red[1] // u_r[1]
-            bucket[levels.index(c), j] = gf.pow(pt.s, lam)
-        if min(levels) >= 0:
-            # pole-free here: the strict value is the level-0 bucket (or 0)
-            if 0 in levels:
-                locator_torus[:, i] = bucket[levels.index(0)]
-            clean_cols.append(i)
-        else:
-            graded[i] = GradedPointData(levels, bucket)
+    for i in np.flatnonzero(~clean):
+        levels, level_of = np.unique(order[:, i], return_inverse=True)
+        bucket = np.zeros((levels.size, ell), dtype=np.int16)
+        bucket[level_of, np.arange(ell)] = value[:, i]
+        graded[int(i)] = GradedPointData(levels.tolist(), bucket)
 
     # zero cap from the pole-free columns of the auxiliary code
-    aux = LinearCode(gf, locator_torus[:, sorted(clean_cols)])
+    aux = LinearCode(gf, locator_torus[:, clean])
     if aux.k < ell:
         zcap, exact = n, True  # eval map on L(G') is not injective: no cap
     else:
         rep = min_distance(aux, work_budget=z_work_budget)
         zcap = n - (rep.d if rep.exact else rep.lower)
-        exact = rep.exact and len(clean_cols) == n
+        exact = rep.exact and bool(clean.all())
     # condition (C): d(dual) must exceed the cap; expensive, so optional
     dual_code = result.dual
     total = (gf.q**dual_code.k - 1) // (gf.q - 1)
@@ -338,9 +312,13 @@ def decode(r: np.ndarray, setup: DecoderSetup, list_cap: int = 256) -> DecodeOut
     """Locator -> zero set -> values; a unique outcome always satisfies
     the dual-code membership r - e in C (its brackets against L(G) vanish
     by construction of the value system)."""
-    r = np.asarray(r, dtype=np.int16)
+    r = np.asarray(r)
     if r.shape[0] != setup.n:
         raise ValueError(f"received word length {r.shape[0]} != n = {setup.n}")
+    q = setup.spec.gf.q
+    if r.dtype.kind not in "iu" or r.min() < 0 or r.max() >= q:
+        raise ValueError(f"received symbols must be element indices 0..{q - 1}")
+    r = r.astype(np.int16)
     try:
         f = error_locator(r, setup)
     except SetupError as exc:

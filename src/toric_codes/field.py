@@ -129,13 +129,14 @@ class GF:
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Iterable[int] | None = None):
-        if not is_prime(p):
-            raise FieldError(f"p = {p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree m = {m} must be >= 1")
+        # the cap comes first, so that a huge p or m fails at once
+        if p > MAX_Q or m >= MAX_Q.bit_length() or p**m > MAX_Q:
+            raise FieldError(f"q = {p}^{m} exceeds the supported cap {MAX_Q}")
+        if not is_prime(p):
+            raise FieldError(f"p = {p} is not prime")
         q = p**m
-        if q > MAX_Q:
-            raise FieldError(f"q = {q} exceeds the supported cap {MAX_Q}")
         self.p = p
         self.m = m
         self.q = q

@@ -9,7 +9,9 @@ list aligned with the rays.  Its polytope is
     P_G = { u in R^2 : <u, v_i> >= -d_i  for all i },
 
 always bounded when the fan is complete.  All polytope arithmetic is exact
-(Fractions); all evaluation is exact field arithmetic.
+(Fractions); all evaluation is exact field arithmetic, through one
+routine, ``graded_evaluation``: the vanishing order and leading value of
+each character at each point.  ``evaluation_matrix`` is its strict mode.
 """
 
 from __future__ import annotations
@@ -391,68 +393,68 @@ def orbit_points(fan: Fan2D, ray: int, gf: GF) -> list[OrbitPoint]:
     return [OrbitPoint(ray, s) for s in gf.units()]
 
 
-def orbit_char_exponent(fan: Fan2D, ray: int, a: Vec) -> int:
-    """Solve a = lam * u_i for integral lam; requires <a, v_i> = 0."""
-    u = fan.orbit_lattice_generator(ray)
-    lam, rem = divmod(a[0], u[0]) if u[0] else divmod(a[1], u[1])
-    if rem or (a[0] != lam * u[0] or a[1] != lam * u[1]):
-        raise PolytopeError(f"{a} is not an integral multiple of {u}")
-    return lam
+def graded_evaluation(
+    exponents: Sequence[Vec], points: Sequence[EvalPoint], gf: GF, fan: Fan2D | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vanishing order and leading value of every character x^a at every
+    point: two k x n arrays, rows = exponents, columns = points.
 
-
-def evaluate_monomial(point: EvalPoint, a: Sequence[int], gf: GF, fan: Fan2D | None = None) -> int:
-    """Value of the character x^a at an evaluation point.
-
-    Torus(t1, t2): t1^a1 * t2^a2 (negative exponents via inverses).
-    Orbit point on D_i: 0 when <a, v_i> > 0, the orbit character s^lam when
-    <a, v_i> = 0, and a PoleError when <a, v_i> < 0.
+    At a torus point (t1, t2) the order is 0 and the value t1^a1 t2^a2.  At
+    the orbit point s on D_r the order is <a, v_r> (a pole when negative);
+    with m_r = transverse_vector(r), a - <a, v_r> m_r = det(m_r, a) u_r, so
+    the leading value is the orbit character s^det(m_r, a).  Either value
+    is g^((a . w) mod (q-1)): w = (log t1, log t2), or log(s) (-m_r2, m_r1).
     """
-    a = (int(a[0]), int(a[1]))
-    if isinstance(point, TorusPoint):
-        e = (gf.dlog(point.t1) * a[0] + gf.dlog(point.t2) * a[1]) % (gf.q - 1)
-        return int(gf.exp[e])
-    if fan is None:
+    A = np.array(exponents, dtype=np.int64).reshape(-1, 2)
+    s = fan.s if fan is not None else 0
+    # one row per point: orbit flag, ray, and two field elements whose logs
+    # make w through the ray's turn matrix (row s of the tables: the torus)
+    rows = np.array(
+        [(0, s, pt.t1, pt.t2) if isinstance(pt, TorusPoint) else (1, pt.ray, pt.s, 1) for pt in points],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    orbit, ray, coords = rows[:, 0] == 1, rows[:, 1], rows[:, 2:]
+    if orbit.any() and fan is None:
         raise ValueError("orbit-point evaluation needs the fan")
-    v = fan.rays[point.ray]
-    pairing = a[0] * v[0] + a[1] * v[1]
-    if pairing < 0:
-        raise PoleError(f"monomial {a} has a pole along D_{point.ray + 1}")
-    if pairing > 0:
-        return 0
-    lam = orbit_char_exponent(fan, point.ray, a)
-    return gf.pow(point.s, lam)
-
-
-def torus_evaluation_matrix(exponents: Sequence[Vec], gf: GF) -> np.ndarray:
-    """Rows = exponents, columns = the fixed-order torus points."""
-    q1 = gf.q - 1
-    i = np.arange(q1)
-    li, lj = np.meshgrid(i, i, indexing="ij")  # dlogs of t1, t2
-    rows = []
-    for a1, a2 in exponents:
-        e = (li * a1 + lj * a2) % q1
-        rows.append(gf.exp[e].reshape(-1))
-    return np.array(rows, dtype=np.int16)
+    if (orbit & ((ray < 0) | (ray >= s))).any():
+        raise FanError(f"orbit ray index out of range for a {s}-ray fan")
+    if ((coords < 1) | (coords >= gf.q)).any():
+        raise ValueError(f"point coordinates must be units of GF({gf.q})")
+    normals = np.zeros((s + 1, 2), dtype=np.int64)
+    turns = np.zeros((s + 1, 2, 2), dtype=np.int64)
+    turns[s] = np.eye(2, dtype=np.int64)
+    for r in range(s):
+        m1, m2 = fan.transverse_vector(r)
+        normals[r] = fan.rays[r]
+        turns[r, 0] = (-m2, m1)
+    logs = gf.log[coords]
+    w = logs[:, :1] * turns[ray, 0] + logs[:, 1:] * turns[ray, 1]
+    order = (A @ normals.T)[:, ray]
+    e = A @ w.T
+    np.remainder(e, gf.q - 1, out=e)
+    value = gf.exp.astype(np.int16)[e]
+    return order, value
 
 
 def evaluation_matrix(
     exponents: Sequence[Vec], points: Sequence[EvalPoint], gf: GF, fan: Fan2D | None = None
 ) -> np.ndarray:
-    """General evaluation matrix; fast path when points start with the full
-    torus in canonical order."""
-    n = len(points)
-    q1 = gf.q - 1
-    full_torus = (
-        n >= q1 * q1
-        and all(isinstance(pt, TorusPoint) for pt in points[: q1 * q1])
-        and points[: q1 * q1] == torus_points(gf)
-    )
-    cols_done = q1 * q1 if full_torus else 0
-    out = np.zeros((len(exponents), n), dtype=np.int16)
-    if full_torus:
-        out[:, :cols_done] = torus_evaluation_matrix(exponents, gf)
-    for j in range(cols_done, n):
-        pt = points[j]
-        for i, a in enumerate(exponents):
-            out[i, j] = evaluate_monomial(pt, a, gf, fan)
-    return out
+    """Strict evaluation: x^a at every point, rows = exponents.  A character
+    vanishing along an orbit's divisor is 0 there; a pole is a PoleError."""
+    order, value = graded_evaluation(exponents, points, gf, fan)
+    if (order < 0).any():
+        j, i = np.argwhere(order.T < 0)[0]
+        a = tuple(int(x) for x in exponents[i])
+        raise PoleError(f"monomial {a} has a pole along D_{points[j].ray + 1}")
+    return np.where(order == 0, value, 0)
+
+
+def evaluate_monomial(point: EvalPoint, a: Sequence[int], gf: GF, fan: Fan2D | None = None) -> int:
+    """Value of the character x^a at one evaluation point, strict as in
+    ``evaluation_matrix``."""
+    return int(evaluation_matrix([a], [point], gf, fan)[0, 0])
+
+
+def torus_evaluation_matrix(exponents: Sequence[Vec], gf: GF) -> np.ndarray:
+    """Rows = exponents, columns = the fixed-order torus points."""
+    return evaluation_matrix(exponents, torus_points(gf), gf)

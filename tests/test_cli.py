@@ -196,3 +196,96 @@ def test_rm_cmd(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert (doc["n"], doc["k"], doc["d"]) == (32, 6, 16)
     assert doc["predicted"] == {"n": 32, "k": 6, "d": 16}
+
+
+# -- malformed input: exit 2 (or 3), never a traceback -----------------------------
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"field": 5},
+        {"field": {"p": "x"}},
+        {"fan": {"rays": [[1], [-1, 2], [-1, -1]]}},
+        {"divisor": [0, 0, "a"]},
+        {"points": {"orbits": 1}},
+    ],
+)
+def test_build_rejects_malformed_spec(tmp_path, capsys, override):
+    spec = write_job(tmp_path, **override)
+    assert main(["build", "--spec", spec]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "not json {", '{"field": {"p": 5, "m": 1}, "generator": [[1]]}'])
+def test_mindist_rejects_malformed_build_file(tmp_path, capsys, content):
+    path = tmp_path / "code.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["mindist", "--code", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_decode_rejects_malformed_gprime(tmp_path, capsys):
+    spec = write_job(tmp_path, decoder={"gprime": [0, 0, "a"]})
+    received = tmp_path / "r.txt"
+    received.write_text(" ".join(["0"] * 16))
+    assert main(["decode", "--spec", spec, "--received", str(received)]) == 2
+    assert "decoder.gprime" in capsys.readouterr().err
+
+
+# small values only: a mutated field stays at q <= 25, so every run is quick
+JUNK = [None, True, -1, 0, 1, 2, 1.5, "", "x", [], [2], [[1, 0]], {}, {"p": 2}]
+
+
+def mutate(doc, rng):
+    """Replace or delete one entry anywhere in a JSON document, or add a key."""
+    slots = []
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(doc)
+    node, key = slots[rng.integers(len(slots))]
+    action = rng.integers(3)
+    if action == 0:
+        node[key] = JUNK[rng.integers(len(JUNK))]
+    elif action == 1:
+        del node[key]
+    elif isinstance(node, dict):
+        node["extra"] = JUNK[rng.integers(len(JUNK))]
+    else:
+        node.append(JUNK[rng.integers(len(JUNK))])
+
+
+def test_mutated_job_and_build_files_never_crash(tmp_path, capsys):
+    rng = np.random.default_rng(2024)
+    job = {
+        "field": {"p": 5, "m": 1},
+        "fan": {"rays": [[2, -1], [-1, 2], [-1, -1]]},
+        "divisor": [0, 0, 3],
+        "points": {"torus": True, "orbits": [1]},
+        "mindist": {"method": "auto", "workers": 1, "work_cap": 100000},
+    }
+    good_build = tmp_path / "good.json"
+    job_path = write_job(tmp_path, "good_job.json", **job)
+    assert main(["build", "--spec", job_path, "--output", str(good_build)]) == 0
+    build = json.loads(good_build.read_text())
+    codes = []
+    for trial in range(150):
+        for doc, argv in ((job, ["build", "--spec"]), (build, ["mindist", "--code"])):
+            bad = json.loads(json.dumps(doc))
+            for _ in range(1 + trial % 2):
+                mutate(bad, rng)
+            path = tmp_path / "mutated.json"
+            path.write_text(json.dumps(bad))
+            if argv[0] == "build" and trial % 3 == 0:
+                argv = ["mindist", "--spec"]
+            codes.append(main(argv + [str(path)]))
+    capsys.readouterr()
+    assert set(codes) <= {0, 2, 3}
+    assert {0, 2, 3} <= set(codes)

@@ -116,6 +116,33 @@ def test_dual_is_the_null_space_basis(p, m):
         assert bool(h.warnings) == (code.k == n)
 
 
+@pytest.mark.parametrize("orbits", [(), (0, 1)])
+def test_build_reduces_its_generator_once(monkeypatch, orbits):
+    from toric_codes.codes import rref as real_rref
+    from toric_codes.toric import toric_code
+
+    calls = []
+
+    def counting_rref(*args, **kwargs):
+        calls.append(args[1].shape)
+        return real_rref(*args, **kwargs)
+
+    monkeypatch.setattr("toric_codes.codes.rref", counting_rref)
+    gf = GF(2, 3)
+    result = toric_code(gf, [(2, -1), (-1, 2), (-1, -1)], (0, 0, 4), orbits=orbits)
+    assert calls == [result.eval_matrix.shape]  # the code's rank; the dual reuses it
+    monkeypatch.undo()
+    assert np.array_equal(result.dual.gen, null_space(gf, result.code.gen))
+
+
+def test_dual_of_rows_that_skipped_elimination():
+    gf = GF(3)
+    G = np.array([[1, 0, 2, 1], [0, 2, 1, 1]], dtype=np.int16)  # each row owns a column
+    h = LinearCode(gf, G).dual()
+    assert np.array_equal(h.gen, null_space(gf, G))
+    assert not matmul(gf, G, h.gen.T).any()
+
+
 def test_rank_of_rows_with_private_columns():
     gf = GF(3)
     # row 0 alone is nonzero in column 0, yet rows 1 and 2 are dependent

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -90,6 +91,47 @@ def test_zero_cap_exact_on_torus_setup():
     assert st.d_dual is not None
 
 
+# locator tables recorded before evaluation moved to one graded routine:
+# (orbit points, G', sha256 prefix of locator_torus, {point: (levels,
+# sha256 prefix of the bucket)}, zero cap); fan1 over GF(8), G = 10 D_3
+RECORDED_SETUPS = [
+    (
+        [(0, 1), (1, 1)],
+        (2, 2, 2),
+        "137e7a70947ba6e7",
+        {49: ([-2, -1, 0, 1, 2, 4], "9eafedee58331e4b"), 50: ([-2, -1, 0, 1, 2, 4], "5355e03526155e5e")},
+        23,
+    ),
+    (
+        [(0, 3), (1, 6), (1, 7)],
+        (2, 2, 2),
+        "4610b2354e99c516",
+        {
+            49: ([-2, -1, 0, 1, 2, 4], "fd3377aa970c8c4e"),
+            50: ([-2, -1, 0, 1, 2, 4], "2f37ffa363c426f5"),
+            51: ([-2, -1, 0, 1, 2, 4], "b9d55d7be06e2558"),
+        },
+        24,
+    ),
+    ([(0, 3), (0, 5), (1, 6)], (0, 2, 2), "f02f2c635d71cef2", {51: ([-2, -1, 0, 1], "b7e270c329cba0ab")}, 15),
+]
+
+
+@pytest.mark.parametrize("orbit, gprime, locator_digest, graded, zero_cap", RECORDED_SETUPS)
+def test_setup_tables_match_recorded_values(orbit, gprime, locator_digest, graded, zero_cap):
+    def digest(a):
+        assert a.dtype == np.int16
+        return hashlib.sha256(a.astype("<i2").tobytes()).hexdigest()[:16]
+
+    gf = GF(2, 3)
+    pts = list(torus_points(gf)) + [OrbitPoint(r, s) for r, s in orbit]
+    st = decoder_setup(ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 10)), pts), TDivisor(gprime))
+    assert digest(st.locator_torus) == locator_digest
+    assert {i: (g.levels, digest(g.bucket)) for i, g in st.graded.items()} == graded
+    assert all(type(x) is int for g in st.graded.values() for x in g.levels)
+    assert (st.zero_cap, st.zero_cap_exact) == (zero_cap, False)
+
+
 # -- brackets -------------------------------------------------------------------
 
 
@@ -146,6 +188,15 @@ def test_locator_vanishes_on_planted_boundary_support():
         f = error_locator(r, st)
         nf = zero_set(f, st)
         assert {49, 50}.issubset(set(nf))  # candidate set covers the support
+
+
+@pytest.mark.parametrize("symbol", [-1, 7])
+def test_decode_rejects_symbols_outside_the_field(symbol):
+    st = torus_setup()
+    r = np.zeros(16, dtype=np.int16)
+    r[4] = symbol
+    with pytest.raises(ValueError, match="element indices 0..4"):
+        decode(r, st)
 
 
 def test_zero_set_rejects_zero_locator():

@@ -115,6 +115,11 @@ def test_construction_errors():
         make_field(4, 1)  # non-prime p
     with pytest.raises(FieldError):
         make_field(2, 11)  # q > 1024
+    # the cap is checked before primality and before p**m: both fail at once
+    with pytest.raises(FieldError, match="cap"):
+        make_field(2**61 - 1, 1)
+    with pytest.raises(FieldError, match="cap"):
+        make_field(2, 10**9)
     with pytest.raises(FieldError):
         make_field(2, 2, (1, 0, 1))  # t^2 + 1 = (t+1)^2 over GF(2)
     with pytest.raises(ZeroDivisionError):

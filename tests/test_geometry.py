@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +15,14 @@ from toric_codes.geometry import (
     count_rational_points,
     evaluate_monomial,
     evaluation_matrix,
+    graded_evaluation,
     is_ample,
     is_cartier,
     is_smooth,
     lattice_points,
     orbit_points,
     polytope_of_divisor,
+    torus_evaluation_matrix,
     torus_points,
     validate_fan,
     volume,
@@ -274,3 +277,78 @@ def test_evaluation_matrix_consistency():
     M2 = evaluation_matrix([(-1, 2)], torus_points(gf), gf)
     for j, pt in enumerate(torus_points(gf)):
         assert M2[0, j] == evaluate_monomial(pt, (-1, 2), gf)
+
+
+# -- graded evaluation against the scalar formulas ---------------------------
+
+FAN2_M3 = Fan2D([(1, 0), (-1, 3), (0, -1)])
+ORACLE_FIELDS = [(2, 3), (2, 4), (5, 1), (7, 1), (3, 2), (5, 2)]
+
+
+def reference_graded(a, point, gf, fan):
+    """(order, value) of x^a at one point by the scalar formulas: the torus
+    dlog sum, and on the orbit of ray r the order <a, v_r> with the value
+    s^lam, where a - <a, v_r> m_r = lam u_r for the transverse vector m_r
+    and the orbit lattice generator u_r."""
+    if isinstance(point, TorusPoint):
+        e = (gf.dlog(point.t1) * a[0] + gf.dlog(point.t2) * a[1]) % (gf.q - 1)
+        return 0, int(gf.exp[e])
+    v = fan.rays[point.ray]
+    m = fan.transverse_vector(point.ray)
+    u = fan.orbit_lattice_generator(point.ray)
+    c = a[0] * v[0] + a[1] * v[1]
+    red = (a[0] - c * m[0], a[1] - c * m[1])
+    lam = red[0] // u[0] if u[0] else red[1] // u[1]
+    assert red == (lam * u[0], lam * u[1])
+    return c, gf.pow(point.s, lam)
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+@pytest.mark.parametrize("fan", [FAN1, FAN4, FAN6, FAN7, FAN2_M3], ids=["fan1", "fan4", "fan6", "fan7", "fan2-m3"])
+def test_graded_evaluation_matches_scalar_formulas(p, m, fan):
+    gf = GF(p, m)
+    rng = np.random.default_rng(100 * p + m)
+    exps = [tuple(int(x) for x in rng.integers(-6, 7, size=2)) for _ in range(12)]
+    torus = torus_points(gf)
+    pts = [torus[int(i)] for i in rng.choice(len(torus), size=8, replace=False)]
+    for r in range(fan.s):
+        pts += orbit_points(fan, r, gf)
+    order, value = graded_evaluation(exps, pts, gf, fan)
+    assert order.shape == value.shape == (len(exps), len(pts))
+    for i, a in enumerate(exps):
+        for j, pt in enumerate(pts):
+            assert (order[i, j], value[i, j]) == reference_graded(a, pt, gf, fan)
+    # strict mode, one orbit at a time, on the exponents pole-free there
+    for r in range(fan.s):
+        v = fan.rays[r]
+        ok = [a for a in exps if a[0] * v[0] + a[1] * v[1] >= 0]
+        orbit = orbit_points(fan, r, gf)
+        M = evaluation_matrix(ok, orbit + pts[:8], gf, fan)
+        assert M.dtype == np.int16
+        for i, a in enumerate(ok):
+            for j, pt in enumerate(orbit + pts[:8]):
+                c, val = reference_graded(a, pt, gf, fan)
+                assert M[i, j] == (val if c == 0 else 0)
+        bad = [a for a in exps if a[0] * v[0] + a[1] * v[1] < 0]
+        if bad:
+            msg = re.escape(f"monomial {bad[0]} has a pole along D_{r + 1}")
+            with pytest.raises(PoleError, match=msg):
+                evaluation_matrix(ok + bad, pts[:8] + orbit, gf, fan)
+
+
+def test_torus_evaluation_matrix_is_the_strict_torus_case():
+    gf = GF(3, 2)
+    exps = [(0, 0), (-3, 2), (5, 7)]
+    M = torus_evaluation_matrix(exps, gf)
+    assert np.array_equal(M, evaluation_matrix(exps, torus_points(gf), gf))
+    assert M.shape == (3, 64) and M.dtype == np.int16
+
+
+def test_graded_evaluation_rejects_bad_points():
+    gf = GF(5)
+    with pytest.raises(ValueError, match="needs the fan"):
+        graded_evaluation([(1, 0)], [OrbitPoint(0, 1)], gf)
+    with pytest.raises(ValueError, match="units"):
+        graded_evaluation([(1, 0)], [TorusPoint(0, 1)], gf)
+    with pytest.raises(FanError, match="out of range"):
+        graded_evaluation([(1, 0)], [OrbitPoint(3, 1)], gf, FAN1)
