@@ -37,7 +37,6 @@ from .codes import (
     min_distance_infoset,
     reed_muller,
     rm_predicted_params,
-    rref_rank,
     syndrome,
 )
 from .toric import (

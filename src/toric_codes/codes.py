@@ -30,6 +30,12 @@ class WorkCapExceeded(RuntimeError):
     """Exhaustive enumeration would exceed the configured work cap."""
 
 
+# A code with at most this many projective messages is small enough to
+# enumerate them all: min_distance(method="auto") then runs the exhaustive
+# engine, and the decoder checks condition (C) on its dual.
+EXHAUSTIVE_LIMIT = 2_000_000
+
+
 # -- exact linear algebra ---------------------------------------------------
 
 
@@ -84,10 +90,6 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
         R = out
         pivots = [int(perm[c]) for c in pivots]
     return R, r, pivots
-
-
-def rref_rank(gf: GF, mat: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
-    return rref(gf, mat)
 
 
 def _null_basis(gf: GF, R: np.ndarray, pivots: list[int], cols: int) -> np.ndarray:
@@ -161,6 +163,14 @@ def _rows_own_columns(M: np.ndarray) -> bool:
     return bool(nz[:, nz.sum(axis=0) == 1].any(axis=1).all())
 
 
+def _elements(gf: GF, a, what: str) -> np.ndarray:
+    """``a`` as an int16 array of element indices 0..q-1, else CodeError."""
+    a = np.asarray(a)
+    if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= gf.q):
+        raise CodeError(f"{what} entries must be element indices 0..{gf.q - 1}")
+    return a.astype(np.int16)
+
+
 @dataclass
 class LinearCode:
     """A k-dimensional length-n code given by a full-rank generator matrix.
@@ -182,11 +192,7 @@ class LinearCode:
         rows = np.asarray(rows)
         if rows.ndim != 2:
             raise CodeError("generator must be a 2-D matrix")
-        if rows.size and (
-            rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= gf.q
-        ):
-            raise CodeError(f"generator entries must be element indices 0..{gf.q - 1}")
-        rows = rows.astype(np.int16)
+        rows = _elements(gf, rows, "generator")
         self.warnings = []
         self._reduced = None  # (R, pivots) of rows, hence of gen, for dual()
         if _rows_own_columns(rows):
@@ -224,14 +230,14 @@ class LinearCode:
     def syndrome(self, v) -> np.ndarray:
         """Inner products of v with each generator row; v lies in the dual
         of this code iff the syndrome vanishes."""
-        v = np.asarray(v, dtype=np.int16)
+        v = _elements(self.gf, v, "vector")
         if v.shape[0] != self.n:
             raise CodeError(f"vector length {v.shape[0]} != n = {self.n}")
         return matvec(self.gf, self.gen, v)
 
     def codeword(self, message) -> np.ndarray:
         """Encode a length-k message vector."""
-        return matvec(self.gf, self.gen.T, np.asarray(message, dtype=np.int16))
+        return matvec(self.gf, self.gen.T, _elements(self.gf, message, "message"))
 
     def __repr__(self) -> str:
         d = self.d if self.d is not None else "?"
@@ -291,7 +297,7 @@ def _run_tasks(fn, tasks, workers: int):
 
 
 def min_distance_exhaustive(
-    code: LinearCode, work_cap: int = 2_000_000_000, block_rows: int = 1 << 18, workers: int = 1
+    code: LinearCode, work_cap: int = 2_000_000_000, workers: int = 1
 ) -> WeightReport:
     """Exact d by enumerating one representative per projective message
     class (first nonzero message symbol = 1).
@@ -310,9 +316,10 @@ def min_distance_exhaustive(
             f"{total} projective messages exceed the work cap {work_cap}"
         )
 
-    # suffix table over the last v rows, last row = fastest digit
+    # suffix table over the last v rows, last row = fastest digit; a block
+    # holds at most 2^18 messages
     v = 0
-    while v + 1 <= k - 1 and q ** (v + 1) <= block_rows:
+    while v + 1 <= k - 1 and q ** (v + 1) <= 1 << 18:
         v += 1
     S = np.zeros((1, n), dtype=np.int16)
     for t in range(v):
@@ -476,17 +483,16 @@ def min_distance(
     code: LinearCode,
     method: str = "auto",
     work_cap: int = 2_000_000_000,
-    exhaustive_threshold: int = 2_000_000,
     workers: int = 1,
     work_budget: int | None = None,
 ) -> WeightReport:
-    """Dispatch between the two engines; auto picks exhaustive for small
-    projective message spaces."""
+    """Dispatch between the two engines; auto picks exhaustive for at most
+    EXHAUSTIVE_LIMIT projective messages."""
     if method not in ("auto", "exhaustive", "infoset"):
         raise CodeError(f"unknown method {method!r}")
     q, k = code.gf.q, code.k
     total = (q**k - 1) // (q - 1)
-    if method == "exhaustive" or (method == "auto" and total <= exhaustive_threshold):
+    if method == "exhaustive" or (method == "auto" and total <= EXHAUSTIVE_LIMIT):
         rep = min_distance_exhaustive(code, work_cap=work_cap, workers=workers)
     else:
         rep = min_distance_infoset(code, work_budget=work_budget, workers=workers)

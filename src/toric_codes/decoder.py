@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import GF
-from .codes import LinearCode, matvec, min_distance, null_space, solve
+from .codes import EXHAUSTIVE_LIMIT, LinearCode, matvec, min_distance, null_space, solve
 from .geometry import (
     PoleError,
     TDivisor,
@@ -87,7 +87,6 @@ def setup(
     spec: ToricCodeSpec,
     gprime: TDivisor,
     z_work_budget: int = 4_000_000,
-    check_condition_c_threshold: int = 2_000_000,
 ) -> DecoderSetup:
     """Build bases, evaluation tables, and the zero cap Z.
 
@@ -143,10 +142,11 @@ def setup(
         rep = min_distance(aux, work_budget=z_work_budget)
         zcap = n - (rep.d if rep.exact else rep.lower)
         exact = rep.exact and bool(clean.all())
-    # condition (C): d(dual) must exceed the cap; expensive, so optional
+    # condition (C): d(dual) must exceed the cap; checked only when the dual
+    # is small enough to enumerate
     dual_code = result.dual
     total = (gf.q**dual_code.k - 1) // (gf.q - 1)
-    if total <= check_condition_c_threshold:
+    if total <= EXHAUSTIVE_LIMIT:
         d_dual = min_distance(dual_code).d
         cond = "verified" if d_dual > zcap else "failed"
     else:
@@ -173,12 +173,21 @@ def setup(
 # -- the stages ---------------------------------------------------------------
 
 
+def _received(r, setup: DecoderSetup) -> np.ndarray:
+    """A received word as n int16 element indices; ValueError otherwise."""
+    r = np.asarray(r)
+    if r.shape[0] != setup.n:
+        raise ValueError(f"received word length {r.shape[0]} != n = {setup.n}")
+    q = setup.spec.gf.q
+    if r.dtype.kind not in "iu" or r.min() < 0 or r.max() >= q:
+        raise ValueError(f"received symbols must be element indices 0..{q - 1}")
+    return r.astype(np.int16)
+
+
 def bracket(r: np.ndarray, exponent, setup: DecoderSetup) -> int:
     """[r, phi] = sum_i r_i phi(P_i) for the character phi = x^exponent."""
     spec = setup.spec
-    r = np.asarray(r, dtype=np.int16)
-    if r.shape[0] != setup.n:
-        raise ValueError(f"received word length {r.shape[0]} != n = {setup.n}")
+    r = _received(r, setup)
     row = evaluation_matrix([tuple(exponent)], spec.points, spec.gf, spec.fan)[0]
     return int(setup.spec.gf.vsum(setup.spec.gf.vmul(row, r)))
 
@@ -188,7 +197,7 @@ def bracket_matrix(r: np.ndarray, setup: DecoderSetup) -> np.ndarray:
     gf = setup.spec.gf
     kg, ell, n = setup.FG.shape
     flat = setup.FG.reshape(kg * ell, n)
-    return gf.vsum(gf.vmul(flat, np.asarray(r, dtype=np.int16)[None, :]), axis=1).reshape(kg, ell)
+    return gf.vsum(gf.vmul(flat, _received(r, setup)[None, :]), axis=1).reshape(kg, ell)
 
 
 def error_locator(r: np.ndarray, setup: DecoderSetup) -> np.ndarray:
@@ -232,7 +241,7 @@ def error_values(
 ) -> DecodeOutcome:
     """Solve the value system on the candidate positions."""
     gf = setup.spec.gf
-    r = np.asarray(r, dtype=np.int16)
+    r = _received(r, setup)
     s = matvec(gf, setup.H, r)  # [r, h_j] for every j
     within = len(nf) <= setup.zero_cap
     if not nf:
@@ -312,13 +321,7 @@ def decode(r: np.ndarray, setup: DecoderSetup, list_cap: int = 256) -> DecodeOut
     """Locator -> zero set -> values; a unique outcome always satisfies
     the dual-code membership r - e in C (its brackets against L(G) vanish
     by construction of the value system)."""
-    r = np.asarray(r)
-    if r.shape[0] != setup.n:
-        raise ValueError(f"received word length {r.shape[0]} != n = {setup.n}")
-    q = setup.spec.gf.q
-    if r.dtype.kind not in "iu" or r.min() < 0 or r.max() >= q:
-        raise ValueError(f"received symbols must be element indices 0..{q - 1}")
-    r = r.astype(np.int16)
+    r = _received(r, setup)
     try:
         f = error_locator(r, setup)
     except SetupError as exc:

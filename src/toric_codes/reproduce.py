@@ -61,7 +61,6 @@ def reproduce_table(
     table_id: str,
     workers: int = 1,
     work_budget: int | None = None,
-    exhaustive_threshold: int = 2_000_000,
 ) -> list[RowResult]:
     if table_id not in GOLDEN_TABLES:
         raise KeyError(f"unknown table id {table_id!r}; known: {', '.join(GOLDEN_TABLES)}")
@@ -93,12 +92,7 @@ def reproduce_table(
                 )
                 continue
             code = toric_code(field_for_q(row.q), table.fan, row.divisor).code
-        rep = min_distance(
-            code,
-            workers=workers,
-            work_budget=work_budget,
-            exhaustive_threshold=exhaustive_threshold,
-        )
+        rep = min_distance(code, workers=workers, work_budget=work_budget)
         flag = getattr(row, "flag", "")
         out.append(_check(label, (row.n, row.k, row.d), code, rep, row.note, flag))
     return out

@@ -329,6 +329,15 @@ def test_generator_entries_must_be_field_elements(rows):
         LinearCode(GF(2, 3), rows)
 
 
+@pytest.mark.parametrize("symbol", [-1, 5, 9])
+def test_syndrome_and_codeword_entries_must_be_field_elements(symbol):
+    code = LinearCode(GF(5), [[1, 0, 1, 2], [0, 1, 3, 4]])
+    with pytest.raises(CodeError, match="element indices 0..4"):
+        code.syndrome([0, 0, 0, symbol])
+    with pytest.raises(CodeError, match="element indices 0..4"):
+        code.codeword([symbol, 0])
+
+
 def test_rank_deficient_generator_warns():
     gf = GF(5)
     code = LinearCode(gf, [[1, 2, 3], [2, 4, 1], [0, 1, 0]])  # row2 = 2*row1

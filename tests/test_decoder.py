@@ -199,6 +199,24 @@ def test_decode_rejects_symbols_outside_the_field(symbol):
         decode(r, st)
 
 
+STAGES = {
+    "bracket": lambda r, st: bracket(r, (0, 0), st),
+    "bracket_matrix": bracket_matrix,
+    "error_locator": error_locator,
+    "error_values": lambda r, st: error_values(r, [5], st),
+}
+
+
+@pytest.mark.parametrize("symbol", [-1, 5])
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_stages_reject_symbols_outside_the_field(stage, symbol):
+    st = torus_setup()
+    r = np.zeros(16, dtype=np.int16)
+    r[5] = symbol
+    with pytest.raises(ValueError, match="element indices 0..4"):
+        STAGES[stage](r, st)
+
+
 def test_zero_set_rejects_zero_locator():
     st = torus_setup()
     with pytest.raises(ValueError):

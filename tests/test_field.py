@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toric_codes.field import GF, FieldError, make_field
+from toric_codes.field import _DEFAULT_MODULI, GF, FieldError, make_field
 
 
 # ---------------------------------------------------------------------
@@ -128,21 +128,69 @@ def test_construction_errors():
         GF(5).add(1, 7)  # out of range
 
 
-def test_vectorized_ops_match_scalar():
-    rng = np.random.default_rng(7)
-    for p, m in [(2, 3), (5, 1), (3, 2), (7, 1)]:
-        gf = GF(p, m)
-        A = rng.integers(0, gf.q, size=50).astype(np.int16)
-        B = rng.integers(0, gf.q, size=50).astype(np.int16)
-        assert all(int(x) == gf.add(int(a), int(b)) for x, a, b in zip(gf.vadd(A, B), A, B))
-        assert all(int(x) == gf.mul(int(a), int(b)) for x, a, b in zip(gf.vmul(A, B), A, B))
-        c = int(A[0])
-        assert all(int(x) == gf.mul(c, int(b)) for x, b in zip(gf.vscale(c, B), B))
-        # vsum against left fold
-        acc = 0
-        for a in A:
-            acc = gf.add(acc, int(a))
-        assert int(gf.vsum(A)) == acc
+def naive_fold(values, gf):
+    acc = 0
+    for a in values:
+        acc = naive_add(acc, int(a), gf)
+    return acc
+
+
+VECTOR_FIELDS = [(2, 3), (5, 1), (7, 1), (3, 2), (3, 3), (5, 2), (3, 6), (31, 2), (2, 10)]
+
+
+@pytest.mark.parametrize("p,m", VECTOR_FIELDS)
+def test_vectorized_ops_match_scalar(p, m):
+    gf = GF(p, m)
+    q, n = gf.q, 5
+    rng = np.random.default_rng([7, p, m])
+    # the distance engines' broadcast: every nonzero multiple against a block
+    A = rng.integers(0, q, size=(q - 1, 1, n)).astype(np.int16)
+    B = rng.integers(0, q, size=(1, 3, n)).astype(np.int16)
+    C = gf.vadd(A, B)
+    assert C.shape == (q - 1, 3, n) and C.dtype == np.int16
+    for idx in np.ndindex(C.shape):
+        assert int(C[idx]) == naive_add(int(A[idx[0], 0, idx[2]]), int(B[0, idx[1], idx[2]]), gf)
+    M = rng.integers(0, q, size=(6, 9)).astype(np.int16)
+    for axis in (0, 1, -1):
+        S = gf.vsum(M, axis=axis)
+        assert S.dtype == np.int16
+        assert S.tolist() == [naive_fold(v, gf) for v in np.moveaxis(M, axis, 0).T]
+    P = gf.vmul(M, M[::-1])
+    assert P.dtype == np.int16
+    assert all(int(x) == naive_mul(int(a), int(b), gf) for x, a, b in zip(P.flat, M.flat, M[::-1].flat))
+    c = int(M[0, 0])
+    assert all(int(x) == naive_mul(c, int(b), gf) for x, b in zip(gf.vscale(c, M).flat, M.flat))
+    assert gf.neg_table.dtype == np.int16
+    for a in range(q):
+        assert int(gf.neg_table[a]) == undigits([-d % p for d in digits(a, p, m)], p)
+        assert gf.coeffs(a) == tuple(digits(a, p, m))
+        assert gf.element(gf.coeffs(a)) == a
+
+
+def naive_add_table(p, m):
+    D = np.array([digits(n, p, m) for n in range(p**m)])
+    table = np.zeros((p**m, p**m), dtype=np.int64)
+    for k in range(m):
+        table += (D[:, None, k] + D[None, :, k]) % p * p**k
+    return table
+
+
+@pytest.mark.parametrize(
+    "p,m", sorted(_DEFAULT_MODULI) + [(p, 1) for p in range(2, 32) if all(p % d for d in range(2, p))]
+)
+def test_add_table_matches_naive_oracle(p, m):
+    gf = GF(p, m)
+    assert gf.add_table.dtype == np.int16
+    assert np.array_equal(gf.add_table, naive_add_table(p, m))
+
+
+def test_element_rejects_more_than_m_digits():
+    gf = GF(2, 3)
+    assert gf.element([1, 1, 1]) == 7
+    with pytest.raises(FieldError, match="digits"):
+        gf.element([1, 1, 1, 1])
+    with pytest.raises(FieldError, match="digits"):
+        gf.element([0, 0, 0, 1])
 
 
 def test_custom_modulus_nonprimitive_t():
