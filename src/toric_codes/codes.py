@@ -163,9 +163,12 @@ def _rows_own_columns(M: np.ndarray) -> bool:
     return bool(nz[:, nz.sum(axis=0) == 1].any(axis=1).all())
 
 
-def _elements(gf: GF, a, what: str) -> np.ndarray:
-    """``a`` as an int16 array of element indices 0..q-1, else CodeError."""
+def _elements(gf: GF, a, what: str, length: int | None = None) -> np.ndarray:
+    """``a`` as an int16 array of element indices 0..q-1, else CodeError;
+    with ``length``, ``a`` must be a 1-D vector of that length."""
     a = np.asarray(a)
+    if length is not None and a.shape != (length,):
+        raise CodeError(f"{what} must be a 1-D vector of length {length}, got shape {a.shape}")
     if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= gf.q):
         raise CodeError(f"{what} entries must be element indices 0..{gf.q - 1}")
     return a.astype(np.int16)
@@ -184,10 +187,9 @@ class LinearCode:
     n: int = 0
     k: int = 0
     d: int | None = None
-    d_bounds: tuple[int, int] | None = None
     warnings: list[str] = dc_field(default_factory=list)
 
-    def __init__(self, gf: GF, rows, d: int | None = None):
+    def __init__(self, gf: GF, rows):
         self.gf = gf
         rows = np.asarray(rows)
         if rows.ndim != 2:
@@ -209,10 +211,7 @@ class LinearCode:
             self.gen = rows
         self.n = int(rows.shape[1])
         self.k = int(rank)
-        self.d = d
-        self.d_bounds = None
-        if d is not None and not 1 <= d <= self.n - self.k + 1:
-            raise CodeError(f"cached d = {d} violates the Singleton bound")
+        self.d = None
 
     def dual(self) -> "LinearCode":
         """The (n-k)-dimensional annihilator code; G @ H^T = 0."""
@@ -230,14 +229,11 @@ class LinearCode:
     def syndrome(self, v) -> np.ndarray:
         """Inner products of v with each generator row; v lies in the dual
         of this code iff the syndrome vanishes."""
-        v = _elements(self.gf, v, "vector")
-        if v.shape[0] != self.n:
-            raise CodeError(f"vector length {v.shape[0]} != n = {self.n}")
-        return matvec(self.gf, self.gen, v)
+        return matvec(self.gf, self.gen, _elements(self.gf, v, "vector", self.n))
 
     def codeword(self, message) -> np.ndarray:
         """Encode a length-k message vector."""
-        return matvec(self.gf, self.gen.T, _elements(self.gf, message, "message"))
+        return matvec(self.gf, self.gen.T, _elements(self.gf, message, "message", self.k))
 
     def __repr__(self) -> str:
         d = self.d if self.d is not None else "?"
@@ -372,7 +368,6 @@ def _systematic_generators(gf: GF, G: np.ndarray) -> list[tuple[np.ndarray, int]
 
 def min_distance_infoset(
     code: LinearCode,
-    target: int | None = None,
     work_budget: int | None = None,
     workers: int = 1,
 ) -> WeightReport:
@@ -382,8 +377,7 @@ def min_distance_infoset(
     After finishing information weight w, every unseen codeword has weight
     at least sum_j max(0, (w+1) - (k - rank_j)), which certifies the lower
     bound; the search stops when it reaches the best weight found.  With
-    ``target`` the search may also stop once the lower bound reaches it;
-    with ``work_budget`` the report may come back inexact (certified
+    ``work_budget`` the report may come back inexact (certified
     lower/upper interval).
     """
     gf, G, k, n = code.gf, code.gen, code.k, code.n
@@ -464,9 +458,7 @@ def min_distance_infoset(
             return WeightReport(
                 d=best_w, witness=witness, method="information-set", work=work
             )
-        if (target is not None and lower >= target and best_w > target) or (
-            work_budget is not None and work > work_budget
-        ):
+        if work_budget is not None and work > work_budget:
             return WeightReport(
                 d=best_w,
                 witness=witness,
@@ -498,8 +490,6 @@ def min_distance(
         rep = min_distance_infoset(code, work_budget=work_budget, workers=workers)
     if rep.exact:
         code.d = rep.d
-    else:
-        code.d_bounds = (rep.lower, rep.upper)
     return rep
 
 

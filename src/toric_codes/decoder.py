@@ -9,24 +9,35 @@ of L(G).
 
 Boundary subtleties: a basis monomial of L(G') may have a pole at an
 orbit point (G' can carry positive coefficients on rays that host
-points).  The locator is therefore evaluated at orbit points through its
-graded expansion in the transverse parameter: ``geometry.graded_evaluation``
-gives each term's vanishing order <a, v_ray> and its leading value, terms
-are bucketed by order, and the leading nonzero bucket decides zero
-(order > 0), a value (order 0), or a pole (order < 0).  Pole positions
-cannot be certified error-free, so they are kept in the candidate set
-N(f); the value system stays exact either way because the products
-f_j g_i and the h_j are always pole-free (hard setup error otherwise).
+points).  The locator is therefore evaluated through its graded
+expansion in the transverse parameter: ``geometry.graded_evaluation``
+gives each term's vanishing order <a, v_ray> and its leading value, and
+setup keeps one table sliced by the vanishing orders that occur.  At
+every point, torus and orbit alike (a torus column has only order 0),
+the leading nonzero order decides zero (order > 0), a value (order 0),
+or a pole (order < 0).  Pole positions cannot be certified error-free,
+so they are kept in the candidate set N(f); the value system stays exact
+either way because the products f_j g_i and the h_j are always pole-free
+(hard setup error otherwise).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GF
-from .codes import EXHAUSTIVE_LIMIT, LinearCode, matvec, min_distance, null_space, solve
+from .codes import (
+    EXHAUSTIVE_LIMIT,
+    LinearCode,
+    WorkCapExceeded,
+    _elements,
+    matmul,
+    matvec,
+    min_distance,
+    null_space,
+    solve,
+)
 from .geometry import (
     PoleError,
     TDivisor,
@@ -43,15 +54,6 @@ class SetupError(ValueError):
 
 
 @dataclass
-class GradedPointData:
-    """Locator-basis evaluation data at one orbit point: bucket matrix
-    rows are vanishing orders (ascending), columns the basis monomials."""
-
-    levels: list[int]
-    bucket: np.ndarray  # (len(levels), ell)
-
-
-@dataclass
 class DecoderSetup:
     spec: ToricCodeSpec
     result: ToricCodeResult
@@ -61,8 +63,8 @@ class DecoderSetup:
     basis_full: list[tuple[int, int]]  # L(G)
     H: np.ndarray  # len(basis_full) x n, strict values
     FG: np.ndarray  # (len(gap), len(locator), n) product values
-    locator_torus: np.ndarray  # ell x n with zeros at orbit columns
-    graded: dict[int, GradedPointData]  # point index -> bucket data
+    levels: np.ndarray  # the vanishing orders that occur, ascending
+    locator: np.ndarray  # (len(levels), ell, n) leading values at each order
     zero_cap: int
     zero_cap_exact: bool
     condition_c: str  # "verified" | "failed" | "unverified"
@@ -121,22 +123,16 @@ def setup(
     n = len(spec.points)
     FG = FG.reshape(len(basis_gap), len(basis_locator), n)
 
-    # locator evaluation data: strict values at every pole-free column,
-    # graded buckets at orbit points where some basis monomial has a pole
-    ell = len(basis_locator)
+    # the locator basis sliced by vanishing order: locator[s, j, i] is the
+    # leading value of f_j at point i when its order there is levels[s]
     order, value = graded_evaluation(basis_locator, spec.points, gf, fan)
-    clean = order.min(axis=0) >= 0
-    locator_torus = np.where((order == 0) & clean, value, 0)
-    graded: dict[int, GradedPointData] = {}
-    for i in np.flatnonzero(~clean):
-        levels, level_of = np.unique(order[:, i], return_inverse=True)
-        bucket = np.zeros((levels.size, ell), dtype=np.int16)
-        bucket[level_of, np.arange(ell)] = value[:, i]
-        graded[int(i)] = GradedPointData(levels.tolist(), bucket)
+    levels = np.unique(order)
+    locator = np.where(order == levels[:, None, None], value, 0)
 
     # zero cap from the pole-free columns of the auxiliary code
-    aux = LinearCode(gf, locator_torus[:, clean])
-    if aux.k < ell:
+    clean = order.min(axis=0) >= 0
+    aux = LinearCode(gf, np.where(order == 0, value, 0)[:, clean])
+    if aux.k < len(basis_locator):
         zcap, exact = n, True  # eval map on L(G') is not injective: no cap
     else:
         rep = min_distance(aux, work_budget=z_work_budget)
@@ -144,12 +140,10 @@ def setup(
         exact = rep.exact and bool(clean.all())
     # condition (C): d(dual) must exceed the cap; checked only when the dual
     # is small enough to enumerate
-    dual_code = result.dual
-    total = (gf.q**dual_code.k - 1) // (gf.q - 1)
-    if total <= EXHAUSTIVE_LIMIT:
-        d_dual = min_distance(dual_code).d
+    try:
+        d_dual = min_distance(result.dual, method="exhaustive", work_cap=EXHAUSTIVE_LIMIT).d
         cond = "verified" if d_dual > zcap else "failed"
-    else:
+    except WorkCapExceeded:
         d_dual, cond = None, "unverified"
 
     return DecoderSetup(
@@ -161,8 +155,8 @@ def setup(
         basis_full=basis_full,
         H=H,
         FG=FG,
-        locator_torus=locator_torus,
-        graded=graded,
+        levels=levels,
+        locator=locator,
         zero_cap=zcap,
         zero_cap_exact=exact,
         condition_c=cond,
@@ -174,14 +168,9 @@ def setup(
 
 
 def _received(r, setup: DecoderSetup) -> np.ndarray:
-    """A received word as n int16 element indices; ValueError otherwise."""
-    r = np.asarray(r)
-    if r.shape[0] != setup.n:
-        raise ValueError(f"received word length {r.shape[0]} != n = {setup.n}")
-    q = setup.spec.gf.q
-    if r.dtype.kind not in "iu" or r.min() < 0 or r.max() >= q:
-        raise ValueError(f"received symbols must be element indices 0..{q - 1}")
-    return r.astype(np.int16)
+    """A received word as n int16 element indices; CodeError (a ValueError)
+    otherwise."""
+    return _elements(setup.spec.gf, r, "received word", setup.n)
 
 
 def bracket(r: np.ndarray, exponent, setup: DecoderSetup) -> int:
@@ -217,23 +206,14 @@ def zero_set(f_coeffs: np.ndarray, setup: DecoderSetup) -> list[int]:
     """Candidate positions: points where the locator is not provably
     nonzero (value zero, higher-order vanishing, or a pole)."""
     gf = setup.spec.gf
-    f = np.asarray(f_coeffs, dtype=np.int16)
+    f = _elements(gf, f_coeffs, "locator", len(setup.basis_locator))
     if not f.any():
         raise ValueError("zero locator has no zero set")
-    vals = matvec(gf, setup.locator_torus.T, f)
-    out = []
-    for i in range(setup.n):
-        if i in setup.graded:
-            g = setup.graded[i]
-            buckets = matvec(gf, g.bucket, f)
-            nz = np.nonzero(buckets)[0]
-            if nz.size == 0:
-                out.append(i)  # vanishes along the transverse curve
-            elif g.levels[int(nz[0])] != 0:
-                out.append(i)  # leading order > 0 (zero) or < 0 (pole)
-        elif int(vals[i]) == 0:
-            out.append(i)
-    return out
+    # nz[s, i]: the order-levels[s] part of f is nonzero at point i
+    nz = gf.vsum(gf.vmul(setup.locator, f[None, :, None]), axis=1) != 0
+    # a candidate vanishes along the transverse curve, or its leading order
+    # is > 0 (a zero) or < 0 (a pole)
+    return np.flatnonzero(~nz.any(axis=0) | (setup.levels[nz.argmax(axis=0)] != 0)).tolist()
 
 
 def error_values(
@@ -296,20 +276,13 @@ def error_values(
             within_zero_cap=within,
             diagnostics=f"{count} candidate solutions exceed the list cap {list_cap}",
         )
-    import itertools
-
-    cands = []
-    for combo in itertools.product(range(gf.q), repeat=ns.shape[0]):
-        b = x.copy()
-        for c, row in zip(combo, ns):
-            if c:
-                b = gf.vadd(b, gf.vscale(c, row))
-        e = np.zeros(setup.n, dtype=np.int16)
-        e[nf] = b
-        cands.append(e)
+    # every combination of the null-space rows, last coefficient fastest
+    combos = np.indices((gf.q,) * ns.shape[0]).reshape(ns.shape[0], -1).T
+    cands = np.zeros((count, setup.n), dtype=np.int16)
+    cands[:, nf] = gf.vadd(x[None, :], matmul(gf, combos, ns))
     return DecodeOutcome(
         status="list",
-        errors_found=cands,
+        errors_found=list(cands),
         locator=None,
         zero_set=list(nf),
         within_zero_cap=within,
@@ -320,8 +293,8 @@ def error_values(
 def decode(r: np.ndarray, setup: DecoderSetup, list_cap: int = 256) -> DecodeOutcome:
     """Locator -> zero set -> values; a unique outcome always satisfies
     the dual-code membership r - e in C (its brackets against L(G) vanish
-    by construction of the value system)."""
-    r = _received(r, setup)
+    by construction of the value system).  The received word is checked
+    by the stages it enters."""
     try:
         f = error_locator(r, setup)
     except SetupError as exc:

@@ -9,7 +9,7 @@ other reading, and the flagged row is reported but not diffed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .field import GF
 

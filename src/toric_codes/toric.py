@@ -21,9 +21,7 @@ from .codes import CodeError, LinearCode
 from .geometry import (
     EvalPoint,
     Fan2D,
-    OrbitPoint,
     TDivisor,
-    TorusPoint,
     evaluation_matrix,
     lattice_points,
     orbit_points,

@@ -338,6 +338,20 @@ def test_syndrome_and_codeword_entries_must_be_field_elements(symbol):
         code.codeword([symbol, 0])
 
 
+@pytest.mark.parametrize("v", [3, np.ones((4, 1), dtype=int), [[1, 0, 1, 2]], [1, 0, 1]])
+def test_syndrome_needs_a_length_n_vector(v):
+    code = LinearCode(GF(5), [[1, 0, 1, 2], [0, 1, 3, 4]])
+    with pytest.raises(CodeError, match="1-D vector of length 4"):
+        code.syndrome(v)
+
+
+@pytest.mark.parametrize("message", [3, np.ones((2, 1), dtype=int), [1, 0, 1]])
+def test_codeword_needs_a_length_k_vector(message):
+    code = LinearCode(GF(5), [[1, 0, 1, 2], [0, 1, 3, 4]])
+    with pytest.raises(CodeError, match="1-D vector of length 2"):
+        code.codeword(message)
+
+
 def test_rank_deficient_generator_warns():
     gf = GF(5)
     code = LinearCode(gf, [[1, 2, 3], [2, 4, 1], [0, 1, 0]])  # row2 = 2*row1

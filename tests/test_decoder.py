@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from toric_codes.field import GF
-from toric_codes.codes import LinearCode, matvec, min_distance_exhaustive
+from toric_codes.codes import LinearCode, matvec, min_distance_exhaustive, rref, solve
 from toric_codes.decoder import (
     DecoderSetup,
     SetupError,
@@ -21,6 +22,7 @@ from toric_codes.geometry import (
     Fan2D,
     OrbitPoint,
     TDivisor,
+    graded_evaluation,
     lattice_points,
     polytope_of_divisor,
     torus_points,
@@ -117,19 +119,95 @@ RECORDED_SETUPS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def recorded_setup(orbit, gprime):
+    gf = GF(2, 3)
+    pts = list(torus_points(gf)) + [OrbitPoint(r, s) for r, s in orbit]
+    return decoder_setup(ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 10)), pts), TDivisor(gprime))
+
+
+def reference_tables(st):
+    """The locator tables setup kept before the order-sliced table: strict
+    values at the pole-free columns (ell x n, zero elsewhere), and at each
+    orbit point where some basis monomial has a pole, the vanishing orders
+    that occur there (ascending) with one bucket row per order."""
+    ell = len(st.basis_locator)
+    order, value = graded_evaluation(st.basis_locator, st.spec.points, st.spec.gf, st.spec.fan)
+    clean = order.min(axis=0) >= 0
+    locator_torus = np.where((order == 0) & clean, value, 0)
+    graded = {}
+    for i in np.flatnonzero(~clean):
+        levels, level_of = np.unique(order[:, i], return_inverse=True)
+        bucket = np.zeros((levels.size, ell), dtype=np.int16)
+        bucket[level_of, np.arange(ell)] = value[:, i]
+        graded[int(i)] = (levels.tolist(), bucket)
+    return locator_torus, graded
+
+
+def reference_zero_set(f, gf, locator_torus, graded):
+    """The per-point zero-set loop over reference_tables."""
+    vals = matvec(gf, locator_torus.T, f)
+    out = []
+    for i in range(locator_torus.shape[1]):
+        if i in graded:
+            levels, bucket = graded[i]
+            nz = np.nonzero(matvec(gf, bucket, f))[0]
+            if nz.size == 0:
+                out.append(i)  # vanishes along the transverse curve
+            elif levels[int(nz[0])] != 0:
+                out.append(i)  # leading order > 0 (zero) or < 0 (pole)
+        elif int(vals[i]) == 0:
+            out.append(i)
+    return out
+
+
 @pytest.mark.parametrize("orbit, gprime, locator_digest, graded, zero_cap", RECORDED_SETUPS)
 def test_setup_tables_match_recorded_values(orbit, gprime, locator_digest, graded, zero_cap):
     def digest(a):
         assert a.dtype == np.int16
         return hashlib.sha256(a.astype("<i2").tobytes()).hexdigest()[:16]
 
-    gf = GF(2, 3)
-    pts = list(torus_points(gf)) + [OrbitPoint(r, s) for r, s in orbit]
-    st = decoder_setup(ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 10)), pts), TDivisor(gprime))
-    assert digest(st.locator_torus) == locator_digest
-    assert {i: (g.levels, digest(g.bucket)) for i, g in st.graded.items()} == graded
-    assert all(type(x) is int for g in st.graded.values() for x in g.levels)
+    st = recorded_setup(tuple(orbit), gprime)
+    locator_torus, buckets = reference_tables(st)
+    assert digest(locator_torus) == locator_digest
+    assert {i: (levels, digest(bucket)) for i, (levels, bucket) in buckets.items()} == graded
+    assert all(type(x) is int for levels, _ in buckets.values() for x in levels)
+    # setup's order-sliced table holds the same values
+    for i, (levels, bucket) in buckets.items():
+        at = np.isin(st.levels, levels)
+        assert np.array_equal(st.locator[at, :, i], bucket) and not st.locator[~at, :, i].any()
+    poles = list(buckets)
+    torus = np.delete(st.locator[st.levels.tolist().index(0)], poles, axis=1)
+    assert np.array_equal(torus, np.delete(locator_torus, poles, axis=1))
     assert (st.zero_cap, st.zero_cap_exact) == (zero_cap, False)
+
+
+@pytest.mark.parametrize("orbit, gprime", [row[:2] for row in RECORDED_SETUPS])
+def test_zero_set_matches_per_point_loop(orbit, gprime):
+    st = recorded_setup(tuple(orbit), gprime)
+    gf, n, ell = st.spec.gf, st.n, len(st.basis_locator)
+    tables = reference_tables(st)
+    rng = np.random.default_rng(7)
+    locators = []
+    while len(locators) < 150:  # dense and sparse random locators
+        f = rng.integers(0, gf.q, size=ell) * (rng.random(ell) < (0.3 if len(locators) % 2 else 1.0))
+        if f.any():
+            locators.append(f.astype(np.int16))
+    orbit_cols = np.arange(49, n)
+    from_words = 0
+    while from_words < 100:  # locators of words with planted orbit errors
+        e = np.zeros(n, dtype=np.int16)
+        hit = orbit_cols[rng.random(orbit_cols.size) < 0.6]
+        e[hit] = rng.integers(1, gf.q, size=hit.size)
+        if rng.random() < 0.5:
+            e[rng.integers(0, 49)] = rng.integers(1, gf.q)
+        try:
+            locators.append(error_locator(gf.vadd(random_dual_codeword(st, rng), e), st))
+        except SetupError:
+            continue
+        from_words += 1
+    for f in locators:
+        assert zero_set(f, st) == reference_zero_set(f, gf, *tables)
 
 
 # -- brackets -------------------------------------------------------------------
@@ -221,6 +299,58 @@ def test_zero_set_rejects_zero_locator():
     st = torus_setup()
     with pytest.raises(ValueError):
         zero_set(np.zeros(len(st.basis_locator), dtype=np.int16), st)
+
+
+@pytest.mark.parametrize("r", [np.int16(3), np.zeros((16, 1), dtype=np.int16), np.zeros(15, dtype=np.int16)])
+@pytest.mark.parametrize("stage", sorted(STAGES) + ["decode"])
+def test_stages_reject_words_that_are_not_length_n_vectors(stage, r):
+    st = torus_setup()
+    with pytest.raises(ValueError, match="1-D vector of length 16"):
+        (decode if stage == "decode" else STAGES[stage])(r, st)
+
+
+@pytest.mark.parametrize("f", [[1, -1, 0], [1, 9, 0], [1, 4], [1, 4, 0, 0], [[1, 4, 0]], 3, [1.0, 4.0, 0.0]])
+def test_zero_set_rejects_locators_outside_the_basis_space(f):
+    st = torus_setup()
+    assert len(st.basis_locator) == 3
+    with pytest.raises(ValueError):
+        zero_set(f, st)
+
+
+def reference_candidates(gf, x, ns, nf, n):
+    """The nested loop that listed the solutions x + sum c_i ns_i."""
+    cands = []
+    for combo in itertools.product(range(gf.q), repeat=ns.shape[0]):
+        b = x.copy()
+        for c, row in zip(combo, ns):
+            if c:
+                b = gf.vadd(b, gf.vscale(c, row))
+        e = np.zeros(n, dtype=np.int16)
+        e[nf] = b
+        cands.append(e)
+    return cands
+
+
+@pytest.mark.parametrize("make, free", [(torus_setup, 2), (torus_setup, 3), (boundary_setup, 2)])
+def test_list_candidates_match_nested_loop(make, free):
+    st = make()
+    gf, H = st.spec.gf, st.H
+    rng = np.random.default_rng(8)
+    cols = rng.permutation(st.n)
+    # the shortest prefix of cols whose value system has `free` free dimensions
+    m = next(m for m in range(1, st.n + 1) if m - rref(gf, H[:, cols[:m]])[1] == free)
+    nf = sorted(cols[:m].tolist())
+    e = np.zeros(st.n, dtype=np.int16)
+    e[nf] = rng.integers(0, gf.q, size=m)
+    x, ns = solve(gf, H[:, nf], matvec(gf, H, e))
+    assert ns.shape[0] == free and gf.q**free <= 256
+    out = error_values(e, nf, st)
+    assert out.status == "list"
+    expect = reference_candidates(gf, x, ns, nf, st.n)
+    assert len(out.errors_found) == len(expect) == gf.q**free
+    for got, want in zip(out.errors_found, expect):
+        assert got.dtype == np.int16 and np.array_equal(got, want)
+    assert any(np.array_equal(c, e) for c in out.errors_found)
 
 
 # -- decoding round trips ---------------------------------------------------------

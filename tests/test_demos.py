@@ -1,0 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 06 recomputes the golden tables, which the acceptance tests already cover
+DEMOS = [
+    "01_finite_fields.py",
+    "02_fans_and_polytopes.py",
+    "03_build_and_distance.py",
+    "04_bounds_and_conjectures.py",
+    "05_list_decoding.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
