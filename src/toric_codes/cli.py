@@ -15,7 +15,15 @@ import sys
 import numpy as np
 
 from .bounds import bound_report
-from .codes import CodeError, LinearCode, WorkCapExceeded, min_distance, reed_muller, rm_predicted_params
+from .codes import (
+    CodeError,
+    LinearCode,
+    WorkCapExceeded,
+    check_workers,
+    min_distance,
+    reed_muller,
+    rm_predicted_params,
+)
 from .decoder import SetupError, decode as decoder_decode, setup as decoder_setup
 from .field import GF, FieldError, make_field
 from .geometry import Fan2D, FanError, PoleError, TDivisor, polytope_of_divisor
@@ -157,10 +165,11 @@ def _mindist_report(code: LinearCode, job: dict, args):
     method = args.method or cfg.get("method", "auto")
     cap = args.work_cap or cfg.get("work_cap")
     try:
-        kwargs = {"workers": args.workers or int(cfg.get("workers", 1))}
+        workers = cfg.get("workers", 1) if args.workers is None else args.workers
+        kwargs = {"workers": check_workers(workers)}
         if cap is not None:
             kwargs["work_cap"] = kwargs["work_budget"] = int(cap)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # CodeError from check_workers included
         raise ValidationError(f"mindist: {exc}") from exc
     return min_distance(code, method=method, **kwargs)
 
@@ -271,9 +280,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    results = reproduce_table(
-        args.table, workers=args.workers or 1, work_budget=args.work_cap
-    )
+    try:
+        workers = check_workers(1 if args.workers is None else args.workers)
+    except CodeError as exc:
+        raise ValidationError(f"reproduce: {exc}") from exc
+    results = reproduce_table(args.table, workers=workers, work_budget=args.work_cap)
     print(format_results(results, args.format))
     bad = [r for r in results if not r.ok]
     if bad:

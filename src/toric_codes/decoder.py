@@ -219,9 +219,18 @@ def zero_set(f_coeffs: np.ndarray, setup: DecoderSetup) -> list[int]:
 def error_values(
     r: np.ndarray, nf: list[int], setup: DecoderSetup, list_cap: int = 256
 ) -> DecodeOutcome:
-    """Solve the value system on the candidate positions."""
+    """Solve the value system on the candidate positions ``nf``, distinct
+    integers in 0..n-1 (else ValueError)."""
     gf = setup.spec.gf
     r = _received(r, setup)
+    pos = np.asarray(nf)
+    nf = pos.tolist()
+    if pos.ndim != 1 or (
+        pos.size
+        and (pos.dtype.kind not in "iu" or pos.min() < 0 or pos.max() >= setup.n
+             or len(set(nf)) != len(nf))
+    ):
+        raise ValueError(f"candidate positions must be distinct integers in 0..{setup.n - 1}")
     s = matvec(gf, setup.H, r)  # [r, h_j] for every j
     within = len(nf) <= setup.zero_cap
     if not nf:

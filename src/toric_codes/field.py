@@ -20,6 +20,25 @@ For odd p^m the table replaces a loop over digits: the broadcast add above
 takes 5.5 ms against 22.1 ms over GF(9), and 7.9 against 19.2 ms over
 GF(25).
 
+The distance engines add and weigh whole blocks of codewords in a packed
+form (``pack``, ``unpack``, ``padd``, ``pweight``), with the packed word
+axis first so that a broadcast add runs along the contiguous block:
+
+- p = 2: m bit planes of ceil(n / 64) uint64, added by XOR;
+- p = 3: 2m bit planes, [digit = 1] and [digit = 2], added by six
+  bitwise operations;
+- p >= 5: one uint8 per digit (uint16 above p = 128), added by
+  ``np.minimum(C, C - p)``, which for p^m replaces the table gather.
+
+The weight is the popcount (bit planes) or nonzero count (bytes) of the
+OR of the planes.  One block of 512 words plus the q-1 unit multiples of
+8 rows, then its weights, as the information-set engine's last level does
+it (best of 7, 2 vCPUs, numpy 2.4.6), in words per second against int16
+``vadd`` and ``count_nonzero`` one row at a time: GF(8), n = 49, 193 M
+against 14 M; GF(9), n = 64, 22 M against 2.6 M; GF(5), n = 16, 176 M
+against 7.5 M; GF(7), n = 36, 15 M against 3.8 M; GF(25), n = 24, 21 M
+against 5.9 M (a packed table gather there gave 6.7 M).
+
 The default modulus for each (p, m) comes from a frozen table of primitive
 polynomials (t itself generates the unit group), so every derived artifact
 is reproducible bit for bit.  A user-supplied monic irreducible modulus is
@@ -227,6 +246,11 @@ class GF:
         inv[exp[: q - 1]] = exp[(q - 1 - log[exp[: q - 1]]) % (q - 1)]
         self.inv_table = inv
 
+        # packed words (see pack): bit planes for p = 2 and 3, else one byte
+        # (two above p = 128) per digit, wide enough to hold a digit sum
+        self.planes = 2 * m if p == 3 else m
+        self.packed_dtype = np.dtype("<u8" if p <= 3 else np.uint8 if 2 * p <= 256 else np.uint16)
+
     def _order(self, x: int) -> int:
         k, y = 1, x
         while y != 1:
@@ -319,6 +343,78 @@ class GF:
             return (np.sum(A, axis=axis, dtype=np.int64) % self.p).astype(np.int16)
         axis = range(A.ndim)[axis]  # the digit axis of digits[A] comes last
         return ((self.digits[A].sum(axis=axis) % self.p) @ self.place).astype(np.int16)
+
+    # -- packed words -----------------------------------------------------
+
+    def pack(self, A) -> np.ndarray:
+        """Pack words of element indices, one word along the last axis of A.
+
+        The packed word axis comes first, so that a broadcast add over many
+        words runs along the contiguous batch axes.  It holds ``planes``
+        planes of equal length, one after the other.  For p = 2 and p = 3
+        a plane is ceil(n / 64) uint64, position i at bit i % 64 of word
+        i // 64: plane j holds digit j for p = 2, and planes j and m + j
+        hold [digit j = 1] and [digit j = 2] for p = 3.  Otherwise plane j
+        holds digit j of each position, one uint8 (uint16 above p = 128)
+        each.
+        """
+        A = np.asarray(A)
+        n = A.shape[-1]
+        D = np.moveaxis(self.digits[A], -1, -2)  # (..., m, n)
+        if self.p > 3:
+            P = D.reshape(A.shape[:-1] + (-1,))
+        else:
+            if self.p == 3:
+                D = np.concatenate([D == 1, D == 2], axis=-2)
+            bits = np.zeros(D.shape[:-1] + (-(-n // 64) * 64,), dtype=np.uint8)
+            bits[..., :n] = D
+            P = np.packbits(bits, axis=-1, bitorder="little").view(self.packed_dtype)
+            P = P.reshape(A.shape[:-1] + (-1,))
+        return np.ascontiguousarray(np.moveaxis(P, -1, 0), dtype=self.packed_dtype)
+
+    def unpack(self, P, n: int) -> np.ndarray:
+        """The int16 element indices of packed words of length n, one word
+        along the last axis."""
+        P = np.moveaxis(np.asarray(P), 0, -1)
+        P = np.ascontiguousarray(P).reshape(P.shape[:-1] + (self.planes, -1))
+        if self.p > 3:
+            D = P
+        else:
+            D = np.unpackbits(P.view(np.uint8), axis=-1, count=n, bitorder="little")
+            if self.p == 3:
+                D = D[..., : self.m, :] + 2 * D[..., self.m :, :]
+        return (np.moveaxis(D, -2, -1) @ self.place).astype(np.int16)
+
+    def padd(self, A, B) -> np.ndarray:
+        """Sum of packed words, broadcasting over the batch axes."""
+        if self.p == 2:
+            return A ^ B
+        if self.p == 3:
+            # a = [x = 1] and b = [x = 2] per digit, summed in six bitwise
+            # operations (the tests check every pair of elements)
+            h = len(A) // 2
+            a1, b1, a2, b2 = A[:h], A[h:], B[:h], B[h:]
+            t = (a1 | b2) ^ (a2 | b1)
+            out = np.empty((2 * h,) + t.shape[1:], dtype=self.packed_dtype)
+            np.bitwise_xor(b1 | b2, t, out=out[:h])
+            np.bitwise_xor(a1 | a2, t, out=out[h:])
+            return out
+        C = A + B
+        return np.minimum(C, C - self.p)  # C - p wraps above C when C < p
+
+    def pweight(self, P) -> np.ndarray:
+        """Hamming weights of packed words: a position counts when any of
+        its planes is nonzero.  The OR of the planes is built from explicit
+        ORs (a reduce over the short plane axis is slower)."""
+        step = len(P) // self.planes
+        acc = P[:step]
+        for j in range(step, len(P), step):
+            acc = acc | P[j : j + step]
+        if self.p > 3:
+            # summed in the narrowest type that holds n: faster than count_nonzero
+            return (acc != 0).sum(axis=0, dtype=np.min_scalar_type(step))
+        counts = np.bitwise_count(acc)
+        return counts[0] if step == 1 else counts.sum(axis=0)
 
     # -- misc -------------------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import LinearCode, min_distance, reed_muller
+from .codes import LinearCode, check_workers, min_distance, reed_muller
 from .tables import GOLDEN_TABLES, GoldenTable, field_for_q
 from .toric import hansen_code, toric_code
 
@@ -65,6 +65,7 @@ def reproduce_table(
     if table_id not in GOLDEN_TABLES:
         raise KeyError(f"unknown table id {table_id!r}; known: {', '.join(GOLDEN_TABLES)}")
     table: GoldenTable = GOLDEN_TABLES[table_id]
+    check_workers(workers)
     out: list[RowResult] = []
     for row in table.rows:
         if table.kind == "rm":

@@ -234,6 +234,21 @@ def test_decode_rejects_malformed_gprime(tmp_path, capsys):
     assert "decoder.gprime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_flag_below_one_exits_2(tmp_path, capsys, workers):
+    spec = write_job(tmp_path)
+    assert main(["mindist", "--spec", spec, "--workers", workers]) == 2
+    assert main(["reproduce", "rm", "--workers", workers]) == 2
+    assert capsys.readouterr().err.count("workers must be an integer >= 1") == 2
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True, None])
+def test_job_file_workers_must_be_a_positive_integer(tmp_path, capsys, workers):
+    spec = write_job(tmp_path, mindist={"workers": workers})
+    assert main(["mindist", "--spec", spec]) == 2
+    assert "workers must be an integer >= 1" in capsys.readouterr().err
+
+
 # small values only: a mutated field stays at q <= 25, so every run is quick
 JUNK = [None, True, -1, 0, 1, 2, 1.5, "", "x", [], [2], [[1, 0]], {}, {"p": 2}]
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from toric_codes.field import GF
 from toric_codes.codes import (
     CodeError,
     LinearCode,
+    WeightReport,
     WorkCapExceeded,
+    _systematic_generators,
     dual,
     matmul,
     matvec,
@@ -221,6 +224,99 @@ def test_solve_and_null_space():
 # -- exhaustive engine -------------------------------------------------------
 
 
+def _analyze_block_reference(block):
+    weights = np.count_nonzero(block, axis=1)
+    w = int(weights.min())
+    hits = block[weights == w]
+    return w, hits[np.lexsort(hits.T[::-1])[0]].copy(), block.shape[0]
+
+
+def _reduce_reference(results, best_w=None, witness=None, work=0):
+    for w, cand, count in results:
+        work += count
+        if best_w is None or w < best_w or (w == best_w and tuple(cand) < tuple(witness)):
+            best_w, witness = w, cand
+    return best_w, witness, work
+
+
+def min_distance_exhaustive_reference(code):
+    """The int16 exhaustive engine that the packed one replaced, kept as its
+    oracle (one worker)."""
+    gf, G, k, n = code.gf, code.gen, code.k, code.n
+    q = gf.q
+    v = 0
+    while v + 1 <= k - 1 and q ** (v + 1) <= 1 << 18:
+        v += 1
+    S = np.zeros((1, n), dtype=np.int16)
+    for t in range(v):
+        row = G[k - 1 - t]
+        S = np.concatenate([gf.vadd(S, gf.vscale(c, row)[None, :]) for c in range(q)], axis=0)
+    results = []
+    for j in range(k):
+        free = k - 1 - j
+        for combo in itertools.product(range(q), repeat=max(0, free - v)):
+            w0 = G[j]
+            for t, c in enumerate(combo):
+                if c:
+                    w0 = gf.vadd(w0, gf.vscale(c, G[j + 1 + t]))
+            rows = q ** min(free, v)
+            results.append(_analyze_block_reference(gf.vadd(w0[None, :], S[:rows])))
+    best_w, witness, work = _reduce_reference(results)
+    return WeightReport(d=best_w, witness=witness, method="exhaustive", work=work)
+
+
+def min_distance_infoset_reference(code, work_budget=None):
+    """The int16 information-set engine that the packed one replaced, kept
+    as its oracle (one worker, one leaf block per support prefix)."""
+    gf, G, k, n = code.gf, code.gen, code.k, code.n
+    mats = _systematic_generators(gf, G)
+    deficits = [k - rank for _, rank in mats]
+    units = np.array(gf.units(), dtype=np.int16)
+    best_w, witness, work = n + 1, None, 0
+    active = [True] * len(mats)
+
+    def bound_at(w_):
+        return sum(max(0, (w_ + 1) - dft) for dft, on in zip(deficits, active) if on)
+
+    def projected_stop(upper):
+        return next((w_ for w_ in range(1, k + 1) if bound_at(w_) >= upper), k)
+
+    for w in range(1, k + 1):
+        w_star = projected_stop(best_w)
+        for j, dft in enumerate(deficits):
+            if active[j] and (w_star + 1) - dft <= 0:
+                active[j] = False
+        results = []
+
+        def rec(start, block, remaining, scaled):
+            if remaining == 0:
+                results.append(_analyze_block_reference(block))
+                return
+            for s in range(start, k - remaining + 1):
+                child = gf.vadd(block[None, :, :], scaled[s][:, None, :])
+                rec(s + 1, child.reshape(-1, n), remaining - 1, scaled)
+
+        for j, (R, _rank) in enumerate(mats):
+            if active[j]:
+                scaled = {s: gf.mul_table[units][:, R[s]] for s in range(k)}
+                for s0 in range(k - w + 1):
+                    rec(s0 + 1, R[s0][None, :], w - 1, scaled)
+        best_w, witness, work = _reduce_reference(results, best_w, witness, work)
+        lower = bound_at(w)
+        if lower >= best_w or w == k:
+            break
+        if work_budget is not None and work > work_budget:
+            return WeightReport(best_w, witness, "information-set", work, False, lower, best_w)
+    return WeightReport(d=best_w, witness=witness, method="information-set", work=work)
+
+
+def assert_same_report(got, want):
+    assert (got.d, got.method, got.work, got.exact, got.lower, got.upper) == (
+        want.d, want.method, want.work, want.exact, want.lower, want.upper
+    )
+    assert got.witness.dtype == np.int16 and np.array_equal(got.witness, want.witness)
+
+
 def test_exhaustive_identity():
     gf = GF(3)
     code = LinearCode(gf, np.eye(4, dtype=np.int16))
@@ -263,6 +359,53 @@ def test_workers_deterministic():
     assert a.d == b.d and np.array_equal(a.witness, b.witness)
     c = min_distance_infoset(code, workers=4)
     assert c.d == a.d
+    for gf, n, k in [(GF(3), 12, 6), (GF(2, 3), 70, 5), (GF(7), 30, 4)]:
+        code = random_code(gf, n, k, rng)
+        for engine in (min_distance_exhaustive, min_distance_infoset):
+            assert_same_report(engine(code, workers=2), engine(code, workers=1))
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True, None])
+def test_workers_must_be_a_positive_integer(workers):
+    from toric_codes.reproduce import reproduce_table
+
+    code = LinearCode(GF(3), [[1, 0, 1, 1], [0, 1, 1, 2]])
+    for call in (min_distance, min_distance_exhaustive, min_distance_infoset):
+        with pytest.raises(CodeError, match="workers must be an integer >= 1"):
+            call(code, workers=workers)
+    with pytest.raises(CodeError, match="workers must be an integer >= 1"):
+        reproduce_table("rm", workers=workers)
+
+
+def test_thread_pool_is_bounded_by_tasks_and_processors(monkeypatch):
+    """A huge worker count starts no more threads than there are tasks or
+    processors; the pool is a recording fake, so no thread starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
+    code = random_code(GF(3), 12, 6, np.random.default_rng(9))
+    want = min_distance_exhaustive(code)  # 6 tasks, one per leading row
+    for cpus, size in [(64, 6), (4, 4)]:
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        sizes.clear()
+        assert_same_report(min_distance_exhaustive(code, workers=10**9), want)
+        assert sizes == [size]
+    sizes.clear()
+    min_distance_infoset(code, workers=10**9)
+    assert sizes and max(sizes) <= 4
 
 
 # -- information-set engine ---------------------------------------------------
@@ -278,6 +421,29 @@ def test_engines_agree_random():
             a = min_distance_exhaustive(code)
             b = min_distance_infoset(code)
             assert a.d == b.d, (q, n, k)
+
+
+# every packed form: bit planes (p = 2, 3), digit bytes (p >= 5, two digits
+# for GF(25)), and ten planes for GF(2^10)
+ENGINE_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (7, 1), (5, 2),
+                 (31, 1), (2, 10)]
+
+
+@pytest.mark.parametrize("p,m", ENGINE_FIELDS)
+def test_engines_match_int16_references(p, m):
+    gf = GF(p, m)
+    rng = np.random.default_rng([13, p, m])
+    k_max = max(2, int(math.log(2e4, gf.q)) + 1)  # at most ~2 * 10^4 projective messages
+    inexact = 0
+    for n, k in [(9, min(k_max, 5)), (49, k_max), (70, min(k_max, 6)), (130, min(k_max, 4))]:
+        code = random_code(gf, n, k, rng)
+        assert_same_report(min_distance_exhaustive(code), min_distance_exhaustive_reference(code))
+        assert_same_report(min_distance_infoset(code), min_distance_infoset_reference(code))
+        for budget in (1, k):
+            got = min_distance_infoset(code, work_budget=budget)
+            assert_same_report(got, min_distance_infoset_reference(code, work_budget=budget))
+            inexact += not got.exact
+    assert inexact or k_max == 2  # the certified-interval return is covered too
 
 
 def test_infoset_mds_like():

@@ -317,6 +317,13 @@ def test_zero_set_rejects_locators_outside_the_basis_space(f):
         zero_set(f, st)
 
 
+@pytest.mark.parametrize("nf", [[16], [-1], [3, 3], [1.5], [[3]], [True]])
+def test_error_values_rejects_invalid_candidate_positions(nf):
+    st = torus_setup()
+    with pytest.raises(ValueError, match="distinct integers in 0..15"):
+        error_values(np.zeros(16, dtype=np.int16), nf, st)
+
+
 def reference_candidates(gf, x, ns, nf, n):
     """The nested loop that listed the solutions x + sum c_i ns_i."""
     cands = []

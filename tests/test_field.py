@@ -184,6 +184,41 @@ def test_add_table_matches_naive_oracle(p, m):
     assert np.array_equal(gf.add_table, naive_add_table(p, m))
 
 
+# bit planes for p = 2 and 3, digit bytes for p >= 5, and uint16 digits for GF(131)
+PACKED_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (7, 1), (5, 2),
+                 (31, 1), (2, 10), (31, 2), (131, 1)]
+
+
+@pytest.mark.parametrize("n", [1, 49, 64, 65, 130])
+@pytest.mark.parametrize("p,m", PACKED_FIELDS)
+def test_packed_words_match_vadd(p, m, n):
+    gf = GF(p, m)
+    rng = np.random.default_rng([11, p, m, n])
+    # the engines' broadcast: the q-1 multiples of a row against a block of words
+    A = rng.integers(0, gf.q, size=(gf.q - 1, 1, n)).astype(np.int16)
+    B = rng.integers(0, gf.q, size=(1, 6, n)).astype(np.int16)
+    B[0, 0] = 0
+    B[0, 1] = gf.vneg(A[0, 0])  # a zero sum
+    PA, PB = gf.pack(A), gf.pack(B)
+    assert PA.dtype == gf.packed_dtype and PA.shape[1:] == A.shape[:-1]
+    assert np.array_equal(gf.unpack(PA, n), A) and gf.unpack(PA, n).dtype == np.int16
+    S = gf.padd(PA, PB)
+    assert S.shape[1:] == (gf.q - 1, 6)
+    C = gf.vadd(A, B)
+    assert np.array_equal(gf.unpack(S, n), C)
+    assert np.array_equal(gf.pweight(S), np.count_nonzero(C, axis=-1))
+    assert gf.pweight(S)[0, 1] == 0
+    assert np.array_equal(gf.pweight(PA), np.count_nonzero(A, axis=-1))
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p, m in PACKED_FIELDS if p**m <= 32])
+def test_packed_add_covers_every_pair(p, m):
+    gf = GF(p, m)
+    a, b = np.divmod(np.arange(gf.q**2), gf.q)  # one word holding every pair
+    got = gf.unpack(gf.padd(gf.pack(a), gf.pack(b)), gf.q**2)
+    assert np.array_equal(got, gf.add_table[a, b])
+
+
 def test_element_rejects_more_than_m_digits():
     gf = GF(2, 3)
     assert gf.element([1, 1, 1]) == 7
