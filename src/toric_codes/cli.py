@@ -19,6 +19,7 @@ from .codes import (
     CodeError,
     LinearCode,
     WorkCapExceeded,
+    check_work_budget,
     check_workers,
     min_distance,
     reed_muller,
@@ -163,15 +164,13 @@ def cmd_build(args) -> int:
 def _mindist_report(code: LinearCode, job: dict, args):
     cfg = job.get("mindist", {})
     method = args.method or cfg.get("method", "auto")
-    cap = args.work_cap or cfg.get("work_cap")
+    workers = cfg.get("workers", 1) if args.workers is None else args.workers
+    budget = cfg.get("work_cap") if args.work_cap is None else args.work_cap
     try:
-        workers = cfg.get("workers", 1) if args.workers is None else args.workers
-        kwargs = {"workers": check_workers(workers)}
-        if cap is not None:
-            kwargs["work_cap"] = kwargs["work_budget"] = int(cap)
-    except (TypeError, ValueError) as exc:  # CodeError from check_workers included
+        workers, budget = check_workers(workers), check_work_budget(budget)
+    except CodeError as exc:
         raise ValidationError(f"mindist: {exc}") from exc
-    return min_distance(code, method=method, **kwargs)
+    return min_distance(code, method=method, workers=workers, work_budget=budget)
 
 
 def cmd_mindist(args) -> int:
@@ -191,7 +190,7 @@ def cmd_mindist(args) -> int:
         "bounds": None if rep.exact else [rep.lower, rep.upper],
         "method": rep.method,
         "work": rep.work,
-        "witness": [int(x) for x in rep.witness],
+        "witness": None if rep.witness is None else [int(x) for x in rep.witness],
     }
     print(json.dumps(doc, indent=1))
     return 0
@@ -201,15 +200,18 @@ def cmd_bounds(args) -> int:
     job = load_job(args.spec)
     spec = job_to_spec(job)
     result = toric_build(spec)
-    d = None
+    d = interval = None
     if not args.no_mindist:
-        d = _mindist_report(result.code, job, args).d
+        dist = _mindist_report(result.code, job, args)
+        # an inexact search proves only an interval; nothing is computed from it
+        d, interval = (dist.d, None) if dist.exact else (None, [dist.lower, dist.upper])
     poly = polytope_of_divisor(spec.fan, spec.divisor)
     rep = bound_report(spec.gf.q, spec.fan, spec.divisor, poly, result.n, result.k, d)
     doc = {
         "n": rep.n,
         "k": rep.k,
         "d": rep.d,
+        "bounds": interval,
         "singleton_defect": rep.singleton_defect,
         "segment_upper": rep.segment_upper,
         "gv_rate": rep.gv_rate,
@@ -282,9 +284,10 @@ def cmd_decode(args) -> int:
 def cmd_reproduce(args) -> int:
     try:
         workers = check_workers(1 if args.workers is None else args.workers)
+        budget = check_work_budget(args.work_cap)
     except CodeError as exc:
         raise ValidationError(f"reproduce: {exc}") from exc
-    results = reproduce_table(args.table, workers=workers, work_budget=args.work_cap)
+    results = reproduce_table(args.table, workers=workers, work_budget=budget)
     print(format_results(results, args.format))
     bad = [r for r in results if not r.ok]
     if bad:

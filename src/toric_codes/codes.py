@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,8 @@ class WorkCapExceeded(RuntimeError):
 
 # A code with at most this many projective messages is small enough to
 # enumerate them all: min_distance(method="auto") then runs the exhaustive
-# engine, and the decoder checks condition (C) on its dual.
+# engine when the work budget allows it, and the decoder checks condition
+# (C) on its dual.
 EXHAUSTIVE_LIMIT = 2_000_000
 
 
@@ -185,20 +186,19 @@ def _elements(gf: GF, a, what: str, length: int | None = None) -> np.ndarray:
     return a.astype(np.int16)
 
 
-@dataclass
 class LinearCode:
     """A k-dimensional length-n code given by a full-rank generator matrix.
 
     Rank-deficient input is accepted: the row space is reduced to a basis
-    and a warning is recorded.
+    and a warning is recorded.  Codes compare by identity.
     """
 
     gf: GF
     gen: np.ndarray
-    n: int = 0
-    k: int = 0
-    d: int | None = None
-    warnings: list[str] = dc_field(default_factory=list)
+    n: int
+    k: int
+    d: int | None
+    warnings: list[str]
 
     def __init__(self, gf: GF, rows):
         self.gf = gf
@@ -265,7 +265,7 @@ def syndrome(code: LinearCode, v) -> np.ndarray:
 @dataclass
 class WeightReport:
     d: int
-    witness: np.ndarray
+    witness: np.ndarray | None  # None only when a budget stopped the search before any word
     method: str
     work: int
     exact: bool = True
@@ -297,11 +297,21 @@ def _reduce_results(results, best_w=None, witness=None, work=0):
     return best_w, witness, work
 
 
+def _positive(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise CodeError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def check_workers(workers) -> int:
     """``workers`` if it is an integer >= 1, else CodeError."""
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise CodeError(f"workers must be an integer >= 1, got {workers!r}")
-    return int(workers)
+    return _positive(workers, "workers")
+
+
+def check_work_budget(work_budget) -> int | None:
+    """``work_budget`` if it is None (no budget) or an integer >= 1, else
+    CodeError."""
+    return None if work_budget is None else _positive(work_budget, "work budget")
 
 
 def _run_tasks(fn, tasks, workers: int):
@@ -405,13 +415,15 @@ def min_distance_infoset(
 
     After finishing information weight w, every unseen codeword has weight
     at least sum_j max(0, (w+1) - (k - rank_j)), which certifies the lower
-    bound; the search stops when it reaches the best weight found.  With
-    ``work_budget`` the report may come back inexact (certified
-    lower/upper interval).
+    bound; the search stops when it reaches the best weight found.  Level w
+    enumerates (active matrices) * C(k, w) * (q-1)^(w-1) words; a level that
+    would take ``work`` past ``work_budget`` is not started, and the report
+    is the certified [lower, upper] interval of the last finished level.
     """
     gf, G, k, n = code.gf, code.gen, code.k, code.n
     q = gf.q
     workers = check_workers(workers)
+    work_budget = check_work_budget(work_budget)
     if k == 0:
         raise CodeError("empty code has no minimum distance")
     mats = _systematic_generators(gf, G)
@@ -433,20 +445,22 @@ def min_distance_infoset(
     # bound: their terms are zero there, so the projection is unchanged.
     active = [True] * len(mats)
 
-    def projected_stop(upper: int) -> int:
-        for w_ in range(1, k + 1):
-            bound = sum(
-                max(0, (w_ + 1) - dft) for dft, on in zip(deficits, active) if on
-            )
-            if bound >= upper:
-                return w_
-        return k
+    def bound(w_: int) -> int:
+        """The certified lower bound once information weight w_ is done."""
+        return sum(max(0, (w_ + 1) - dft) for dft, on in zip(deficits, active) if on)
 
+    lower = bound(0)
     for w in range(1, k + 1):
-        w_star = projected_stop(best_w)
+        w_star = next((w_ for w_ in range(1, k + 1) if bound(w_) >= best_w), k)
         for j, dft in enumerate(deficits):
             if active[j] and (w_star + 1) - dft <= 0:
                 active[j] = False
+        cost = sum(active) * math.comb(k, w) * (q - 1) ** (w - 1)
+        if work_budget is not None and work + cost > work_budget:
+            upper = min(best_w, n)
+            return WeightReport(
+                upper, witness, "information-set", work, exact=False, lower=lower, upper=upper
+            )
 
         # depth-first support enumeration with prefix-shared packed blocks:
         # extending a support adds the q-1 unit multiples of the new row to
@@ -484,43 +498,32 @@ def min_distance_infoset(
         best_w, witness, work = _reduce_results(
             _run_tasks(run, tasks, workers), best_w, witness, work
         )
-
-        lower = sum(
-            max(0, (w + 1) - dft) for dft, on in zip(deficits, active) if on
-        )
-        exact = lower >= best_w or w == k
-        if exact:
-            return WeightReport(
-                d=best_w, witness=witness, method="information-set", work=work
-            )
-        if work_budget is not None and work > work_budget:
-            return WeightReport(
-                d=best_w,
-                witness=witness,
-                method="information-set",
-                work=work,
-                exact=False,
-                lower=lower,
-                upper=best_w,
-            )
+        lower = bound(w)
+        if lower >= best_w:
+            break
     return WeightReport(d=best_w, witness=witness, method="information-set", work=work)
 
 
 def min_distance(
     code: LinearCode,
     method: str = "auto",
-    work_cap: int = 2_000_000_000,
     workers: int = 1,
     work_budget: int | None = None,
 ) -> WeightReport:
-    """Dispatch between the two engines; auto picks exhaustive for at most
-    EXHAUSTIVE_LIMIT projective messages."""
+    """Dispatch between the two engines under one work budget (codewords
+    enumerated) that both honour before they start work; auto runs the
+    exhaustive engine only when its cost, the number of projective messages,
+    is at most EXHAUSTIVE_LIMIT and at most the budget."""
     if method not in ("auto", "exhaustive", "infoset"):
         raise CodeError(f"unknown method {method!r}")
+    work_budget = check_work_budget(work_budget)
     q, k = code.gf.q, code.k
     total = (q**k - 1) // (q - 1)
-    if method == "exhaustive" or (method == "auto" and total <= EXHAUSTIVE_LIMIT):
-        rep = min_distance_exhaustive(code, work_cap=work_cap, workers=workers)
+    if method == "auto":
+        method = "exhaustive" if total <= min(EXHAUSTIVE_LIMIT, work_budget or total) else "infoset"
+    if method == "exhaustive":
+        cap = {} if work_budget is None else {"work_cap": work_budget}
+        rep = min_distance_exhaustive(code, workers=workers, **cap)
     else:
         rep = min_distance_infoset(code, work_budget=work_budget, workers=workers)
     if rep.exact:

@@ -141,7 +141,7 @@ def setup(
     # condition (C): d(dual) must exceed the cap; checked only when the dual
     # is small enough to enumerate
     try:
-        d_dual = min_distance(result.dual, method="exhaustive", work_cap=EXHAUSTIVE_LIMIT).d
+        d_dual = min_distance(result.dual, method="exhaustive", work_budget=EXHAUSTIVE_LIMIT).d
         cond = "verified" if d_dual > zcap else "failed"
     except WorkCapExceeded:
         d_dual, cond = None, "unverified"

@@ -1,9 +1,12 @@
+import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toric_codes.cli import load_build, main
+from toric_codes.cli import load_build, main, make_parser
 
 
 def write_job(tmp_path, name="job.json", **overrides):
@@ -113,6 +116,86 @@ def test_bounds_cmd(tmp_path, capsys):
     assert doc["singleton_defect"] == 16 + 1 - 4 - 10
     assert doc["segment_upper"] == 15
     assert doc["conjecture2"]["applicable"] is False  # singular fan
+
+
+def test_bounds_reports_an_unproven_d_as_an_interval(tmp_path, capsys):
+    # fan1 over GF(7), G = (2, 3, 4): a (36, 18, 9) code
+    spec = write_job(tmp_path, field={"p": 7, "m": 1}, divisor=[2, 3, 4])
+    assert main(["bounds", "--spec", spec, "--work-cap", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    lower, upper = doc["bounds"]
+    assert doc["d"] is None and lower <= 9 <= upper
+    assert doc["singleton_defect"] is None and doc["gv_rate"] is None and doc["beats_gv"] is None
+    assert main(["bounds", "--spec", spec]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["d"], doc["bounds"], doc["singleton_defect"]) == (9, None, 36 + 1 - 18 - 9)
+
+
+def test_work_cap_bounds_an_exhaustive_sized_code(tmp_path, capsys):
+    """156 projective messages: a smaller cap gives an interval instead of
+    an exhaustive run, or exit 3 when the exhaustive engine is asked for."""
+    spec = write_job(tmp_path)
+    assert main(["mindist", "--spec", spec, "--work-cap", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["d"], doc["witness"], doc["work"]) == (None, None, 0)
+    lower, upper = doc["bounds"]
+    assert lower <= 10 <= upper == 16
+    assert main(["mindist", "--spec", spec, "--work-cap", "155", "--method", "exhaustive"]) == 3
+    assert main(["mindist", "--spec", spec, "--work-cap", "156"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["d"], doc["method"], doc["work"]) == (10, "exhaustive", 156)
+    assert main(["reproduce", "rm", "--work-cap", "1", "--format", "json"]) == 0
+    assert [row["status"] for row in json.loads(capsys.readouterr().out)] == ["bound-only"]
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag that is not an integer
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "cap, message",
+    [("0", "work budget must be an integer >= 1"), ("-5", "work budget must be an integer >= 1"),
+     ("1.5", "invalid int value"), ("true", "invalid int value")],
+)
+def test_work_cap_flag_must_be_a_positive_integer(tmp_path, capsys, cap, message):
+    spec = write_job(tmp_path)
+    for argv in (["mindist", "--spec", spec], ["bounds", "--spec", spec], ["reproduce", "rm"]):
+        assert exit_code(argv + ["--work-cap", cap]) == 2
+    assert capsys.readouterr().err.count(message) == 3
+
+
+@pytest.mark.parametrize("cap", [0, -5, 1.5, "2", True])
+def test_job_file_work_cap_must_be_a_positive_integer(tmp_path, capsys, cap):
+    spec = write_job(tmp_path, mindist={"work_cap": cap})
+    assert main(["mindist", "--spec", spec]) == 2
+    assert main(["bounds", "--spec", spec]) == 2
+    assert capsys.readouterr().err.count("work budget must be an integer >= 1") == 2
+
+
+def readme_commands():
+    """Every ``toric-codes`` synopsis line of the README, expanded into one
+    argument list per choice of its alternatives (``a|b``, ``{a,b}``),
+    with optional parts included and placeholders N and X set to 1."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for line in re.findall(r"^toric-codes (.*)$", text, flags=re.M):
+        choices = []
+        for token in line.replace("[", "").replace("]", "").split():
+            if token in ("N", "X"):
+                token = "1"
+            alternatives = token[0] == "{" or "|" in token
+            choices.append(re.split(r"[|,]", token.strip("{}")) if alternatives else [token])
+        yield from (list(argv) for argv in itertools.product(*choices))
+
+
+def test_readme_command_lines_parse():
+    parser = make_parser()
+    commands = list(readme_commands())
+    assert {argv[0] for argv in commands} == {"build", "mindist", "bounds", "decode", "reproduce", "rm"}
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_decode_zero_error_word(tmp_path, capsys):

@@ -265,9 +265,12 @@ def min_distance_exhaustive_reference(code):
     return WeightReport(d=best_w, witness=witness, method="exhaustive", work=work)
 
 
-def min_distance_infoset_reference(code, work_budget=None):
+def min_distance_infoset_reference(code, work_budget=None, levels=None):
     """The int16 information-set engine that the packed one replaced, kept
-    as its oracle (one worker, one leaf block per support prefix)."""
+    as its oracle (one worker, one leaf block per support prefix).  Under a
+    budget it enumerates each level in full and discards a level whose work
+    would cross the budget, without the engine's cost formula.  ``levels``,
+    if given, collects the cumulative work after each finished level."""
     gf, G, k, n = code.gf, code.gen, code.k, code.n
     mats = _systematic_generators(gf, G)
     deficits = [k - rank for _, rank in mats]
@@ -281,6 +284,7 @@ def min_distance_infoset_reference(code, work_budget=None):
     def projected_stop(upper):
         return next((w_ for w_ in range(1, k + 1) if bound_at(w_) >= upper), k)
 
+    lower = bound_at(0)
     for w in range(1, k + 1):
         w_star = projected_stop(best_w)
         for j, dft in enumerate(deficits):
@@ -301,12 +305,15 @@ def min_distance_infoset_reference(code, work_budget=None):
                 scaled = {s: gf.mul_table[units][:, R[s]] for s in range(k)}
                 for s0 in range(k - w + 1):
                     rec(s0 + 1, R[s0][None, :], w - 1, scaled)
+        if work_budget is not None and work + sum(c for _, _, c in results) > work_budget:
+            upper = min(best_w, n)
+            return WeightReport(upper, witness, "information-set", work, False, lower, upper)
         best_w, witness, work = _reduce_reference(results, best_w, witness, work)
+        if levels is not None:
+            levels.append(work)
         lower = bound_at(w)
         if lower >= best_w or w == k:
             break
-        if work_budget is not None and work > work_budget:
-            return WeightReport(best_w, witness, "information-set", work, False, lower, best_w)
     return WeightReport(d=best_w, witness=witness, method="information-set", work=work)
 
 
@@ -314,7 +321,10 @@ def assert_same_report(got, want):
     assert (got.d, got.method, got.work, got.exact, got.lower, got.upper) == (
         want.d, want.method, want.work, want.exact, want.lower, want.upper
     )
-    assert got.witness.dtype == np.int16 and np.array_equal(got.witness, want.witness)
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert got.witness.dtype == np.int16 and np.array_equal(got.witness, want.witness)
 
 
 def test_exhaustive_identity():
@@ -446,6 +456,57 @@ def test_engines_match_int16_references(p, m):
     assert inexact or k_max == 2  # the certified-interval return is covered too
 
 
+# fields with bit planes (p = 2, 3), digit bytes (p = 5) and three planes
+# (GF(8)); each code takes two or three levels, and one [40, 14] binary
+# code drops a matrix on the way
+@pytest.mark.parametrize("p,m,n,k", [(2, 1, 40, 14), (3, 1, 22, 8), (5, 1, 18, 5), (2, 3, 16, 4)])
+def test_work_budget_holds_for_every_method(p, m, n, k):
+    """Budgets at each level's cumulative work, one below it, and at the
+    exhaustive engine's cost: no method enumerates past its budget, every
+    interval holds the exact d, and a witness is a codeword of weight
+    upper."""
+    gf = GF(p, m)
+    rng = np.random.default_rng([17, p, m])
+    total = (gf.q**k - 1) // (gf.q - 1)
+    for _ in range(3):
+        code = random_code(gf, n, k, rng)
+        d = min_distance_exhaustive(code).d
+        levels = []
+        min_distance_infoset_reference(code, levels=levels)
+        budgets = {b for lw in levels + [total] for b in (lw - 1, lw)} - {0}
+        for budget in sorted(budgets):
+            for method in ("auto", "exhaustive", "infoset"):
+                try:
+                    rep = min_distance(code, method=method, work_budget=budget)
+                except WorkCapExceeded:
+                    assert method == "exhaustive" and total > budget
+                    continue
+                assert rep.work <= budget
+                lower, upper = (rep.d, rep.d) if rep.exact else (rep.lower, rep.upper)
+                assert lower <= d <= upper
+                if rep.witness is not None:
+                    assert int(np.count_nonzero(rep.witness)) == upper
+                    assert not code.dual().syndrome(rep.witness).any()
+                if method == "auto":
+                    assert (rep.method == "exhaustive") == (total <= budget)
+                if method == "infoset":  # every level that fits runs, and no other
+                    done = [lw for lw in levels if lw <= budget]
+                    assert rep.work == (done[-1] if done else 0)
+                    assert rep.exact == (len(done) == len(levels))
+
+
+@pytest.mark.parametrize("budget", [0, -5, 1.5, "2", True])
+def test_work_budget_must_be_a_positive_integer(budget):
+    from toric_codes.reproduce import reproduce_table
+
+    code = LinearCode(GF(3), [[1, 0, 1, 1], [0, 1, 1, 2]])
+    for call in (min_distance, min_distance_infoset):
+        with pytest.raises(CodeError, match="work budget must be an integer >= 1"):
+            call(code, work_budget=budget)
+    with pytest.raises(CodeError, match="work budget must be an integer >= 1"):
+        reproduce_table("rm", work_budget=budget)
+
+
 def test_infoset_mds_like():
     # generator [I | 1] has d = 2; infoset should certify at w = 1
     gf = GF(5)
@@ -516,6 +577,13 @@ def test_codeword_needs_a_length_k_vector(message):
     code = LinearCode(GF(5), [[1, 0, 1, 2], [0, 1, 3, 4]])
     with pytest.raises(CodeError, match="1-D vector of length 2"):
         code.codeword(message)
+
+
+def test_codes_compare_by_identity():
+    a = LinearCode(GF(3), [[1, 0, 1], [0, 1, 2]])
+    b = LinearCode(GF(3), [[1, 0, 1], [0, 1, 2]])
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
 
 
 def test_rank_deficient_generator_warns():
