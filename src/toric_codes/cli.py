@@ -16,6 +16,7 @@ import numpy as np
 
 from .bounds import bound_report
 from .codes import (
+    METHODS,
     CodeError,
     LinearCode,
     WorkCapExceeded,
@@ -166,6 +167,10 @@ def _mindist_report(code: LinearCode, job: dict, args):
     method = args.method or cfg.get("method", "auto")
     workers = cfg.get("workers", 1) if args.workers is None else args.workers
     budget = cfg.get("work_cap") if args.work_cap is None else args.work_cap
+    if method not in METHODS:
+        raise ValidationError(
+            f"mindist: method must be one of {', '.join(METHODS)}, got {method!r}"
+        )
     try:
         workers, budget = check_workers(workers), check_work_budget(budget)
     except CodeError as exc:
@@ -333,7 +338,7 @@ def make_parser() -> argparse.ArgumentParser:
     src = m.add_mutually_exclusive_group(required=True)
     src.add_argument("--spec")
     src.add_argument("--code", help="a build output file")
-    m.add_argument("--method", choices=["auto", "exhaustive", "infoset"])
+    m.add_argument("--method", choices=METHODS)
     m.add_argument("--workers", type=int)
     m.add_argument("--work-cap", type=int)
     m.set_defaults(fn=cmd_mindist)
@@ -341,7 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
     bo = sub.add_parser("bounds", help="bound report for a job file")
     bo.add_argument("--spec", required=True)
     bo.add_argument("--no-mindist", action="store_true")
-    bo.add_argument("--method", choices=["auto", "exhaustive", "infoset"])
+    bo.add_argument("--method", choices=METHODS)
     bo.add_argument("--workers", type=int)
     bo.add_argument("--work-cap", type=int)
     bo.set_defaults(fn=cmd_bounds)

@@ -175,6 +175,14 @@ def test_job_file_work_cap_must_be_a_positive_integer(tmp_path, capsys, cap):
     assert capsys.readouterr().err.count("work budget must be an integer >= 1") == 2
 
 
+@pytest.mark.parametrize("method", ["fast", "", "Auto", 1, None, ["auto"]])
+def test_job_file_method_must_be_known(tmp_path, capsys, method):
+    spec = write_job(tmp_path, mindist={"method": method})
+    assert main(["mindist", "--spec", spec]) == 2
+    assert main(["bounds", "--spec", spec]) == 2
+    assert capsys.readouterr().err.count("method must be one of auto, exhaustive, infoset") == 2
+
+
 def readme_commands():
     """Every ``toric-codes`` synopsis line of the README, expanded into one
     argument list per choice of its alternatives (``a|b``, ``{a,b}``),

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from toric_codes.field import GF
+from toric_codes.geometry import torus_evaluation_matrix, torus_points
 from toric_codes.codes import (
     CodeError,
     LinearCode,
     WeightReport,
     WorkCapExceeded,
     _systematic_generators,
+    _torus_translations,
     dual,
     matmul,
     matvec,
@@ -272,7 +274,7 @@ def min_distance_infoset_reference(code, work_budget=None, levels=None):
     would cross the budget, without the engine's cost formula.  ``levels``,
     if given, collects the cumulative work after each finished level."""
     gf, G, k, n = code.gf, code.gen, code.k, code.n
-    mats = _systematic_generators(gf, G)
+    mats = list(_systematic_generators(gf, G))
     deficits = [k - rank for _, rank in mats]
     units = np.array(gf.units(), dtype=np.int16)
     best_w, witness, work = n + 1, None, 0
@@ -505,6 +507,149 @@ def test_work_budget_must_be_a_positive_integer(budget):
             call(code, work_budget=budget)
     with pytest.raises(CodeError, match="work budget must be an integer >= 1"):
         reproduce_table("rm", work_budget=budget)
+
+
+# -- the torus translation path ------------------------------------------------
+
+
+def random_torus_code(gf, k, rng):
+    """Evaluations of k distinct random characters at every torus point, in
+    the fixed order: a code that every torus translation maps to itself."""
+    pairs = list(itertools.product(range(gf.q - 1), repeat=2))
+    chosen = rng.choice(len(pairs), size=k, replace=False)
+    return LinearCode(gf, torus_evaluation_matrix([pairs[i] for i in chosen], gf))
+
+
+def translation_permutations(gf):
+    """Row s maps coordinate i to the index of the point s * P_i, for every
+    torus point s, by field multiplication of the point coordinates."""
+    pts = [(pt.t1, pt.t2) for pt in torus_points(gf)]
+    index = {pt: i for i, pt in enumerate(pts)}
+    return np.array(
+        [[index[(gf.mul(s1, t1), gf.mul(s2, t2))] for t1, t2 in pts] for s1, s2 in pts]
+    )
+
+
+def translations_taken(code):
+    return _torus_translations(code.gf, rref(code.gf, code.gen)[0])
+
+
+def min_distance_translation_reference(code):
+    """Oracle of the translation path by plain message enumeration: level w
+    takes every message of weight w with first nonzero symbol 1 through the
+    reduced echelon generator, and the search stops once ceil(n (w+1) / k)
+    reaches the least weight seen.  The witness is the lex-min over every
+    translate of every least-weight word.  Returns (d, witness, work,
+    cumulative work after each level)."""
+    gf, k, n = code.gf, code.k, code.n
+    R = rref(gf, code.gen)[0]
+    units = gf.units()  # units[0] is 1
+    best, hits, work, levels = n + 1, [], 0, []
+    for w in range(1, k + 1):
+        msgs = []
+        for support in itertools.combinations(range(k), w):
+            for coeffs in itertools.product(units, repeat=w - 1):
+                msg = np.zeros(k, dtype=np.int16)
+                msg[list(support)] = (units[0],) + coeffs
+                msgs.append(msg)
+        words = gf.vsum(gf.vmul(np.array(msgs)[:, :, None], R[None]), axis=1)
+        work += len(words)
+        levels.append(work)
+        weights = np.count_nonzero(words, axis=1)
+        if weights.min() < best:
+            best, hits = int(weights.min()), []
+        hits.extend(words[weights == best])
+        if -(-n * (w + 1) // k) >= best:
+            break
+    perms = translation_permutations(gf)
+    translates = np.concatenate([hit[perms] for hit in hits])
+    return best, translates[np.lexsort(translates.T[::-1])[0]], work, levels
+
+
+# GF(4) and GF(8) bit planes, GF(9) trit planes, GF(5) and GF(7) digit bytes
+@pytest.mark.parametrize("p,m", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_translation_path_matches_references(p, m):
+    """On random character sets over the full torus the engine takes the
+    translation path: d, the exact flag and the interval equal the int16
+    reference, with no more work, and d, witness and work equal the plain
+    enumeration oracle of the translation rule.  (The witness is the lex-min
+    over the translates of the enumerated words, not over the reference's
+    disjoint information sets, so the two may pick different weight-d
+    words; on every golden row they pick the same.)"""
+    gf = GF(p, m)
+    rng = np.random.default_rng([23, p, m])
+    perms = translation_permutations(gf)
+    for k in (1, 2, 3, 4, 5, 5, 6):
+        code = random_torus_code(gf, k, rng)
+        translations = translations_taken(code)
+        assert translations is not None
+        assert sorted(map(tuple, translations)) == sorted(map(tuple, perms))
+        got = min_distance_infoset(code)
+        want = min_distance_infoset_reference(code)
+        assert (got.d, got.exact, got.lower, got.upper) == (want.d, want.exact, None, None)
+        assert got.work <= want.work
+        d, witness, work, _ = min_distance_translation_reference(code)
+        assert (got.d, got.work) == (d, work)
+        assert got.witness.dtype == np.int16 and np.array_equal(got.witness, witness)
+        assert not code.dual().syndrome(got.witness).any()
+
+
+def test_codes_without_translations_take_the_generic_path():
+    """A torus code with permuted columns, one invariant along only one
+    axis of the (q-1) x (q-1) grid, and a random code of length (q-1)^2 keep
+    the disjoint information sets: every report field equals the int16
+    reference, work included."""
+    rng = np.random.default_rng(29)
+    gf = GF(2, 3)
+    torus = random_torus_code(gf, 5, rng)
+    assert translations_taken(torus) is not None
+    grid = np.arange(torus.n).reshape(7, 7)
+    codes = [LinearCode(gf, torus.gen[:, rng.permutation(torus.n)])]
+    # the same permutation of every grid row (or column) keeps the rolls of
+    # the other axis
+    codes += [LinearCode(gf, torus.gen[:, grid[:, rng.permutation(7)].ravel()]),
+              LinearCode(gf, torus.gen[:, grid[rng.permutation(7)].ravel()])]
+    for code in codes + [random_code(GF(7), 36, 4, rng), random_code(gf, 49, 5, rng)]:
+        assert translations_taken(code) is None
+        assert_same_report(min_distance_infoset(code), min_distance_infoset_reference(code))
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 3, 5), (3, 2, 4), (7, 1, 6)])
+def test_translation_path_work_budget(p, m, k):
+    """Budgets at each level's cumulative work and one below it: the engine
+    runs exactly the levels that fit, lower is ceil(n (w+1) / k) after
+    level w (ceil(n / k) before level 1), and the interval holds d."""
+    gf = GF(p, m)
+    code = random_torus_code(gf, k, np.random.default_rng([31, p, m]))
+    n = code.n
+    d, _, _, levels = min_distance_translation_reference(code)
+    assert len(levels) >= 2
+    for budget in sorted({b for lw in levels for b in (lw - 1, lw)} - {0}):
+        rep = min_distance_infoset(code, work_budget=budget)
+        done = [lw for lw in levels if lw <= budget]
+        assert rep.work == (done[-1] if done else 0) <= budget
+        assert rep.exact == (len(done) == len(levels))
+        if rep.exact:
+            assert rep.d == d
+            continue
+        assert rep.lower == -(-n * (len(done) + 1) // k)
+        assert rep.lower <= d <= rep.upper
+        if rep.witness is None:
+            assert not done and rep.upper == n
+        else:
+            assert int(np.count_nonzero(rep.witness)) == rep.upper
+            assert not code.dual().syndrome(rep.witness).any()
+
+
+def test_translation_path_workers_deterministic():
+    from toric_codes.toric import toric_code
+
+    record = toric_code(GF(2, 3), [(5, -1), (-1, 5), (-1, -1)], (0, 0, 5)).code
+    codes = [record, random_torus_code(GF(3, 2), 5, np.random.default_rng(37))]
+    for code in codes:
+        assert translations_taken(code) is not None
+        assert_same_report(min_distance_infoset(code, workers=2), min_distance_infoset(code))
+    assert (record.n, record.k, min_distance_infoset(record).d) == (49, 11, 28)
 
 
 def test_infoset_mds_like():

@@ -7,13 +7,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 06 recomputes the golden tables, which the acceptance tests already cover
 DEMOS = [
     "01_finite_fields.py",
     "02_fans_and_polytopes.py",
     "03_build_and_distance.py",
     "04_bounds_and_conjectures.py",
     "05_list_decoding.py",
+    "06_golden_tables.py",
 ]
 
 
