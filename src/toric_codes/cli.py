@@ -20,6 +20,7 @@ from .codes import (
     CodeError,
     LinearCode,
     WorkCapExceeded,
+    _positive,
     check_work_budget,
     check_workers,
     min_distance,
@@ -67,6 +68,24 @@ def _read_json(path: str, what: str):
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
 
 
+# JSON integers are read as they are: int() would truncate 2.5 and parse
+# "2", and bool() reads "false" as true, each into a different job
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value, where: str) -> int:
+    if not _is_integer(value):
+        raise ValidationError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(value, where: str) -> list[int]:
+    if not isinstance(value, list) or not all(map(_is_integer, value)):
+        raise ValidationError(f"{where} must be a list of integers, got {value!r}")
+    return value
+
+
 def load_job(path: str) -> dict:
     job = _read_json(path, "job file")
     _require_keys(
@@ -92,12 +111,24 @@ def load_job(path: str) -> dict:
 
 def job_to_spec(job: dict) -> ToricCodeSpec:
     fld, pts_cfg = job["field"], job.get("points", {})
+    p, m = _integer(fld["p"], "field.p"), _integer(fld.get("m", 1), "field.m")
+    modulus = fld.get("modulus")
+    if modulus is not None:
+        modulus = _integers(modulus, "field.modulus")
+    rays = job["fan"]["rays"]
+    if not isinstance(rays, list):
+        raise ValidationError(f"fan.rays must be a list of integer pairs, got {rays!r}")
+    rays = [_integers(v, "fan.rays") for v in rays]
+    coeffs = _integers(job["divisor"], "divisor")
+    torus = pts_cfg.get("torus", True)
+    if not isinstance(torus, bool):
+        raise ValidationError(f"points.torus must be true or false, got {torus!r}")
+    # ray numbers are 1-based in files
+    orbits = [i - 1 for i in _integers(pts_cfg.get("orbits", []), "points.orbits")]
     try:
-        gf = make_field(int(fld["p"]), int(fld.get("m", 1)), fld.get("modulus"))
-        fan = Fan2D(job["fan"]["rays"])
-        div = TDivisor(job["divisor"])
-        torus = bool(pts_cfg.get("torus", True))
-        orbits = [int(i) - 1 for i in pts_cfg.get("orbits", [])]  # 1-based in files
+        gf = make_field(p, m, modulus)
+        fan = Fan2D(rays)
+        div = TDivisor(coeffs)
     except (TypeError, ValueError) as exc:  # FieldError and FanError included
         raise ValidationError(str(exc)) from exc
     if len(div) != fan.s:
@@ -140,7 +171,10 @@ def load_build(path: str) -> tuple[GF, LinearCode, dict]:
     doc = _read_json(path, "build file")
     try:
         fld = doc["field"]
-        gf = make_field(int(fld["p"]), int(fld["m"]), fld["modulus"])
+        gf = make_field(
+            _integer(fld["p"], "field.p"), _integer(fld["m"], "field.m"),
+            _integers(fld["modulus"], "field.modulus"),
+        )
         gen = np.array(doc["generator"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed build file: {exc!r}") from exc
@@ -246,12 +280,13 @@ def cmd_decode(args) -> int:
     if "decoder" not in job:
         raise ValidationError("job file has no decoder block")
     spec = job_to_spec(job)
-    try:
-        gprime = TDivisor(job["decoder"]["gprime"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"decoder.gprime: {exc}") from exc
+    gprime = TDivisor(_integers(job["decoder"]["gprime"], "decoder.gprime"))
     if len(gprime) != spec.fan.s:
         raise ValidationError("decoder.gprime length does not match the fan")
+    try:
+        list_cap = _positive(job["decoder"].get("list_cap", 256), "decoder.list_cap")
+    except CodeError as exc:
+        raise ValidationError(str(exc)) from exc
     st = decoder_setup(spec, gprime)
     try:
         with open(args.received) as fh:
@@ -267,7 +302,7 @@ def cmd_decode(args) -> int:
     out = decoder_decode(
         np.array(received, dtype=np.int16),
         st,
-        list_cap=int(job["decoder"].get("list_cap", 256)),
+        list_cap=list_cap,
     )
     doc = {
         "status": out.status,

@@ -82,7 +82,12 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
 
     The columns are first permuted into scan order, so the pivot row is
     zero left of its pivot and each pivot costs one rank-1 update of the
-    columns from the pivot on, over the rows that are nonzero there.
+    columns from the pivot on.  When at least half the rows are nonzero in
+    the pivot column the update runs over every row (a zero factor adds
+    zero), which beats gathering and scattering those rows on the dense
+    systems the decoder solves per word; otherwise it gathers the nonzero
+    rows only, as for the nearly reduced generators the information-set
+    engine re-reduces, where a dense update was 2-4x slower.
     """
     R = np.array(mat, dtype=np.int16, copy=True)
     if R.ndim != 2:
@@ -102,21 +107,22 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
     for c in range(scan):
         if r == rows:
             break
-        nz = np.flatnonzero(R[r:, c])
+        nz = R[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             R[[r, pr]] = R[[pr, r]]
-        piv = int(R[r, c])
-        if piv != 1:
-            R[r, c:] = gf.vscale(gf.inv(piv), R[r, c:])
-        other = np.flatnonzero(R[:, c])
-        other = other[other != r]
-        if other.size:
-            # table[j, x] = -R[other[j], c] * x for every element x
-            table = gf.mul_table[gf.neg_table[R[other, c]]]
-            R[other, c:] = gf.vadd(R[other, c:], table[:, R[r, c:]])
+        if R[r, c] != 1:
+            R[r, c:] = gf.mul_table[gf.inv_table[R[r, c]], R[r, c:]]
+        # every row but the pivot row adds -R[i, c] times the pivot row
+        factor = gf.neg_table[R[:, c]]
+        factor[r] = 0
+        other = factor.nonzero()[0]
+        if 2 * other.size >= rows:
+            R[:, c:] = gf.vadd(R[:, c:], gf.mul_table[factor][:, R[r, c:]])
+        elif other.size:
+            R[other, c:] = gf.vadd(R[other, c:], gf.mul_table[factor[other]][:, R[r, c:]])
         pivots.append(c)
         r += 1
     if perm is not None:

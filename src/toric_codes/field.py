@@ -20,6 +20,13 @@ For odd p^m the table replaces a loop over digits: the broadcast add above
 takes 5.5 ms against 22.1 ms over GF(9), and 7.9 against 19.2 ms over
 GF(25).
 
+A field sum (``vsum``) for odd p^m reads ``digit_planes``, one int64 row
+of digit k per k: one 1-D take per digit, a contiguous sum, the digit sums
+mod p recombined.  Over a (100, 64) block summed along its rows (best of
+7, 2 vCPUs, numpy 2.4.6) it takes 60 us against 330 us for the 3-D gather
+of ``digits`` it replaced over GF(9), 60 against 338 us over GF(25), and
+133 against 355 us over GF(3^6).
+
 The distance engines add and weigh whole blocks of codewords in a packed
 form (``pack``, ``unpack``, ``padd``, ``pweight``), with the packed word
 axis first so that a broadcast add runs along the contiguous block:
@@ -199,6 +206,8 @@ class GF:
         # the base-p encoding: element n has digits[n] . place == n
         self.place = p ** np.arange(m)
         self.digits = (np.arange(q)[:, None] // self.place % p).astype(np.int16)
+        # digit_planes[k, n] = digit k of n, wide enough to sum without overflow
+        self.digit_planes = np.ascontiguousarray(self.digits.T, dtype=np.int64)
         # add_table one digit at a time: an index below p * w is hi * w + lo,
         # and hi and lo add independently
         prime_add = ((np.arange(p)[:, None] + np.arange(p)) % p).astype(np.int16)
@@ -341,8 +350,11 @@ class GF:
             return np.bitwise_xor.reduce(A, axis=axis).astype(np.int16)
         if self.m == 1:
             return (np.sum(A, axis=axis, dtype=np.int64) % self.p).astype(np.int16)
-        axis = range(A.ndim)[axis]  # the digit axis of digits[A] comes last
-        return ((self.digits[A].sum(axis=axis) % self.p) @ self.place).astype(np.int16)
+        # one contiguous sum per digit plane, then the digits recombined
+        out = 0
+        for plane, w in zip(self.digit_planes, self.place.tolist()):
+            out = out + plane.take(A).sum(axis=axis) % self.p * w
+        return out.astype(np.int16)
 
     # -- packed words -----------------------------------------------------
 

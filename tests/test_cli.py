@@ -308,7 +308,51 @@ def test_build_rejects_malformed_spec(tmp_path, capsys, override):
     assert "input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [None, "not json {", '{"field": {"p": 5, "m": 1}, "generator": [[1]]}'])
+# values that int() or bool() would turn into a different job
+COERCED = [
+    ({"field": {"p": 2, "m": 2.5}}, "field.m must be an integer"),
+    ({"field": {"p": 5, "m": True}}, "field.m must be an integer"),
+    ({"field": {"p": 5.0}}, "field.p must be an integer"),
+    ({"field": {"p": 2, "m": 2, "modulus": [1, 1, 1.0]}}, "field.modulus must be a list of integers"),
+    ({"fan": {"rays": [[2.0, -1], [-1, 2], [-1, -1]]}}, "fan.rays must be a list of integers"),
+    ({"divisor": [0, 0, 2.5]}, "divisor must be a list of integers"),
+    ({"points": {"orbits": [1.7]}}, "points.orbits must be a list of integers"),
+    ({"points": {"orbits": [True]}}, "points.orbits must be a list of integers"),
+    ({"points": {"torus": "false"}}, "points.torus must be true or false"),
+    ({"points": {"torus": 0}}, "points.torus must be true or false"),
+]
+
+
+@pytest.mark.parametrize("override, message", COERCED)
+def test_job_file_values_are_not_coerced(tmp_path, capsys, override, message):
+    spec = write_job(tmp_path, **override)
+    assert main(["build", "--spec", spec]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["abc", 2.5, True, -1, 0, None])
+def test_decode_list_cap_must_be_a_positive_integer(tmp_path, capsys, cap):
+    spec = write_job(
+        tmp_path,
+        fan={"rays": [[1, 0], [0, 1], [-1, -1]]},
+        divisor=[0, 0, 3],
+        decoder={"gprime": [0, 0, 1], "list_cap": cap},
+    )
+    received = tmp_path / "r.txt"
+    received.write_text(" ".join(["0"] * 16))
+    assert main(["decode", "--spec", spec, "--received", str(received)]) == 2
+    assert "decoder.list_cap must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        "not json {",
+        '{"field": {"p": 5, "m": 1}, "generator": [[1]]}',
+        '{"field": {"p": 5, "m": 1.5, "modulus": [0, 1]}, "generator": [[1]]}',
+    ],
+)
 def test_mindist_rejects_malformed_build_file(tmp_path, capsys, content):
     path = tmp_path / "code.json"
     if content is not None:
@@ -341,7 +385,7 @@ def test_job_file_workers_must_be_a_positive_integer(tmp_path, capsys, workers):
 
 
 # small values only: a mutated field stays at q <= 25, so every run is quick
-JUNK = [None, True, -1, 0, 1, 2, 1.5, "", "x", [], [2], [[1, 0]], {}, {"p": 2}]
+JUNK = [None, True, -1, 0, 1, 2, 1.5, 2.5, "", "x", "false", [], [2], [[1, 0]], {}, {"p": 2}]
 
 
 def mutate(doc, rng):
@@ -381,6 +425,13 @@ def test_mutated_job_and_build_files_never_crash(tmp_path, capsys):
     job_path = write_job(tmp_path, "good_job.json", **job)
     assert main(["build", "--spec", job_path, "--output", str(good_build)]) == 0
     build = json.loads(good_build.read_text())
+    # values that a lenient reader would accept as a different job
+    for block, key, value in [("field", "m", 2.5), ("points", "orbits", [1.7]), ("points", "torus", "false")]:
+        bad = json.loads(json.dumps(job))
+        bad[block][key] = value
+        path = write_job(tmp_path, "mutated.json", **bad)
+        assert main(["build", "--spec", path]) == 2
+        assert main(["mindist", "--spec", path]) == 2
     codes = []
     for trial in range(150):
         for doc, argv in ((job, ["build", "--spec"]), (build, ["mindist", "--code"])):

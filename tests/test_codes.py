@@ -106,6 +106,32 @@ def test_rref_matches_row_by_row_reference(p, m):
                 assert got[1:] == want[1:]
 
 
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS + [(2, 6)])
+def test_rref_matches_reference_on_sparse_and_thin_matrices(p, m):
+    """rref updates every row at each pivot; rows that are zero in the pivot
+    column must come out unchanged."""
+    gf = GF(p, m)
+    rng = np.random.default_rng(3000 + 10 * p + m)
+    cases = [rng.integers(0, gf.q, size=shape).astype(np.int16) for shape in [(1, 9), (9, 1), (1, 1)]]
+    for rows, cols in [(6, 14), (14, 6), (10, 10)]:
+        for density in (0.1, 0.3):
+            M = random_matrix(gf, rows, cols, min(rows, cols), rng)
+            cases.append(np.where(rng.random((rows, cols)) < density, M, 0).astype(np.int16))
+        # block diagonal: every pivot column is zero outside its block
+        B = np.zeros((rows, cols), dtype=np.int16)
+        B[: rows // 2, : cols // 2] = rng.integers(0, gf.q, size=(rows // 2, cols // 2))
+        B[rows // 2 :, cols // 2 :] = rng.integers(0, gf.q, size=(rows - rows // 2, cols - cols // 2))
+        cases.append(B)
+    cases.append(np.zeros((3, 5), dtype=np.int16))
+    for M in cases:
+        cols = M.shape[1]
+        for order in [None, list(rng.permutation(cols)), list(rng.permutation(cols))[: (cols + 1) // 2]]:
+            got = rref(gf, M, col_order=order)
+            want = rref_reference(gf, M, col_order=order)
+            assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+
+
 @pytest.mark.parametrize("p,m", ORACLE_FIELDS)
 def test_dual_is_the_null_space_basis(p, m):
     gf = GF(p, m)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toric_codes.field import GF
-from toric_codes.codes import LinearCode, matvec, min_distance_exhaustive, rref, solve
+from toric_codes.codes import LinearCode, matvec, min_distance_exhaustive, null_space, rref, solve
 from toric_codes.decoder import (
     DecoderSetup,
     SetupError,
@@ -22,6 +22,7 @@ from toric_codes.geometry import (
     Fan2D,
     OrbitPoint,
     TDivisor,
+    evaluation_matrix,
     graded_evaluation,
     lattice_points,
     polytope_of_divisor,
@@ -242,6 +243,65 @@ def test_bracket_explicit_sum():
         assert bracket(r, phi, st) == expect
 
 
+def reference_bracket_matrix(r, st):
+    """B[i, j] = [r, f_j g_i] from one strict evaluation row per product,
+    the table setup kept before brackets were read from the syndrome."""
+    gf, kg, ell = st.spec.gf, len(st.basis_gap), len(st.basis_locator)
+    prods = [(f[0] + g[0], f[1] + g[1]) for g in st.basis_gap for f in st.basis_locator]
+    FG = evaluation_matrix(prods, st.spec.points, gf, st.spec.fan).reshape(kg, ell, st.n)
+    return gf.vsum(gf.vmul(FG, r[None, None, :]), axis=2)
+
+
+def torus_setup_lacking_a_product():
+    """torus_setup with a custom basis of L(G) that lacks the product
+    x^(3, 0) = x^(1, 0) * x^(2, 0), and lists one character twice."""
+    gf = GF(5)
+    basis = [a for a in lattice_points(polytope_of_divisor(FAN4, TDivisor((0, 0, 3)))) if a != (3, 0)]
+    spec = ToricCodeSpec(gf, FAN4, TDivisor((0, 0, 3)), default_points(gf, FAN4), basis + [basis[0]])
+    return decoder_setup(spec, TDivisor((0, 0, 1)))
+
+
+BRACKET_SETUPS = {
+    **{
+        f"recorded-{i}": functools.partial(recorded_setup, tuple(orbit), gprime)
+        for i, (orbit, gprime, *_) in enumerate(RECORDED_SETUPS)
+    },
+    "boundary": boundary_setup,
+    "torus": torus_setup,
+    "custom-basis": torus_setup_lacking_a_product,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_SETUPS))
+def test_bracket_matrix_matches_per_product_evaluation(name):
+    st = BRACKET_SETUPS[name]()
+    gf = st.spec.gf
+    assert st.bracket_index.shape == (len(st.basis_gap), len(st.basis_locator))
+    # S is H with a row for each product missing from the basis, and only then
+    assert np.array_equal(st.S[: len(st.basis_full)], st.H)
+    assert len(st.S) == len(st.basis_full) + (name == "custom-basis")
+    rng = np.random.default_rng(9)
+    words = [rng.integers(0, gf.q, size=st.n).astype(np.int16) for _ in range(20)]
+    words.append(gf.vadd(random_dual_codeword(st, rng), np.eye(1, st.n, st.n - 1, dtype=np.int16)[0]))
+    for r in words:
+        B = bracket_matrix(r, st)
+        assert B.dtype == np.int16
+        assert np.array_equal(B, reference_bracket_matrix(r, st))
+
+
+def test_setup_rejects_a_product_with_a_pole():
+    """A custom basis can leave out every character with a pole at the orbit
+    points; a product f_j g_i with a pole there is still a setup error."""
+    gf = GF(2, 3)
+    G = TDivisor((1, 0, 10))
+    pts = list(torus_points(gf)) + [OrbitPoint(0, 1)]
+    # (0, 1) lies in P_G and has order <(0, 1), (2, -1)> = -1 along D_1
+    basis = [a for a in lattice_points(polytope_of_divisor(FAN1, G)) if 2 * a[0] - a[1] >= 0]
+    spec = ToricCodeSpec(gf, FAN1, G, pts, basis)
+    with pytest.raises(SetupError, match="pole in required product"):
+        decoder_setup(spec, TDivisor((1, 0, 2)))
+
+
 # -- locator and zero set --------------------------------------------------------
 
 
@@ -293,6 +353,21 @@ def test_stages_reject_symbols_outside_the_field(stage, symbol):
     r[5] = symbol
     with pytest.raises(ValueError, match="element indices 0..4"):
         STAGES[stage](r, st)
+
+
+@pytest.mark.parametrize("cap", [0, -1, 2.5, True, "abc", None])
+def test_list_cap_must_be_a_positive_integer(cap):
+    st = torus_setup()
+    r = np.zeros(16, dtype=np.int16)
+    with pytest.raises(ValueError, match="list cap must be an integer >= 1"):
+        error_values(r, [], st, list_cap=cap)
+    # decode checks the cap also for a word that fails before the value system
+    rng = np.random.default_rng(10)
+    words = (rng.integers(0, 5, size=16).astype(np.int16) for _ in range(100))
+    overloaded = next(w for w in words if not null_space(st.spec.gf, bracket_matrix(w, st)).size)
+    for word in (r, overloaded):
+        with pytest.raises(ValueError, match="list cap must be an integer >= 1"):
+            decode(word, st, list_cap=cap)
 
 
 def test_zero_set_rejects_zero_locator():

@@ -167,6 +167,30 @@ def test_vectorized_ops_match_scalar(p, m):
         assert gf.element(gf.coeffs(a)) == a
 
 
+# every odd p^m with m >= 2 and q <= 1024: the fields whose vsum reads the
+# digit planes
+ODD_EXTENSIONS = sorted((p, m) for p, m in _DEFAULT_MODULI if p > 2)
+
+
+@pytest.mark.parametrize("p,m", ODD_EXTENSIONS)
+def test_vsum_matches_digit_loop(p, m):
+    gf = GF(p, m)
+    rng = np.random.default_rng([13, p, m])
+    for shape in [(7,), (0, 3), (4, 6), (3, 4, 5)]:
+        A = rng.integers(0, gf.q, size=shape).astype(np.int16)
+        for axis in sorted({0, 1, -1} & set(range(-1, A.ndim))):
+            S = gf.vsum(A, axis=axis)
+            rows = np.moveaxis(A, axis, -1)
+            # one digit at a time: the digit sums mod p are the sum's digits
+            want = np.zeros(rows.shape[:-1], dtype=np.int64)
+            for idx in np.ndindex(rows.shape[:-1]):
+                sums = [sum(digits(int(a), p, m)[k] for a in rows[idx]) % p for k in range(m)]
+                want[idx] = undigits(sums, p)
+            assert S.dtype == np.int16 and np.shape(S) == want.shape
+            assert np.array_equal(S, want)
+        assert type(gf.vsum(A.ravel())) is np.int16  # a 1-D sum is a scalar
+
+
 def naive_add_table(p, m):
     D = np.array([digits(n, p, m) for n in range(p**m)])
     table = np.zeros((p**m, p**m), dtype=np.int64)
