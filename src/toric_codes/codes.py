@@ -82,12 +82,7 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
 
     The columns are first permuted into scan order, so the pivot row is
     zero left of its pivot and each pivot costs one rank-1 update of the
-    columns from the pivot on.  When at least half the rows are nonzero in
-    the pivot column the update runs over every row (a zero factor adds
-    zero), which beats gathering and scattering those rows on the dense
-    systems the decoder solves per word; otherwise it gathers the nonzero
-    rows only, as for the nearly reduced generators the information-set
-    engine re-reduces, where a dense update was 2-4x slower.
+    columns from the pivot on, over the rows that are nonzero there.
     """
     R = np.array(mat, dtype=np.int16, copy=True)
     if R.ndim != 2:
@@ -115,13 +110,12 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
             R[[r, pr]] = R[[pr, r]]
         if R[r, c] != 1:
             R[r, c:] = gf.mul_table[gf.inv_table[R[r, c]], R[r, c:]]
-        # every row but the pivot row adds -R[i, c] times the pivot row
+        # every other row that is nonzero in column c adds -R[i, c] times
+        # the pivot row
         factor = gf.neg_table[R[:, c]]
         factor[r] = 0
         other = factor.nonzero()[0]
-        if 2 * other.size >= rows:
-            R[:, c:] = gf.vadd(R[:, c:], gf.mul_table[factor][:, R[r, c:]])
-        elif other.size:
+        if other.size:
             R[other, c:] = gf.vadd(R[other, c:], gf.mul_table[factor[other]][:, R[r, c:]])
         pivots.append(c)
         r += 1

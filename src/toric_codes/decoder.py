@@ -13,12 +13,12 @@ syndrome H r over the basis h of L(G) (Skorobogatov-Vladut, IEEE Trans. IT
 1990).  Setup keeps, for each product, its row in S: H, followed by one
 row per product that a custom basis of L(G) lacks (none for the default
 basis).  The bracket matrix is then one syndrome S r and one gather, in
-place of kg * ell * n products per word.  With ``codes.rref`` updating a
-dense system's rows in one step per pivot and the digit-plane ``GF.vsum``,
-a word of the GF(8) worked example (two orbit points, n = 51) fell from
-about 0.7 to 0.45 ms, and a GF(9) torus word of the bench ``decode``
-workload from about 1.4 to 0.6 ms (2 vCPUs, Python 3.11.7, numpy 2.4.6,
-best of three runs), with identical outcomes.
+place of kg * ell * n products per word.  With ``codes.rref`` scaling the
+pivot row through the field tables and the digit-plane ``GF.vsum``, a word
+of the GF(8) worked example (two orbit points, n = 51) fell from about 0.7
+to 0.5 ms (best of three runs of 300 words), and a GF(9) torus word of the
+bench ``decode`` workload from about 1.4 to 0.8 ms (median over three
+passes), with identical outcomes (2 vCPUs, Python 3.11.7, numpy 2.4.6).
 
 Boundary subtleties: a basis monomial of L(G') may have a pole at an
 orbit point (G' can carry positive coefficients on rays that host
@@ -75,8 +75,9 @@ class DecoderSetup:
     basis_locator: list[tuple[int, int]]  # L(G')
     basis_gap: list[tuple[int, int]]  # L(G - G')
     basis_full: list[tuple[int, int]]  # L(G)
-    H: np.ndarray  # len(basis_full) x n, strict values
-    S: np.ndarray  # H, then a row per product f_j g_i missing from basis_full
+    # the strict values of basis_full (its first rows, H), then of each
+    # product f_j g_i missing from basis_full
+    S: np.ndarray
     bracket_index: np.ndarray  # (len(gap), len(locator)): the row of S of f_j g_i
     levels: np.ndarray  # the vanishing orders that occur, ascending
     locator: np.ndarray  # (len(levels), ell, n) leading values at each order
@@ -177,7 +178,6 @@ def setup(
         basis_locator=basis_locator,
         basis_gap=basis_gap,
         basis_full=basis_full,
-        H=H,
         S=S,
         bracket_index=bracket_index,
         levels=levels,
@@ -255,7 +255,8 @@ def error_values(
              or len(set(nf)) != len(nf))
     ):
         raise ValueError(f"candidate positions must be distinct integers in 0..{setup.n - 1}")
-    s = matvec(gf, setup.H, r)  # [r, h_j] for every j
+    H = setup.S[: len(setup.basis_full)]
+    s = matvec(gf, H, r)  # [r, h_j] for every j
     within = len(nf) <= setup.zero_cap
     if not nf:
         if not s.any():
@@ -274,8 +275,7 @@ def error_values(
             within_zero_cap=within,
             diagnostics="empty candidate set but nonzero syndrome",
         )
-    A = setup.H[:, nf]
-    sol = solve(gf, A, s)
+    sol = solve(gf, H[:, nf], s)
     if sol is None:
         return DecodeOutcome(
             status="fail",

@@ -278,7 +278,7 @@ def test_bracket_matrix_matches_per_product_evaluation(name):
     gf = st.spec.gf
     assert st.bracket_index.shape == (len(st.basis_gap), len(st.basis_locator))
     # S is H with a row for each product missing from the basis, and only then
-    assert np.array_equal(st.S[: len(st.basis_full)], st.H)
+    assert np.array_equal(st.S[: len(st.basis_full)], st.result.eval_matrix)
     assert len(st.S) == len(st.basis_full) + (name == "custom-basis")
     rng = np.random.default_rng(9)
     words = [rng.integers(0, gf.q, size=st.n).astype(np.int16) for _ in range(20)]
@@ -416,7 +416,7 @@ def reference_candidates(gf, x, ns, nf, n):
 @pytest.mark.parametrize("make, free", [(torus_setup, 2), (torus_setup, 3), (boundary_setup, 2)])
 def test_list_candidates_match_nested_loop(make, free):
     st = make()
-    gf, H = st.spec.gf, st.H
+    gf, H = st.spec.gf, st.result.eval_matrix
     rng = np.random.default_rng(8)
     cols = rng.permutation(st.n)
     # the shortest prefix of cols whose value system has `free` free dimensions
@@ -533,7 +533,7 @@ def test_overload_never_wrong_unique():
             # every candidate explains r as codeword + error
             for e in out.errors_found:
                 c = gf.vsub(r, e)
-                assert not matvec(gf, st.H, c).any()
+                assert not matvec(gf, st.result.eval_matrix, c).any()
 
 
 def test_decoder_never_touches_outside_zero_set():
