@@ -22,7 +22,7 @@ points = list(torus_points(gf)) + [OrbitPoint(0, 1), OrbitPoint(1, 1)]
 spec = ToricCodeSpec(gf, fan, TDivisor((0, 0, 10)), points)
 
 st = decoder_setup(spec, TDivisor((2, 2, 2)))
-print("n =", st.n, "| dim L(G) =", len(st.basis_full),
+print("n =", st.n, "| dim L(G) =", len(st.spec.basis),
       "| dim L(G') =", len(st.basis_locator), "| dim L(G-G') =", len(st.basis_gap))
 print("zero cap Z =", st.zero_cap, "(exact)" if st.zero_cap_exact else "(certified)")
 print("condition (C):", st.condition_c)

@@ -205,7 +205,6 @@ class BoundReport:
     beats_gv: bool | None
     conj1: Conjecture1Report
     conj2: Conjecture2Report
-    note: str = ""
 
 
 def bound_report(
@@ -216,7 +215,6 @@ def bound_report(
     n: int,
     k: int,
     d: int | None = None,
-    note: str = "",
 ) -> BoundReport:
     rate = None
     beats = None
@@ -239,5 +237,4 @@ def bound_report(
         beats_gv=beats,
         conj1=conjecture1_bound(poly, n),
         conj2=conjecture2_bound(fan, div, poly, n),
-        note=note,
     )

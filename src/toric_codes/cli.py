@@ -91,7 +91,7 @@ def load_job(path: str) -> dict:
     _require_keys(
         job,
         {"field": True, "fan": True, "divisor": True, "points": False,
-         "mindist": False, "decoder": False, "bounds": False},
+         "mindist": False, "decoder": False},
         "job",
     )
     _require_keys(job["field"], {"p": True, "m": False, "modulus": False}, "field")
@@ -104,8 +104,6 @@ def load_job(path: str) -> dict:
         )
     if "decoder" in job:
         _require_keys(job["decoder"], {"gprime": True, "list_cap": False}, "decoder")
-    if "bounds" in job:
-        _require_keys(job["bounds"], {"conjectures": False}, "bounds")
     return job
 
 
@@ -338,8 +336,11 @@ def cmd_reproduce(args) -> int:
 
 def cmd_rm(args) -> int:
     gf = make_field(args.p, args.m_ext)
-    code = reed_muller(gf, args.m, args.ell)
-    n, k, d = rm_predicted_params(gf.q, args.m, args.ell)
+    try:
+        n, k, d = rm_predicted_params(gf.q, args.m, args.ell)
+    except CodeError as exc:
+        raise ValidationError(f"rm: {exc}") from exc
+    code = reed_muller(gf, args.m, args.ell)  # over the q^m size cap: CodeError, exit 3
     doc = {
         "q": gf.q,
         "m": args.m,

@@ -611,15 +611,18 @@ def _rm_exponents(q: int, m: int, ell: int) -> list[tuple[int, ...]]:
     return exps
 
 
-def reed_muller(gf: GF, m: int, ell: int, size_cap: int = 1 << 16) -> LinearCode:
+RM_SIZE_CAP = 1 << 16  # the most points q^m a Reed-Muller code is built on
+
+
+def reed_muller(gf: GF, m: int, ell: int) -> LinearCode:
     """Evaluation code of all m-variate monomials of total degree <= ell
     (per-variable degree <= q-1) at every point of GF(q)^m."""
     q = gf.q
     if m < 1 or ell < 0:
         raise CodeError("need m >= 1 and ell >= 0")
     n = q**m
-    if n > size_cap:
-        raise CodeError(f"q^m = {n} exceeds the size cap {size_cap}")
+    if n > RM_SIZE_CAP:
+        raise CodeError(f"q^m = {n} exceeds the size cap {RM_SIZE_CAP}")
     # power table: POW[v, e] with 0^0 = 1
     emax = min(q - 1, ell)
     POW = np.zeros((q, emax + 1), dtype=np.int16)
@@ -640,8 +643,8 @@ def rm_predicted_params(q: int, m: int, ell: int) -> tuple[int, int, int]:
     """Closed-form (n, k, d) for the Reed-Muller family: n = q^m, k from the
     alternating binomial double sum, d = (q-b) q^(m-a-1) for
     ell = a(q-1) + b with 1 <= b <= q-1."""
-    if not 0 <= ell <= m * (q - 1):
-        raise CodeError(f"ell = {ell} out of range 0..{m * (q - 1)}")
+    if m < 1 or not 0 <= ell <= m * (q - 1):
+        raise CodeError(f"need m >= 1 and 0 <= ell <= m(q-1), got m = {m}, ell = {ell}")
     k = 0
     for i in range(ell + 1):
         for j in range(i // q + 1):

@@ -7,18 +7,19 @@ set N(f) where the locator f = sum a_j f_j fails to be provably nonzero,
 and (3) solving sum_{i in N(f)} b_i h_j(P_i) = [r, h_j] over the basis h
 of L(G).
 
-Every bracket comes from one syndrome.  A product f_j g_i has its exponent
-in P_G' + P_(G-G'), which lies in P_G, so [r, f_j g_i] is an entry of the
-syndrome H r over the basis h of L(G) (Skorobogatov-Vladut, IEEE Trans. IT
-1990).  Setup keeps, for each product, its row in S: H, followed by one
-row per product that a custom basis of L(G) lacks (none for the default
-basis).  The bracket matrix is then one syndrome S r and one gather, in
-place of kg * ell * n products per word.  With ``codes.rref`` scaling the
-pivot row through the field tables and the digit-plane ``GF.vsum``, a word
-of the GF(8) worked example (two orbit points, n = 51) fell from about 0.7
-to 0.5 ms (best of three runs of 300 words), and a GF(9) torus word of the
-bench ``decode`` workload from about 1.4 to 0.8 ms (median over three
-passes), with identical outcomes (2 vCPUs, Python 3.11.7, numpy 2.4.6).
+Every bracket comes from one syndrome.  A product f_j g_i has its
+exponent in P_G' + P_(G-G'), which lies in P_G, so [r, f_j g_i] is an
+entry of the syndrome H r over the basis h of L(G), the lattice points
+of P_G (Skorobogatov-Vladut, IEEE Trans. IT 1990).  Setup keeps, for
+each product, its row in H; none has a pole, because ``build`` evaluated
+every exponent of P_G strictly.  The bracket matrix is then one syndrome
+H r and one gather, in place of kg * ell * n products per word.  With
+``codes.rref`` scaling the pivot row through the field tables and the
+digit-plane ``GF.vsum``, a word of the GF(8) worked example (two orbit
+points, n = 51) fell from about 0.7 to 0.5 ms (best of three runs of 300
+words), and a GF(9) torus word of the bench ``decode`` workload from
+about 1.4 to 0.8 ms (median over three passes), with identical outcomes
+(2 vCPUs, Python 3.11.7, numpy 2.4.6).
 
 Boundary subtleties: a basis monomial of L(G') may have a pole at an
 orbit point (G' can carry positive coefficients on rays that host
@@ -30,8 +31,8 @@ every point, torus and orbit alike (a torus column has only order 0),
 the leading nonzero order decides zero (order > 0), a value (order 0),
 or a pole (order < 0).  Pole positions cannot be certified error-free,
 so they are kept in the candidate set N(f); the value system stays exact
-either way because the products f_j g_i and the h_j are always pole-free
-(hard setup error otherwise).
+either way because the products f_j g_i and the h_j all lie in P_G,
+whose monomials ``build`` evaluated without a pole at every point.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .codes import (
     solve,
 )
 from .geometry import (
-    PoleError,
     TDivisor,
     evaluation_matrix,
     graded_evaluation,
@@ -74,11 +74,9 @@ class DecoderSetup:
     gprime: TDivisor
     basis_locator: list[tuple[int, int]]  # L(G')
     basis_gap: list[tuple[int, int]]  # L(G - G')
-    basis_full: list[tuple[int, int]]  # L(G)
-    # the strict values of basis_full (its first rows, H), then of each
-    # product f_j g_i missing from basis_full
-    S: np.ndarray
-    bracket_index: np.ndarray  # (len(gap), len(locator)): the row of S of f_j g_i
+    # (len(gap), len(locator)): the row of H = result.eval_matrix, and so of
+    # spec.basis, that holds the product f_j g_i
+    bracket_index: np.ndarray
     levels: np.ndarray  # the vanishing orders that occur, ascending
     locator: np.ndarray  # (len(levels), ell, n) leading values at each order
     zero_cap: int
@@ -118,33 +116,20 @@ def setup(
     gf, fan = spec.gf, spec.fan
     result = build(spec)
 
-    basis_full = spec.basis
     basis_locator = lattice_points(polytope_of_divisor(fan, gprime))
     basis_gap = lattice_points(polytope_of_divisor(fan, spec.divisor - gprime))
-    if not basis_locator or not basis_gap or not basis_full:
+    if not basis_locator or not basis_gap:  # build has rejected an empty L(G)
         raise SetupError(
             "a required function space is zero: "
-            f"|L(G)| = {len(basis_full)}, |L(G')| = {len(basis_locator)}, "
+            f"|L(G)| = {len(spec.basis)}, |L(G')| = {len(basis_locator)}, "
             f"|L(G-G')| = {len(basis_gap)}"
         )
 
-    H = result.eval_matrix
-    # the row of S r that holds [r, f_j g_i]: the product's row of H, or a
-    # row after H's when a custom basis of L(G) lacks the product
-    row_of = {tuple(a): i for i, a in enumerate(basis_full)}
-    prod_exps = [
-        (fa[0] + ga[0], fa[1] + ga[1]) for ga in basis_gap for fa in basis_locator
-    ]
-    extra = list(dict.fromkeys(e for e in prod_exps if e not in row_of))
-    row_of.update((e, len(basis_full) + i) for i, e in enumerate(extra))
-    S = H
-    if extra:
-        try:
-            S = np.concatenate([H, evaluation_matrix(extra, spec.points, gf, fan)])
-        except PoleError as exc:
-            raise SetupError(f"pole in required product f_j * g_i: {exc}") from exc
-    bracket_index = np.array([row_of[e] for e in prod_exps], dtype=np.intp).reshape(
-        len(basis_gap), len(basis_locator)
+    # the row of H r that holds [r, f_j g_i]: f_j g_i lies in P_G
+    row_of = {a: i for i, a in enumerate(spec.basis)}
+    bracket_index = np.array(
+        [[row_of[(f[0] + g[0], f[1] + g[1])] for f in basis_locator] for g in basis_gap],
+        dtype=np.intp,
     )
     n = len(spec.points)
 
@@ -177,8 +162,6 @@ def setup(
         gprime=gprime,
         basis_locator=basis_locator,
         basis_gap=basis_gap,
-        basis_full=basis_full,
-        S=S,
         bracket_index=bracket_index,
         levels=levels,
         locator=locator,
@@ -207,8 +190,9 @@ def bracket(r: np.ndarray, exponent, setup: DecoderSetup) -> int:
 
 
 def bracket_matrix(r: np.ndarray, setup: DecoderSetup) -> np.ndarray:
-    """B[i, j] = [r, f_j g_i], read from the syndrome S r."""
-    return matvec(setup.spec.gf, setup.S, _received(r, setup))[setup.bracket_index]
+    """B[i, j] = [r, f_j g_i], read from the syndrome H r."""
+    H = setup.result.eval_matrix
+    return matvec(setup.spec.gf, H, _received(r, setup))[setup.bracket_index]
 
 
 def error_locator(r: np.ndarray, setup: DecoderSetup) -> np.ndarray:
@@ -255,71 +239,42 @@ def error_values(
              or len(set(nf)) != len(nf))
     ):
         raise ValueError(f"candidate positions must be distinct integers in 0..{setup.n - 1}")
-    H = setup.S[: len(setup.basis_full)]
+    H = setup.result.eval_matrix
     s = matvec(gf, H, r)  # [r, h_j] for every j
     within = len(nf) <= setup.zero_cap
-    if not nf:
-        if not s.any():
-            return DecodeOutcome(
-                status="unique",
-                errors_found=np.zeros(setup.n, dtype=np.int16),
-                locator=None,
-                zero_set=[],
-                within_zero_cap=within,
-            )
-        return DecodeOutcome(
-            status="fail",
-            errors_found=None,
-            locator=None,
-            zero_set=[],
-            within_zero_cap=within,
-            diagnostics="empty candidate set but nonzero syndrome",
-        )
-    sol = solve(gf, H[:, nf], s)
+    sol = solve(gf, H[:, nf], s)  # an empty nf solves only a zero syndrome
+    count = 0 if sol is None else gf.q ** len(sol[1])  # number of solutions
+    status, found, diagnostics = "fail", None, ""
     if sol is None:
-        return DecodeOutcome(
-            status="fail",
-            errors_found=None,
-            locator=None,
-            zero_set=list(nf),
-            within_zero_cap=within,
-            diagnostics="inconsistent value system (locator missed an error position)",
+        diagnostics = (
+            "inconsistent value system (locator missed an error position)"
+            if nf
+            else "empty candidate set but nonzero syndrome"
         )
-    x, ns = sol
-    if ns.shape[0] == 0:
-        e = np.zeros(setup.n, dtype=np.int16)
-        e[nf] = x
-        status = "unique" if within else "list"
-        found = e if status == "unique" else [e]
-        return DecodeOutcome(
-            status=status,
-            errors_found=found,
-            locator=None,
-            zero_set=list(nf),
-            within_zero_cap=within,
-            diagnostics="" if within else "solution unique but |N(f)| exceeds the zero cap",
-        )
-    count = gf.q ** ns.shape[0]
-    if count > list_cap:
-        return DecodeOutcome(
-            status="fail",
-            errors_found=None,
-            locator=None,
-            zero_set=list(nf),
-            within_zero_cap=within,
-            diagnostics=f"{count} candidate solutions exceed the list cap {list_cap}",
-        )
-    # every combination of the null-space rows, last coefficient fastest
-    combos = np.indices((gf.q,) * ns.shape[0]).reshape(ns.shape[0], -1).T
-    cands = np.zeros((count, setup.n), dtype=np.int16)
-    cands[:, nf] = gf.vadd(x[None, :], matmul(gf, combos, ns))
+    elif count > list_cap:
+        diagnostics = f"{count} candidate solutions exceed the list cap {list_cap}"
+    else:
+        x, ns = sol
+        cands = np.zeros((count, setup.n), dtype=np.int16)
+        cands[:, nf] = x
+        if len(ns):
+            # every combination of the null-space rows, last coefficient fastest
+            combos = np.indices((gf.q,) * len(ns)).reshape(len(ns), count).T
+            cands[:, nf] = gf.vadd(cands[:, nf], matmul(gf, combos, ns))
+        status, found = "list", list(cands)
+        if count > 1:
+            diagnostics = "underdetermined value system"
+        elif within:
+            status, found = "unique", cands[0]
+        else:
+            diagnostics = "solution unique but |N(f)| exceeds the zero cap"
     return DecodeOutcome(
-        status="list",
-        errors_found=list(cands),
+        status=status,
+        errors_found=found,
         locator=None,
-        zero_set=list(nf),
+        zero_set=nf,
         within_zero_cap=within,
-        diagnostics="underdetermined value system",
+        diagnostics=diagnostics,
     )
 
 

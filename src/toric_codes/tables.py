@@ -198,5 +198,3 @@ GOLDEN_TABLES: dict[str, GoldenTable] = {
         ),
     ),
 }
-
-TABLE_IDS = tuple(GOLDEN_TABLES)

@@ -36,11 +36,11 @@ class ToricCodeSpec:
     fan: Fan2D
     divisor: TDivisor
     points: list[EvalPoint]
-    basis: list[tuple[int, int]] = dc_field(default_factory=list)
+    # the lattice points of P_G, one generator row each; always derived
+    basis: list[tuple[int, int]] = dc_field(init=False)
 
     def __post_init__(self):
-        if not self.basis:
-            self.basis = lattice_points(polytope_of_divisor(self.fan, self.divisor))
+        self.basis = lattice_points(polytope_of_divisor(self.fan, self.divisor))
         if len(set(self.points)) != len(self.points):
             raise CodeError("evaluation points must be distinct")
 

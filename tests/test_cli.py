@@ -118,6 +118,14 @@ def test_bounds_cmd(tmp_path, capsys):
     assert doc["conjecture2"]["applicable"] is False  # singular fan
 
 
+def test_job_file_has_no_bounds_block(tmp_path, capsys):
+    # the block's one key was never read; it is now an unknown key
+    spec = write_job(tmp_path, bounds={"conjectures": False})
+    for command in ("build", "mindist", "bounds"):
+        assert main([command, "--spec", spec]) == 2
+    assert capsys.readouterr().err.count("job: unknown key 'bounds'") == 3
+
+
 def test_bounds_reports_an_unproven_d_as_an_interval(tmp_path, capsys):
     # fan1 over GF(7), G = (2, 3, 4): a (36, 18, 9) code
     spec = write_job(tmp_path, field={"p": 7, "m": 1}, divisor=[2, 3, 4])
@@ -287,6 +295,17 @@ def test_rm_cmd(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert (doc["n"], doc["k"], doc["d"]) == (32, 6, 16)
     assert doc["predicted"] == {"n": 32, "k": 6, "d": 16}
+
+
+@pytest.mark.parametrize(
+    "m, ell, code",
+    [("0", "1", 2), ("5", "-1", 2), ("5", "6", 2), ("5", "9", 2), ("5", "5", 0), ("20", "1", 3)],
+)
+def test_rm_parameters(capsys, m, ell, code):
+    # ell runs over 0..m(q-1) = 5; the q^m size cap is a computation error
+    assert main(["rm", "--p", "2", "-m", m, "-l", ell]) == code
+    message = {0: "", 2: "need m >= 1 and 0 <= ell <= m(q-1)", 3: "exceeds the size cap 65536"}[code]
+    assert message in capsys.readouterr().err
 
 
 # -- malformed input: exit 2 (or 3), never a traceback -----------------------------

@@ -813,6 +813,8 @@ def test_rm_errors():
     with pytest.raises(CodeError):
         rm_predicted_params(3, 2, 5)  # ell > m(q-1)
     with pytest.raises(CodeError):
+        rm_predicted_params(3, 0, 0)  # no variables
+    with pytest.raises(CodeError):
         reed_muller(GF(2), 20, 1)  # size cap
 
 

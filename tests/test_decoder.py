@@ -28,6 +28,7 @@ from toric_codes.geometry import (
     polytope_of_divisor,
     torus_points,
 )
+from toric_codes.tables import FANS, field_for_q
 from toric_codes.toric import ToricCodeSpec, default_points
 
 FAN1 = Fan2D([(2, -1), (-1, 2), (-1, -1)])
@@ -61,7 +62,7 @@ def random_dual_codeword(st, rng):
 
 def test_setup_dimensions_boundary():
     st = boundary_setup()
-    assert len(st.basis_full) == 22
+    assert len(st.spec.basis) == 22
     assert len(st.basis_locator) == 10
     assert len(st.basis_gap) == 5
     # L(G - 3D) is 1-dimensional
@@ -223,7 +224,7 @@ def test_bracket_codeword_against_lg():
     st = torus_setup()
     rng = np.random.default_rng(0)
     c = random_dual_codeword(st, rng)
-    for h in st.basis_full:
+    for h in st.spec.basis:
         assert bracket(c, h, st) == 0
     # and the full bracket matrix of a codeword vanishes
     assert not bracket_matrix(c, st).any()
@@ -252,13 +253,14 @@ def reference_bracket_matrix(r, st):
     return gf.vsum(gf.vmul(FG, r[None, None, :]), axis=2)
 
 
-def torus_setup_lacking_a_product():
-    """torus_setup with a custom basis of L(G) that lacks the product
-    x^(3, 0) = x^(1, 0) * x^(2, 0), and lists one character twice."""
-    gf = GF(5)
-    basis = [a for a in lattice_points(polytope_of_divisor(FAN4, TDivisor((0, 0, 3)))) if a != (3, 0)]
-    spec = ToricCodeSpec(gf, FAN4, TDivisor((0, 0, 3)), default_points(gf, FAN4), basis + [basis[0]])
-    return decoder_setup(spec, TDivisor((0, 0, 1)))
+@functools.lru_cache(maxsize=None)
+def orbit_setup(fan, q, divisor, orbit, gprime):
+    """A golden-table fan over GF(q) with the given orbit points after the
+    torus points."""
+    gf = field_for_q(q)
+    pts = list(torus_points(gf)) + [OrbitPoint(r, s) for r, s in orbit]
+    spec = ToricCodeSpec(gf, Fan2D(FANS[fan]), TDivisor(divisor), pts)
+    return decoder_setup(spec, TDivisor(gprime))
 
 
 BRACKET_SETUPS = {
@@ -268,7 +270,10 @@ BRACKET_SETUPS = {
     },
     "boundary": boundary_setup,
     "torus": torus_setup,
-    "custom-basis": torus_setup_lacking_a_product,
+    # G' with a negative coefficient, and with poles at the orbit points
+    "fan6": functools.partial(orbit_setup, "fan6", 8, (0, 0, 3), ((0, 1), (1, 2)), (-1, 1, 2)),
+    "fan7": functools.partial(orbit_setup, "fan7", 8, (0, 0, 5), ((0, 1), (1, 3)), (2, 0, 2)),
+    "fan2-m3": functools.partial(orbit_setup, "fan2-m3", 7, (0, 3, 2), ((0, 2),), (1, -1, 2)),
 }
 
 
@@ -277,9 +282,9 @@ def test_bracket_matrix_matches_per_product_evaluation(name):
     st = BRACKET_SETUPS[name]()
     gf = st.spec.gf
     assert st.bracket_index.shape == (len(st.basis_gap), len(st.basis_locator))
-    # S is H with a row for each product missing from the basis, and only then
-    assert np.array_equal(st.S[: len(st.basis_full)], st.result.eval_matrix)
-    assert len(st.S) == len(st.basis_full) + (name == "custom-basis")
+    # every product is a row of H
+    assert 0 <= st.bracket_index.min() and st.bracket_index.max() < len(st.spec.basis)
+    assert len(st.spec.basis) == len(st.result.eval_matrix)
     rng = np.random.default_rng(9)
     words = [rng.integers(0, gf.q, size=st.n).astype(np.int16) for _ in range(20)]
     words.append(gf.vadd(random_dual_codeword(st, rng), np.eye(1, st.n, st.n - 1, dtype=np.int16)[0]))
@@ -287,19 +292,6 @@ def test_bracket_matrix_matches_per_product_evaluation(name):
         B = bracket_matrix(r, st)
         assert B.dtype == np.int16
         assert np.array_equal(B, reference_bracket_matrix(r, st))
-
-
-def test_setup_rejects_a_product_with_a_pole():
-    """A custom basis can leave out every character with a pole at the orbit
-    points; a product f_j g_i with a pole there is still a setup error."""
-    gf = GF(2, 3)
-    G = TDivisor((1, 0, 10))
-    pts = list(torus_points(gf)) + [OrbitPoint(0, 1)]
-    # (0, 1) lies in P_G and has order <(0, 1), (2, -1)> = -1 along D_1
-    basis = [a for a in lattice_points(polytope_of_divisor(FAN1, G)) if 2 * a[0] - a[1] >= 0]
-    spec = ToricCodeSpec(gf, FAN1, G, pts, basis)
-    with pytest.raises(SetupError, match="pole in required product"):
-        decoder_setup(spec, TDivisor((1, 0, 2)))
 
 
 # -- locator and zero set --------------------------------------------------------
@@ -397,6 +389,69 @@ def test_error_values_rejects_invalid_candidate_positions(nf):
     st = torus_setup()
     with pytest.raises(ValueError, match="distinct integers in 0..15"):
         error_values(np.zeros(16, dtype=np.int16), nf, st)
+
+
+def nonzeros(e):
+    return {int(i): int(e[i]) for i in np.flatnonzero(e)}
+
+
+# every outcome of the value system on torus_setup (n = 16, zero cap 4):
+# (candidate positions, received word as {position: symbol}, list cap) ->
+# (status, errors found as {position: symbol}, within the zero cap,
+# diagnostics), recorded before error_values built its outcome in one place
+VALUE_OUTCOMES = {
+    "empty set, zero syndrome": (([], {}, 256), ("unique", {}, True, "")),
+    "empty set, nonzero syndrome": (
+        ([], {0: 1}, 256),
+        ("fail", None, True, "empty candidate set but nonzero syndrome"),
+    ),
+    "inconsistent": (
+        ([1], {0: 1}, 256),
+        ("fail", None, True, "inconsistent value system (locator missed an error position)"),
+    ),
+    "unique": (([3], {3: 2}, 256), ("unique", {3: 2}, True, "")),
+    "unique beyond the zero cap": (
+        ([0, 1, 2, 3, 4], dict.fromkeys(range(5), 1), 256),
+        ("list", [dict.fromkeys(range(5), 1)], False, "solution unique but |N(f)| exceeds the zero cap"),
+    ),
+    "beyond the list cap": (
+        (list(range(8)), {7: 3}, 4),
+        ("fail", None, False, "5 candidate solutions exceed the list cap 4"),
+    ),
+    "underdetermined": (
+        (list(range(8)), {7: 3}, 5),
+        (
+            "list",
+            [
+                {0: 1, 1: 2, 2: 4, 3: 3, 4: 4, 5: 3, 6: 1},
+                {0: 4, 1: 3, 2: 1, 3: 2, 4: 1, 5: 2, 6: 4, 7: 1},
+                {0: 2, 1: 4, 2: 3, 3: 1, 4: 3, 5: 1, 6: 2, 7: 2},
+                {7: 3},
+                {0: 3, 1: 1, 2: 2, 3: 4, 4: 2, 5: 4, 6: 3, 7: 4},
+            ],
+            False,
+            "underdetermined value system",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(VALUE_OUTCOMES))
+def test_error_values_outcomes_match_recorded_values(case):
+    (nf, symbols, cap), (status, found, within, diagnostics) = VALUE_OUTCOMES[case]
+    st = torus_setup()
+    r = np.zeros(16, dtype=np.int16)
+    r[list(symbols)] = list(symbols.values())
+    out = error_values(r, nf, st, list_cap=cap)
+    assert (out.status, out.zero_set, out.within_zero_cap, out.diagnostics) == (status, nf, within, diagnostics)
+    assert out.locator is None
+    if found is None:
+        assert out.errors_found is None
+    elif status == "unique":
+        assert out.errors_found.shape == (16,) and nonzeros(out.errors_found) == found
+    else:
+        assert [nonzeros(e) for e in out.errors_found] == found
+        assert all(e.dtype == np.int16 and e.shape == (16,) for e in out.errors_found)
 
 
 def reference_candidates(gf, x, ns, nf, n):

@@ -3,7 +3,14 @@ import pytest
 
 from toric_codes.field import GF
 from toric_codes.codes import CodeError, LinearCode, min_distance_exhaustive
-from toric_codes.geometry import Fan2D, PoleError, TDivisor, orbit_points, torus_points
+from toric_codes.geometry import (
+    Fan2D,
+    PoleError,
+    TDivisor,
+    evaluation_matrix,
+    orbit_points,
+    torus_points,
+)
 from toric_codes.toric import (
     ToricCodeSpec,
     build,
@@ -69,10 +76,17 @@ def test_order_invariance():
 def test_exponent_congruence():
     # a -> a + (q-1) e_j changes no torus evaluation
     gf = GF(5)
-    spec0 = ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 3)), default_points(gf, FAN1))
-    shifted = [(a + 4, b) for a, b in spec0.basis]
-    spec1 = ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 3)), default_points(gf, FAN1), basis=shifted)
-    assert np.array_equal(build(spec0).eval_matrix, build(spec1).eval_matrix)
+    spec = ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 3)), default_points(gf, FAN1))
+    shifted = [(a + 4, b) for a, b in spec.basis]
+    assert np.array_equal(build(spec).eval_matrix, evaluation_matrix(shifted, spec.points, gf, FAN1))
+
+
+def test_basis_is_the_lattice_points_of_the_divisor_polytope():
+    gf = GF(5)
+    spec = ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 3)), default_points(gf, FAN1))
+    assert spec.basis == [(0, 0), (1, 1), (1, 2), (2, 1)]
+    with pytest.raises(TypeError):
+        ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 3)), default_points(gf, FAN1), spec.basis)
 
 
 def test_small_q_rank_drop_is_warned():
