@@ -3,9 +3,9 @@
 Given an auxiliary divisor G', a received word r = c + e is decoded by
 (1) solving the bracket system sum_j [r, f_j g_i] a_j = 0 over the
 monomial bases f of L(G') and g of L(G - G'), (2) taking the candidate
-set N(f) where the locator f = sum a_j f_j fails to be provably nonzero,
-and (3) solving sum_{i in N(f)} b_i h_j(P_i) = [r, h_j] over the basis h
-of L(G).
+set N(f), the common zeros of every locator f = sum a_j f_j in the null
+space, and (3) solving sum_{i in N(f)} b_i h_j(P_i) = [r, h_j] over the
+basis h of L(G).
 
 Every bracket comes from one syndrome.  A product f_j g_i has its
 exponent in P_G' + P_(G-G'), which lies in P_G, so [r, f_j g_i] is an
@@ -13,26 +13,24 @@ entry of the syndrome H r over the basis h of L(G), the lattice points
 of P_G (Skorobogatov-Vladut, IEEE Trans. IT 1990).  Setup keeps, for
 each product, its row in H; none has a pole, because ``build`` evaluated
 every exponent of P_G strictly.  The bracket matrix is then one syndrome
-H r and one gather, in place of kg * ell * n products per word.  With
-``codes.rref`` scaling the pivot row through the field tables and the
-digit-plane ``GF.vsum``, a word of the GF(8) worked example (two orbit
-points, n = 51) fell from about 0.7 to 0.5 ms (best of three runs of 300
-words), and a GF(9) torus word of the bench ``decode`` workload from
-about 1.4 to 0.8 ms (median over three passes), with identical outcomes
-(2 vCPUs, Python 3.11.7, numpy 2.4.6).
+H r and one gather, in place of kg * ell * n products per word.
 
-Boundary subtleties: a basis monomial of L(G') may have a pole at an
-orbit point (G' can carry positive coefficients on rays that host
-points).  The locator is therefore evaluated through its graded
-expansion in the transverse parameter: ``geometry.graded_evaluation``
-gives each term's vanishing order <a, v_ray> and its leading value, and
-setup keeps one table sliced by the vanishing orders that occur.  At
-every point, torus and orbit alike (a torus column has only order 0),
-the leading nonzero order decides zero (order > 0), a value (order 0),
-or a pole (order < 0).  Pole positions cannot be certified error-free,
-so they are kept in the candidate set N(f); the value system stays exact
-either way because the products f_j g_i and the h_j all lie in P_G,
-whose monomials ``build`` evaluated without a pole at every point.
+Boundary subtleties: G' may carry positive coefficients on rays that host
+orbit points, so a basis monomial of L(G') may have a pole there, and the
+locator is read at a twisted level, not at order 0.  Every product
+f_j g_i lies in P_G, which ``build`` evaluated without a pole, so at a
+point P on ray r each f_j has order at least -beta_r, where beta_r is the
+least order <b, v_r> over the gap basis L(G - G') (0 on the torus).
+Hence f_j g_i (P) = f~_j(P) g~_i(P), where ``geometry.graded_evaluation``
+gives f~_j(P), the leading value of f_j if its order at P is -beta_r (else
+0), and g~_i(P), that of g_i at order +beta_r.  Setup keeps the one table
+f~_j(P).  The bracket system gives sum_i e_i f~(P_i) g~(P_i) = 0 for every
+g, so (e_i f~(P_i)) lies in the dual of the twisted evaluation code of
+L(G - G'): while the error count is below that dual's distance, f~
+vanishes at every error position for every f in the null space
+(Skorobogatov-Vladut 1990; Pellikaan, Discrete Math. 1992), and ``decode``
+takes the common zeros of the whole null basis.  Past that radius the
+intersection can drop an error position.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from .toric import ToricCodeSpec, ToricCodeResult, build
 
 
 class SetupError(ValueError):
-    """Decoder setup violates an assumption (empty space, required pole)."""
+    """Decoder setup violates an assumption (empty space, no locator)."""
 
 
 @dataclass
@@ -77,8 +75,9 @@ class DecoderSetup:
     # (len(gap), len(locator)): the row of H = result.eval_matrix, and so of
     # spec.basis, that holds the product f_j g_i
     bracket_index: np.ndarray
-    levels: np.ndarray  # the vanishing orders that occur, ascending
-    locator: np.ndarray  # (len(levels), ell, n) leading values at each order
+    # (ell, n): f_j's leading value at point i if its order there is the
+    # point's twisted level (module docstring), else 0
+    locator: np.ndarray
     zero_cap: int
     zero_cap_exact: bool
     condition_c: str  # "verified" | "failed" | "unverified"
@@ -107,8 +106,8 @@ def setup(
     """Build bases, evaluation tables, and the zero cap Z.
 
     Z bounds the number of points at which a nonzero member of L(G') can
-    fail to be provably nonzero.  It is n - d_aux, where d_aux is the
-    minimum distance of L(G') evaluated at the pole-free points: exact
+    have a zero twisted value.  It is n - d_aux, where d_aux is the
+    minimum distance of L(G') evaluated at the points of level 0: exact
     when the search finishes within the budget, otherwise the search's
     certified lower bound (a smaller d_aux only enlarges Z, so the cap
     stays valid).
@@ -133,21 +132,20 @@ def setup(
     )
     n = len(spec.points)
 
-    # the locator basis sliced by vanishing order: locator[s, j, i] is the
-    # leading value of f_j at point i when its order there is levels[s]
+    # each point's twisted level: minus the least order of the gap basis
+    level = -graded_evaluation(basis_gap, spec.points, gf, fan)[0].min(axis=0)
     order, value = graded_evaluation(basis_locator, spec.points, gf, fan)
-    levels = np.unique(order)
-    locator = np.where(order == levels[:, None, None], value, 0)
+    locator = np.where(order == level, value, 0)
 
-    # zero cap from the pole-free columns of the auxiliary code
-    clean = order.min(axis=0) >= 0
-    aux = LinearCode(gf, np.where(order == 0, value, 0)[:, clean])
+    # zero cap from the level-0 columns of the auxiliary code
+    flat = level == 0
+    aux = LinearCode(gf, locator[:, flat])
     if aux.k < len(basis_locator):
         zcap, exact = n, True  # eval map on L(G') is not injective: no cap
     else:
         rep = min_distance(aux, work_budget=z_work_budget)
         zcap = n - (rep.d if rep.exact else rep.lower)
-        exact = rep.exact and bool(clean.all())
+        exact = rep.exact and bool(flat.all())
     # condition (C): d(dual) must exceed the cap; checked only when the dual
     # is small enough to enumerate
     try:
@@ -163,7 +161,6 @@ def setup(
         basis_locator=basis_locator,
         basis_gap=basis_gap,
         bracket_index=bracket_index,
-        levels=levels,
         locator=locator,
         zero_cap=zcap,
         zero_cap_exact=exact,
@@ -195,31 +192,31 @@ def bracket_matrix(r: np.ndarray, setup: DecoderSetup) -> np.ndarray:
     return matvec(setup.spec.gf, H, _received(r, setup))[setup.bracket_index]
 
 
-def error_locator(r: np.ndarray, setup: DecoderSetup) -> np.ndarray:
-    """A deterministic nontrivial solution of the bracket system: the
-    null-space basis vector of the first free column (graded-lex order)."""
-    B = bracket_matrix(r, setup)
-    ns = null_space(setup.spec.gf, B)
+def _null_basis(r: np.ndarray, setup: DecoderSetup) -> np.ndarray:
+    """The null-space basis of the bracket system; SetupError when trivial."""
+    ns = null_space(setup.spec.gf, bracket_matrix(r, setup))
     if ns.shape[0] == 0:
         raise SetupError(
             "bracket system has a trivial null space: no locator "
             "(more errors than this setup supports)"
         )
-    return ns[0]
+    return ns
+
+
+def error_locator(r: np.ndarray, setup: DecoderSetup) -> np.ndarray:
+    """A deterministic nontrivial solution of the bracket system: the
+    null-space basis vector of the first free column (graded-lex order)."""
+    return _null_basis(r, setup)[0]
 
 
 def zero_set(f_coeffs: np.ndarray, setup: DecoderSetup) -> list[int]:
-    """Candidate positions: points where the locator is not provably
-    nonzero (value zero, higher-order vanishing, or a pole)."""
+    """Candidate positions: the points where the locator's twisted value
+    (its part at the point's level, see the module docstring) is zero."""
     gf = setup.spec.gf
     f = _elements(gf, f_coeffs, "locator", len(setup.basis_locator))
     if not f.any():
         raise ValueError("zero locator has no zero set")
-    # nz[s, i]: the order-levels[s] part of f is nonzero at point i
-    nz = gf.vsum(gf.vmul(setup.locator, f[None, :, None]), axis=1) != 0
-    # a candidate vanishes along the transverse curve, or its leading order
-    # is > 0 (a zero) or < 0 (a pole)
-    return np.flatnonzero(~nz.any(axis=0) | (setup.levels[nz.argmax(axis=0)] != 0)).tolist()
+    return np.flatnonzero(matvec(gf, setup.locator.T, f) == 0).tolist()
 
 
 def error_values(
@@ -279,13 +276,14 @@ def error_values(
 
 
 def decode(r: np.ndarray, setup: DecoderSetup, list_cap: int = 256) -> DecodeOutcome:
-    """Locator -> zero set -> values; a unique outcome always satisfies
-    the dual-code membership r - e in C (its brackets against L(G) vanish
-    by construction of the value system).  The received word is checked
-    by the stages it enters, the list cap before any of them."""
+    """Null space -> common zero set -> values; a unique outcome always
+    satisfies the dual-code membership r - e in C (its brackets against
+    L(G) vanish by construction of the value system).  The received word
+    is checked by the stages it enters, the list cap before any of them;
+    the outcome's locator is the one ``error_locator`` returns."""
     _positive(list_cap, "list cap")
     try:
-        f = error_locator(r, setup)
+        ns = _null_basis(r, setup)
     except SetupError as exc:
         return DecodeOutcome(
             status="fail",
@@ -294,7 +292,8 @@ def decode(r: np.ndarray, setup: DecoderSetup, list_cap: int = 256) -> DecodeOut
             zero_set=[],
             diagnostics=str(exc),
         )
-    nf = zero_set(f, setup)
+    # the common zeros of every locator in the null space
+    nf = np.flatnonzero(~matmul(setup.spec.gf, ns, setup.locator).any(axis=0)).tolist()
     out = error_values(r, nf, setup, list_cap=list_cap)
-    out.locator = f
+    out.locator = ns[0]
     return out

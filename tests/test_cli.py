@@ -262,6 +262,29 @@ def test_decode_rejects_symbol_outside_field(tmp_path, capsys, symbol):
     assert f"received symbol {symbol}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("planted", [{}, {50: 3}, {3: 1, 55: 6}, {0: 2, 49: 5, 62: 7}])
+def test_decode_with_full_ray_orbits(tmp_path, capsys, planted):
+    # fan1 over GF(8), all 49 torus points and the full orbits of D_1 and
+    # D_2 (n = 63); G' has poles at every orbit point
+    spec = write_job(
+        tmp_path,
+        field={"p": 2, "m": 3},
+        divisor=[0, 0, 10],
+        points={"torus": True, "orbits": [1, 2]},
+        decoder={"gprime": [2, 2, 2]},
+    )
+    vec = [0] * 63
+    for i, v in planted.items():
+        vec[i] = v
+    received = tmp_path / "r.txt"
+    received.write_text(" ".join(map(str, vec)))
+    assert main(["decode", "--spec", spec, "--received", str(received)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "unique", doc
+    assert doc["error"] == vec  # 0 is a codeword, so e = r
+    assert doc["zero_set"] == sorted(i + 1 for i in planted)
+
+
 def test_reproduce_rm(capsys):
     assert main(["reproduce", "rm", "--format", "csv"]) == 0
     out = capsys.readouterr().out

@@ -95,30 +95,15 @@ def test_zero_cap_exact_on_torus_setup():
     assert st.d_dual is not None
 
 
-# locator tables recorded before evaluation moved to one graded routine:
-# (orbit points, G', sha256 prefix of locator_torus, {point: (levels,
-# sha256 prefix of the bucket)}, zero cap); fan1 over GF(8), G = 10 D_3
+# (orbit points, G', sha256 prefix of the locator table's level-0 columns
+# with every other column zeroed, zero cap), recorded before the locator was
+# read at twisted levels; fan1 over GF(8), G = 10 D_3
 RECORDED_SETUPS = [
-    (
-        [(0, 1), (1, 1)],
-        (2, 2, 2),
-        "137e7a70947ba6e7",
-        {49: ([-2, -1, 0, 1, 2, 4], "9eafedee58331e4b"), 50: ([-2, -1, 0, 1, 2, 4], "5355e03526155e5e")},
-        23,
-    ),
-    (
-        [(0, 3), (1, 6), (1, 7)],
-        (2, 2, 2),
-        "4610b2354e99c516",
-        {
-            49: ([-2, -1, 0, 1, 2, 4], "fd3377aa970c8c4e"),
-            50: ([-2, -1, 0, 1, 2, 4], "2f37ffa363c426f5"),
-            51: ([-2, -1, 0, 1, 2, 4], "b9d55d7be06e2558"),
-        },
-        24,
-    ),
-    ([(0, 3), (0, 5), (1, 6)], (0, 2, 2), "f02f2c635d71cef2", {51: ([-2, -1, 0, 1], "b7e270c329cba0ab")}, 15),
+    ([(0, 1), (1, 1)], (2, 2, 2), "137e7a70947ba6e7", 23),
+    ([(0, 3), (1, 6), (1, 7)], (2, 2, 2), "4610b2354e99c516", 24),
+    ([(0, 3), (0, 5), (1, 6)], (0, 2, 2), "f02f2c635d71cef2", 15),
 ]
+RECORDED_IDS = [f"recorded-{i}" for i in range(len(RECORDED_SETUPS))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,67 +113,49 @@ def recorded_setup(orbit, gprime):
     return decoder_setup(ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 10)), pts), TDivisor(gprime))
 
 
-def reference_tables(st):
-    """The locator tables setup kept before the order-sliced table: strict
-    values at the pole-free columns (ell x n, zero elsewhere), and at each
-    orbit point where some basis monomial has a pole, the vanishing orders
-    that occur there (ascending) with one bucket row per order."""
-    ell = len(st.basis_locator)
-    order, value = graded_evaluation(st.basis_locator, st.spec.points, st.spec.gf, st.spec.fan)
-    clean = order.min(axis=0) >= 0
-    locator_torus = np.where((order == 0) & clean, value, 0)
-    graded = {}
-    for i in np.flatnonzero(~clean):
-        levels, level_of = np.unique(order[:, i], return_inverse=True)
-        bucket = np.zeros((levels.size, ell), dtype=np.int16)
-        bucket[level_of, np.arange(ell)] = value[:, i]
-        graded[int(i)] = (levels.tolist(), bucket)
-    return locator_torus, graded
+def twisted_terms(st):
+    """Per point: the level -beta (beta the least order of the gap basis
+    there), and the orders and leading values of the locator basis."""
+    gf, fan = st.spec.gf, st.spec.fan
+    terms = []
+    for pt in st.spec.points:
+        beta = graded_evaluation(st.basis_gap, [pt], gf, fan)[0].min()
+        order, value = graded_evaluation(st.basis_locator, [pt], gf, fan)
+        terms.append((-int(beta), order[:, 0].tolist(), value[:, 0].tolist()))
+    return terms
 
 
-def reference_zero_set(f, gf, locator_torus, graded):
-    """The per-point zero-set loop over reference_tables."""
-    vals = matvec(gf, locator_torus.T, f)
+def reference_zero_set(f, gf, terms):
+    """The twisted rule point by point: at each point, the sum of f_j's
+    leading values over the terms whose order there equals the level."""
     out = []
-    for i in range(locator_torus.shape[1]):
-        if i in graded:
-            levels, bucket = graded[i]
-            nz = np.nonzero(matvec(gf, bucket, f))[0]
-            if nz.size == 0:
-                out.append(i)  # vanishes along the transverse curve
-            elif levels[int(nz[0])] != 0:
-                out.append(i)  # leading order > 0 (zero) or < 0 (pole)
-        elif int(vals[i]) == 0:
+    for i, (level, orders, values) in enumerate(terms):
+        total = 0
+        for a, o, v in zip(f.tolist(), orders, values):
+            if o == level:
+                total = gf.add(total, gf.mul(a, v))
+        if total == 0:
             out.append(i)
     return out
 
 
-@pytest.mark.parametrize("orbit, gprime, locator_digest, graded, zero_cap", RECORDED_SETUPS)
-def test_setup_tables_match_recorded_values(orbit, gprime, locator_digest, graded, zero_cap):
-    def digest(a):
-        assert a.dtype == np.int16
-        return hashlib.sha256(a.astype("<i2").tobytes()).hexdigest()[:16]
-
+@pytest.mark.parametrize("orbit, gprime, torus_digest, zero_cap", RECORDED_SETUPS, ids=RECORDED_IDS)
+def test_setup_table_keeps_recorded_level_zero_values(orbit, gprime, torus_digest, zero_cap):
     st = recorded_setup(tuple(orbit), gprime)
-    locator_torus, buckets = reference_tables(st)
-    assert digest(locator_torus) == locator_digest
-    assert {i: (levels, digest(bucket)) for i, (levels, bucket) in buckets.items()} == graded
-    assert all(type(x) is int for levels, _ in buckets.values() for x in levels)
-    # setup's order-sliced table holds the same values
-    for i, (levels, bucket) in buckets.items():
-        at = np.isin(st.levels, levels)
-        assert np.array_equal(st.locator[at, :, i], bucket) and not st.locator[~at, :, i].any()
-    poles = list(buckets)
-    torus = np.delete(st.locator[st.levels.tolist().index(0)], poles, axis=1)
-    assert np.array_equal(torus, np.delete(locator_torus, poles, axis=1))
+    assert st.locator.shape == (len(st.basis_locator), st.n) and st.locator.dtype == np.int16
+    terms = twisted_terms(st)
+    flat = np.array([level == 0 for level, _, _ in terms])
+    assert not flat[49:].all()  # some orbit point is read below order 0
+    level0 = np.where(flat, st.locator, 0).astype("<i2")
+    assert hashlib.sha256(level0.tobytes()).hexdigest()[:16] == torus_digest
     assert (st.zero_cap, st.zero_cap_exact) == (zero_cap, False)
 
 
-@pytest.mark.parametrize("orbit, gprime", [row[:2] for row in RECORDED_SETUPS])
-def test_zero_set_matches_per_point_loop(orbit, gprime):
+@pytest.mark.parametrize("orbit, gprime", [row[:2] for row in RECORDED_SETUPS], ids=RECORDED_IDS)
+def test_zero_set_matches_twisted_per_point_rule(orbit, gprime):
     st = recorded_setup(tuple(orbit), gprime)
     gf, n, ell = st.spec.gf, st.n, len(st.basis_locator)
-    tables = reference_tables(st)
+    terms = twisted_terms(st)
     rng = np.random.default_rng(7)
     locators = []
     while len(locators) < 150:  # dense and sparse random locators
@@ -209,7 +176,7 @@ def test_zero_set_matches_per_point_loop(orbit, gprime):
             continue
         from_words += 1
     for f in locators:
-        assert zero_set(f, st) == reference_zero_set(f, gf, *tables)
+        assert zero_set(f, st) == reference_zero_set(f, gf, terms)
 
 
 # -- brackets -------------------------------------------------------------------
@@ -292,6 +259,22 @@ def test_bracket_matrix_matches_per_product_evaluation(name):
         B = bracket_matrix(r, st)
         assert B.dtype == np.int16
         assert np.array_equal(B, reference_bracket_matrix(r, st))
+
+
+@pytest.mark.parametrize("name", sorted(set(BRACKET_SETUPS) - {"torus"}))
+def test_bracket_products_factor_at_twisted_levels(name):
+    """H[bracket_index[i, j], P] = f~_j(P) g~_i(P): the locator table times
+    g_i at level +beta, its leading value where its order at P is the least
+    order of the gap basis there (0 elsewhere)."""
+    st = BRACKET_SETUPS[name]()
+    gf, spec = st.spec.gf, st.spec
+    order, value = graded_evaluation(st.basis_gap, spec.points, gf, spec.fan)
+    beta = order.min(axis=0)
+    on_orbit = np.array([isinstance(pt, OrbitPoint) for pt in spec.points])
+    assert (beta[on_orbit] != 0).any()  # some orbit point sits at a nonzero level
+    g_twisted = np.where(order == beta, value, 0)
+    products = gf.mul_table[st.locator[None, :, :], g_twisted[:, None, :]]
+    assert np.array_equal(st.result.eval_matrix[st.bracket_index], products)
 
 
 # -- locator and zero set --------------------------------------------------------
@@ -518,6 +501,42 @@ def test_boundary_roundtrip_suite():
                 wrong_unique += 1
     assert wrong_unique == 0
     assert unique_ok == 100
+
+
+def planted_words(st, rng, weights):
+    """(received word, planted error) for each weight: a random dual
+    codeword plus that many errors at random positions."""
+    gf = st.spec.gf
+    for t in weights:
+        e = np.zeros(st.n, dtype=np.int16)
+        e[rng.choice(st.n, size=t, replace=False)] = rng.integers(1, gf.q, size=t)
+        yield gf.vadd(random_dual_codeword(st, rng), e), e
+
+
+def test_gf16_torus_words_decode_uniquely():
+    """fan1 over GF(16), G = 14 D_3, G' = 3(D_1+D_2+D_3), all 225 torus
+    points; the candidate set is the common zero set of the null space."""
+    gf = GF(2, 4)
+    spec = ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 14)), list(torus_points(gf)))
+    st = decoder_setup(spec, TDivisor((3, 3, 3)))
+    rng = np.random.default_rng(16)
+    for r, e in planted_words(st, rng, [1 + j % 4 for j in range(20)]):
+        out = decode(r, st)
+        assert out.status == "unique" and np.array_equal(out.errors_found, e)
+        ns = null_space(gf, bracket_matrix(r, st))
+        assert out.zero_set == sorted(set.intersection(*(set(zero_set(f, st)) for f in ns)))
+        assert np.array_equal(out.locator, error_locator(r, st))
+
+
+def test_boundary_overload_never_wrong_unique():
+    """Past the design radius the common zero set can drop an error
+    position; the value system must then fail or list, never answer with
+    another error."""
+    st = boundary_setup()
+    rng = np.random.default_rng(12)
+    for r, e in planted_words(st, rng, [4 + j % 7 for j in range(1400)]):
+        out = decode(r, st)
+        assert out.status != "unique" or np.array_equal(out.errors_found, e)
 
 
 def test_value_system_prop52_style():
