@@ -131,9 +131,11 @@ def job_to_spec(job: dict) -> ToricCodeSpec:
         raise ValidationError(str(exc)) from exc
     if len(div) != fan.s:
         raise ValidationError(f"divisor has {len(div)} coefficients for a {fan.s}-ray fan")
-    for i in orbits:
+    for t, i in enumerate(orbits):
         if not 0 <= i < fan.s:
             raise ValidationError(f"orbit ray index {i + 1} out of range 1..{fan.s}")
+        if i in orbits[:t]:
+            raise ValidationError(f"points.orbits repeats ray {i + 1}")
     points = default_points(gf, fan, torus=torus, orbits=orbits)
     if not points:
         raise ValidationError("empty point set")
@@ -187,8 +189,11 @@ def cmd_build(args) -> int:
     result = toric_build(job_to_spec(job))
     text = serialize_build(result)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write output: {exc}") from exc
     else:
         print(text)
     return 0

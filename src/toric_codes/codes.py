@@ -38,6 +38,20 @@ disjoint information sets.  Over the 64 golden rows the work fell from
 1.19 G to 0.13 G codewords and the record (49, 11, 28) from 0.42 s to
 0.09 s (2 vCPUs, numpy 2.4.6), with equal d, interval and witness on every
 row.
+
+Products.  ``matmul`` is the one product kernel: ``matvec``, syndromes,
+codewords, the exhaustive engine's message prefix and the decoder's
+brackets and candidate set all run through it.  Per block of the inner
+axis it takes one broadcast ``vmul`` of shape (rows, width, cols), one
+``vsum`` over the width and one ``vadd`` into the result, with width
+max(1, 2^18 // (rows cols)).  No temporary then holds more than
+max(2^18, rows cols) entries: a small product is a single broadcast, and
+one with rows cols > 2^18 runs one inner index at a time, as the column
+loop it replaced did.  In ``decode``'s candidate step (null basis times
+locator table) the kernel takes 22 us against 54 us for that loop on the
+GF(8) boundary words of the README and 53 against 88 us on its GF(9) torus
+words; a whole word goes from 171 to 147 us and from 265 to 241 us (best of
+three runs of 300 words, 2 vCPUs, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -69,6 +83,10 @@ EXHAUSTIVE_LIMIT = 2_000_000
 
 # the methods of min_distance
 METHODS = ("auto", "exhaustive", "infoset")
+
+# the most entries of one broadcast block of matmul, unless a single inner
+# index needs more (rows * cols)
+_PRODUCT_BLOCK = 1 << 18
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -148,26 +166,27 @@ def null_space(gf: GF, mat: np.ndarray) -> np.ndarray:
 
 
 def matmul(gf: GF, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact matrix product over the field."""
+    """Exact matrix product over the field, the one product kernel (module
+    docstring): per block of the inner axis, one broadcast product and one
+    field sum, added into the result."""
     A = np.asarray(A, dtype=np.int16)
     B = np.asarray(B, dtype=np.int16)
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int16)
-    for k in range(A.shape[1]):
-        col = A[:, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        contrib = gf.mul_table[col][:, B[k]]
-        out = gf.vadd(out, contrib)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise CodeError("length mismatch")
+    (rows, inner), cols = A.shape, B.shape[1]
+    width = max(1, _PRODUCT_BLOCK // max(1, rows * cols))
+    out = None
+    # an empty inner axis still takes one empty block, whose sum is zero
+    for s in range(0, max(inner, 1), width):
+        blk = slice(s, s + width)
+        block = gf.vsum(gf.vmul(A[:, blk, None], B[None, blk]), axis=1)
+        out = block if out is None else gf.vadd(out, block)
     return out
 
 
 def matvec(gf: GF, A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=np.int16)
-    v = np.asarray(v, dtype=np.int16)
-    if A.shape[1] != v.shape[0]:
-        raise CodeError("length mismatch")
-    return gf.vsum(gf.vmul(A, v[None, :]), axis=1)
+    """A v over the field: ``matmul`` on one column."""
+    return matmul(gf, A, np.asarray(v)[:, None])[:, 0]
 
 
 def solve(gf: GF, A: np.ndarray, b: np.ndarray):
@@ -404,10 +423,7 @@ def min_distance_exhaustive(
 
     def run(task):
         j, combo = task
-        w0 = G[j]
-        for t, c in enumerate(combo):
-            if c:
-                w0 = gf.vadd(w0, gf.vscale(c, G[j + 1 + t]))
+        w0 = gf.vadd(G[j], matvec(gf, G[j + 1 : j + 1 + len(combo)].T, combo))
         rows = q ** min(k - 1 - j, v)
         return _lightest(gf, gf.padd(gf.pack(w0)[:, None], S[:, :rows]), n, n)
 

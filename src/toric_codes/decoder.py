@@ -182,8 +182,8 @@ def bracket(r: np.ndarray, exponent, setup: DecoderSetup) -> int:
     """[r, phi] = sum_i r_i phi(P_i) for the character phi = x^exponent."""
     spec = setup.spec
     r = _received(r, setup)
-    row = evaluation_matrix([tuple(exponent)], spec.points, spec.gf, spec.fan)[0]
-    return int(setup.spec.gf.vsum(setup.spec.gf.vmul(row, r)))
+    row = evaluation_matrix([tuple(exponent)], spec.points, spec.gf, spec.fan)  # (1, n)
+    return int(matvec(spec.gf, row, r)[0])
 
 
 def bracket_matrix(r: np.ndarray, setup: DecoderSetup) -> np.ndarray:

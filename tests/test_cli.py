@@ -57,6 +57,22 @@ def test_build_roundtrip(tmp_path, capsys):
     assert out.read_text() == out2.read_text()
 
 
+def test_build_to_unwritable_output_exits_2(tmp_path, capsys):
+    spec = write_job(tmp_path)
+    out = tmp_path / "missing-dir" / "code.json"
+    assert main(["build", "--spec", spec, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: cannot write output:" in err and "code.json" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("orbits, ray", [([1, 1], 1), ([2, 1, 2], 2)])
+def test_job_with_a_repeated_orbit_ray_exits_2(tmp_path, capsys, orbits, ray):
+    spec = write_job(tmp_path, points={"torus": True, "orbits": orbits})
+    assert main(["build", "--spec", spec]) == 2
+    assert f"points.orbits repeats ray {ray}" in capsys.readouterr().err
+
+
 def test_build_rejects_bad_ray(tmp_path, capsys):
     spec = write_job(tmp_path, fan={"rays": [[2, 0], [0, 1], [-1, -1]]})
     assert main(["build", "--spec", spec]) == 2

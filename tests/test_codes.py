@@ -818,11 +818,45 @@ def test_rm_errors():
         reed_muller(GF(2), 20, 1)  # size cap
 
 
-def test_matmul_consistency():
-    rng = np.random.default_rng(8)
-    gf = GF(2, 3)
-    A = rng.integers(0, 8, size=(4, 5)).astype(np.int16)
-    B = rng.integers(0, 8, size=(5, 3)).astype(np.int16)
+def matmul_reference(gf, A, B):
+    """The column loop that matmul replaced, kept as its oracle: one
+    scaled row of B added per inner index."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int16)
+    for k in range(A.shape[1]):
+        out = gf.vadd(out, gf.mul_table[A[:, k]][:, B[k]])
+    return out
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_matmul_consistency(p, m):
+    gf = GF(p, m)
+    rng = np.random.default_rng(8 + 10 * p + m)
+    sizes = []  # of every broadcast block product
+
+    def vmul(X, Y):
+        out = GF.vmul(gf, X, Y)
+        sizes.append(out.size)
+        return out
+
+    gf.vmul = vmul
+    # inner dimension 0, single rows and columns, several inner blocks of
+    # width 2 (rows * cols = 90 000), and width 1 (rows * cols > 2^18)
+    shapes = [(3, 0, 4), (0, 5, 3), (1, 7, 1), (1, 9, 6), (6, 9, 1), (4, 5, 3)]
+    for rows, inner, cols in shapes + [(300, 10, 300), (600, 5, 500)]:
+        A = rng.integers(0, gf.q, size=(rows, inner)).astype(np.int16)
+        B = rng.integers(0, gf.q, size=(inner, cols)).astype(np.int16)
+        sizes.clear()
+        C = matmul(gf, A, B)
+        assert sum(sizes) == rows * inner * cols
+        assert max(sizes, default=0) <= max(1 << 18, rows * cols)
+        assert C.dtype == np.int16 and C.shape == (rows, cols)
+        assert np.array_equal(C, matmul_reference(gf, A, B))
+        if m == 1:
+            assert np.array_equal(C, (A.astype(np.int64) @ B) % p)
+        if cols == 1:
+            assert np.array_equal(matvec(gf, A, B[:, 0]), C[:, 0])
+    A = rng.integers(0, gf.q, size=(4, 5)).astype(np.int16)
+    B = rng.integers(0, gf.q, size=(5, 3)).astype(np.int16)
     C = matmul(gf, A, B)
     for i in range(4):
         for j in range(3):
@@ -830,3 +864,7 @@ def test_matmul_consistency():
             for t in range(5):
                 acc = gf.add(acc, gf.mul(int(A[i, t]), int(B[t, j])))
             assert C[i, j] == acc
+    with pytest.raises(CodeError, match="length mismatch"):
+        matmul(gf, A[:2, :2], B[:3, :4])
+    with pytest.raises(CodeError, match="length mismatch"):
+        matvec(gf, A, B[:4, 0])
