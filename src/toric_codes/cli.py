@@ -293,20 +293,19 @@ def cmd_decode(args) -> int:
     st = decoder_setup(spec, gprime)
     try:
         with open(args.received) as fh:
-            received = [int(tok) for tok in fh.read().split()]
+            tokens = fh.read().split()
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read received vector: {exc}") from exc
-    if len(received) != st.n:
-        raise ValidationError(f"received vector has {len(received)} symbols, n = {st.n}")
+    if len(tokens) != st.n:
+        raise ValidationError(f"received vector has {len(tokens)} symbols, n = {st.n}")
     q = spec.gf.q
-    bad = [x for x in received if not 0 <= x < q]
+    # ASCII decimal digits only: int() would also take "+3", "1_0" and
+    # non-ASCII digits
+    bad = [tok for tok in tokens if not (tok.isascii() and tok.isdigit() and int(tok) < q)]
     if bad:
         raise ValidationError(f"received symbol {bad[0]} is not an element index of GF({q})")
-    out = decoder_decode(
-        np.array(received, dtype=np.int16),
-        st,
-        list_cap=list_cap,
-    )
+    received = np.array([int(tok) for tok in tokens], dtype=np.int16)
+    out = decoder_decode(received, st, list_cap=list_cap)
     doc = {
         "status": out.status,
         "zero_set": [i + 1 for i in out.zero_set],  # 1-based positions
@@ -317,7 +316,7 @@ def cmd_decode(args) -> int:
     }
     if out.status == "unique":
         doc["error"] = [int(x) for x in out.errors_found]
-        doc["codeword"] = [int(x) for x in st.spec.gf.vsub(np.array(received, dtype=np.int16), out.errors_found)]
+        doc["codeword"] = [int(x) for x in st.spec.gf.vsub(received, out.errors_found)]
     elif out.status == "list":
         doc["errors"] = [[int(x) for x in e] for e in out.errors_found]
     print(json.dumps(doc, indent=1))

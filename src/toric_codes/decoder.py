@@ -1,19 +1,19 @@
 """List decoder for the dual C of a toric evaluation code C_L(P, G).
 
-Given an auxiliary divisor G', a received word r = c + e is decoded by
-(1) solving the bracket system sum_j [r, f_j g_i] a_j = 0 over the
-monomial bases f of L(G') and g of L(G - G'), (2) taking the candidate
-set N(f), the common zeros of every locator f = sum a_j f_j in the null
-space, and (3) solving sum_{i in N(f)} b_i h_j(P_i) = [r, h_j] over the
-basis h of L(G).
+Given an auxiliary divisor G', a received word r = c + e enters once,
+through ``syndrome``, which checks it and returns s = H r, the brackets
+[r, h_j] over the basis h of L(G).  Every stage takes s: (1)
+``bracket_matrix`` gathers the bracket system sum_j [r, f_j g_i] a_j = 0
+over the monomial bases f of L(G') and g of L(G - G') from s; (2)
+``zero_set`` takes the candidate set N(f), the common zeros of every
+locator f = sum a_j f_j in the null space; (3) ``error_values`` solves
+sum_{i in N(f)} b_i h_j(P_i) = s_j.  ``decode`` runs each stage once.
 
-Every bracket comes from one syndrome.  A product f_j g_i has its
-exponent in P_G' + P_(G-G'), which lies in P_G, so [r, f_j g_i] is an
-entry of the syndrome H r over the basis h of L(G), the lattice points
-of P_G (Skorobogatov-Vladut, IEEE Trans. IT 1990).  Setup keeps, for
-each product, its row in H; none has a pole, because ``build`` evaluated
-every exponent of P_G strictly.  The bracket matrix is then one syndrome
-H r and one gather, in place of kg * ell * n products per word.
+Every bracket is an entry of s: a product f_j g_i has its exponent in
+P_G' + P_(G-G'), which lies in P_G, the exponents of the basis h
+(Skorobogatov-Vladut, IEEE Trans. IT 1990).  Setup keeps each product's
+row in H; none has a pole, because ``build`` evaluated every exponent of
+P_G strictly.
 
 Boundary subtleties: G' may carry positive coefficients on rays that host
 orbit points, so a basis monomial of L(G') may have a pole there, and the
@@ -35,7 +35,7 @@ intersection can drop an error position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -171,63 +171,70 @@ def setup(
 
 # -- the stages ---------------------------------------------------------------
 
+_NO_LOCATOR = ("bracket system has a trivial null space: no locator "
+               "(more errors than this setup supports)")
 
-def _received(r, setup: DecoderSetup) -> np.ndarray:
-    """A received word as n int16 element indices; CodeError (a ValueError)
-    otherwise."""
-    return _elements(setup.spec.gf, r, "received word", setup.n)
+
+def syndrome(r, setup: DecoderSetup) -> np.ndarray:
+    """The syndrome s = H r of a received word r, n element indices (else
+    CodeError, a ValueError): s_j = [r, h_j] over the basis h of L(G).
+    The one place a received word enters the decoder."""
+    gf = setup.spec.gf
+    return matvec(gf, setup.result.eval_matrix, _elements(gf, r, "received word", setup.n))
+
+
+def _syndrome(s, setup: DecoderSetup) -> np.ndarray:
+    """A syndrome as len(spec.basis) element indices; CodeError otherwise."""
+    return _elements(setup.spec.gf, s, "syndrome", len(setup.spec.basis))
 
 
 def bracket(r: np.ndarray, exponent, setup: DecoderSetup) -> int:
-    """[r, phi] = sum_i r_i phi(P_i) for the character phi = x^exponent."""
+    """[r, phi] = sum_i r_i phi(P_i) for the character phi = x^exponent;
+    the per-character reference for the entries of the syndrome."""
     spec = setup.spec
-    r = _received(r, setup)
+    r = _elements(spec.gf, r, "received word", setup.n)
     row = evaluation_matrix([tuple(exponent)], spec.points, spec.gf, spec.fan)  # (1, n)
     return int(matvec(spec.gf, row, r)[0])
 
 
-def bracket_matrix(r: np.ndarray, setup: DecoderSetup) -> np.ndarray:
-    """B[i, j] = [r, f_j g_i], read from the syndrome H r."""
-    H = setup.result.eval_matrix
-    return matvec(setup.spec.gf, H, _received(r, setup))[setup.bracket_index]
+def bracket_matrix(s: np.ndarray, setup: DecoderSetup) -> np.ndarray:
+    """B[i, j] = [r, f_j g_i], gathered from the syndrome s = H r."""
+    return _syndrome(s, setup)[setup.bracket_index]
 
 
-def _null_basis(r: np.ndarray, setup: DecoderSetup) -> np.ndarray:
-    """The null-space basis of the bracket system; SetupError when trivial."""
-    ns = null_space(setup.spec.gf, bracket_matrix(r, setup))
-    if ns.shape[0] == 0:
-        raise SetupError(
-            "bracket system has a trivial null space: no locator "
-            "(more errors than this setup supports)"
-        )
-    return ns
-
-
-def error_locator(r: np.ndarray, setup: DecoderSetup) -> np.ndarray:
-    """A deterministic nontrivial solution of the bracket system: the
-    null-space basis vector of the first free column (graded-lex order)."""
-    return _null_basis(r, setup)[0]
+def error_locator(s: np.ndarray, setup: DecoderSetup) -> np.ndarray:
+    """A deterministic nontrivial solution of the bracket system of the
+    syndrome s: the null-space basis vector of the first free column
+    (graded-lex order); SetupError when the null space is trivial."""
+    ns = null_space(setup.spec.gf, bracket_matrix(s, setup))
+    if not len(ns):
+        raise SetupError(_NO_LOCATOR)
+    return ns[0]
 
 
 def zero_set(f_coeffs: np.ndarray, setup: DecoderSetup) -> list[int]:
-    """Candidate positions: the points where the locator's twisted value
-    (its part at the point's level, see the module docstring) is zero."""
-    gf = setup.spec.gf
-    f = _elements(gf, f_coeffs, "locator", len(setup.basis_locator))
-    if not f.any():
-        raise ValueError("zero locator has no zero set")
-    return np.flatnonzero(matvec(gf, setup.locator.T, f) == 0).tolist()
+    """Candidate positions: the common zeros of one locator or of a stack of
+    them, the points where every twisted value (its part at the point's
+    level, see the module docstring) is zero."""
+    gf, ell = setup.spec.gf, len(setup.basis_locator)
+    f = np.asarray(f_coeffs)
+    if f.ndim not in (1, 2) or f.shape[-1] != ell:
+        raise ValueError(f"locators must be a vector or a stack of rows of length {ell}, not {f.shape}")
+    F = _elements(gf, f.reshape(-1, ell), "locator")
+    if not (len(F) and F.any(axis=1).all()):
+        raise ValueError("a zero locator, or an empty stack, has no zero set")
+    return np.flatnonzero(~matmul(gf, F, setup.locator).any(axis=0)).tolist()
 
 
 def error_values(
-    r: np.ndarray, nf: list[int], setup: DecoderSetup, list_cap: int = 256
+    s: np.ndarray, nf: list[int], setup: DecoderSetup, list_cap: int = 256
 ) -> DecodeOutcome:
-    """Solve the value system on the candidate positions ``nf``, distinct
-    integers in 0..n-1, listing at most ``list_cap`` solutions, an integer
-    >= 1 (else ValueError)."""
+    """Solve the value system against the syndrome s = H r on the candidate
+    positions ``nf``, distinct integers in 0..n-1, listing at most
+    ``list_cap`` solutions, an integer >= 1 (else ValueError)."""
     gf = setup.spec.gf
     list_cap = _positive(list_cap, "list cap")
-    r = _received(r, setup)
+    s = _syndrome(s, setup)
     pos = np.asarray(nf)
     nf = pos.tolist()
     if pos.ndim != 1 or (
@@ -237,7 +244,6 @@ def error_values(
     ):
         raise ValueError(f"candidate positions must be distinct integers in 0..{setup.n - 1}")
     H = setup.result.eval_matrix
-    s = matvec(gf, H, r)  # [r, h_j] for every j
     within = len(nf) <= setup.zero_cap
     sol = solve(gf, H[:, nf], s)  # an empty nf solves only a zero syndrome
     count = 0 if sol is None else gf.q ** len(sol[1])  # number of solutions
@@ -276,24 +282,14 @@ def error_values(
 
 
 def decode(r: np.ndarray, setup: DecoderSetup, list_cap: int = 256) -> DecodeOutcome:
-    """Null space -> common zero set -> values; a unique outcome always
-    satisfies the dual-code membership r - e in C (its brackets against
-    L(G) vanish by construction of the value system).  The received word
-    is checked by the stages it enters, the list cap before any of them;
-    the outcome's locator is the one ``error_locator`` returns."""
+    """The stages on one syndrome: bracket null space -> common zero set of
+    the whole null basis -> values.  A unique outcome always satisfies the
+    dual-code membership r - e in C (its brackets against L(G) vanish by
+    construction of the value system).  The list cap is checked before the
+    word; the outcome's locator is the one ``error_locator`` returns."""
     _positive(list_cap, "list cap")
-    try:
-        ns = _null_basis(r, setup)
-    except SetupError as exc:
-        return DecodeOutcome(
-            status="fail",
-            errors_found=None,
-            locator=None,
-            zero_set=[],
-            diagnostics=str(exc),
-        )
-    # the common zeros of every locator in the null space
-    nf = np.flatnonzero(~matmul(setup.spec.gf, ns, setup.locator).any(axis=0)).tolist()
-    out = error_values(r, nf, setup, list_cap=list_cap)
-    out.locator = ns[0]
-    return out
+    s = syndrome(r, setup)
+    ns = null_space(setup.spec.gf, bracket_matrix(s, setup))
+    if not len(ns):
+        return DecodeOutcome("fail", None, None, [], diagnostics=_NO_LOCATOR)
+    return replace(error_values(s, zero_set(ns, setup), setup, list_cap), locator=ns[0])

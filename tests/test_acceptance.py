@@ -26,7 +26,7 @@ from toric_codes.codes import (
     rm_predicted_params,
 )
 from toric_codes.bounds import beats_gv, conjecture2_bound, hansen_params, segment_upper_bound
-from toric_codes.decoder import decode, setup as decoder_setup, zero_set, error_locator, error_values
+from toric_codes.decoder import decode, setup as decoder_setup, syndrome, zero_set, error_locator, error_values
 from toric_codes.geometry import (
     Fan2D,
     OrbitPoint,
@@ -265,9 +265,9 @@ def test_criterion_8_decoder_roundtrip():
     # system directly
     e = np.zeros(51, dtype=np.int16)
     e[49] = e[50] = 1
-    f = error_locator(e, st)
-    nf = zero_set(f, st)
-    out = error_values(e, nf, st)
+    s = syndrome(e, st)
+    nf = zero_set(error_locator(s, st), st)
+    out = error_values(s, nf, st)
     ok = ok and out.status == "unique" and np.array_equal(out.errors_found, e)
     elapsed = time.time() - t0
     announce(8, ok and elapsed < 60, f"100/100 exact uniques, 0 wrong uniques, {elapsed:.0f}s")

@@ -278,6 +278,17 @@ def test_decode_rejects_symbol_outside_field(tmp_path, capsys, symbol):
     assert f"received symbol {symbol}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["1_0", "+3", "\u0663", "0x1", "3.0"])
+def test_decode_takes_only_ascii_decimal_digits(tmp_path, capsys, token):
+    # fan1 over GF(8), G = (0,0,10), G' = (2,2,2): int() reads "+3" and the
+    # Arabic-Indic three as 3 and "1_0" as 10
+    spec = write_job(tmp_path, field={"p": 2, "m": 3}, divisor=[0, 0, 10], decoder={"gprime": [2, 2, 2]})
+    received = tmp_path / "r.txt"
+    received.write_text(" ".join([token] + ["0"] * 48), encoding="utf-8")
+    assert main(["decode", "--spec", spec, "--received", str(received)]) == 2
+    assert f"received symbol {token} is not an element index of GF(8)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("planted", [{}, {50: 3}, {3: 1, 55: 6}, {0: 2, 49: 5, 62: 7}])
 def test_decode_with_full_ray_orbits(tmp_path, capsys, planted):
     # fan1 over GF(8), all 49 torus points and the full orbits of D_1 and

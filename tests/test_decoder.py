@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -5,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from toric_codes import decoder
 from toric_codes.field import GF
 from toric_codes.codes import LinearCode, matvec, min_distance_exhaustive, null_space, rref, solve
 from toric_codes.decoder import (
@@ -16,6 +18,7 @@ from toric_codes.decoder import (
     error_locator,
     error_values,
     setup as decoder_setup,
+    syndrome,
     zero_set,
 )
 from toric_codes.geometry import (
@@ -171,7 +174,7 @@ def test_zero_set_matches_twisted_per_point_rule(orbit, gprime):
         if rng.random() < 0.5:
             e[rng.integers(0, 49)] = rng.integers(1, gf.q)
         try:
-            locators.append(error_locator(gf.vadd(random_dual_codeword(st, rng), e), st))
+            locators.append(error_locator(syndrome(gf.vadd(random_dual_codeword(st, rng), e), st), st))
         except SetupError:
             continue
         from_words += 1
@@ -194,7 +197,7 @@ def test_bracket_codeword_against_lg():
     for h in st.spec.basis:
         assert bracket(c, h, st) == 0
     # and the full bracket matrix of a codeword vanishes
-    assert not bracket_matrix(c, st).any()
+    assert not bracket_matrix(syndrome(c, st), st).any()
 
 
 def test_bracket_explicit_sum():
@@ -256,7 +259,7 @@ def test_bracket_matrix_matches_per_product_evaluation(name):
     words = [rng.integers(0, gf.q, size=st.n).astype(np.int16) for _ in range(20)]
     words.append(gf.vadd(random_dual_codeword(st, rng), np.eye(1, st.n, st.n - 1, dtype=np.int16)[0]))
     for r in words:
-        B = bracket_matrix(r, st)
+        B = bracket_matrix(syndrome(r, st), st)
         assert B.dtype == np.int16
         assert np.array_equal(B, reference_bracket_matrix(r, st))
 
@@ -298,7 +301,7 @@ def test_locator_vanishes_on_planted_boundary_support():
         e[49] = rng.integers(1, 8)
         e[50] = rng.integers(1, 8)
         r = st.spec.gf.vadd(c, e)
-        f = error_locator(r, st)
+        f = error_locator(syndrome(r, st), st)
         nf = zero_set(f, st)
         assert {49, 50}.issubset(set(nf))  # candidate set covers the support
 
@@ -312,11 +315,16 @@ def test_decode_rejects_symbols_outside_the_field(symbol):
         decode(r, st)
 
 
+# each stage with the length of the vector it checks: the received word
+# (n = 16) for the stages that take r, the syndrome (|basis of L(G)| = 10)
+# for the rest
 STAGES = {
-    "bracket": lambda r, st: bracket(r, (0, 0), st),
-    "bracket_matrix": bracket_matrix,
-    "error_locator": error_locator,
-    "error_values": lambda r, st: error_values(r, [5], st),
+    "bracket": (lambda r, st: bracket(r, (0, 0), st), 16),
+    "syndrome": (syndrome, 16),
+    "decode": (decode, 16),
+    "bracket_matrix": (bracket_matrix, 10),
+    "error_locator": (error_locator, 10),
+    "error_values": (lambda s, st: error_values(s, [5], st), 10),
 }
 
 
@@ -324,10 +332,11 @@ STAGES = {
 @pytest.mark.parametrize("stage", sorted(STAGES))
 def test_stages_reject_symbols_outside_the_field(stage, symbol):
     st = torus_setup()
-    r = np.zeros(16, dtype=np.int16)
-    r[5] = symbol
+    stage, m = STAGES[stage]
+    v = np.zeros(m, dtype=np.int16)
+    v[5] = symbol
     with pytest.raises(ValueError, match="element indices 0..4"):
-        STAGES[stage](r, st)
+        stage(v, st)
 
 
 @pytest.mark.parametrize("cap", [0, -1, 2.5, True, "abc", None])
@@ -335,11 +344,11 @@ def test_list_cap_must_be_a_positive_integer(cap):
     st = torus_setup()
     r = np.zeros(16, dtype=np.int16)
     with pytest.raises(ValueError, match="list cap must be an integer >= 1"):
-        error_values(r, [], st, list_cap=cap)
+        error_values(syndrome(r, st), [], st, list_cap=cap)
     # decode checks the cap also for a word that fails before the value system
     rng = np.random.default_rng(10)
     words = (rng.integers(0, 5, size=16).astype(np.int16) for _ in range(100))
-    overloaded = next(w for w in words if not null_space(st.spec.gf, bracket_matrix(w, st)).size)
+    overloaded = next(w for w in words if not null_space(st.spec.gf, bracket_matrix(syndrome(w, st), st)).size)
     for word in (r, overloaded):
         with pytest.raises(ValueError, match="list cap must be an integer >= 1"):
             decode(word, st, list_cap=cap)
@@ -351,15 +360,31 @@ def test_zero_set_rejects_zero_locator():
         zero_set(np.zeros(len(st.basis_locator), dtype=np.int16), st)
 
 
-@pytest.mark.parametrize("r", [np.int16(3), np.zeros((16, 1), dtype=np.int16), np.zeros(15, dtype=np.int16)])
-@pytest.mark.parametrize("stage", sorted(STAGES) + ["decode"])
+# a scalar, a column and a vector one entry short, for a stage whose input
+# has length m
+MALFORMED = {
+    "r0": lambda m: np.int16(3),
+    "r1": lambda m: np.zeros((m, 1), dtype=np.int16),
+    "r2": lambda m: np.zeros(m - 1, dtype=np.int16),
+}
+
+
+@pytest.mark.parametrize("r", sorted(MALFORMED))
+@pytest.mark.parametrize("stage", sorted(STAGES))
 def test_stages_reject_words_that_are_not_length_n_vectors(stage, r):
     st = torus_setup()
-    with pytest.raises(ValueError, match="1-D vector of length 16"):
-        (decode if stage == "decode" else STAGES[stage])(r, st)
+    stage, m = STAGES[stage]
+    with pytest.raises(ValueError, match=f"1-D vector of length {m}"):
+        stage(MALFORMED[r](m), st)
 
 
-@pytest.mark.parametrize("f", [[1, -1, 0], [1, 9, 0], [1, 4], [1, 4, 0, 0], [[1, 4, 0]], 3, [1.0, 4.0, 0.0]])
+# f4 is a stack of the wrong width, f7 a stack with a zero row, f8 an empty
+# stack; a stack of valid rows such as [[1, 4, 0]] is valid
+@pytest.mark.parametrize(
+    "f",
+    [[1, -1, 0], [1, 9, 0], [1, 4], [1, 4, 0, 0], [[1, 4], [0, 1]], 3, [1.0, 4.0, 0.0],
+     [[1, 4, 0], [0, 0, 0]], np.zeros((0, 3), dtype=np.int16)],
+)
 def test_zero_set_rejects_locators_outside_the_basis_space(f):
     st = torus_setup()
     assert len(st.basis_locator) == 3
@@ -371,7 +396,7 @@ def test_zero_set_rejects_locators_outside_the_basis_space(f):
 def test_error_values_rejects_invalid_candidate_positions(nf):
     st = torus_setup()
     with pytest.raises(ValueError, match="distinct integers in 0..15"):
-        error_values(np.zeros(16, dtype=np.int16), nf, st)
+        error_values(np.zeros(len(st.spec.basis), dtype=np.int16), nf, st)
 
 
 def nonzeros(e):
@@ -425,7 +450,7 @@ def test_error_values_outcomes_match_recorded_values(case):
     st = torus_setup()
     r = np.zeros(16, dtype=np.int16)
     r[list(symbols)] = list(symbols.values())
-    out = error_values(r, nf, st, list_cap=cap)
+    out = error_values(syndrome(r, st), nf, st, list_cap=cap)
     assert (out.status, out.zero_set, out.within_zero_cap, out.diagnostics) == (status, nf, within, diagnostics)
     assert out.locator is None
     if found is None:
@@ -464,7 +489,7 @@ def test_list_candidates_match_nested_loop(make, free):
     e[nf] = rng.integers(0, gf.q, size=m)
     x, ns = solve(gf, H[:, nf], matvec(gf, H, e))
     assert ns.shape[0] == free and gf.q**free <= 256
-    out = error_values(e, nf, st)
+    out = error_values(syndrome(e, st), nf, st)
     assert out.status == "list"
     expect = reference_candidates(gf, x, ns, nf, st.n)
     assert len(out.errors_found) == len(expect) == gf.q**free
@@ -523,9 +548,58 @@ def test_gf16_torus_words_decode_uniquely():
     for r, e in planted_words(st, rng, [1 + j % 4 for j in range(20)]):
         out = decode(r, st)
         assert out.status == "unique" and np.array_equal(out.errors_found, e)
-        ns = null_space(gf, bracket_matrix(r, st))
-        assert out.zero_set == sorted(set.intersection(*(set(zero_set(f, st)) for f in ns)))
-        assert np.array_equal(out.locator, error_locator(r, st))
+        s = syndrome(r, st)
+        ns = null_space(gf, bracket_matrix(s, st))
+        common = sorted(set.intersection(*(set(zero_set(f, st)) for f in ns)))
+        assert out.zero_set == zero_set(ns, st) == common
+        assert zero_set(ns[:1], st) == zero_set(ns[0], st)  # a stack of one locator
+        assert np.array_equal(out.locator, error_locator(s, st))
+
+
+def count_decoder_calls(monkeypatch, setup):
+    """Wrap decoder bindings; the returned Counter tallies the checks of a
+    received word, the products with H and the calls of each stage."""
+    calls = collections.Counter()
+    H = setup.result.eval_matrix
+
+    def wrap(name, key):
+        inner = getattr(decoder, name)
+
+        def counted(*args, **kwargs):
+            calls[key(*args)] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, name, counted)
+
+    wrap("_elements", lambda gf, a, what, *rest: "check of r" if what == "received word" else None)
+    for name in ("matmul", "matvec"):
+        wrap(name, lambda gf, A, B: "product with H" if H is A or H is B else None)
+    for name in ("syndrome", "bracket_matrix", "error_locator", "zero_set", "error_values"):
+        wrap(name, lambda *args, name=name: name)
+    return calls
+
+
+def test_decode_reads_each_word_through_one_syndrome(monkeypatch):
+    """Per word: one check of r, one product with H, and each stage once;
+    without a locator the chain stops after the bracket system."""
+    st = boundary_setup()
+    calls = count_decoder_calls(monkeypatch, st)
+    rng = np.random.default_rng(13)
+    chain = {"check of r": 1, "product with H": 1, "syndrome": 1, "bracket_matrix": 1}
+    for r, e in planted_words(st, rng, [0, 1, 2, 3, 4, 8]):
+        calls.clear()
+        out = decode(r, st)
+        calls.pop(None, None)
+        assert calls == {**chain, "zero_set": 1, "error_values": 1}
+        assert out.status != "unique" or np.array_equal(out.errors_found, e)
+    st = torus_setup()
+    calls = count_decoder_calls(monkeypatch, st)
+    words = (rng.integers(0, 5, size=16).astype(np.int16) for _ in range(100))
+    overloaded = next(w for w in words if not null_space(st.spec.gf, bracket_matrix(syndrome(w, st), st)).size)
+    calls.clear()
+    assert decode(overloaded, st).status == "fail"
+    calls.pop(None, None)
+    assert calls == chain
 
 
 def test_boundary_overload_never_wrong_unique():
@@ -546,10 +620,11 @@ def test_value_system_prop52_style():
     e = np.zeros(51, dtype=np.int16)
     e[49] = e[50] = 1
     r = e  # received = 0-codeword + e
-    f = error_locator(r, st)
+    s = syndrome(r, st)
+    f = error_locator(s, st)
     nf = zero_set(f, st)
     assert {49, 50}.issubset(set(nf))
-    out = error_values(r, nf, st)
+    out = error_values(s, nf, st)
     assert out.status == "unique"
     assert np.array_equal(out.errors_found, e)
 
