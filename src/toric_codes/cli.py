@@ -29,7 +29,7 @@ from .codes import (
 )
 from .decoder import SetupError, decode as decoder_decode, setup as decoder_setup
 from .field import GF, FieldError, make_field
-from .geometry import Fan2D, FanError, PoleError, TDivisor, polytope_of_divisor
+from .geometry import Fan2D, FanError, OrbitPoint, PoleError, TDivisor, polytope_of_divisor
 from .reproduce import format_results, reproduce_table
 from .tables import GOLDEN_TABLES
 from .toric import ToricCodeSpec, build as toric_build, default_points
@@ -97,7 +97,9 @@ def load_job(path: str) -> dict:
     _require_keys(job["field"], {"p": True, "m": False, "modulus": False}, "field")
     _require_keys(job["fan"], {"rays": True}, "fan")
     if "points" in job:
-        _require_keys(job["points"], {"torus": False, "orbits": False}, "points")
+        _require_keys(
+            job["points"], {"torus": False, "orbits": False, "orbit_points": False}, "points"
+        )
     if "mindist" in job:
         _require_keys(
             job["mindist"], {"method": False, "workers": False, "work_cap": False}, "mindist"
@@ -123,6 +125,13 @@ def job_to_spec(job: dict) -> ToricCodeSpec:
         raise ValidationError(f"points.torus must be true or false, got {torus!r}")
     # ray numbers are 1-based in files
     orbits = [i - 1 for i in _integers(pts_cfg.get("orbits", []), "points.orbits")]
+    singles = pts_cfg.get("orbit_points", [])
+    if not (isinstance(singles, list)
+            and all(isinstance(pt, list) and len(pt) == 2 for pt in singles)):
+        raise ValidationError(
+            f"points.orbit_points must be a list of [ray, s] pairs, got {singles!r}"
+        )
+    singles = [_integers(pt, "points.orbit_points") for pt in singles]
     try:
         gf = make_field(p, m, modulus)
         fan = Fan2D(rays)
@@ -137,6 +146,19 @@ def job_to_spec(job: dict) -> ToricCodeSpec:
         if i in orbits[:t]:
             raise ValidationError(f"points.orbits repeats ray {i + 1}")
     points = default_points(gf, fan, torus=torus, orbits=orbits)
+    # single orbit points [ray, s] follow the whole orbits, in file order
+    for t, (ray, u) in enumerate(singles):
+        if not 1 <= ray <= fan.s:
+            raise ValidationError(f"orbit point ray {ray} out of range 1..{fan.s}")
+        if not 1 <= u < gf.q:
+            raise ValidationError(
+                f"orbit point s = {u} is not a nonzero element index 1..{gf.q - 1}"
+            )
+        if ray - 1 in orbits:
+            raise ValidationError(f"orbit point [{ray}, {u}] lies on the whole orbit of ray {ray}")
+        if [ray, u] in singles[:t]:
+            raise ValidationError(f"points.orbit_points repeats [{ray}, {u}]")
+        points.append(OrbitPoint(ray - 1, u))
     if not points:
         raise ValidationError("empty point set")
     return ToricCodeSpec(gf, fan, div, points)

@@ -312,6 +312,63 @@ def test_decode_with_full_ray_orbits(tmp_path, capsys, planted):
     assert doc["zero_set"] == sorted(i + 1 for i in planted)
 
 
+def test_decode_with_single_orbit_points(tmp_path, capsys):
+    # demo 05's worked example as a job file: the 49 torus points of fan1
+    # over GF(8), then the orbit points s = 1 of D_1 and D_2 (n = 51)
+    golden = Path(__file__).parent / "data" / "golden_outputs.json"
+    ex = json.loads(golden.read_text())["decoding_example"]["decode"]
+    spec = write_job(
+        tmp_path,
+        field={"p": 2, "m": 3},
+        divisor=[0, 0, 10],
+        points={"torus": True, "orbit_points": [[1, 1], [2, 1]]},
+        decoder={"gprime": [2, 2, 2]},
+    )
+    received = tmp_path / "r.txt"
+    received.write_text(" ".join(str(c ^ e) for c, e in zip(ex["codeword"], ex["error"])))
+    assert main(["decode", "--spec", spec, "--received", str(received)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["status"], doc["error"], doc["zero_set"]) == ("unique", ex["error"], [50, 51])
+
+
+def test_single_orbit_points_follow_the_whole_orbits_in_file_order(tmp_path, capsys):
+    from toric_codes import GF, Fan2D, OrbitPoint, TDivisor, ToricCodeSpec
+    from toric_codes.toric import build, default_points
+
+    spec = write_job(tmp_path, points={"torus": True, "orbits": [1], "orbit_points": [[2, 3], [2, 1]]})
+    assert main(["build", "--spec", spec]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    gf, fan = GF(5), Fan2D([(2, -1), (-1, 2), (-1, -1)])
+    points = default_points(gf, fan, orbits=[0]) + [OrbitPoint(1, 3), OrbitPoint(1, 1)]
+    want = build(ToricCodeSpec(gf, fan, TDivisor((0, 0, 3)), points))
+    assert (doc["n"], doc["k"]) == (22, want.k)
+    assert np.array_equal(doc["generator"], want.eval_matrix)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ({"orbit_points": [[4, 1]]}, "orbit point ray 4 out of range 1..3"),
+        ({"orbit_points": [[0, 1]]}, "orbit point ray 0 out of range 1..3"),
+        ({"orbit_points": [[1, 0]]}, "orbit point s = 0 is not a nonzero element index 1..4"),
+        ({"orbit_points": [[1, 5]]}, "orbit point s = 5 is not a nonzero element index 1..4"),
+        ({"orbit_points": [[1, -1]]}, "orbit point s = -1 is not a nonzero element index 1..4"),
+        ({"orbit_points": [[2, 1], [1, 3], [2, 1]]}, "points.orbit_points repeats [2, 1]"),
+        ({"orbits": [2], "orbit_points": [[1, 1], [2, 4]]}, "orbit point [2, 4] lies on the whole orbit of ray 2"),
+        ({"orbit_points": [[1, 1.0]]}, "points.orbit_points must be a list of integers"),
+        ({"orbit_points": [[True, 1]]}, "points.orbit_points must be a list of integers"),
+        ({"orbit_points": [["1", 1]]}, "points.orbit_points must be a list of integers"),
+        ({"orbit_points": [[1, 1, 1]]}, "points.orbit_points must be a list of [ray, s] pairs"),
+        ({"orbit_points": [1, 1]}, "points.orbit_points must be a list of [ray, s] pairs"),
+        ({"orbit_points": {"1": 1}}, "points.orbit_points must be a list of [ray, s] pairs"),
+    ],
+)
+def test_job_with_a_bad_orbit_point_exits_2(tmp_path, capsys, points, message):
+    spec = write_job(tmp_path, points=points)
+    assert main(["build", "--spec", spec]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_reproduce_rm(capsys):
     assert main(["reproduce", "rm", "--format", "csv"]) == 0
     out = capsys.readouterr().out

@@ -678,6 +678,75 @@ def test_translation_path_workers_deterministic():
     assert (record.n, record.k, min_distance_infoset(record).d) == (49, 11, 28)
 
 
+# GF(7) digit bytes, GF(8) bit planes, GF(9) trit planes
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 3), (3, 2)])
+def test_translation_path_two_workers(p, m):
+    """Two workers give the one-worker report on the translation path, with
+    no budget and under a budget that stops after level 1."""
+    gf = GF(p, m)
+    code = random_torus_code(gf, 5, np.random.default_rng([43, p, m]))
+    assert translations_taken(code) is not None
+    _, _, _, levels = min_distance_translation_reference(code)
+    assert len(levels) >= 2
+    for budget in (None, levels[0]):
+        one = min_distance_infoset(code, work_budget=budget)
+        assert one.exact == (budget is None)
+        assert_same_report(min_distance_infoset(code, work_budget=budget, workers=2), one)
+
+
+def test_translate_lexmin_over_blocks_of_ties(monkeypatch):
+    """With one tie per block the witness is still the oracle's lex-min
+    translate: this GF(8) code ends with 12 ties at its last level, and
+    neither the first nor the last has the witness among its translates."""
+    code = random_torus_code(GF(2, 3), 4, np.random.default_rng([4, 2, 3]))
+    d, witness, work, _ = min_distance_translation_reference(code)
+    monkeypatch.setattr("toric_codes.codes._PRODUCT_BLOCK", 1)
+    rep = min_distance_infoset(code)
+    assert (rep.d, rep.work) == (d, work) and np.array_equal(rep.witness, witness)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
+def test_translation_table_in_closed_form(p, m):
+    """The table equals the (q-1)^2 rolls of the coordinate grid, rows in
+    (a, b) order, and each row inverts the oracle's row of the same index
+    (the map by the torus point whose logarithms are (a, b))."""
+    gf = GF(p, m)
+    N = gf.q - 1
+    code = random_torus_code(gf, 3, np.random.default_rng([41, p, m]))
+    table = translations_taken(code)
+    grid = np.arange(N * N).reshape(N, N)
+    rolls = [np.roll(grid, (a, b), axis=(0, 1)).ravel() for a in range(N) for b in range(N)]
+    assert np.array_equal(table, rolls)
+    assert np.array_equal(table, np.argsort(translation_permutations(gf), axis=1))
+
+
+def test_witness_is_unpacked_once_per_level(monkeypatch):
+    """The engines keep their ties packed: the information-set engine
+    unpacks at most once per finished level, the exhaustive engine once per
+    search, on a random GF(8) code and a GF(9) torus code (their ties fit
+    one unpack block)."""
+    calls = []
+    unpack = GF.unpack
+
+    def counting_unpack(self, P, n):
+        calls.append(P.shape)
+        return unpack(self, P, n)
+
+    generic = random_code(GF(2, 3), 30, 5, np.random.default_rng(47))
+    torus = random_torus_code(GF(3, 2), 6, np.random.default_rng([43, 3, 2]))
+    generic_levels, torus_levels = [], min_distance_translation_reference(torus)[3]
+    min_distance_infoset_reference(generic, levels=generic_levels)
+    monkeypatch.setattr(GF, "unpack", counting_unpack)
+    for code, levels in [(generic, generic_levels), (torus, torus_levels)]:
+        assert len(levels) >= 2
+        calls.clear()
+        rep = min_distance_infoset(code)
+        assert rep.work == levels[-1] and 1 <= len(calls) <= len(levels)
+        calls.clear()
+        min_distance_exhaustive(code)
+        assert len(calls) == 1
+
+
 def test_infoset_mds_like():
     # generator [I | 1] has d = 2; infoset should certify at w = 1
     gf = GF(5)
