@@ -4,8 +4,22 @@ Elements are plain integers 0 .. q-1.  The integer n encodes the residue
 polynomial c_0 + c_1 t + ... + c_{m-1} t^{m-1} through its base-p digits
 (c_0 = n % p, c_1 = (n // p) % p, ...), held once in the ``digits`` table
 with place values ``place = p**k``.  Multiplication goes through
-log/antilog tables over a distinguished primitive element, so it is O(1)
+log/antilog tables over a distinguished primitive element g, so it is O(1)
 per operation and vectorizes over numpy arrays.
+
+Construction multiplies by one rule, multiplication by t: a q-entry map
+that shifts each element's digits up one place and subtracts the top
+digit times the monic modulus f, mod p.  As x y = sum_i x_i (t^i y), the
+row of products by any x takes m array steps over that map, the addition
+table and the table of c y for c in GF(p).  g is the first candidate (t
+first when m > 1, then 1, 2, ..., q - 1) whose powers from 1 first return
+to 1 after q - 1 steps; those powers are ``exp``, and ``log``,
+``mul_table`` and ``inv_table`` follow.  An element of order q - 1 makes
+every nonzero element a unit, so GF(p)[t]/(f) is a field and f is
+irreducible; a candidate with a zero in its row of products is a zero
+divisor and shows f reducible.  One of the two always comes first: a
+finite ring that is not a field has a zero divisor, and a field has a
+cyclic unit group (Lidl and Niederreiter, *Finite Fields*).
 
 Addition reads the q x q ``add_table``; negation and digit sums read the
 same tables.  Two vectorized fast paths stay because the table gather is
@@ -49,7 +63,8 @@ against 5.9 M (a packed table gather there gave 6.7 M).
 The default modulus for each (p, m) comes from a frozen table of primitive
 polynomials (t itself generates the unit group), so every derived artifact
 is reproducible bit for bit.  A user-supplied monic irreducible modulus is
-accepted as an override.
+accepted as an override; p, m and its coefficients must be Python or numpy
+integers.
 """
 
 from __future__ import annotations
@@ -96,6 +111,11 @@ class FieldError(ValueError):
     """Invalid field construction or field operation."""
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -107,60 +127,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_trim(f: list[int]) -> list[int]:
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    dm = len(mod) - 1
-    while len(res) - 1 >= dm:
-        lead = res[-1]
-        if lead:
-            shift = len(res) - 1 - dm
-            for i in range(dm + 1):
-                res[shift + i] = (res[shift + i] - lead * mod[i]) % p
-        res.pop()
-    return _poly_trim(res)
-
-
-def _poly_divides(d: Sequence[int], f: Sequence[int], p: int) -> bool:
-    r = [c % p for c in f]
-    dd = len(d) - 1
-    inv_lead = pow(d[-1], p - 2, p)
-    while len(r) - 1 >= dd and any(r):
-        lead = (r[-1] * inv_lead) % p
-        if lead:
-            shift = len(r) - 1 - dd
-            for i in range(dd + 1):
-                r[shift + i] = (r[shift + i] - lead * d[i]) % p
-        r.pop()
-    return not any(r)
-
-
-def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    import itertools
-
-    m = len(f) - 1
-    if m == 1:
-        return True
-    if f[0] == 0:
-        return False
-    for d in range(1, m // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = list(tail) + [1]
-            if _poly_divides(g, f, p):
-                return False
-    return True
-
-
 class GF:
     """The finite field GF(p^m) with element indices 0 .. q-1.
 
@@ -169,6 +135,9 @@ class GF:
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Iterable[int] | None = None):
+        if not _is_integer(p) or not _is_integer(m):
+            raise FieldError(f"p = {p!r} and m = {m!r} must be integers")
+        p, m = int(p), int(m)
         if m < 1:
             raise FieldError(f"extension degree m = {m} must be >= 1")
         # the cap comes first, so that a huge p or m fails at once
@@ -182,11 +151,12 @@ class GF:
         self.q = q
 
         if modulus is not None:
-            mod = [int(c) % p for c in modulus]
+            mod = list(modulus)
+            if not all(map(_is_integer, mod)):
+                raise FieldError(f"modulus {mod!r} must hold integers")
+            mod = [int(c) % p for c in mod]
             if len(mod) != m + 1 or mod[-1] != 1:
                 raise FieldError("modulus must be monic of degree m")
-            if not _is_irreducible(mod, p):
-                raise FieldError(f"modulus {mod} is reducible over GF({p})")
         elif m == 1:
             mod = [0, 1]
         else:
@@ -197,14 +167,11 @@ class GF:
 
     # -- construction ---------------------------------------------------
 
-    def _mul_slow(self, a: int, b: int) -> int:
-        da, db = self.digits[a].tolist(), self.digits[b].tolist()
-        return self.element(_poly_mulmod(da, db, self.modulus, self.p))
-
     def _build_tables(self) -> None:
         p, m, q = self.p, self.m, self.q
-        # the base-p encoding: element n has digits[n] . place == n
-        self.place = p ** np.arange(m)
+        # the base-p encoding: element n has digits[n] . place == n; place is
+        # int16 so that unpack recombines digits in int16 (q <= 1024 fits)
+        self.place = p ** np.arange(m, dtype=np.int16)
         self.digits = (np.arange(q)[:, None] // self.place % p).astype(np.int16)
         # digit_planes[k, n] = digit k of n, wide enough to sum without overflow
         self.digit_planes = np.ascontiguousarray(self.digits.T, dtype=np.int64)
@@ -217,30 +184,30 @@ class GF:
         self.add_table = add
         self.neg_table = np.argmin(add, axis=1).astype(np.int16)  # a + (-a) = 0
 
-        # pick the distinguished primitive element
-        if q == 2:
-            g = 1
-        elif m == 1:
-            g = next(x for x in range(2, p) if self._order(x) == q - 1)
-        else:
-            # the class of t; primitive for the frozen moduli, else search
-            g = p
-            if self.modulus != _DEFAULT_MODULI.get((p, m)) and self._order(g) != q - 1:
-                g = next(x for x in range(2, q) if self._order(x) == q - 1)
+        scaled = np.arange(p)[:, None, None] * self.digits % p @ self.place  # scaled[c, y] = c y
+        # t y: the digits of y move up one place, and the top digit c comes
+        # back as -c times the modulus below its leading 1
+        top, rest = np.divmod(np.arange(q), p ** (m - 1))
+        times_t = add[rest * p, scaled[-top % p, self.element(self.modulus[:-1])]]
+        # a field has an element of order q - 1 and no zero divisor, any other
+        # finite ring has a zero divisor: the loop breaks or raises
+        for g in ([p] if m > 1 else []) + list(range(1, q)):
+            row, ty = scaled[self.digits[g, 0]], np.arange(q)  # row[y] = g y
+            for c in self.digits[g, 1:].tolist():
+                ty = times_t[ty]
+                row = add[row, scaled[c, ty]]
+            if not row[1:].all():
+                raise FieldError(f"modulus {list(self.modulus)} is reducible over GF({p})")
+            row, powers = row.tolist(), [1]
+            while (y := row[powers[-1]]) != 1:  # g is a unit: its powers return to 1
+                powers.append(y)
+            if len(powers) == q - 1:
+                break
         self.g = g
 
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
+        exp = np.array(powers * 2, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
-        x = 1
-        for k in range(q - 1):
-            exp[k] = x
-            if log[x] != -1:
-                raise FieldError(f"g = {g} does not generate the unit group")
-            log[x] = k
-            x = self._mul_slow(x, g)
-        if x != 1:
-            raise FieldError(f"g = {g} does not generate the unit group")
-        exp[q - 1 :] = exp[: q - 1]
+        log[powers] = np.arange(q - 1)
         self.exp = exp
         self.log = log
 
@@ -259,15 +226,6 @@ class GF:
         # (two above p = 128) per digit, wide enough to hold a digit sum
         self.planes = 2 * m if p == 3 else m
         self.packed_dtype = np.dtype("<u8" if p <= 3 else np.uint8 if 2 * p <= 256 else np.uint16)
-
-    def _order(self, x: int) -> int:
-        k, y = 1, x
-        while y != 1:
-            y = self._mul_slow(y, x)
-            k += 1
-            if k > self.q:
-                return 0
-        return k
 
     # -- scalar operations ----------------------------------------------
 
@@ -395,7 +353,7 @@ class GF:
             D = np.unpackbits(P.view(np.uint8), axis=-1, count=n, bitorder="little")
             if self.p == 3:
                 D = D[..., : self.m, :] + 2 * D[..., self.m :, :]
-        return (np.moveaxis(D, -2, -1) @ self.place).astype(np.int16)
+        return (np.moveaxis(D, -2, -1) @ self.place).astype(np.int16, copy=False)
 
     def padd(self, A, B) -> np.ndarray:
         """Sum of packed words, broadcasting over the batch axes."""

@@ -9,9 +9,10 @@ other reading, and the flagged row is reported but not diffed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .field import GF
+from .field import GF, FieldError
 
 # preset fans, keyed by the table ids they serve
 FANS = {
@@ -26,13 +27,17 @@ FANS = {
     "fan7": ((5, -1), (-1, 5), (-1, -1)),
 }
 
-_FIELD_BY_Q = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4), 25: (5, 2), 27: (3, 3)}
-
 
 def field_for_q(q: int) -> GF:
-    if q in _FIELD_BY_Q:
-        return GF(*_FIELD_BY_Q[q])
-    return GF(q)
+    """GF(q) with its default modulus, q = p^m factored."""
+    # the least divisor p >= 2 of q is prime, and q is a prime power iff q = p^m
+    p = next((d for d in range(2, math.isqrt(max(q, 0)) + 1) if q % d == 0), q)
+    m = 1
+    while 1 < p and p**m < q:
+        m += 1
+    if p < 2 or p**m != q:
+        raise FieldError(f"q = {q} is not a prime power")
+    return GF(p, m)
 
 
 @dataclass(frozen=True)

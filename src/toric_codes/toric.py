@@ -3,10 +3,11 @@ set: one generator row per lattice point of the divisor polytope, one
 column per rational point.
 
 The canonical point set is the dense torus in its fixed order, optionally
-followed by full ray orbits.  A monomial with a pole at some chosen point
-is a hard error (silent point exclusion would change n); exponents with a
-coordinate of magnitude >= q-1 only raise a warning, since character
-collisions then merely reduce the rank, which is reported.
+followed by full ray orbits in the order given.  A monomial with a pole
+at some chosen point is a hard error (silent point exclusion would change
+n); exponents with a coordinate of magnitude >= q-1 only raise a warning,
+since character collisions then merely reduce the rank, which is
+reported.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class ToricCodeResult:
 def default_points(
     gf: GF, fan: Fan2D, torus: bool = True, orbits: Sequence[int] = ()
 ) -> list[EvalPoint]:
-    """Torus points in the fixed order, then full ray orbits in ray order."""
+    """Torus points in the fixed order, then the full orbits of the 0-based
+    rays in ``orbits``, in the order given."""
     pts: list[EvalPoint] = list(torus_points(gf)) if torus else []
     for i in orbits:
         pts.extend(orbit_points(fan, i, gf))

@@ -345,6 +345,33 @@ def test_single_orbit_points_follow_the_whole_orbits_in_file_order(tmp_path, cap
     assert np.array_equal(doc["generator"], want.eval_matrix)
 
 
+def test_whole_orbits_follow_the_file_order(tmp_path, capsys):
+    gens = []
+    for orbits in ([1, 2], [2, 1]):
+        spec = write_job(tmp_path, points={"torus": True, "orbits": orbits})
+        assert main(["build", "--spec", spec]) == 0
+        gens.append(np.array(json.loads(capsys.readouterr().out)["generator"]))
+    # 16 torus points over GF(5), then the two 4-point orbits swapped
+    perm = list(range(16)) + list(range(20, 24)) + list(range(16, 20))
+    assert gens[0].shape[1] == 24 and not np.array_equal(gens[0], gens[1])
+    assert np.array_equal(gens[0][:, perm], gens[1])
+
+
+def test_build_over_a_modulus_whose_t_is_not_primitive(tmp_path, capsys):
+    # t^2 + 1 is irreducible over GF(3), and t has order 4 in GF(9)
+    spec = write_job(tmp_path, field={"p": 3, "m": 2, "modulus": [1, 0, 1]})
+    assert main(["build", "--spec", spec]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["field"]["q"], doc["field"]["modulus"], doc["n"]) == (9, [1, 0, 1], 64)
+
+
+def test_build_over_a_reducible_modulus_exits_2(tmp_path, capsys):
+    # t^2 + 1 = (t + 1)^2 over GF(2)
+    spec = write_job(tmp_path, field={"p": 2, "m": 2, "modulus": [1, 0, 1]})
+    assert main(["build", "--spec", spec]) == 2
+    assert "modulus [1, 0, 1] is reducible over GF(2)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "points, message",
     [

@@ -1,7 +1,13 @@
+import itertools
+import re
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from toric_codes.field import _DEFAULT_MODULI, GF, FieldError, make_field
+from toric_codes.tables import field_for_q
 
 
 # ---------------------------------------------------------------------
@@ -52,6 +58,10 @@ def test_tables_match_naive_oracle(p, m):
         for b in range(q):
             assert gf.add(a, b) == naive_add(a, b, gf)
             assert gf.mul(a, b) == naive_mul(a, b, gf)
+    x = 1
+    for k in range(2 * (q - 1)):  # exp holds the powers of g, twice over
+        assert gf.exp[k] == x
+        x = naive_mul(x, gf.g, gf)
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 1), (7, 1), (2, 5), (5, 2)])
@@ -260,3 +270,139 @@ def test_custom_modulus_nonprimitive_t():
     assert len(set(us)) == 8
     for a in range(1, 9):
         assert gf.mul(a, gf.inv(a)) == 1
+
+
+# ---------------------------------------------------------------------
+# g, exp and the irreducibility check: one multiply-by-t rule builds them
+# ---------------------------------------------------------------------
+PRIMES = [p for p in range(2, 1025) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def prime_factors(n):
+    out, r = [], 2
+    while n > 1:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return out
+
+
+@pytest.mark.parametrize("p,m", sorted(_DEFAULT_MODULI))
+def test_frozen_moduli_take_t_as_g(p, m):
+    assert GF(p, m).g == p  # the class of t, index p
+
+
+def test_prime_fields_take_the_least_primitive_root():
+    for p in PRIMES:
+        gf = field_for_q(p)
+        assert (gf.p, gf.m, gf.modulus) == (p, 1, (0, 1))
+        # x is primitive iff x^((p-1)/r) != 1 for every prime r dividing p - 1
+        roots = (x for x in range(1, p) if all(pow(x, (p - 1) // r, p) != 1 for r in prime_factors(p - 1)))
+        assert gf.g == next(roots)
+
+
+def naive_pow(x, e, gf):
+    out = 1
+    for bit in bin(e)[2:]:
+        out = naive_mul(out, out, gf)
+        if bit == "1":
+            out = naive_mul(out, x, gf)
+    return out
+
+
+def has_full_order(x, gf):
+    n = gf.q - 1
+    return naive_pow(x, n, gf) == 1 and all(naive_pow(x, n // r, gf) != 1 for r in prime_factors(n))
+
+
+def naive_divides(d, f, p):
+    """Whether the monic polynomial d divides f over GF(p), by long division."""
+    r = list(f)
+    while len(r) >= len(d):
+        lead = r[-1]
+        shift = len(r) - len(d)
+        for i, c in enumerate(d):
+            r[shift + i] = (r[shift + i] - lead * c) % p
+        r.pop()
+    return not any(r)
+
+
+def naive_irreducible(f, p):
+    """Trial division by every monic polynomial of degree 1 .. deg(f) / 2."""
+    m = len(f) - 1
+    return not any(
+        naive_divides(list(tail) + [1], f, p)
+        for k in range(1, m // 2 + 1)
+        for tail in itertools.product(range(p), repeat=k)
+    )
+
+
+MODULUS_SWEEP = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 9) if p**m <= 256]
+
+
+@pytest.mark.parametrize("p,m", MODULUS_SWEEP)
+def test_modulus_accepted_iff_trial_division_finds_no_factor(p, m):
+    for tail in itertools.product(range(p), repeat=m):
+        f = list(tail) + [1]
+        if not naive_irreducible(f, p):
+            with pytest.raises(FieldError, match=re.escape(f"modulus {f} is reducible over GF({p})")):
+                GF(p, m, f)
+            continue
+        gf = GF(p, m, f)
+        # g is the least element of order q - 1, the class of t first
+        candidates = ([p] if m > 1 else []) + list(range(1, gf.q))
+        assert gf.g == next(x for x in candidates if has_full_order(x, gf))
+
+
+def test_reducible_modulus_at_the_cap_is_rejected_within_a_second():
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match="reducible"):
+        GF(2, 10, [1] + [0] * 9 + [1])  # t^10 + 1 = (t^5 + 1)^2
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(2.0,), (2, 3.0), (True,), (2, True), ("2",), (2, 3, (1, 1.9, 0, 1)), (2, 3, (1, True, 0, 1)),
+     (3, 2, np.array([1.0, 0.0, 1.0]))],
+)
+def test_construction_rejects_non_integers(args):
+    with pytest.raises(FieldError, match="integers"):
+        GF(*args)
+
+
+def test_construction_takes_numpy_integers():
+    gf = GF(np.int64(2), np.int32(3), np.array([1, 1, 0, 1]))
+    assert gf == GF(2, 3, (1, 1, 0, 1))
+    assert type(gf.p) is int and type(gf.m) is int and all(type(c) is int for c in gf.modulus)
+
+
+@pytest.mark.parametrize("q,pm", [(4, (2, 2)), (8, (2, 3)), (9, (3, 2)), (16, (2, 4)), (25, (5, 2)),
+                                  (27, (3, 3)), (32, (2, 5)), (49, (7, 2)), (64, (2, 6)), (81, (3, 4)),
+                                  (121, (11, 2)), (1024, (2, 10))])
+def test_field_for_q_factors_q(q, pm):
+    gf = field_for_q(q)
+    assert (gf.p, gf.m) == pm and gf == GF(*pm)
+
+
+@pytest.mark.parametrize("q", [6, 12, 1000, 1, 0, -4])
+def test_field_for_q_rejects_a_q_that_is_not_a_prime_power(q):
+    with pytest.raises(FieldError, match=re.escape(f"q = {q} is not a prime power")):
+        field_for_q(q)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (2, 3), (3, 2)])
+def test_unpack_peak_memory_is_a_small_multiple_of_its_result(p, m):
+    gf = GF(p, m)
+    A = np.random.default_rng([17, p, m]).integers(0, gf.q, size=(2000, 1024)).astype(np.int16)
+    P = gf.pack(A)
+    tracemalloc.start()
+    try:
+        U = gf.unpack(P, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(U, A) and U.dtype == np.int16
+    assert peak <= 6 * U.nbytes

@@ -5,6 +5,7 @@ from toric_codes.field import GF
 from toric_codes.codes import CodeError, LinearCode, min_distance_exhaustive
 from toric_codes.geometry import (
     Fan2D,
+    OrbitPoint,
     PoleError,
     TDivisor,
     evaluation_matrix,
@@ -29,6 +30,14 @@ def test_default_points_counts():
     assert len(default_points(GF(5), FAN1)) == 16
     assert len(default_points(GF(2, 3), FAN1)) == 49
     assert len(default_points(GF(2, 3), FAN1, orbits=[0, 1, 2])) == 70
+
+
+def test_default_points_take_the_orbits_in_the_order_given():
+    gf = GF(5)
+    swapped = default_points(gf, FAN1, torus=False, orbits=[1, 0])
+    assert swapped[0] == OrbitPoint(ray=1, s=1)
+    assert swapped == orbit_points(FAN1, 1, gf) + orbit_points(FAN1, 0, gf)
+    assert default_points(gf, FAN1, orbits=[1, 0])[16:] == swapped
 
 
 def test_build_fan1_row():
