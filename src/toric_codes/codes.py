@@ -98,6 +98,10 @@ METHODS = ("auto", "exhaustive", "infoset")
 # index needs more (rows * cols)
 _PRODUCT_BLOCK = 1 << 18
 
+# the most bytes of packed words in one two-row leaf of the information-set
+# engine, and so in its pair table
+_PAIR_LEAF_BYTES = 1 << 21
+
 
 # -- exact linear algebra ---------------------------------------------------
 
@@ -330,13 +334,24 @@ def _lexmin(words: np.ndarray) -> np.ndarray:
     return words[np.lexsort(words.T[::-1])[0]].copy()
 
 
-def _lightest(gf: GF, P: np.ndarray, bound: int) -> tuple[int, np.ndarray | None, int]:
-    """(least weight, the packed words at that weight, word count) of a
-    block P of packed words; the words are None when the least weight is
-    above ``bound``.  Nothing is unpacked."""
-    weights = gf.pweight(P)
-    w = int(weights.min())
-    return w, (P[:, weights == w] if w <= bound else None), weights.size
+def _nearest(gf: GF, X: np.ndarray, T: np.ndarray, bound: int) -> tuple[int, np.ndarray | None, int]:
+    """(least weight, the packed words at that weight, word count) of the
+    words x - t for x in X and t in T, packed words one per column; the
+    words are None when the least weight is above ``bound``.
+
+    The weights are distances (``GF.pdist``), the longer of X and T along
+    the inner axis, and only the words at the least weight are summed.
+    Every table T of the engines is closed under negation, so x - t runs
+    over the words x + t.
+    """
+    inner_x = X.shape[1] > T.shape[1]
+    D = gf.pdist(X[:, None, :], T[:, :, None]) if inner_x else gf.pdist(X[:, :, None], T[:, None, :])
+    w = int(D.min())
+    if w > bound:
+        return w, None, D.size
+    i, j = np.divmod(np.flatnonzero(D == w), D.shape[1])  # faster than a 2-D nonzero
+    xi, ti = (j, i) if inner_x else (i, j)
+    return w, gf.psub(X[:, xi], T[:, ti]), D.size
 
 
 def _reduce_results(results, best_w=None, ties=None, work=0):
@@ -446,15 +461,31 @@ def min_distance_exhaustive(
 
     def run(task):
         j, combo = task
-        w0 = gf.vadd(G[j], matvec(gf, G[j + 1 : j + 1 + len(combo)].T, combo))
+        w0 = G[j] if not combo else gf.vadd(G[j], matvec(gf, G[j + 1 : j + 1 + len(combo)].T, combo))
         rows = q ** min(k - 1 - j, v)
-        return _lightest(gf, gf.padd(gf.pack(w0)[:, None], S[:, :rows]), n)
+        # the first q^r suffixes span the last r rows: a subspace
+        return _nearest(gf, gf.pack(w0)[:, None], S[:, :rows], n)
 
     best_w, ties, work = _reduce_results(_run_tasks(run, tasks(), workers))
     return WeightReport(d=best_w, witness=_witness(gf, ties, n), method="exhaustive", work=work)
 
 
 # -- minimum distance: information-set (Brouwer-Zimmermann) engine ----------
+
+
+def _pair_table(gf: GF, scaled: np.ndarray, first: int) -> np.ndarray:
+    """The packed words u r_s + v r_t for rows first <= s < t and units u,
+    v, one per column, from the unit multiples ``scaled`` (word, k, q-1) of
+    the rows.  The words of each s lie after those of s - 1, so the words
+    with s >= start are a suffix; with u and v every word's negative is in
+    the table."""
+    return np.concatenate(
+        [
+            gf.padd(scaled[:, s, :, None, None], scaled[:, None, s + 1 :, :]).reshape(len(scaled), -1)
+            for s in range(first, scaled.shape[1] - 1)
+        ],
+        axis=1,
+    )
 
 
 def _systematic_generators(gf: GF, G: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
@@ -485,16 +516,19 @@ def _torus_translations(gf: GF, R: np.ndarray) -> np.ndarray | None:
     (t1, t2) -> (s1 t1, s2 t2) rolls this (q-1) x (q-1) grid.  The rolls by
     one step along each axis generate the group, so the code is invariant
     when both map every row of R into its row space: a row space word x
-    equals x[pivots] @ R.
+    equals x[pivots] @ R.  The pivot columns of R are the identity, so that
+    holds on them for any x, and only the n - k other columns are compared.
     """
     N, n = gf.q - 1, R.shape[1]
     if N < 2 or n != N**2:
         return None
     pivots = np.argmax(R != 0, axis=1)  # each row's leading entry
+    others = np.ones(n, dtype=bool)
+    others[pivots] = False
     grid = np.arange(n).reshape(N, N)
     for axis in (0, 1):
         V = R[:, np.roll(grid, 1, axis=axis).ravel()]
-        if not np.array_equal(V, matmul(gf, V[:, pivots], R)):
+        if not np.array_equal(V[:, others], matmul(gf, V[:, pivots], R[:, others])):
             return None
     # row a N + b is the grid rolled by (a, b): its entry i N + j is
     # ((i - a) mod N) N + (j - b) mod N
@@ -537,6 +571,14 @@ def min_distance_infoset(
     units = np.array(gf.units(), dtype=np.int16)
     rows = [gf.pack(R) for R, _ in mats]
     multiples: list[np.ndarray | None] = [None] * len(mats)
+    # from the third level on, the pair table of each matrix over the rows
+    # from pair_first on, where pair_sizes[s] words (those from row s on)
+    # first fit the pair leaf's cap; and the zero word, the table of level 1
+    pairs: list[np.ndarray | None] = [None] * len(mats)
+    pair_words = _PAIR_LEAF_BYTES // rows[0][:, 0].nbytes
+    pair_sizes = [math.comb(k - s, 2) * (q - 1) ** 2 for s in range(k + 1)]
+    pair_first = next(s for s in range(k + 1) if pair_sizes[s] <= pair_words)
+    zero = np.zeros((len(rows[0]), 1), dtype=gf.packed_dtype)
     best_w = n + 1
     witness: np.ndarray | None = None
     work = 0
@@ -577,30 +619,41 @@ def min_distance_infoset(
         level_best = best_w
 
         def run(task):
-            packed, scaled, s0 = task
+            block, start, scaled, pairs = task
             state = (level_best, None, 0)
 
             def rec(start, block, remaining):
                 nonlocal state
-                if remaining > 1:
+                if remaining == 0:
+                    T = zero
+                elif remaining == 1:
+                    T = scaled[:, start:].reshape(len(scaled), -1)
+                elif remaining == 2 and block.shape[1] * pair_sizes[start] <= pair_words:
+                    T = pairs[:, -pair_sizes[start] :]
+                else:
                     for s in range(start, k - remaining + 1):
                         child = gf.padd(block[:, None, :], scaled[:, s, :, None])
                         rec(s + 1, child.reshape(len(child), -1), remaining - 1)
                     return
-                if remaining == 1:
-                    block = gf.padd(block[:, None, None, :], scaled[:, start:, :, None])
-                state = _reduce_results([_lightest(gf, block, state[0])], *state)
+                state = _reduce_results([_nearest(gf, block, T, state[0])], *state)
 
-            rec(s0 + 1, packed[:, s0 : s0 + 1], w - 1)
+            rec(start, block, w - 1)
             return state
 
         tasks = []
         for j, (R, _rank) in enumerate(mats):
             if not active[j]:
                 continue
-            if w > 1 and multiples[j] is None:
+            if w == 1:  # every row in one leaf
+                tasks.append((rows[j], k, None, None))
+                continue
+            if multiples[j] is None:
                 multiples[j] = gf.pack(gf.mul_table[units][:, R].transpose(1, 0, 2))
-            tasks.extend((rows[j], multiples[j], s0) for s0 in range(k - w + 1))
+            if w > 2 and pairs[j] is None and pair_first < k - 1:
+                pairs[j] = _pair_table(gf, multiples[j], pair_first)
+            tasks.extend(
+                (rows[j][:, s0 : s0 + 1], s0 + 1, multiples[j], pairs[j]) for s0 in range(k - w + 1)
+            )
         level_w, ties, work = _reduce_results(_run_tasks(run, tasks, workers), best_w, None, work)
         if ties is not None:
             cand = _witness(gf, ties, n, translations)

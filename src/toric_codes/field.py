@@ -372,17 +372,40 @@ class GF:
         C = A + B
         return np.minimum(C, C - self.p)  # C - p wraps above C when C < p
 
+    def psub(self, A, B) -> np.ndarray:
+        """Difference A - B of packed words, broadcasting over the batch
+        axes."""
+        if self.p == 2:
+            return A ^ B
+        if self.p == 3:
+            h = len(B) // 2  # -x swaps the planes [x = 1] and [x = 2]
+            return self.padd(A, np.concatenate([B[h:], B[:h]]))
+        C = A - B
+        return np.minimum(C, C + self.p)  # A - B wraps above C + p when A < B
+
     def pweight(self, P) -> np.ndarray:
-        """Hamming weights of packed words: a position counts when any of
-        its planes is nonzero.  The OR of the planes is built from explicit
-        ORs (a reduce over the short plane axis is slower)."""
-        step = len(P) // self.planes
-        acc = P[:step]
-        for j in range(step, len(P), step):
-            acc = acc | P[j : j + step]
+        """Hamming weights of packed words: their distances to the zero
+        word."""
+        P = np.asarray(P)
+        return self.pdist(P, np.zeros((len(P),) + (1,) * (P.ndim - 1), dtype=P.dtype))
+
+    def pdist(self, A, B) -> np.ndarray:
+        """Hamming distances between packed words, broadcasting over the
+        batch axes.  Every packed form is canonical, so a position differs
+        exactly when one of its planes does: each plane of A ^ B is ORed in
+        place into one accumulator, whose nonzero positions are counted."""
+        step = len(A) // self.planes
+        acc = A[:step] ^ B[:step]
+        if step < len(A):
+            part = np.empty_like(acc)
+            for j in range(step, len(A), step):
+                np.bitwise_xor(A[j : j + step], B[j : j + step], out=part)
+                acc |= part
         if self.p > 3:
-            # summed in the narrowest type that holds n: faster than count_nonzero
-            return (acc != 0).sum(axis=0, dtype=np.min_scalar_type(step))
+            # the nonzero flags in place over uint8 bytes, summed in the
+            # narrowest type that holds n: faster than count_nonzero
+            nz = np.not_equal(acc, 0, out=acc.view(np.bool_)) if acc.itemsize == 1 else acc != 0
+            return nz.sum(axis=0, dtype=np.min_scalar_type(step))
         counts = np.bitwise_count(acc)
         return counts[0] if step == 1 else counts.sum(axis=0)
 

@@ -747,6 +747,175 @@ def test_witness_is_unpacked_once_per_level(monkeypatch):
         assert len(calls) == 1
 
 
+def full_translation_check(gf, R):
+    """Oracle of the translation check on all n columns: both unit rolls of
+    the coordinate grid map each row of the reduced generator R into its
+    row space."""
+    N = gf.q - 1
+    pivots = np.argmax(R != 0, axis=1)
+    grid = np.arange(N * N).reshape(N, N)
+    for axis in (0, 1):
+        V = R[:, np.roll(grid, 1, axis=axis).ravel()]
+        if not np.array_equal(V, matmul(gf, V[:, pivots], R)):
+            return False
+    return True
+
+
+def assert_translation_check_is_full(code):
+    R = rref(code.gf, code.gen)[0]
+    taken = _torus_translations(code.gf, R) is not None
+    assert taken == full_translation_check(code.gf, R)
+    return taken
+
+
+def test_translation_check_matches_the_full_check_on_random_codes():
+    """Torus codes, torus codes with one grid axis permuted, and random
+    codes of length (q-1)^2: the check on the non-pivot columns decides as
+    the check on every column does, and both decisions occur."""
+    rng = np.random.default_rng(53)
+    decisions = set()
+    for p, m in [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
+        gf = GF(p, m)
+        N = gf.q - 1
+        grid = np.arange(N * N).reshape(N, N)
+        for k in {1, 2, min(5, N * N - 1)}:
+            torus = random_torus_code(gf, k, rng)
+            codes = [torus, random_code(gf, N * N, k, rng),
+                     LinearCode(gf, torus.gen[:, grid[:, rng.permutation(N)].ravel()])]
+            decisions.update(assert_translation_check_is_full(code) for code in codes)
+    assert decisions == {True, False}
+
+
+def test_translation_check_matches_the_full_check_on_golden_torus_rows():
+    from toric_codes.tables import GOLDEN_TABLES, field_for_q
+    from toric_codes.toric import hansen_code, toric_code
+
+    rows = 0
+    for table in GOLDEN_TABLES.values():
+        if table.kind == "rm":
+            continue
+        for row in table.rows:
+            if getattr(row, "flag", ""):
+                continue
+            gf = field_for_q(row.q)
+            if table.kind == "hansen-b":
+                code = hansen_code("b", gf, a=row.a).code
+            else:
+                code = toric_code(gf, table.fan, row.divisor).code
+            if code.n == (gf.q - 1) ** 2:
+                assert assert_translation_check_is_full(code)
+                rows += 1
+    assert rows >= 40
+
+
+def test_translation_check_rejects_two_swapped_columns():
+    """Swapping two non-pivot columns, or a pivot and a non-pivot column,
+    of the record (49, 11, 28) breaks the invariance, and the check says
+    so."""
+    from toric_codes.toric import toric_code
+
+    record = toric_code(GF(2, 3), [(5, -1), (-1, 5), (-1, -1)], (0, 0, 5)).code
+    assert assert_translation_check_is_full(record)
+    pivots = rref(record.gf, record.gen)[2]
+    others = [c for c in range(record.n) if c not in pivots]
+    for a, b in [(others[0], others[1]), (pivots[0], others[-1])]:
+        perm = np.arange(record.n)
+        perm[[a, b]] = perm[[b, a]]
+        assert not assert_translation_check_is_full(LinearCode(record.gf, record.gen[:, perm]))
+
+
+# a code of every packed form whose search runs three or four levels, so that
+# two-row leaves occur; GF(2^10) would need a million words at level 3
+PAIR_LEAF_CODES = [(2, 1, 48, 14), (2, 2, 30, 7), (2, 3, 40, 8), (2, 4, 24, 6), (3, 1, 36, 12),
+                   (3, 2, 24, 6), (3, 3, 20, 5), (5, 1, 30, 7), (7, 1, 40, 8), (5, 2, 24, 6),
+                   (31, 1, 20, 5)]
+
+
+def run_both_leaf_forms(monkeypatch, search, pairs=True):
+    """search() with the two-row leaf never taken and always taken: the two
+    reports, after checking that only the second built a pair table, and
+    that only when ``pairs`` (the search reaches level 3)."""
+    import toric_codes.codes as codes_module
+
+    built = []
+    pair_table = codes_module._pair_table
+    monkeypatch.setattr(codes_module, "_pair_table", lambda *a: built.append(1) or pair_table(*a))
+    reports = []
+    for cap in (0, 1 << 62):
+        monkeypatch.setattr(codes_module, "_PAIR_LEAF_BYTES", cap)
+        built.clear()
+        reports.append(search())
+        assert bool(built) == (pairs and cap > 0)
+    return reports
+
+
+@pytest.mark.parametrize("p,m,n,k", PAIR_LEAF_CODES)
+def test_two_leaf_forms_give_one_report(monkeypatch, p, m, n, k):
+    """With the two-row leaf never and always taken, the information-set
+    engine reports the same d, exact flag, interval, work and witness as the
+    int16 reference, with one and two workers and under budgets at each
+    level's cumulative work and one below it."""
+    code = random_code(GF(p, m), n, k, np.random.default_rng([59, p, m]))
+    levels = []
+    want = min_distance_infoset_reference(code, levels=levels)
+    assert len(levels) >= 3
+    budgets = sorted({b for lw in levels for b in (lw - 1, lw)} - {0})
+    wants = {b: min_distance_infoset_reference(code, work_budget=b) for b in budgets}
+    for workers in (1, 2):
+        never, always = run_both_leaf_forms(
+            monkeypatch, lambda: min_distance_infoset(code, workers=workers))
+        assert_same_report(never, want)
+        assert_same_report(always, want)
+        for budget in budgets:
+            never, always = run_both_leaf_forms(
+                monkeypatch, lambda: min_distance_infoset(code, workers=workers, work_budget=budget),
+                pairs=budget >= levels[2])
+            assert_same_report(never, wants[budget])
+            assert_same_report(always, wants[budget])
+
+
+# GF(7) digit bytes, GF(8) bit planes, GF(9) trit planes
+@pytest.mark.parametrize("p,m,k", [(7, 1, 5), (2, 3, 5), (3, 2, 5)])
+def test_two_leaf_forms_give_one_report_on_the_translation_path(monkeypatch, p, m, k):
+    """The translation path, with the two-row leaf never and always taken:
+    d, witness and work equal the plain enumeration oracle, and the full
+    reports equal each other with one and two workers and under budgets at
+    each level's cumulative work and one below it."""
+    gf = GF(p, m)
+    code = random_torus_code(gf, k, np.random.default_rng([61, p, m]))
+    assert translations_taken(code) is not None
+    d, witness, work, levels = min_distance_translation_reference(code)
+    assert len(levels) >= 3
+    for workers in (1, 2):
+        for budget in [None] + sorted({b for lw in levels[2:] for b in (lw - 1, lw)}):
+            never, always = run_both_leaf_forms(
+                monkeypatch, lambda: min_distance_infoset(code, workers=workers, work_budget=budget),
+                pairs=budget is None or budget >= levels[2])
+            assert_same_report(always, never)
+            done = [lw for lw in levels if budget is None or lw <= budget]
+            assert never.work == done[-1] and never.exact == (len(done) == len(levels))
+            if never.exact:
+                assert never.d == d and np.array_equal(never.witness, witness)
+
+
+def test_record_search_peak_memory():
+    """One search of the record (49, 11, 28) holds at most 4 MB of numpy
+    buffers at a time with one worker, and 6 MB with two."""
+    import tracemalloc
+
+    from toric_codes.toric import toric_code
+
+    record = toric_code(GF(2, 3), [(5, -1), (-1, 5), (-1, -1)], (0, 0, 5)).code
+    for workers, bound in [(1, 4 << 20), (2, 6 << 20)]:
+        tracemalloc.start()
+        try:
+            rep = min_distance(record, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.d == 28 and peak < bound
+
+
 def test_infoset_mds_like():
     # generator [I | 1] has d = 2; infoset should certify at w = 1
     gf = GF(5)

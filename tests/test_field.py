@@ -253,6 +253,43 @@ def test_packed_add_covers_every_pair(p, m):
     assert np.array_equal(got, gf.add_table[a, b])
 
 
+# every field of the engine tests in test_codes.py, and the two-byte form
+@pytest.mark.parametrize("n", [1, 49, 64, 65, 130])
+@pytest.mark.parametrize("p,m", PACKED_FIELDS)
+def test_packed_distance_matches_unpacked_words(p, m, n):
+    """pdist counts the positions where two words differ, pdist(x, -y) is
+    the weight of x + y, and psub is the difference, over the engines'
+    broadcast of a block against a table."""
+    gf = GF(p, m)
+    rng = np.random.default_rng([19, p, m, n])
+    A = rng.integers(0, gf.q, size=(5, 1, n)).astype(np.int16)
+    B = rng.integers(0, gf.q, size=(1, 7, n)).astype(np.int16)
+    B[0, 0] = A[0, 0]  # distance 0
+    B[0, 1] = gf.vneg(A[1, 0])  # a zero sum
+    PA, PB = gf.pack(A), gf.pack(B)
+    D = gf.pdist(PA, PB)
+    assert D.shape == (5, 7) and D[0, 0] == 0
+    assert np.array_equal(D, np.count_nonzero(gf.unpack(PA, n) != gf.unpack(PB, n), axis=-1))
+    assert np.array_equal(gf.pdist(PB, PA), D)
+    W = gf.pdist(PA, gf.pack(gf.vneg(B)))
+    assert np.array_equal(W, gf.pweight(gf.padd(PA, PB))) and W[1, 1] == 0
+    assert np.array_equal(gf.unpack(gf.psub(PA, PB), n), gf.vsub(A, B))
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p, m in PACKED_FIELDS if p**m <= 32])
+def test_packed_distance_covers_every_pair(p, m):
+    gf = GF(p, m)
+    a, b = np.divmod(np.arange(gf.q**2), gf.q)
+    # one word of length 1 per pair, then one word holding every pair
+    PA, PB = gf.pack(a[:, None]), gf.pack(b[:, None])
+    assert np.array_equal(gf.pdist(PA, PB), a != b)
+    assert np.array_equal(gf.pdist(PA, gf.pack(gf.neg_table[b][:, None])), gf.add_table[a, b] != 0)
+    assert np.array_equal(gf.unpack(gf.psub(PA, PB), 1)[:, 0], gf.add_table[a, gf.neg_table[b]])
+    got = gf.unpack(gf.psub(gf.pack(a), gf.pack(b)), gf.q**2)
+    assert np.array_equal(got, gf.add_table[a, gf.neg_table[b]])
+    assert gf.pdist(gf.pack(a), gf.pack(b)) == np.count_nonzero(a != b)
+
+
 def test_element_rejects_more_than_m_digits():
     gf = GF(2, 3)
     assert gf.element([1, 1, 1]) == 7
