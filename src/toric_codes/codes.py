@@ -441,15 +441,16 @@ def min_distance_exhaustive(
             f"{total} projective messages exceed the work cap {work_cap}"
         )
 
-    # packed suffix table over the last v rows, last row = fastest digit; a
-    # block holds at most 2^18 messages
+    # every multiple c * row, packed once (word, q, k); the packed suffix
+    # table over the last v rows, last row = fastest digit; a block holds at
+    # most 2^18 messages
+    multiples = gf.pack(gf.mul_table[:, G])
     v = 0
     while v + 1 <= k - 1 and q ** (v + 1) <= 1 << 18:
         v += 1
-    S = gf.pack(np.zeros((1, n), dtype=np.int16))
+    S = np.zeros((len(multiples), 1), dtype=gf.packed_dtype)
     for t in range(v):
-        multiples = gf.pack(gf.mul_table[:, G[k - 1 - t]])  # c * row for every c
-        S = gf.padd(multiples[:, :, None], S[:, None, :]).reshape(len(S), -1)
+        S = gf.padd(multiples[:, :, k - 1 - t, None], S[:, None, :]).reshape(len(S), -1)
 
     def tasks():
         for j in range(k):
@@ -461,10 +462,12 @@ def min_distance_exhaustive(
 
     def run(task):
         j, combo = task
-        w0 = G[j] if not combo else gf.vadd(G[j], matvec(gf, G[j + 1 : j + 1 + len(combo)].T, combo))
+        prefix = multiples[:, 1, j : j + 1]  # row j, then the odometer rows
+        for t, c in enumerate(combo, j + 1):
+            prefix = gf.padd(prefix, multiples[:, c, t : t + 1])
         rows = q ** min(k - 1 - j, v)
         # the first q^r suffixes span the last r rows: a subspace
-        return _nearest(gf, gf.pack(w0)[:, None], S[:, :rows], n)
+        return _nearest(gf, prefix, S[:, :rows], n)
 
     best_w, ties, work = _reduce_results(_run_tasks(run, tasks(), workers))
     return WeightReport(d=best_w, witness=_witness(gf, ties, n), method="exhaustive", work=work)

@@ -330,7 +330,7 @@ class GF:
         """
         A = np.asarray(A)
         n = A.shape[-1]
-        D = np.moveaxis(self.digits[A], -1, -2)  # (..., m, n)
+        D = self.digits[A].swapaxes(-1, -2)  # (..., m, n)
         if self.p > 3:
             P = D.reshape(A.shape[:-1] + (-1,))
         else:
@@ -340,12 +340,13 @@ class GF:
             bits[..., :n] = D
             P = np.packbits(bits, axis=-1, bitorder="little").view(self.packed_dtype)
             P = P.reshape(A.shape[:-1] + (-1,))
-        return np.ascontiguousarray(np.moveaxis(P, -1, 0), dtype=self.packed_dtype)
+        return np.ascontiguousarray(P.transpose(-1, *range(P.ndim - 1)), dtype=self.packed_dtype)
 
     def unpack(self, P, n: int) -> np.ndarray:
         """The int16 element indices of packed words of length n, one word
         along the last axis."""
-        P = np.moveaxis(np.asarray(P), 0, -1)
+        P = np.asarray(P)
+        P = P.transpose(*range(1, P.ndim), 0)
         P = np.ascontiguousarray(P).reshape(P.shape[:-1] + (self.planes, -1))
         if self.p > 3:
             D = P
@@ -353,7 +354,7 @@ class GF:
             D = np.unpackbits(P.view(np.uint8), axis=-1, count=n, bitorder="little")
             if self.p == 3:
                 D = D[..., : self.m, :] + 2 * D[..., self.m :, :]
-        return (np.moveaxis(D, -2, -1) @ self.place).astype(np.int16, copy=False)
+        return (D.swapaxes(-2, -1) @ self.place).astype(np.int16, copy=False)
 
     def padd(self, A, B) -> np.ndarray:
         """Sum of packed words, broadcasting over the batch axes."""
