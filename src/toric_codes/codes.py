@@ -10,30 +10,43 @@ information-set engine is a Brouwer-Zimmermann-style search over systematic
 generators on (maximally) disjoint information sets, maintaining a
 certified lower bound until it meets the best weight found.
 
-Both engines add and weigh codewords as packed words (``GF.pack``: bit
-planes for p = 2 and 3, one byte per position otherwise) and keep them
-packed.  A block hands on its words at its least weight; a smaller weight
-replaces the words kept so far and an equal one joins them.  The witness
-is the lex-min of these ties, taken once per finished information-set
-level and once per exhaustive search, after one unpack unless the ties and
-their translates exceed max(2^18, translates x n) entries; the lex-min of
-a union is the lex-min of its parts' lex-mins, so it is the word that a
-per-block race picked.  Unpacking every block whose least weight tied the
-best so far took 1 638 unpacks per ``corpus`` pass, now 104; the pass went
-from 0.64 s to 0.47 s (median of 10 runs each, scaled) with the same d,
-method, work and witness on every row (2 vCPUs, Python 3.11.7, numpy
-2.4.6).  The exhaustive engine packs its suffix table once.  The
-information-set engine keeps its blocks packed through the support
-recursion and does the last level as one add of every remaining row's unit
-multiples, a block of shape (word, k - start, q - 1, rows).  On the 61
-golden rows of the ``corpus`` benchmark the packed kernel took one pass from
-21.3 s to 1.9 s, with equal d, work and witness on every row (2 vCPUs,
-numpy 2.4.6).
+Both engines weigh codewords as packed words (``GF.pack``: bit planes for
+p = 2 and 3, one byte per position otherwise) and keep them packed.  A leaf
+of either engine is a block X of packed words and a table T that is closed
+under negation, so the distances ``GF.pdist`` from each x to each t are the
+weights of the words x + t.  The longer of X and T is the inner axis, and
+only the words at the leaf's least weight are formed (x - t, ``GF.psub``).
+The tables are:
+
+- exhaustive engine: the first q^r words of its suffix table, which span
+  the last r rows; each message prefix is a chain of packed adds of the
+  multiples c r_i of the rows, packed once per search;
+- information-set engine, level 1: the zero word, against every row of a
+  matrix at once;
+- one support row left: the unit multiples u r_s of the rows after the
+  block's last;
+- two support rows left: the pair table of the words u r_s + v r_t, s < t,
+  from the rows after the block's last, when the block times those words
+  holds at most ``_PAIR_LEAF_BYTES`` of packed words.  The pair table is
+  built once per matrix at level 3, over the rows from the first one whose
+  pairs fit that cap; a larger block recurses one row first.
+
+A leaf hands on its words at its least weight; a smaller weight replaces
+the words kept so far and an equal one joins them.  The witness is the
+lex-min of these ties, taken once per finished information-set level and
+once per exhaustive search, after one unpack unless the ties and their
+translates exceed max(2^18, translates x n) entries; the lex-min of a union
+is the lex-min of its parts' lex-mins.  With these leaves one pass over the
+61 golden rows of the ``corpus`` benchmark went from {PASS_OLD} s to
+{PASS_NEW} s (median of {PASS_RUNS} runs each, alternating with the
+one-row add-then-weigh leaves, scaled), with the same d, method, work and
+witness on every row (2 vCPUs, Python 3.11.7, numpy 2.4.6).
 
 Torus translations.  When n = (q-1)^2, q >= 3, and the code is invariant
 under the torus translations (t1, t2) -> (s1 t1, s2 t2) (checked on the
 first reduced generator: rolling the (q-1) x (q-1) grid of coordinates one
-step along each axis maps every row into the row space), the translation
+step along each axis maps every row into the row space, compared on the
+n - k non-pivot columns), the translation
 group acts regularly on the coordinates and the engine enumerates its first
 systematic matrix only, on information set I.  A word of information weight
 at most w on a translate sI is the translate of a word of information weight
@@ -50,8 +63,7 @@ disjoint information sets.  Over the 64 golden rows the work fell from
 row.
 
 Products.  ``matmul`` is the one product kernel: ``matvec``, syndromes,
-codewords, the exhaustive engine's message prefix and the decoder's
-brackets and candidate set all run through it.  Per block of the inner
+codewords and the decoder's brackets and candidate set all run through it.  Per block of the inner
 axis it takes one broadcast ``vmul`` of shape (rows, width, cols), one
 ``vsum`` over the width and one ``vadd`` into the result, with width
 max(1, 2^18 // (rows cols)).  No temporary then holds more than
@@ -330,8 +342,12 @@ class WeightReport:
 
 
 def _lexmin(words: np.ndarray) -> np.ndarray:
+    """The lexicographically least row.  Big-endian element indices compare
+    as byte strings in that order, so one argmin over the rows as strings
+    finds it (an order of magnitude faster than a lexsort over n keys)."""
+    keys = np.ascontiguousarray(words, dtype=">u2").view(f"S{2 * words.shape[1]}")
     # a copy: a view would keep every word of the block alive
-    return words[np.lexsort(words.T[::-1])[0]].copy()
+    return words[np.argmin(keys[:, 0])].copy()
 
 
 def _nearest(gf: GF, X: np.ndarray, T: np.ndarray, bound: int) -> tuple[int, np.ndarray | None, int]:
@@ -382,7 +398,7 @@ def _witness(gf: GF, ties: np.ndarray, n: int, translations: np.ndarray | None =
     for s in range(0, ties.shape[1], per):
         words = gf.unpack(ties[:, s : s + per], n)
         if translations is not None:
-            words = words[:, translations].reshape(-1, n)
+            words = np.take(words, translations, axis=1).reshape(-1, n)
         minima.append(_lexmin(words))
     return _lexmin(np.array(minima))
 

@@ -41,9 +41,9 @@ mod p recombined.  Over a (100, 64) block summed along its rows (best of
 of ``digits`` it replaced over GF(9), 60 against 338 us over GF(25), and
 133 against 355 us over GF(3^6).
 
-The distance engines add and weigh whole blocks of codewords in a packed
-form (``pack``, ``unpack``, ``padd``, ``pweight``), with the packed word
-axis first so that a broadcast add runs along the contiguous block:
+The distance engines add and compare whole blocks of codewords in a
+packed form (``pack``, ``unpack``, ``padd``, ``psub``, ``pdist``), with the
+packed word axis first so that a broadcast runs along the contiguous block:
 
 - p = 2: m bit planes of ceil(n / 64) uint64, added by XOR;
 - p = 3: 2m bit planes, [digit = 1] and [digit = 2], added by six
@@ -51,14 +51,15 @@ axis first so that a broadcast add runs along the contiguous block:
 - p >= 5: one uint8 per digit (uint16 above p = 128), added by
   ``np.minimum(C, C - p)``, which for p^m replaces the table gather.
 
-The weight is the popcount (bit planes) or nonzero count (bytes) of the
-OR of the planes.  One block of 512 words plus the q-1 unit multiples of
-8 rows, then its weights, as the information-set engine's last level does
-it (best of 7, 2 vCPUs, numpy 2.4.6), in words per second against int16
-``vadd`` and ``count_nonzero`` one row at a time: GF(8), n = 49, 193 M
-against 14 M; GF(9), n = 64, 22 M against 2.6 M; GF(5), n = 16, 176 M
-against 7.5 M; GF(7), n = 36, 15 M against 3.8 M; GF(25), n = 24, 21 M
-against 5.9 M (a packed table gather there gave 6.7 M).
+Every form is canonical, so two words differ at a position exactly when
+one of its planes differs.  ``pdist`` XORs each plane and ORs it in place
+into one accumulator, then takes the popcount (bit planes) or the count of
+nonzero bytes; ``pweight`` is the distance to the zero word.  One block of
+512 words against the q-1 unit multiples of 8 rows, as the
+information-set engine's one-row leaf does it (best of 7, 2 vCPUs, numpy
+2.4.6), in words per second, against the earlier leaf (``padd`` of the
+whole block, then ``pweight``) and int16 ``vadd`` and ``count_nonzero``
+one row at a time: {RATES}
 
 The default modulus for each (p, m) comes from a frozen table of primitive
 polynomials (t itself generates the unit group), so every derived artifact
@@ -382,7 +383,7 @@ class GF:
             h = len(B) // 2  # -x swaps the planes [x = 1] and [x = 2]
             return self.padd(A, np.concatenate([B[h:], B[:h]]))
         C = A - B
-        return np.minimum(C, C + self.p)  # A - B wraps above C + p when A < B
+        return np.minimum(C, C + self.p)  # when A < B, C wraps above p and C + p is A - B + p
 
     def pweight(self, P) -> np.ndarray:
         """Hamming weights of packed words: their distances to the zero
