@@ -36,11 +36,12 @@ the words kept so far and an equal one joins them.  The witness is the
 lex-min of these ties, taken once per finished information-set level and
 once per exhaustive search, after one unpack unless the ties and their
 translates exceed max(2^18, translates x n) entries; the lex-min of a union
-is the lex-min of its parts' lex-mins.  With these leaves one pass over the
-61 golden rows of the ``corpus`` benchmark went from {PASS_OLD} s to
-{PASS_NEW} s (median of {PASS_RUNS} runs each, alternating with the
-one-row add-then-weigh leaves, scaled), with the same d, method, work and
-witness on every row (2 vCPUs, Python 3.11.7, numpy 2.4.6).
+is the lex-min of its parts' lex-mins, here one argmin over the rows as
+byte strings.  Against leaves that added the whole block and then weighed
+it, one pass over the 61 golden rows of the ``corpus`` benchmark went from
+0.465 s to 0.273 s (``wall_s``, medians of 10 alternating runs each,
+scaled), with the same d, method, work and witness on every row (2 vCPUs,
+Python 3.11.7, numpy 2.4.6).
 
 Torus translations.  When n = (q-1)^2, q >= 3, and the code is invariant
 under the torus translations (t1, t2) -> (s1 t1, s2 t2) (checked on the
@@ -63,10 +64,10 @@ disjoint information sets.  Over the 64 golden rows the work fell from
 row.
 
 Products.  ``matmul`` is the one product kernel: ``matvec``, syndromes,
-codewords and the decoder's brackets and candidate set all run through it.  Per block of the inner
-axis it takes one broadcast ``vmul`` of shape (rows, width, cols), one
-``vsum`` over the width and one ``vadd`` into the result, with width
-max(1, 2^18 // (rows cols)).  No temporary then holds more than
+codewords and the decoder's brackets and candidate set all run through
+it.  Per block of the inner axis it takes one broadcast ``vmul`` of shape
+(rows, width, cols), one ``vsum`` over the width and one ``vadd`` into the
+result, with width max(1, 2^18 // (rows cols)).  No temporary then holds more than
 max(2^18, rows cols) entries: a small product is a single broadcast, and
 one with rows cols > 2^18 runs one inner index at a time, as the column
 loop it replaced did.  In ``decode``'s candidate step (null basis times
@@ -350,18 +351,23 @@ def _lexmin(words: np.ndarray) -> np.ndarray:
     return words[np.argmin(keys[:, 0])].copy()
 
 
-def _nearest(gf: GF, X: np.ndarray, T: np.ndarray, bound: int) -> tuple[int, np.ndarray | None, int]:
+def _nearest(
+    gf: GF, X: np.ndarray, T: np.ndarray, bound: int
+) -> tuple[int, np.ndarray | None, int]:
     """(least weight, the packed words at that weight, word count) of the
     words x - t for x in X and t in T, packed words one per column; the
     words are None when the least weight is above ``bound``.
 
     The weights are distances (``GF.pdist``), the longer of X and T along
-    the inner axis, and only the words at the least weight are summed.
+    the inner axis, and only the words at the least weight are formed.
     Every table T of the engines is closed under negation, so x - t runs
     over the words x + t.
     """
     inner_x = X.shape[1] > T.shape[1]
-    D = gf.pdist(X[:, None, :], T[:, :, None]) if inner_x else gf.pdist(X[:, :, None], T[:, None, :])
+    if inner_x:
+        D = gf.pdist(X[:, None, :], T[:, :, None])
+    else:
+        D = gf.pdist(X[:, :, None], T[:, None, :])
     w = int(D.min())
     if w > bound:
         return w, None, D.size
@@ -498,9 +504,10 @@ def _pair_table(gf: GF, scaled: np.ndarray, first: int) -> np.ndarray:
     the rows.  The words of each s lie after those of s - 1, so the words
     with s >= start are a suffix; with u and v every word's negative is in
     the table."""
+    words = len(scaled)
     return np.concatenate(
         [
-            gf.padd(scaled[:, s, :, None, None], scaled[:, None, s + 1 :, :]).reshape(len(scaled), -1)
+            gf.padd(scaled[:, s, :, None, None], scaled[:, None, s + 1 :, :]).reshape(words, -1)
             for s in range(first, scaled.shape[1] - 1)
         ],
         axis=1,
@@ -590,9 +597,10 @@ def min_distance_infoset(
     units = np.array(gf.units(), dtype=np.int16)
     rows = [gf.pack(R) for R, _ in mats]
     multiples: list[np.ndarray | None] = [None] * len(mats)
-    # from the third level on, the pair table of each matrix over the rows
-    # from pair_first on, where pair_sizes[s] words (those from row s on)
-    # first fit the pair leaf's cap; and the zero word, the table of level 1
+    # from level 3 on, each matrix's pair table over the rows from
+    # pair_first on: it holds pair_sizes[s] words from row s on, and
+    # pair_first is the first row whose words fit the cap.  The zero word is
+    # the table of level 1.
     pairs: list[np.ndarray | None] = [None] * len(mats)
     pair_words = _PAIR_LEAF_BYTES // rows[0][:, 0].nbytes
     pair_sizes = [math.comb(k - s, 2) * (q - 1) ** 2 for s in range(k + 1)]
@@ -630,15 +638,17 @@ def min_distance_infoset(
 
         # depth-first support enumeration with prefix-shared packed blocks:
         # extending a support adds the q-1 unit multiples of the new row to
-        # every word of the block, and the last level adds every remaining
-        # row at once.  A task keeps a leaf's packed ties only when its least
-        # weight is at most the task's best so far, which starts at the best
-        # weight of the earlier levels; the level's ties are unpacked after
-        # every task has run, so the result is the same for any worker count.
+        # every word of the block, and a leaf weighs the block against the
+        # table of its last one or two rows (module docstring).  A task
+        # starts at one row s0, or at level 1 at every row of a matrix.  It
+        # keeps a leaf's packed ties only when its least weight is at most
+        # the task's best so far, which starts at the best weight of the
+        # earlier levels; the level's ties are unpacked after every task has
+        # run, so the result is the same for any worker count.
         level_best = best_w
 
         def run(task):
-            block, start, scaled, pairs = task
+            block, start, scaled, pair_table = task
             state = (level_best, None, 0)
 
             def rec(start, block, remaining):
@@ -648,7 +658,7 @@ def min_distance_infoset(
                 elif remaining == 1:
                     T = scaled[:, start:].reshape(len(scaled), -1)
                 elif remaining == 2 and block.shape[1] * pair_sizes[start] <= pair_words:
-                    T = pairs[:, -pair_sizes[start] :]
+                    T = pair_table[:, -pair_sizes[start] :]
                 else:
                     for s in range(start, k - remaining + 1):
                         child = gf.padd(block[:, None, :], scaled[:, s, :, None])
@@ -663,7 +673,7 @@ def min_distance_infoset(
         for j, (R, _rank) in enumerate(mats):
             if not active[j]:
                 continue
-            if w == 1:  # every row in one leaf
+            if w == 1:  # one leaf: every row against the zero word
                 tasks.append((rows[j], k, None, None))
                 continue
             if multiples[j] is None:

@@ -56,10 +56,13 @@ one of its planes differs.  ``pdist`` XORs each plane and ORs it in place
 into one accumulator, then takes the popcount (bit planes) or the count of
 nonzero bytes; ``pweight`` is the distance to the zero word.  One block of
 512 words against the q-1 unit multiples of 8 rows, as the
-information-set engine's one-row leaf does it (best of 7, 2 vCPUs, numpy
-2.4.6), in words per second, against the earlier leaf (``padd`` of the
-whole block, then ``pweight``) and int16 ``vadd`` and ``count_nonzero``
-one row at a time: {RATES}
+information-set engine's one-row leaf does it, in words per second
+against the earlier leaf (``padd`` of the whole block, then its weights)
+and int16 ``vadd`` and ``count_nonzero`` one row at a time (best of 7,
+best of 5 interleaved rounds, 2 vCPUs, numpy 2.4.6): GF(8), n = 49, 204 M
+against 190 M and 11 M; GF(9), n = 64, 155 M against 27 M and 2.0 M;
+GF(5), n = 16, 249 M against 167 M and 6.1 M; GF(7), n = 36, 115 M
+against 15 M and 3.2 M; GF(25), n = 24, 100 M against 16 M and 4.2 M.
 
 The default modulus for each (p, m) comes from a frozen table of primitive
 polynomials (t itself generates the unit group), so every derived artifact

@@ -868,7 +868,8 @@ def test_two_leaf_forms_give_one_report(monkeypatch, p, m, n, k):
         assert_same_report(always, want)
         for budget in budgets:
             never, always = run_both_leaf_forms(
-                monkeypatch, lambda: min_distance_infoset(code, workers=workers, work_budget=budget),
+                monkeypatch,
+                lambda: min_distance_infoset(code, workers=workers, work_budget=budget),
                 pairs=budget >= levels[2])
             assert_same_report(never, wants[budget])
             assert_same_report(always, wants[budget])
@@ -889,7 +890,8 @@ def test_two_leaf_forms_give_one_report_on_the_translation_path(monkeypatch, p, 
     for workers in (1, 2):
         for budget in [None] + sorted({b for lw in levels[2:] for b in (lw - 1, lw)}):
             never, always = run_both_leaf_forms(
-                monkeypatch, lambda: min_distance_infoset(code, workers=workers, work_budget=budget),
+                monkeypatch,
+                lambda: min_distance_infoset(code, workers=workers, work_budget=budget),
                 pairs=budget is None or budget >= levels[2])
             assert_same_report(always, never)
             done = [lw for lw in levels if budget is None or lw <= budget]
