@@ -27,9 +27,11 @@ The tables are:
   block's last;
 - two support rows left: the pair table of the words u r_s + v r_t, s < t,
   from the rows after the block's last, when the block times those words
-  holds at most ``_PAIR_LEAF_BYTES`` of packed words.  The pair table is
-  built once per matrix at level 3, over the rows from the first one whose
-  pairs fit that cap; a larger block recurses one row first.
+  holds at most a 1/m share of ``_PAIR_LEAF_BYTES`` (2 MB) of packed words,
+  m the number of enumerated matrices.  The pair table is built once per
+  matrix at level 3, over the rows from the first one whose pairs fit that
+  share, so the m tables together hold at most 2 MB; a larger block
+  recurses one row first.
 
 A leaf hands on its words at its least weight; a smaller weight replaces
 the words kept so far and an equal one joins them.  The witness is the
@@ -111,8 +113,9 @@ METHODS = ("auto", "exhaustive", "infoset")
 # index needs more (rows * cols)
 _PRODUCT_BLOCK = 1 << 18
 
-# the most bytes of packed words in one two-row leaf of the information-set
-# engine, and so in its pair table
+# the most bytes of packed words in the pair tables of one information-set
+# search together: each of its m matrices has a share of 1/m, and a two-row
+# leaf of that matrix, block times table suffix, holds at most that share
 _PAIR_LEAF_BYTES = 1 << 21
 
 
@@ -599,10 +602,10 @@ def min_distance_infoset(
     multiples: list[np.ndarray | None] = [None] * len(mats)
     # from level 3 on, each matrix's pair table over the rows from
     # pair_first on: it holds pair_sizes[s] words from row s on, and
-    # pair_first is the first row whose words fit the cap.  The zero word is
-    # the table of level 1.
+    # pair_first is the first row whose words fit the matrix's share of the
+    # cap.  The zero word is the table of level 1.
     pairs: list[np.ndarray | None] = [None] * len(mats)
-    pair_words = _PAIR_LEAF_BYTES // rows[0][:, 0].nbytes
+    pair_words = _PAIR_LEAF_BYTES // (rows[0][:, 0].nbytes * len(mats))
     pair_sizes = [math.comb(k - s, 2) * (q - 1) ** 2 for s in range(k + 1)]
     pair_first = next(s for s in range(k + 1) if pair_sizes[s] <= pair_words)
     zero = np.zeros((len(rows[0]), 1), dtype=gf.packed_dtype)

@@ -54,8 +54,8 @@ packed word axis first so that a broadcast runs along the contiguous block:
 Every form is canonical, so two words differ at a position exactly when
 one of its planes differs.  ``pdist`` XORs each plane and ORs it in place
 into one accumulator, then takes the popcount (bit planes) or the count of
-nonzero bytes; ``pweight`` is the distance to the zero word.  One block of
-512 words against the q-1 unit multiples of 8 rows, as the
+nonzero bytes; a weight is the distance to the zero word.  One block
+of 512 words against the q-1 unit multiples of 8 rows, as the
 information-set engine's one-row leaf does it, in words per second
 against the earlier leaf (``padd`` of the whole block, then its weights)
 and int16 ``vadd`` and ``count_nonzero`` one row at a time (best of 7,
@@ -387,12 +387,6 @@ class GF:
             return self.padd(A, np.concatenate([B[h:], B[:h]]))
         C = A - B
         return np.minimum(C, C + self.p)  # when A < B, C wraps above p and C + p is A - B + p
-
-    def pweight(self, P) -> np.ndarray:
-        """Hamming weights of packed words: their distances to the zero
-        word."""
-        P = np.asarray(P)
-        return self.pdist(P, np.zeros((len(P),) + (1,) * (P.ndim - 1), dtype=P.dtype))
 
     def pdist(self, A, B) -> np.ndarray:
         """Hamming distances between packed words, broadcasting over the

@@ -918,6 +918,37 @@ def test_record_search_peak_memory():
         assert rep.d == 28 and peak < bound
 
 
+def test_pair_tables_of_many_matrices_share_the_cap(monkeypatch):
+    """A search over seven disjoint information sets builds a pair table
+    for each at level 3, and together they hold at most _PAIR_LEAF_BYTES;
+    through level 3 it holds at most 3 MB of numpy buffers at a time with
+    one worker, and 4 MB with two, with the report of the one-row leaves
+    alone.  (With a 2 MB cap per table the seven held 4.7 MB.)"""
+    import tracemalloc
+
+    import toric_codes.codes as codes_module
+
+    gf = GF(2, 3)
+    code = random_code(gf, 130, 20, np.random.default_rng(7))
+    budget = sum(7 * math.comb(20, w) * 7 ** (w - 1) for w in (1, 2, 3))
+    sizes = []
+    pair_table = codes_module._pair_table
+    monkeypatch.setattr(
+        codes_module, "_pair_table", lambda *a: (lambda t: sizes.append(t.nbytes) or t)(pair_table(*a)))
+    for workers, bound in [(1, 3 << 20), (2, 4 << 20)]:
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            rep = min_distance_infoset(code, workers=workers, work_budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.work == budget and len(sizes) == 7
+        assert sum(sizes) <= codes_module._PAIR_LEAF_BYTES and peak < bound
+    monkeypatch.setattr(codes_module, "_PAIR_LEAF_BYTES", 0)
+    assert_same_report(rep, min_distance_infoset(code, work_budget=budget))
+
+
 def test_infoset_mds_like():
     # generator [I | 1] has d = 2; infoset should certify at w = 1
     gf = GF(5)

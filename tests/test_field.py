@@ -240,9 +240,10 @@ def test_packed_words_match_vadd(p, m, n):
     assert S.shape[1:] == (gf.q - 1, 6)
     C = gf.vadd(A, B)
     assert np.array_equal(gf.unpack(S, n), C)
-    assert np.array_equal(gf.pweight(S), np.count_nonzero(C, axis=-1))
-    assert gf.pweight(S)[0, 1] == 0
-    assert np.array_equal(gf.pweight(PA), np.count_nonzero(A, axis=-1))
+    # a weight is the distance to the zero word
+    assert np.array_equal(gf.pdist(S, np.zeros_like(S)), np.count_nonzero(C, axis=-1))
+    assert gf.pdist(S, np.zeros_like(S))[0, 1] == 0
+    assert np.array_equal(gf.pdist(PA, np.zeros_like(PA)), np.count_nonzero(A, axis=-1))
 
 
 @pytest.mark.parametrize("p,m", [(p, m) for p, m in PACKED_FIELDS if p**m <= 32])
@@ -272,7 +273,8 @@ def test_packed_distance_matches_unpacked_words(p, m, n):
     assert np.array_equal(D, np.count_nonzero(gf.unpack(PA, n) != gf.unpack(PB, n), axis=-1))
     assert np.array_equal(gf.pdist(PB, PA), D)
     W = gf.pdist(PA, gf.pack(gf.vneg(B)))
-    assert np.array_equal(W, gf.pweight(gf.padd(PA, PB))) and W[1, 1] == 0
+    S = gf.padd(PA, PB)
+    assert np.array_equal(W, gf.pdist(S, np.zeros_like(S))) and W[1, 1] == 0
     assert np.array_equal(gf.unpack(gf.psub(PA, PB), n), gf.vsub(A, B))
 
 
