@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from toric_codes import GF, make_field
+from toric_codes import GF
 
-gf = make_field(2, 3)
+gf = GF(2, 3)
 print("field:", gf, "modulus (low-degree first):", gf.modulus)
 print("primitive element g =", gf.g)
 print("units in generator order:", gf.units())

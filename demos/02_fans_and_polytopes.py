@@ -10,7 +10,6 @@ from toric_codes import (
     is_smooth,
     lattice_points,
     polytope_of_divisor,
-    volume,
 )
 
 # a singular fan: the middle cone has determinant 3
@@ -32,7 +31,7 @@ for coeffs in [(0, 0, 3), (0, 0, 10), (2, 2, 2)]:
     pts = lattice_points(p)
     print(f"\nG = {coeffs}")
     print("  vertices:", [(str(x), str(y)) for x, y in p.vertices])
-    print("  volume:", volume(p))
+    print("  volume:", p.volume())
     print(f"  {len(pts)} lattice points:", pts[:8], "..." if len(pts) > 8 else "")
 
 # rational point counts: torus + ray orbits + fixed points

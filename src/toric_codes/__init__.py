@@ -5,7 +5,7 @@ of rational points; compute its exact parameters; check the classical
 closed forms, bounds, and conjectures; list-decode the dual code.
 """
 
-from .field import GF, FieldError, make_field
+from .field import GF, FieldError
 from .geometry import (
     Fan2D,
     FanError,
@@ -15,7 +15,6 @@ from .geometry import (
     TDivisor,
     TorusPoint,
     count_rational_points,
-    evaluate_monomial,
     is_ample,
     is_cartier,
     is_smooth,
@@ -23,21 +22,17 @@ from .geometry import (
     orbit_points,
     polytope_of_divisor,
     torus_points,
-    validate_fan,
-    volume,
 )
 from .codes import (
     CodeError,
     LinearCode,
     WeightReport,
     WorkCapExceeded,
-    dual,
     min_distance,
     min_distance_exhaustive,
     min_distance_infoset,
     reed_muller,
     rm_predicted_params,
-    syndrome,
 )
 from .toric import (
     ToricCodeResult,
@@ -60,7 +55,7 @@ from .bounds import (
     hansen_params,
     segment_upper_bound,
 )
-from .decoder import DecodeOutcome, DecoderSetup, SetupError, bracket, decode
+from .decoder import DecodeOutcome, DecoderSetup, SetupError, decode
 from .decoder import setup as decoder_setup
 from .reproduce import reproduce_table
 from .tables import FANS, GOLDEN_TABLES

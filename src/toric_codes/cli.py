@@ -28,7 +28,7 @@ from .codes import (
     rm_predicted_params,
 )
 from .decoder import SetupError, decode as decoder_decode, setup as decoder_setup
-from .field import GF, FieldError, make_field
+from .field import GF, FieldError, _is_integer
 from .geometry import Fan2D, FanError, OrbitPoint, PoleError, TDivisor, polytope_of_divisor
 from .reproduce import format_results, reproduce_table
 from .tables import GOLDEN_TABLES
@@ -70,10 +70,6 @@ def _read_json(path: str, what: str):
 
 # JSON integers are read as they are: int() would truncate 2.5 and parse
 # "2", and bool() reads "false" as true, each into a different job
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _integer(value, where: str) -> int:
     if not _is_integer(value):
         raise ValidationError(f"{where} must be an integer, got {value!r}")
@@ -133,7 +129,7 @@ def job_to_spec(job: dict) -> ToricCodeSpec:
         )
     singles = [_integers(pt, "points.orbit_points") for pt in singles]
     try:
-        gf = make_field(p, m, modulus)
+        gf = GF(p, m, modulus)
         fan = Fan2D(rays)
         div = TDivisor(coeffs)
     except (TypeError, ValueError) as exc:  # FieldError and FanError included
@@ -193,7 +189,7 @@ def load_build(path: str) -> tuple[GF, LinearCode, dict]:
     doc = _read_json(path, "build file")
     try:
         fld = doc["field"]
-        gf = make_field(
+        gf = GF(
             _integer(fld["p"], "field.p"), _integer(fld["m"], "field.m"),
             _integers(fld["modulus"], "field.modulus"),
         )
@@ -361,7 +357,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_rm(args) -> int:
-    gf = make_field(args.p, args.m_ext)
+    gf = GF(args.p, args.m_ext)
     try:
         n, k, d = rm_predicted_params(gf.q, args.m, args.ell)
     except CodeError as exc:

@@ -89,7 +89,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import GF
+from .field import GF, _is_integer
 
 
 class CodeError(ValueError):
@@ -323,14 +323,6 @@ class LinearCode:
         return f"LinearCode[n={self.n}, k={self.k}, d={d}] over {self.gf!r}"
 
 
-def dual(code: LinearCode) -> LinearCode:
-    return code.dual()
-
-
-def syndrome(code: LinearCode, v) -> np.ndarray:
-    return code.syndrome(v)
-
-
 # -- minimum distance: exhaustive engine ------------------------------------
 
 
@@ -413,7 +405,7 @@ def _witness(gf: GF, ties: np.ndarray, n: int, translations: np.ndarray | None =
 
 
 def _positive(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if not _is_integer(value) or value < 1:
         raise CodeError(f"{what} must be an integer >= 1, got {value!r}")
     return int(value)
 
@@ -784,23 +776,3 @@ def rm_predicted_params(q: int, m: int, ell: int) -> tuple[int, int, int]:
         b = ell - a * (q - 1)
     d = (q - b) * q ** (m - a - 1)
     return q**m, k, d
-
-
-def rm_degree_counts(q: int, m: int) -> list[int]:
-    """coeffs[s] = #{e in [0, q-1]^m : sum(e) = s}, by direct convolution
-    (an oracle independent of the alternating-sum closed form)."""
-    coeffs = [1]
-    for _ in range(m):
-        out = [0] * (len(coeffs) + q - 1)
-        for s, c in enumerate(coeffs):
-            for t in range(q):
-                out[s + t] += c
-        coeffs = out
-    return coeffs
-
-
-def rm_monomial_count(q: int, m: int, ell: int) -> int:
-    """|{e in [0, q-1]^m : sum(e) <= ell}| (equals the constructed
-    dimension: distinct reduced monomials are linearly independent
-    functions on GF(q)^m)."""
-    return sum(rm_degree_counts(q, m)[: ell + 1])

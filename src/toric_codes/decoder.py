@@ -53,7 +53,6 @@ from .codes import (
 )
 from .geometry import (
     TDivisor,
-    evaluation_matrix,
     graded_evaluation,
     lattice_points,
     polytope_of_divisor,
@@ -186,15 +185,6 @@ def syndrome(r, setup: DecoderSetup) -> np.ndarray:
 def _syndrome(s, setup: DecoderSetup) -> np.ndarray:
     """A syndrome as len(spec.basis) element indices; CodeError otherwise."""
     return _elements(setup.spec.gf, s, "syndrome", len(setup.spec.basis))
-
-
-def bracket(r: np.ndarray, exponent, setup: DecoderSetup) -> int:
-    """[r, phi] = sum_i r_i phi(P_i) for the character phi = x^exponent;
-    the per-character reference for the entries of the syndrome."""
-    spec = setup.spec
-    r = _elements(spec.gf, r, "received word", setup.n)
-    row = evaluation_matrix([tuple(exponent)], spec.points, spec.gf, spec.fan)  # (1, n)
-    return int(matvec(spec.gf, row, r)[0])
 
 
 def bracket_matrix(s: np.ndarray, setup: DecoderSetup) -> np.ndarray:

@@ -433,8 +433,3 @@ class GF:
 
     def __repr__(self) -> str:
         return f"GF({self.q})" if self.m == 1 else f"GF({self.p}^{self.m})"
-
-
-def make_field(p: int, m: int = 1, modulus: Iterable[int] | None = None) -> GF:
-    """Validated field constructor; omitted modulus uses the frozen table."""
-    return GF(p, m, modulus)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .field import GF
+from .field import GF, _is_integer
 
 
 class FanError(ValueError):
@@ -39,6 +39,15 @@ class PoleError(ValueError):
 
 
 Vec = tuple[int, int]
+
+
+def _integers(values, what: str, error: type[ValueError]) -> tuple[int, ...]:
+    """``values`` as Python ints when each is an integer (a bool is not
+    one), else ``error``: int() would truncate 2.5 and parse "2"."""
+    values = tuple(values)
+    if not all(map(_is_integer, values)):
+        raise error(f"{what} {values!r} must hold integers")
+    return tuple(int(v) for v in values)
 
 
 def _det(u: Vec, v: Vec) -> int:
@@ -62,7 +71,7 @@ class Fan2D:
     """A complete fan in Z^2, encoded by its primitive rays in ccw order."""
 
     def __init__(self, rays: Sequence[Sequence[int]]):
-        rays = [(int(a), int(b)) for a, b in rays]
+        rays = [_integers((a, b), "ray", FanError) for a, b in rays]
         if len(rays) < 3:
             raise FanError(f"need at least 3 rays, got {len(rays)} (fan incomplete)")
         for v in rays:
@@ -88,11 +97,6 @@ class Fan2D:
 
     def cones(self) -> list[tuple[Vec, Vec]]:
         return [(self.rays[i], self.rays[(i + 1) % self.s]) for i in range(self.s)]
-
-    def orbit_lattice_generator(self, i: int) -> Vec:
-        """Generator u_i of v_i-perp in M: v_i rotated by +90 degrees."""
-        v = self.rays[i]
-        return (-v[1], v[0])
 
     def transverse_vector(self, i: int) -> Vec:
         """An integral m with <m, v_i> = 1 (exists since v_i is primitive)."""
@@ -125,10 +129,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def validate_fan(rays: Sequence[Sequence[int]]) -> Fan2D:
-    return Fan2D(rays)
-
-
 @dataclass(frozen=True)
 class TDivisor:
     """G = sum d_i D_i, coefficients aligned with the fan's rays."""
@@ -136,24 +136,13 @@ class TDivisor:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int]):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
-
-    def __add__(self, other: "TDivisor") -> "TDivisor":
-        return TDivisor(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True))
+        object.__setattr__(self, "coeffs", _integers(coeffs, "divisor", FanError))
 
     def __sub__(self, other: "TDivisor") -> "TDivisor":
         return TDivisor(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True))
 
-    def __rmul__(self, k: int) -> "TDivisor":
-        return TDivisor(k * c for c in self.coeffs)
-
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    @staticmethod
-    def ray(fan: Fan2D, i: int) -> "TDivisor":
-        """The boundary divisor D_i (0-based ray index)."""
-        return TDivisor(1 if k == i else 0 for k in range(fan.s))
 
 
 @dataclass(frozen=True)
@@ -214,8 +203,8 @@ class LatticePolytope:
     """
 
     def __init__(self, normals: Sequence[Vec], offsets: Sequence[int]):
-        self.normals = tuple((int(a), int(b)) for a, b in normals)
-        self.offsets = tuple(int(d) for d in offsets)
+        self.normals = tuple(_integers((a, b), "normal", PolytopeError) for a, b in normals)
+        self.offsets = _integers(offsets, "offsets", PolytopeError)
         if len(self.normals) != len(self.offsets):
             raise PolytopeError("normals/offsets length mismatch")
         self._bounded = self._check_bounded()
@@ -328,7 +317,7 @@ class LatticePolytope:
 
     def translate(self, t: Sequence[int]) -> "LatticePolytope":
         """Integral translation by t: offsets shift by -<t, v_i>."""
-        tx, ty = int(t[0]), int(t[1])
+        tx, ty = _integers(t, "translation", PolytopeError)
         return LatticePolytope(
             self.normals,
             [d - (v[0] * tx + v[1] * ty) for v, d in zip(self.normals, self.offsets)],
@@ -346,10 +335,6 @@ def polytope_of_divisor(fan: Fan2D, div: TDivisor) -> LatticePolytope:
 
 def lattice_points(poly: LatticePolytope) -> list[Vec]:
     return poly.lattice_points()
-
-
-def volume(poly: LatticePolytope) -> Fraction:
-    return poly.volume()
 
 
 # -- rational points and evaluation ---------------------------------------
@@ -404,15 +389,21 @@ def graded_evaluation(
     with m_r = transverse_vector(r), a - <a, v_r> m_r = det(m_r, a) u_r, so
     the leading value is the orbit character s^det(m_r, a).  Either value
     is g^((a . w) mod (q-1)): w = (log t1, log t2), or log(s) (-m_r2, m_r1).
+    Exponents and point fields must be integers (ValueError).
     """
-    A = np.array(exponents, dtype=np.int64).reshape(-1, 2)
+    A = np.array(exponents).reshape(-1, 2)
     s = fan.s if fan is not None else 0
     # one row per point: orbit flag, ray, and two field elements whose logs
     # make w through the ray's turn matrix (row s of the tables: the torus)
     rows = np.array(
-        [(0, s, pt.t1, pt.t2) if isinstance(pt, TorusPoint) else (1, pt.ray, pt.s, 1) for pt in points],
-        dtype=np.int64,
+        [(0, s, pt.t1, pt.t2) if isinstance(pt, TorusPoint) else (1, pt.ray, pt.s, 1) for pt in points]
     ).reshape(-1, 4)
+    # one dtype check per array instead of a cast, which would truncate 1.5;
+    # an empty list reads as float64
+    for arr, what in ((A, "exponents"), (rows, "point coordinates and ray indices")):
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    A, rows = A.astype(np.int64, copy=False), rows.astype(np.int64, copy=False)
     orbit, ray, coords = rows[:, 0] == 1, rows[:, 1], rows[:, 2:]
     if orbit.any() and fan is None:
         raise ValueError("orbit-point evaluation needs the fan")
@@ -447,12 +438,6 @@ def evaluation_matrix(
         a = tuple(int(x) for x in exponents[i])
         raise PoleError(f"monomial {a} has a pole along D_{points[j].ray + 1}")
     return np.where(order == 0, value, 0)
-
-
-def evaluate_monomial(point: EvalPoint, a: Sequence[int], gf: GF, fan: Fan2D | None = None) -> int:
-    """Value of the character x^a at one evaluation point, strict as in
-    ``evaluation_matrix``."""
-    return int(evaluation_matrix([a], [point], gf, fan)[0, 0])
 
 
 def torus_evaluation_matrix(exponents: Sequence[Vec], gf: GF) -> np.ndarray:

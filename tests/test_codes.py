@@ -13,7 +13,6 @@ from toric_codes.codes import (
     WorkCapExceeded,
     _systematic_generators,
     _torus_translations,
-    dual,
     matmul,
     matvec,
     min_distance,
@@ -21,11 +20,9 @@ from toric_codes.codes import (
     min_distance_infoset,
     null_space,
     reed_muller,
-    rm_monomial_count,
     rm_predicted_params,
     rref,
     solve,
-    syndrome,
 )
 
 
@@ -219,22 +216,22 @@ def test_dual_involution_and_dimensions():
         r1 = rref(gf, code.gen)[0][: code.k]
         r2 = rref(gf, hh.gen)[0][: hh.k]
         assert np.array_equal(r1, r2)
-        # duality: every generator row has zero syndrome against dual(code)
+        # duality: every generator row has zero syndrome against code.dual()
         for row in code.gen:
-            assert not syndrome(h, row).any()
+            assert not h.syndrome(row).any()
 
 
 def test_syndrome_examples():
-    # syndrome(code, v) vanishes iff v is a codeword of dual(code)
+    # code.syndrome(v) vanishes iff v is a codeword of code.dual()
     gf = GF(2)
     rep = LinearCode(gf, [[1, 1, 1]])
     h = rep.dual()
-    assert not syndrome(h, rep.gen[0]).any()  # generator row against its dual
-    assert not syndrome(rep, np.zeros(3, dtype=np.int16)).any()
+    assert not h.syndrome(rep.gen[0]).any()  # generator row against its dual
+    assert not rep.syndrome(np.zeros(3, dtype=np.int16)).any()
     e1 = np.array([1, 0, 0], dtype=np.int16)
-    assert np.array_equal(syndrome(h, e1), h.gen[:, 0])
+    assert np.array_equal(h.syndrome(e1), h.gen[:, 0])
     with pytest.raises(CodeError):
-        syndrome(rep, np.zeros(4, dtype=np.int16))
+        rep.syndrome(np.zeros(4, dtype=np.int16))
 
 
 def test_solve_and_null_space():
@@ -1065,6 +1062,26 @@ def test_rm_q3_m2():
 def test_rm_prediction_k_sum_terms():
     # q=2, m=5, ell=1: i=0 contributes 1, i=1 contributes 5
     assert rm_predicted_params(2, 5, 1)[1] == 1 + 5
+
+
+def rm_degree_counts(q: int, m: int) -> list[int]:
+    """coeffs[s] = #{e in [0, q-1]^m : sum(e) = s}, by direct convolution
+    (an oracle independent of the alternating-sum closed form)."""
+    coeffs = [1]
+    for _ in range(m):
+        out = [0] * (len(coeffs) + q - 1)
+        for s, c in enumerate(coeffs):
+            for t in range(q):
+                out[s + t] += c
+        coeffs = out
+    return coeffs
+
+
+def rm_monomial_count(q: int, m: int, ell: int) -> int:
+    """|{e in [0, q-1]^m : sum(e) <= ell}| (equals the constructed
+    dimension: distinct reduced monomials are linearly independent
+    functions on GF(q)^m)."""
+    return sum(rm_degree_counts(q, m)[: ell + 1])
 
 
 def test_rm_constructed_rank_equals_prediction():

@@ -8,11 +8,10 @@ import pytest
 
 from toric_codes import decoder
 from toric_codes.field import GF
-from toric_codes.codes import LinearCode, matvec, min_distance_exhaustive, null_space, rref, solve
+from toric_codes.codes import LinearCode, _elements, matvec, min_distance_exhaustive, null_space, rref, solve
 from toric_codes.decoder import (
     DecoderSetup,
     SetupError,
-    bracket,
     bracket_matrix,
     decode,
     error_locator,
@@ -33,6 +32,8 @@ from toric_codes.geometry import (
 )
 from toric_codes.tables import FANS, field_for_q
 from toric_codes.toric import ToricCodeSpec, default_points
+
+from test_geometry import reference_graded
 
 FAN1 = Fan2D([(2, -1), (-1, 2), (-1, -1)])
 FAN4 = Fan2D([(1, 0), (0, 1), (-1, -1)])
@@ -185,6 +186,15 @@ def test_zero_set_matches_twisted_per_point_rule(orbit, gprime):
 # -- brackets -------------------------------------------------------------------
 
 
+def bracket(r: np.ndarray, exponent, setup: DecoderSetup) -> int:
+    """[r, phi] = sum_i r_i phi(P_i) for the character phi = x^exponent;
+    the per-character reference for the entries of the syndrome."""
+    spec = setup.spec
+    r = _elements(spec.gf, r, "received word", setup.n)
+    row = evaluation_matrix([tuple(exponent)], spec.points, spec.gf, spec.fan)  # (1, n)
+    return int(matvec(spec.gf, row, r)[0])
+
+
 def test_bracket_zero_vector():
     st = torus_setup()
     assert bracket(np.zeros(16, dtype=np.int16), (1, 1), st) == 0
@@ -206,11 +216,9 @@ def test_bracket_explicit_sum():
     r[0] = r[1] = r[2] = 1
     gf = st.spec.gf
     for phi in [(1, 1), (2, 0)]:
-        from toric_codes.geometry import evaluate_monomial
-
         expect = 0
         for i in range(3):
-            expect = gf.add(expect, evaluate_monomial(st.spec.points[i], phi, gf))
+            expect = gf.add(expect, reference_graded(phi, st.spec.points[i], gf, st.spec.fan)[1])
         assert bracket(r, phi, st) == expect
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from toric_codes.field import _DEFAULT_MODULI, GF, FieldError, make_field
+from toric_codes.field import _DEFAULT_MODULI, GF, FieldError
 from toric_codes.tables import field_for_q
 
 
@@ -75,13 +75,13 @@ def test_inverse_and_negation(p, m):
 
 
 def test_make_field_basics():
-    assert make_field(2, 3).q == 8
-    assert make_field(5, 1).q == 5
+    assert GF(2, 3).q == 8
+    assert GF(5, 1).q == 5
 
 
 def test_gf8_t_times_t2():
     # modulus t^3 + t + 1: t * t^2 = t^3 = t + 1
-    gf = make_field(2, 3, (1, 1, 0, 1))
+    gf = GF(2, 3, (1, 1, 0, 1))
     t = 2
     assert gf.mul(t, gf.mul(t, t)) == gf.element([1, 1, 0])
 
@@ -122,16 +122,16 @@ def test_units_order_and_dlog():
 
 def test_construction_errors():
     with pytest.raises(FieldError):
-        make_field(4, 1)  # non-prime p
+        GF(4, 1)  # non-prime p
     with pytest.raises(FieldError):
-        make_field(2, 11)  # q > 1024
+        GF(2, 11)  # q > 1024
     # the cap is checked before primality and before p**m: both fail at once
     with pytest.raises(FieldError, match="cap"):
-        make_field(2**61 - 1, 1)
+        GF(2**61 - 1, 1)
     with pytest.raises(FieldError, match="cap"):
-        make_field(2, 10**9)
+        GF(2, 10**9)
     with pytest.raises(FieldError):
-        make_field(2, 2, (1, 0, 1))  # t^2 + 1 = (t+1)^2 over GF(2)
+        GF(2, 2, (1, 0, 1))  # t^2 + 1 = (t+1)^2 over GF(2)
     with pytest.raises(ZeroDivisionError):
         GF(5).div(1, 0)
     with pytest.raises(FieldError):
@@ -303,7 +303,7 @@ def test_element_rejects_more_than_m_digits():
 
 def test_custom_modulus_nonprimitive_t():
     # t^2 + 1 over GF(3) is irreducible but t has order 4 < 8
-    gf = make_field(3, 2, (1, 0, 1))
+    gf = GF(3, 2, (1, 0, 1))
     assert gf.q == 9
     us = gf.units()
     assert len(set(us)) == 8

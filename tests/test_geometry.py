@@ -8,12 +8,13 @@ from toric_codes.field import GF
 from toric_codes.geometry import (
     Fan2D,
     FanError,
+    LatticePolytope,
     OrbitPoint,
     PoleError,
+    PolytopeError,
     TDivisor,
     TorusPoint,
     count_rational_points,
-    evaluate_monomial,
     evaluation_matrix,
     graded_evaluation,
     is_ample,
@@ -24,8 +25,6 @@ from toric_codes.geometry import (
     polytope_of_divisor,
     torus_evaluation_matrix,
     torus_points,
-    validate_fan,
-    volume,
 )
 
 FAN1 = Fan2D([(2, -1), (-1, 2), (-1, -1)])
@@ -42,27 +41,54 @@ def poly(fan, coeffs):
 
 
 def test_validate_fan_accepts_standard_fans():
-    assert validate_fan([(1, 0), (0, 1), (-1, -1)]).s == 3
-    assert validate_fan([(1, 0), (0, 1), (-1, 0), (0, -1)]).s == 4
+    assert Fan2D([(1, 0), (0, 1), (-1, -1)]).s == 3
+    assert Fan2D([(1, 0), (0, 1), (-1, 0), (0, -1)]).s == 4
 
 
 def test_validate_fan_rejects_nonprimitive():
     with pytest.raises(FanError, match="primitive"):
-        validate_fan([(2, 0), (0, 1), (-1, -1)])
+        Fan2D([(2, 0), (0, 1), (-1, -1)])
 
 
 def test_validate_fan_rejects_incomplete():
     with pytest.raises(FanError):
-        validate_fan([(1, 0), (0, 1)])
+        Fan2D([(1, 0), (0, 1)])
     # ccw but not a single full turn is impossible with positive dets and
     # winding 1; a double cover must be rejected
     with pytest.raises(FanError, match="wind"):
-        validate_fan([(1, 0), (-1, 2), (-1, -1), (2, 1), (-1, 1), (-1, -2)])
+        Fan2D([(1, 0), (-1, 2), (-1, -1), (2, 1), (-1, 1), (-1, -2)])
 
 
 def test_validate_fan_rejects_cw_order():
     with pytest.raises(FanError, match="ccw"):
-        validate_fan([(1, 0), (-1, -1), (0, 1)])
+        Fan2D([(1, 0), (-1, -1), (0, 1)])
+
+
+# int() would read each of these as 5, and (5, -1) makes the fan of the
+# (49, 11, 28) record
+NOT_INTEGERS = pytest.mark.parametrize(
+    "bad", [5.9, np.float64(5.0), "5", True], ids=["float", "numpy-float", "str", "bool"]
+)
+
+
+@NOT_INTEGERS
+def test_fans_and_divisors_take_integers_only(bad):
+    with pytest.raises(FanError, match="must hold integers"):
+        Fan2D([(bad, -1), (-1, 5), (-1, -1)])
+    with pytest.raises(FanError, match="must hold integers"):
+        TDivisor((0, 0, bad))
+    assert Fan2D([(np.int64(5), -1), (-1, 5), (-1, -1)]) == FAN7
+    assert TDivisor(np.array([0, 0, 5])).coeffs == (0, 0, 5)
+
+
+@NOT_INTEGERS
+def test_polytopes_take_integers_only(bad):
+    with pytest.raises(PolytopeError, match="must hold integers"):
+        LatticePolytope(FAN7.rays, (0, 0, bad))
+    with pytest.raises(PolytopeError, match="must hold integers"):
+        LatticePolytope([(bad, -1), (-1, 5), (-1, -1)], (0, 0, 5))
+    with pytest.raises(PolytopeError, match="must hold integers"):
+        poly(FAN7, (0, 0, 5)).translate((bad, 0))
 
 
 # -- smoothness / Cartier / ample ---------------------------------------
@@ -126,7 +152,7 @@ def test_decoding_example_polytopes():
         (Fraction(10, 3), Fraction(20, 3)),
         (Fraction(20, 3), Fraction(10, 3)),
     }
-    assert volume(pg) == Fraction(50, 3)
+    assert pg.volume() == Fraction(50, 3)
     assert len(lattice_points(pg)) == 22
 
     pgp = poly(FAN1, (2, 2, 2))
@@ -153,7 +179,7 @@ def test_zero_divisor_polytope_is_origin():
         p = poly(fan, (0,) * fan.s)
         assert p.vertices == [(Fraction(0), Fraction(0))]
         assert lattice_points(p) == [(0, 0)]
-        assert volume(p) == 0
+        assert p.volume() == 0
 
 
 def test_fan1_small_polytopes():
@@ -167,7 +193,7 @@ def test_empty_polytope():
     assert p.is_empty
     assert lattice_points(p) == []
     with pytest.raises(Exception):
-        volume(p)
+        p.volume()
 
 
 def test_fan6_volume_closed_form():
@@ -177,7 +203,7 @@ def test_fan6_volume_closed_form():
     for d1 in range(0, 4):
         for d2 in range(0, 4):
             for d3 in range(max(1 - d1 - d2, 0), 6):
-                v = volume(poly(FAN6, (d1, d2, d3)))
+                v = poly(FAN6, (d1, d2, d3)).volume()
                 assert v == Fraction((d1 + d2 + d3) ** 2, 2)
 
 
@@ -218,10 +244,11 @@ def test_torus_points_count_and_order():
 def test_orbit_points():
     gf8 = GF(2, 3)
     assert len(orbit_points(FAN1, 0, gf8)) == 7
-    assert FAN1.orbit_lattice_generator(2) == (1, -1)
-    u3 = FAN1.orbit_lattice_generator(2)
-    v3 = FAN1.rays[2]
-    assert u3[0] * v3[0] + u3[1] * v3[1] == 0
+    # u_3 = (1, -1) spans v_3-perp: x^u_3 has order 0 on the orbit of ray 3
+    # and is the orbit character s there
+    order, value = graded_evaluation([(1, -1)], orbit_points(FAN1, 2, gf8), gf8, FAN1)
+    assert not order.any()
+    assert value[0].tolist() == gf8.units()
     # boundary count: total - torus - fixed points
     assert 3 * (8 - 1) == count_rational_points(FAN1, gf8) - 49 - 3
 
@@ -231,37 +258,38 @@ def test_orbit_points():
 
 def test_evaluate_monomial_torus():
     gf = GF(5)
-    for pt in torus_points(gf):
-        assert evaluate_monomial(pt, (0, 0), gf) == 1
-    pt = TorusPoint(2, 3)
-    assert evaluate_monomial(pt, (1, 2), gf) == gf.mul(2, gf.mul(3, 3))
-    assert evaluate_monomial(pt, (-1, 0), gf) == gf.inv(2)
+    assert (evaluation_matrix([(0, 0)], torus_points(gf), gf) == 1).all()
+    M = evaluation_matrix([(1, 2), (-1, 0)], [TorusPoint(2, 3)], gf)
+    assert M[0, 0] == gf.mul(2, gf.mul(3, 3))
+    assert M[1, 0] == gf.inv(2)
 
 
 def test_evaluate_monomial_orbit():
     gf = GF(2, 3)
     with pytest.raises(PoleError):
-        evaluate_monomial(OrbitPoint(2, 1), (1, 1), gf, FAN1)
+        evaluation_matrix([(1, 1)], [OrbitPoint(2, 1)], gf, FAN1)
     # ray 1 of fan1: u_1 = (1, 2); a = (1, 2) = 1 * u_1
-    for s in gf.units():
-        assert evaluate_monomial(OrbitPoint(0, s), (1, 2), gf, FAN1) == s
-        assert evaluate_monomial(OrbitPoint(0, s), (2, 4), gf, FAN1) == gf.mul(s, s)
+    orbit = orbit_points(FAN1, 0, gf)
+    M = evaluation_matrix([(1, 2), (2, 4), (1, 0)], orbit, gf, FAN1)
+    for j, pt in enumerate(orbit):
+        assert M[0, j] == pt.s
+        assert M[1, j] == gf.mul(pt.s, pt.s)
         # positive pairing evaluates to zero
-        assert evaluate_monomial(OrbitPoint(0, s), (1, 0), gf, FAN1) == 0
+        assert M[2, j] == 0
 
 
 def test_torus_evaluation_multiplicative():
     gf = GF(7)
     rng = np.random.default_rng(5)
-    pts = torus_points(gf)
+    pts = torus_points(gf)[::5]
     for _ in range(20):
         a = tuple(rng.integers(-4, 5, size=2))
         b = tuple(rng.integers(-4, 5, size=2))
         ab = (a[0] + b[0], a[1] + b[1])
-        for pt in pts[::5]:
-            lhs = evaluate_monomial(pt, ab, gf)
-            rhs = gf.mul(evaluate_monomial(pt, a, gf), evaluate_monomial(pt, b, gf))
-            assert lhs == rhs
+        M = evaluation_matrix([a, b, ab], pts, gf)
+        assert np.array_equal(M[2], gf.vmul(M[0], M[1]))
+        for j, pt in enumerate(pts):
+            assert M[2, j] == reference_graded(ab, pt, gf, None)[1]
 
 
 def test_evaluation_matrix_consistency():
@@ -272,11 +300,32 @@ def test_evaluation_matrix_consistency():
     assert M.shape == (4, 20)
     for i, a in enumerate(exps):
         for j, pt in enumerate(pts):
-            assert M[i, j] == evaluate_monomial(pt, a, gf, FAN1)
+            c, val = reference_graded(a, pt, gf, FAN1)
+            assert M[i, j] == (val if c == 0 else 0)
     # torus-only matrix admits arbitrary (also negative) exponents
     M2 = evaluation_matrix([(-1, 2)], torus_points(gf), gf)
     for j, pt in enumerate(torus_points(gf)):
-        assert M2[0, j] == evaluate_monomial(pt, (-1, 2), gf)
+        assert M2[0, j] == reference_graded((-1, 2), pt, gf, None)[1]
+
+
+@pytest.mark.parametrize(
+    "exps,point",
+    [
+        ([(1.5, 0)], TorusPoint(2, 1)),
+        ([("1", 0)], TorusPoint(2, 1)),
+        ([(1, 0)], TorusPoint(2.7, 1)),
+        ([(1, 2)], OrbitPoint(0.9, 1)),
+    ],
+)
+def test_evaluation_takes_integers_only(exps, point):
+    """A cast to int64 would evaluate 1.5 as 1 and 2.7 as 2, and put
+    OrbitPoint(0.9, 1) on ray 0."""
+    gf = GF(2, 3)
+    with pytest.raises(ValueError, match="must be integers"):
+        evaluation_matrix(exps, [point], gf, FAN1)
+    # an empty list reads as float64 and is still no input error
+    assert evaluation_matrix([], [TorusPoint(2, 1)], gf).shape == (0, 1)
+    assert evaluation_matrix([(1, 0)], [], gf).shape == (1, 0)
 
 
 # -- graded evaluation against the scalar formulas ---------------------------
@@ -289,13 +338,13 @@ def reference_graded(a, point, gf, fan):
     """(order, value) of x^a at one point by the scalar formulas: the torus
     dlog sum, and on the orbit of ray r the order <a, v_r> with the value
     s^lam, where a - <a, v_r> m_r = lam u_r for the transverse vector m_r
-    and the orbit lattice generator u_r."""
+    and the orbit lattice generator u_r, v_r rotated by +90 degrees."""
     if isinstance(point, TorusPoint):
         e = (gf.dlog(point.t1) * a[0] + gf.dlog(point.t2) * a[1]) % (gf.q - 1)
         return 0, int(gf.exp[e])
     v = fan.rays[point.ray]
     m = fan.transverse_vector(point.ray)
-    u = fan.orbit_lattice_generator(point.ray)
+    u = (-v[1], v[0])
     c = a[0] * v[0] + a[1] * v[1]
     red = (a[0] - c * m[0], a[1] - c * m[1])
     lam = red[0] // u[0] if u[0] else red[1] // u[1]

@@ -5,7 +5,8 @@
 work and the sha256 of its witness; the ``mindist`` JSON of the
 (49, 11, 28) record; and the worked decoding example of
 ``demos/05_list_decoding.py``: its stdout and the ``decode`` JSON of its
-word.  A change that is meant to move one of these (a faster search moves
+word; and the stdout of the demos that print no wall time (demo 03 prints
+one).  A change that is meant to move one of these (a faster search moves
 ``work``) re-records the file and says so; any other difference is a
 regression.  Re-record with
 
@@ -34,6 +35,13 @@ RECORD_JOB = {
     "fan": {"rays": [[5, -1], [-1, 5], [-1, -1]]},
     "divisor": [0, 0, 5],
 }
+
+PINNED_DEMOS = (
+    "01_finite_fields.py",
+    "02_fans_and_polytopes.py",
+    "04_bounds_and_conjectures.py",
+    "06_golden_tables.py",
+)
 
 
 def _witness_sha256(witness):
@@ -110,11 +118,23 @@ def decoding_example() -> dict:
     return {"stdout": buf.getvalue().splitlines(), "decode": doc}
 
 
+def demo_stdout() -> dict:
+    """The stdout lines of each pinned demo, by file name."""
+    out = {}
+    for name in PINNED_DEMOS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            runpy.run_path(str(ROOT / "demos" / name))
+        out[name] = buf.getvalue().splitlines()
+    return out
+
+
 def golden_outputs() -> dict:
     return {
         "tables": {table_id: table_rows(table_id) for table_id in GOLDEN_TABLES},
         "record_mindist": record_mindist(),
         "decoding_example": decoding_example(),
+        "demo_stdout": demo_stdout(),
     }
 
 
@@ -129,6 +149,7 @@ def test_every_reproduced_output_is_pinned():
         assert got["tables"][table_id] == want["tables"][table_id], table_id
     assert got["record_mindist"] == want["record_mindist"]
     assert got["decoding_example"] == want["decoding_example"]
+    assert got["demo_stdout"] == want["demo_stdout"]
     assert dumps(got) == GOLDEN.read_text()
 
 

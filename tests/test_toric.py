@@ -5,6 +5,7 @@ from toric_codes.field import GF
 from toric_codes.codes import CodeError, LinearCode, min_distance_exhaustive
 from toric_codes.geometry import (
     Fan2D,
+    FanError,
     OrbitPoint,
     PoleError,
     TDivisor,
@@ -51,6 +52,15 @@ def test_build_fan7_headline_shape():
     res = toric_code(GF(2, 3), FAN7, (0, 0, 5))
     assert (res.n, res.k) == (49, 11)
     assert res.injective
+
+
+@pytest.mark.parametrize("bad", [5.7, "5"])
+def test_non_integer_divisor_is_an_error(bad):
+    """int() would build the (49, 11) record code from (0, 0, 5.7)."""
+    with pytest.raises(FanError, match="must hold integers"):
+        toric_code(GF(2, 3), FAN7, (0, 0, bad))
+    with pytest.raises(FanError, match="must hold integers"):
+        toric_code(GF(2, 3), [(bad, -1), (-1, 5), (-1, -1)], (0, 0, 5))
 
 
 def test_repetition_from_origin_polytope():
