@@ -72,11 +72,13 @@ it.  Per block of the inner axis it takes one broadcast ``vmul`` of shape
 result, with width max(1, 2^18 // (rows cols)).  No temporary then holds more than
 max(2^18, rows cols) entries: a small product is a single broadcast, and
 one with rows cols > 2^18 runs one inner index at a time, as the column
-loop it replaced did.  In ``decode``'s candidate step (null basis times
-locator table) the kernel takes 22 us against 54 us for that loop on the
-GF(8) boundary words of the README and 53 against 88 us on its GF(9) torus
-words; a whole word goes from 171 to 147 us and from 265 to 241 us (best of
-three runs of 300 words, 2 vCPUs, Python 3.11.7, numpy 2.4.6).
+loop it replaced did.  ``decode``'s candidate step multiplies the negated
+reduced rows of the bracket system, transposed, by the pivot rows of the
+locator table, an inner axis of the rank (1 to 4); on the GF(8) boundary
+words of the README it takes 16 to 21 us against 28 to 38 us for the null
+basis times the whole table (inner axis 10), and 43 to 66 against 70 to
+91 us on its GF(9) torus words (best of seven passes over 300 words, three
+runs, 2 shared vCPUs, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -175,13 +177,18 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
     return R, r, pivots
 
 
+def _free_columns(cols: int, pivots: list[int]) -> np.ndarray:
+    """The columns 0..cols-1 that are not pivots, ascending."""
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
+
+
 def _null_basis(gf: GF, R: np.ndarray, pivots: list[int], cols: int) -> np.ndarray:
     """Null-space basis of the first ``cols`` columns of a reduced matrix R
     with the given pivot columns: the vector for free column f has x_f = 1
     and x_p = -R[row of p, f] at each pivot p."""
-    free = np.ones(cols, dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
+    free = _free_columns(cols, pivots)
     basis = np.zeros((free.size, cols), dtype=np.int16)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = gf.neg_table[R[: len(pivots), free]].T

@@ -7,7 +7,19 @@ through ``syndrome``, which checks it and returns s = H r, the brackets
 over the monomial bases f of L(G') and g of L(G - G') from s; (2)
 ``zero_set`` takes the candidate set N(f), the common zeros of every
 locator f = sum a_j f_j in the null space; (3) ``error_values`` solves
-sum_{i in N(f)} b_i h_j(P_i) = s_j.  ``decode`` runs each stage once.
+sum_{i in N(f)} b_i h_j(P_i) = s_j.
+
+``decode`` runs the same chain from one reduction R of the bracket matrix
+B, with rank rho and its pivot columns.  The null vector of free column f
+is x_f = 1, x_p = -R[row of p, f] at each pivot p, so the twisted values of
+the whole null basis are the free rows of the locator table plus
+(-R[:rho, free])^T times its pivot rows: a product over rho (1 to 4 on the
+bench words), where the null basis times the table runs over
+ell = dim L(G').  The locator is the first of these vectors, and the value
+system runs without the input checks of ``error_values``, on a syndrome
+and a candidate set that ``decode`` made itself.  The stage functions
+keep their checks and stay the reference that ``decode`` is tested
+against.
 
 Every bracket is an entry of s: a product f_j g_i has its exponent in
 P_G' + P_(G-G'), which lies in P_G, the exponents of the basis h
@@ -35,7 +47,7 @@ intersection can drop an error position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +56,13 @@ from .codes import (
     LinearCode,
     WorkCapExceeded,
     _elements,
+    _free_columns,
     _positive,
     matmul,
     matvec,
     min_distance,
     null_space,
+    rref,
     solve,
 )
 from .geometry import (
@@ -222,7 +236,6 @@ def error_values(
     """Solve the value system against the syndrome s = H r on the candidate
     positions ``nf``, distinct integers in 0..n-1, listing at most
     ``list_cap`` solutions, an integer >= 1 (else ValueError)."""
-    gf = setup.spec.gf
     list_cap = _positive(list_cap, "list cap")
     s = _syndrome(s, setup)
     pos = np.asarray(nf)
@@ -233,6 +246,12 @@ def error_values(
              or len(set(nf)) != len(nf))
     ):
         raise ValueError(f"candidate positions must be distinct integers in 0..{setup.n - 1}")
+    return _values(s, nf, setup, list_cap)
+
+
+def _values(s: np.ndarray, nf: list[int], setup: DecoderSetup, list_cap: int) -> DecodeOutcome:
+    """``error_values`` on inputs it has checked, or that ``decode`` made."""
+    gf = setup.spec.gf
     H = setup.result.eval_matrix
     within = len(nf) <= setup.zero_cap
     sol = solve(gf, H[:, nf], s)  # an empty nf solves only a zero syndrome
@@ -272,14 +291,25 @@ def error_values(
 
 
 def decode(r: np.ndarray, setup: DecoderSetup, list_cap: int = 256) -> DecodeOutcome:
-    """The stages on one syndrome: bracket null space -> common zero set of
-    the whole null basis -> values.  A unique outcome always satisfies the
-    dual-code membership r - e in C (its brackets against L(G) vanish by
-    construction of the value system).  The list cap is checked before the
-    word; the outcome's locator is the one ``error_locator`` returns."""
-    _positive(list_cap, "list cap")
+    """The stages on one syndrome, read off one reduction of its bracket
+    system (module docstring): common zero set of the whole null basis ->
+    values.  A unique outcome always satisfies the dual-code membership
+    r - e in C (its brackets against L(G) vanish by construction of the
+    value system).  The list cap is checked before the word; the outcome's
+    locator is the one ``error_locator`` returns."""
+    gf = setup.spec.gf
+    list_cap = _positive(list_cap, "list cap")
     s = syndrome(r, setup)
-    ns = null_space(setup.spec.gf, bracket_matrix(s, setup))
-    if not len(ns):
+    R, rank, pivots = rref(gf, s[setup.bracket_index])
+    ell = R.shape[1]
+    if rank == ell:
         return DecodeOutcome("fail", None, None, [], diagnostics=_NO_LOCATOR)
-    return replace(error_values(s, zero_set(ns, setup), setup, list_cap), locator=ns[0])
+    free = _free_columns(ell, pivots)
+    coef = gf.neg_table[R[:rank, free]]  # column k: the pivot entries of null vector k
+    L = setup.locator
+    values = gf.vadd(L[free], matmul(gf, coef.T, L[pivots]))
+    out = _values(s, np.flatnonzero(~values.any(axis=0)).tolist(), setup, list_cap)
+    out.locator = np.zeros(ell, dtype=np.int16)
+    out.locator[free[0]] = 1
+    out.locator[pivots] = coef[:, 0]
+    return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,13 +42,20 @@ class PoleError(ValueError):
 Vec = tuple[int, int]
 
 
-def _integers(values, what: str, error: type[ValueError]) -> tuple[int, ...]:
+def _integers(values, what: str, error: type[ValueError], length: int | None = None) -> tuple[int, ...]:
     """``values`` as Python ints when each is an integer (a bool is not
-    one), else ``error``: int() would truncate 2.5 and parse "2"."""
-    values = tuple(values)
-    if not all(map(_is_integer, values)):
-        raise error(f"{what} {values!r} must hold integers")
-    return tuple(int(v) for v in values)
+    one) and, with ``length``, there are that many, else ``error``: int()
+    would truncate 2.5 and parse "2"."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = None
+    if items is None or (length is not None and len(items) != length):
+        count = "a sequence of" if length is None else length
+        raise error(f"{what} {values!r} must be {count} integers")
+    if not all(map(_is_integer, items)):
+        raise error(f"{what} {items!r} must hold integers")
+    return tuple(int(v) for v in items)
 
 
 def _det(u: Vec, v: Vec) -> int:
@@ -71,7 +79,7 @@ class Fan2D:
     """A complete fan in Z^2, encoded by its primitive rays in ccw order."""
 
     def __init__(self, rays: Sequence[Sequence[int]]):
-        rays = [_integers((a, b), "ray", FanError) for a, b in rays]
+        rays = [_integers(v, "ray", FanError, 2) for v in rays]
         if len(rays) < 3:
             raise FanError(f"need at least 3 rays, got {len(rays)} (fan incomplete)")
         for v in rays:
@@ -203,7 +211,7 @@ class LatticePolytope:
     """
 
     def __init__(self, normals: Sequence[Vec], offsets: Sequence[int]):
-        self.normals = tuple(_integers((a, b), "normal", PolytopeError) for a, b in normals)
+        self.normals = tuple(_integers(v, "normal", PolytopeError, 2) for v in normals)
         self.offsets = _integers(offsets, "offsets", PolytopeError)
         if len(self.normals) != len(self.offsets):
             raise PolytopeError("normals/offsets length mismatch")
@@ -317,7 +325,7 @@ class LatticePolytope:
 
     def translate(self, t: Sequence[int]) -> "LatticePolytope":
         """Integral translation by t: offsets shift by -<t, v_i>."""
-        tx, ty = _integers(t, "translation", PolytopeError)
+        tx, ty = _integers(t, "translation", PolytopeError, 2)
         return LatticePolytope(
             self.normals,
             [d - (v[0] * tx + v[1] * ty) for v, d in zip(self.normals, self.offsets)],
@@ -378,6 +386,33 @@ def orbit_points(fan: Fan2D, ray: int, gf: GF) -> list[OrbitPoint]:
     return [OrbitPoint(ray, s) for s in gf.units()]
 
 
+def _integer_array(entries, what: str, width: int) -> np.ndarray:
+    """Rows of ``width`` integers as an int64 array, else ValueError.  A
+    list is read by the types of its entries, so a float is refused where a
+    cast would truncate it, and a bool where numpy would read it as 0 or 1;
+    an array by its dtype."""
+    if isinstance(entries, np.ndarray):
+        if entries.size and entries.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be integers, got dtype {entries.dtype}")
+        return entries.astype(np.int64, copy=False).reshape(-1, width)
+    try:
+        rows_fit = set(map(len, entries)) <= {width}
+    except TypeError:  # an entry that is not a row
+        rows_fit = False
+    if not rows_fit:
+        raise ValueError(f"{what} must be rows of {width} integers")
+    flat = list(chain.from_iterable(entries))
+    types = set(map(type, flat))
+    if {bool, np.bool_} & types:
+        raise ValueError(f"{what} must be integers, not bools")
+    if not all(issubclass(t, (int, np.integer)) for t in types):
+        raise ValueError(f"{what} must be integers, got {sorted(t.__name__ for t in types)}")
+    try:
+        return np.fromiter(flat, np.int64, len(flat)).reshape(-1, width)
+    except OverflowError:
+        raise ValueError(f"{what} must be integers of at most 64 bits") from None
+
+
 def graded_evaluation(
     exponents: Sequence[Vec], points: Sequence[EvalPoint], gf: GF, fan: Fan2D | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -389,21 +424,14 @@ def graded_evaluation(
     with m_r = transverse_vector(r), a - <a, v_r> m_r = det(m_r, a) u_r, so
     the leading value is the orbit character s^det(m_r, a).  Either value
     is g^((a . w) mod (q-1)): w = (log t1, log t2), or log(s) (-m_r2, m_r1).
-    Exponents and point fields must be integers (ValueError).
+    Exponents and point fields must be integers, not bools (ValueError).
     """
-    A = np.array(exponents).reshape(-1, 2)
     s = fan.s if fan is not None else 0
     # one row per point: orbit flag, ray, and two field elements whose logs
     # make w through the ray's turn matrix (row s of the tables: the torus)
-    rows = np.array(
-        [(0, s, pt.t1, pt.t2) if isinstance(pt, TorusPoint) else (1, pt.ray, pt.s, 1) for pt in points]
-    ).reshape(-1, 4)
-    # one dtype check per array instead of a cast, which would truncate 1.5;
-    # an empty list reads as float64
-    for arr, what in ((A, "exponents"), (rows, "point coordinates and ray indices")):
-        if arr.size and arr.dtype.kind not in "iu":
-            raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
-    A, rows = A.astype(np.int64, copy=False), rows.astype(np.int64, copy=False)
+    rows = [(0, s, pt.t1, pt.t2) if isinstance(pt, TorusPoint) else (1, pt.ray, pt.s, 1) for pt in points]
+    A = _integer_array(exponents, "exponents", 2)
+    rows = _integer_array(rows, "point coordinates and ray indices", 4)
     orbit, ray, coords = rows[:, 0] == 1, rows[:, 1], rows[:, 2:]
     if orbit.any() and fan is None:
         raise ValueError("orbit-point evaluation needs the fan")

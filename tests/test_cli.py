@@ -453,6 +453,7 @@ def test_rm_parameters(capsys, m, ell, code):
         {"fan": {"rays": [[1], [-1, 2], [-1, -1]]}},
         {"divisor": [0, 0, "a"]},
         {"points": {"orbits": 1}},
+        {"fan": {"rays": [[1, 0, 0], [-1, 2], [-1, -1]]}},
     ],
 )
 def test_build_rejects_malformed_spec(tmp_path, capsys, override):

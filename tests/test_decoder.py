@@ -6,10 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
-from toric_codes import decoder
+from toric_codes import codes, decoder
 from toric_codes.field import GF
 from toric_codes.codes import LinearCode, _elements, matvec, min_distance_exhaustive, null_space, rref, solve
 from toric_codes.decoder import (
+    DecodeOutcome,
     DecoderSetup,
     SetupError,
     bracket_matrix,
@@ -565,40 +566,47 @@ def test_gf16_torus_words_decode_uniquely():
 
 
 def count_decoder_calls(monkeypatch, setup):
-    """Wrap decoder bindings; the returned Counter tallies the checks of a
-    received word, the products with H and the calls of each stage."""
+    """Wrap decoder bindings; the returned Counter tallies every input
+    check by what it checks, the products with H, the reductions of the
+    bracket system, the value systems and the calls of each public stage."""
     calls = collections.Counter()
     H = setup.result.eval_matrix
+    bracket_shape = setup.bracket_index.shape
 
-    def wrap(name, key):
-        inner = getattr(decoder, name)
+    def wrap(module, name, key):
+        inner = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[key(*args)] += 1
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(decoder, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    wrap("_elements", lambda gf, a, what, *rest: "check of r" if what == "received word" else None)
+    wrap(decoder, "_elements", lambda gf, a, what, *rest: "check of r" if what == "received word" else f"check of {what}")
     for name in ("matmul", "matvec"):
-        wrap(name, lambda gf, A, B: "product with H" if H is A or H is B else None)
-    for name in ("syndrome", "bracket_matrix", "error_locator", "zero_set", "error_values"):
-        wrap(name, lambda *args, name=name: name)
+        wrap(decoder, name, lambda gf, A, B: "product with H" if H is A or H is B else None)
+    # every reduction, the decoder's own and those inside solve and null_space
+    for module in (decoder, codes):
+        wrap(module, "rref", lambda gf, M, *rest: "reduction of B" if np.shape(M) == bracket_shape else None)
+    wrap(decoder, "solve", lambda *args: "value system")
+    for name in ("syndrome", "bracket_matrix", "error_locator", "zero_set", "error_values", "null_space"):
+        wrap(decoder, name, lambda *args, name=name: name)
     return calls
 
 
 def test_decode_reads_each_word_through_one_syndrome(monkeypatch):
-    """Per word: one check of r, one product with H, and each stage once;
-    without a locator the chain stops after the bracket system."""
+    """Per word: one check of r, one product with H, one reduction of the
+    bracket system and one value system, and no other check or stage;
+    without a locator the chain stops right after that reduction."""
     st = boundary_setup()
     calls = count_decoder_calls(monkeypatch, st)
     rng = np.random.default_rng(13)
-    chain = {"check of r": 1, "product with H": 1, "syndrome": 1, "bracket_matrix": 1}
+    chain = {"check of r": 1, "product with H": 1, "syndrome": 1, "reduction of B": 1}
     for r, e in planted_words(st, rng, [0, 1, 2, 3, 4, 8]):
         calls.clear()
         out = decode(r, st)
         calls.pop(None, None)
-        assert calls == {**chain, "zero_set": 1, "error_values": 1}
+        assert calls == {**chain, "value system": 1}
         assert out.status != "unique" or np.array_equal(out.errors_found, e)
     st = torus_setup()
     calls = count_decoder_calls(monkeypatch, st)
@@ -608,6 +616,87 @@ def test_decode_reads_each_word_through_one_syndrome(monkeypatch):
     assert decode(overloaded, st).status == "fail"
     calls.pop(None, None)
     assert calls == chain
+
+
+def generic_decode(r, st, list_cap=256):
+    """The stage chain that ``decode`` shortcuts: the null basis of the
+    bracket system, its common zero set, the value system, and the first
+    null vector as the locator."""
+    s = syndrome(r, st)
+    ns = null_space(st.spec.gf, bracket_matrix(s, st))
+    if not len(ns):
+        with pytest.raises(SetupError) as no_locator:
+            error_locator(s, st)
+        return DecodeOutcome("fail", None, None, [], diagnostics=str(no_locator.value))
+    out = error_values(s, zero_set(ns, st), st, list_cap)
+    out.locator = error_locator(s, st)
+    assert np.array_equal(out.locator, ns[0])
+    return out
+
+
+def assert_same_outcome(got, want):
+    assert got.status == want.status
+    assert got.zero_set == want.zero_set
+    assert got.within_zero_cap == want.within_zero_cap
+    assert got.diagnostics == want.diagnostics
+    if want.locator is None:
+        assert got.locator is None
+    else:
+        assert got.locator.dtype == np.int16 and np.array_equal(got.locator, want.locator)
+    if want.errors_found is None:
+        assert got.errors_found is None
+    elif want.status == "list":
+        assert isinstance(got.errors_found, list) and len(got.errors_found) == len(want.errors_found)
+        for a, b in zip(got.errors_found, want.errors_found):
+            assert np.array_equal(a, b)
+    else:
+        assert np.array_equal(got.errors_found, want.errors_found)
+
+
+def listing_setup():
+    """fan4 over GF(5), G = 2 D_3, G' = D_3, all 16 torus points: a zero
+    set can hold the support of a codeword, so past the design radius the
+    value system lists.  No seeded word lists on the two setups above."""
+    gf = GF(5)
+    spec = ToricCodeSpec(gf, FAN4, TDivisor((0, 0, 2)), default_points(gf, FAN4))
+    return decoder_setup(spec, TDivisor((0, 0, 1)))
+
+
+# (set-up, seed, most planted errors, the outcomes the words must reach as
+# (status, locator is None)); the torus bracket systems have at least ell
+# rows, so a full-rank one leaves no locator
+OUTCOMES = {"unique": ("unique", False), "fail": ("fail", False), "list": ("list", False), "none": ("fail", True)}
+CHAIN_CASES = {
+    "boundary": (boundary_setup, 31, 12, ["unique", "fail"]),
+    "torus": (torus_setup, 32, 9, ["unique", "none"]),
+    "listing torus": (listing_setup, 33, 9, ["unique", "fail", "none", "list"]),
+}
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_decode_matches_the_generic_chain(case):
+    """``decode`` reads the zero set and the locator off one reduction of
+    the bracket system; on fixed-seed words from 0 errors to well past the
+    design radius, and on random words, every field of its outcome equals
+    that of the chain null_space -> zero_set -> error_values."""
+    make, seed, most, reached = CHAIN_CASES[case]
+    st = make()
+    gf = st.spec.gf
+    rng = np.random.default_rng(seed)
+    words = [r for r, _ in planted_words(st, rng, [j % (most + 1) for j in range(240)])]
+    words += [rng.integers(0, gf.q, size=st.n).astype(np.int16) for _ in range(40)]
+    words.append(np.zeros(st.n, dtype=np.int16))
+    seen, ranks = collections.Counter(), set()
+    for r in words:
+        B = bracket_matrix(syndrome(r, st), st)
+        ranks.add(rref(gf, B)[1])
+        for cap in (256, 1):
+            got = decode(r, st, list_cap=cap)
+            assert_same_outcome(got, generic_decode(r, st, cap))
+            seen[got.status, got.locator is None] += 1
+    # an all-zero bracket matrix, a full-rank one, and every expected outcome
+    assert {0, min(st.bracket_index.shape)} <= ranks
+    assert {OUTCOMES[o] for o in reached} <= set(seen), seen
 
 
 def test_boundary_overload_never_wrong_unique():

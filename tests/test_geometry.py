@@ -91,6 +91,29 @@ def test_polytopes_take_integers_only(bad):
         poly(FAN7, (0, 0, 5)).translate((bad, 0))
 
 
+NOT_PAIRS = pytest.mark.parametrize(
+    "bad", [(1, 0, 0), (1,), 5, None], ids=["triple", "single", "scalar", "none"]
+)
+
+
+@NOT_PAIRS
+def test_rays_must_be_pairs(bad):
+    with pytest.raises(FanError, match=re.escape(f"ray {bad!r} must be 2 integers")):
+        Fan2D([bad, (-1, 2), (-1, -1)])
+
+
+@NOT_PAIRS
+def test_normals_must_be_pairs(bad):
+    with pytest.raises(PolytopeError, match=re.escape(f"normal {bad!r} must be 2 integers")):
+        LatticePolytope([bad, (-1, 5), (-1, -1)], (0, 0, 5))
+
+
+@NOT_PAIRS
+def test_translations_must_be_pairs(bad):
+    with pytest.raises(PolytopeError, match=re.escape(f"translation {bad!r} must be 2 integers")):
+        poly(FAN7, (0, 0, 5)).translate(bad)
+
+
 # -- smoothness / Cartier / ample ---------------------------------------
 
 
@@ -315,6 +338,7 @@ def test_evaluation_matrix_consistency():
         ([("1", 0)], TorusPoint(2, 1)),
         ([(1, 0)], TorusPoint(2.7, 1)),
         ([(1, 2)], OrbitPoint(0.9, 1)),
+        ([(1, 0)], TorusPoint(2**64, 1)),
     ],
 )
 def test_evaluation_takes_integers_only(exps, point):
@@ -323,7 +347,12 @@ def test_evaluation_takes_integers_only(exps, point):
     gf = GF(2, 3)
     with pytest.raises(ValueError, match="must be integers"):
         evaluation_matrix(exps, [point], gf, FAN1)
-    # an empty list reads as float64 and is still no input error
+    # a row of the wrong length is refused, not re-cut into pairs
+    with pytest.raises(ValueError, match="rows of 2 integers"):
+        evaluation_matrix([(1, 2, 3), (4,)], [TorusPoint(2, 1)], gf)
+    with pytest.raises(ValueError, match="rows of 2 integers"):
+        evaluation_matrix([1, 2], [TorusPoint(2, 1)], gf)
+    # an empty list is still no input error
     assert evaluation_matrix([], [TorusPoint(2, 1)], gf).shape == (0, 1)
     assert evaluation_matrix([(1, 0)], [], gf).shape == (1, 0)
 
@@ -391,6 +420,28 @@ def test_torus_evaluation_matrix_is_the_strict_torus_case():
     M = torus_evaluation_matrix(exps, gf)
     assert np.array_equal(M, evaluation_matrix(exps, torus_points(gf), gf))
     assert M.shape == (3, 64) and M.dtype == np.int16
+
+
+@pytest.mark.parametrize("bool_", [True, np.True_, False, np.False_], ids=["True", "np.True_", "False", "np.False_"])
+def test_evaluation_takes_no_bools(bool_):
+    """numpy reads a bool among integers as 0 or 1: [(True, 0)] would be the
+    exponent (1, 0)."""
+    gf = GF(2, 3)
+    for exps, point in [
+        ([(bool_, 0)], TorusPoint(2, 1)),
+        ([(1, 0), (0, bool_)], TorusPoint(2, 1)),
+        ([(1, 0)], TorusPoint(bool_, 3)),
+        ([(1, 2)], OrbitPoint(bool_, 1)),
+        ([(1, 2)], OrbitPoint(0, bool_)),
+    ]:
+        with pytest.raises(ValueError, match="not bools"):
+            graded_evaluation(exps, [point], gf, FAN1)
+        with pytest.raises(ValueError, match="not bools"):
+            evaluation_matrix(exps, [point], gf, FAN1)
+    # an integer array cannot hold a bool; a bool array is no integer array
+    assert evaluation_matrix(np.array([[1, 0]]), [TorusPoint(2, 1)], gf).shape == (1, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        evaluation_matrix(np.array([[bool_, False]]), [TorusPoint(2, 1)], gf)
 
 
 def test_graded_evaluation_rejects_bad_points():
