@@ -45,6 +45,30 @@ it, one pass over the 61 golden rows of the ``corpus`` benchmark went from
 scaled), with the same d, method, work and witness on every row (2 vCPUs,
 Python 3.11.7, numpy 2.4.6).
 
+The leaf buffer.  A broadcast of a leaf, X against T, runs through numpy's
+buffered iterator when its inner axis is shorter than 4096, in chunks of up
+to the ufunc buffer's size, and smaller chunks run faster there; most GF(8)
+leaves of the golden rows have an inner axis below 4096 and an outer
+one above 8 (343 x 147, 2401 x 7 to 35, 49 x 294 to 1029).  So every task
+of both engines runs under a buffer of ``_LEAF_BUFSIZE`` = 1024 elements,
+scoped by ``np.errstate``, which restores the caller's buffer size on exit
+(numpy >= 2.0): one scope per search with one worker, one per task in a
+pool, whose threads do not inherit the caller's context.  A uint64 XOR of
+64 x 1 words against 1 x 512 takes 14.5 us against 38.4 us at numpy's
+default of 8192 elements and 12.3 us on contiguous operands; 21 x 2401
+takes 18.4 against 59.3 us.  The count of nonzero bytes in ``GF.pdist``
+sums the flags as uint8 rather than casting bools, a cast the small buffer
+would slow; its sum over the position axis still runs slower there (37
+against 22 us for 36 x 16807 bytes), which the p >= 5 leaves with long
+tables pay.  Against the default buffer and the bool cast, one ``corpus``
+pass went from 0.275 s to 0.212 s (``wall_s``, medians of 12 alternating
+30 s runs each, faster in all 12 pairs) and ``op_p99_ms`` from 173 to 124
+ms, while ``op_p50_ms`` read 7.57 against 7.37 ms.  In process, a pass
+took 223 ms at 1024 elements, 226 at 512, 240 at 2048, 242 at 4096 and
+290 at 8192 (medians of 16 interleaved passes); all on 2 vCPUs, Python
+3.11.7, numpy 2.4.6.  The buffer changes no result: d, work and witness
+stay bit for bit.
+
 Torus translations.  When n = (q-1)^2, q >= 3, and the code is invariant
 under the torus translations (t1, t2) -> (s1 t1, s2 t2) (checked on the
 first reduced generator: rolling the (q-1) x (q-1) grid of coordinates one
@@ -83,6 +107,7 @@ runs, 2 shared vCPUs, Python 3.11.7, numpy 2.4.6).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -119,6 +144,10 @@ _PRODUCT_BLOCK = 1 << 18
 # search together: each of its m matrices has a share of 1/m, and a two-row
 # leaf of that matrix, block times table suffix, holds at most that share
 _PAIR_LEAF_BYTES = 1 << 21
+
+# the numpy ufunc buffer, in elements, under which every task of both
+# engines runs (module docstring)
+_LEAF_BUFSIZE = 1 << 10
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -363,7 +392,10 @@ def _nearest(
     The weights are distances (``GF.pdist``), the longer of X and T along
     the inner axis, and only the words at the least weight are formed.
     Every table T of the engines is closed under negation, so x - t runs
-    over the words x + t.
+    over the words x + t.  The engines call it under ``_leaf_scope``: a
+    broadcast whose inner axis is shorter than 4096 runs in chunks of up to
+    numpy's ufunc buffer, and it runs faster in small ones (module
+    docstring).
     """
     inner_x = X.shape[1] > T.shape[1]
     if inner_x:
@@ -428,19 +460,29 @@ def check_work_budget(work_budget) -> int | None:
     return None if work_budget is None else _positive(work_budget, "work budget")
 
 
-def _run_tasks(fn, tasks, workers: int):
-    """fn over the tasks, in task order; a pool starts no more threads than
-    there are tasks or processors, and one worker streams the tasks."""
+def _leaf_scope(fn, *args):
+    """fn(*args) under a ufunc buffer of ``_LEAF_BUFSIZE`` elements (module
+    docstring); the caller's buffer size is restored on return."""
+    with np.errstate():
+        np.setbufsize(_LEAF_BUFSIZE)
+        return fn(*args)
+
+
+def _run_tasks(fn, tasks, workers: int, best_w=None, ties=None, work=0):
+    """``_reduce_results`` over fn of each task, in task order, every task
+    under ``_leaf_scope``.  One worker streams the tasks in one scope; a
+    pool starts no more threads than there are tasks or processors and
+    scopes each task, as its threads do not inherit the caller's context."""
     if workers > 1:
         tasks = list(tasks)
         workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        yield from map(fn, tasks)
-        return
+        return _leaf_scope(_reduce_results, map(fn, tasks), best_w, ties, work)
     import concurrent.futures as cf
 
     with cf.ThreadPoolExecutor(max_workers=workers) as ex:
-        yield from ex.map(fn, tasks)
+        results = ex.map(functools.partial(_leaf_scope, fn), tasks)
+        return _reduce_results(results, best_w, ties, work)
 
 
 def min_distance_exhaustive(
@@ -493,7 +535,7 @@ def min_distance_exhaustive(
         # the first q^r suffixes span the last r rows: a subspace
         return _nearest(gf, prefix, S[:, :rows], n)
 
-    best_w, ties, work = _reduce_results(_run_tasks(run, tasks(), workers))
+    best_w, ties, work = _run_tasks(run, tasks(), workers)
     return WeightReport(d=best_w, witness=_witness(gf, ties, n), method="exhaustive", work=work)
 
 
@@ -685,7 +727,7 @@ def min_distance_infoset(
             tasks.extend(
                 (rows[j][:, s0 : s0 + 1], s0 + 1, multiples[j], pairs[j]) for s0 in range(k - w + 1)
             )
-        level_w, ties, work = _reduce_results(_run_tasks(run, tasks, workers), best_w, None, work)
+        level_w, ties, work = _run_tasks(run, tasks, workers, best_w, None, work)
         if ties is not None:
             cand = _witness(gf, ties, n, translations)
             if witness is None or level_w < best_w or tuple(cand) < tuple(witness):

@@ -401,10 +401,11 @@ class GF:
                 np.bitwise_xor(A[j : j + step], B[j : j + step], out=part)
                 acc |= part
         if self.p > 3:
-            # the nonzero flags in place over uint8 bytes, summed in the
-            # narrowest type that holds n: faster than count_nonzero
+            # the nonzero flags in place over uint8 bytes, summed as uint8
+            # in the narrowest type that holds n: faster than count_nonzero,
+            # and below n = 256 a sum without a cast
             nz = np.not_equal(acc, 0, out=acc.view(np.bool_)) if acc.itemsize == 1 else acc != 0
-            return nz.sum(axis=0, dtype=np.min_scalar_type(step))
+            return nz.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(step))
         counts = np.bitwise_count(acc)
         return counts[0] if step == 1 else counts.sum(axis=0)
 

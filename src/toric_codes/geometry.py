@@ -42,17 +42,23 @@ class PoleError(ValueError):
 Vec = tuple[int, int]
 
 
+def _sequence(values, what: str, error: type[ValueError], of: str) -> tuple:
+    """``values`` as a tuple, else ``error`` naming the value: ``of`` says
+    what the sequence should hold."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise error(f"{what} {values!r} must be {of}") from None
+
+
 def _integers(values, what: str, error: type[ValueError], length: int | None = None) -> tuple[int, ...]:
     """``values`` as Python ints when each is an integer (a bool is not
     one) and, with ``length``, there are that many, else ``error``: int()
     would truncate 2.5 and parse "2"."""
-    try:
-        items = tuple(values)
-    except TypeError:
-        items = None
-    if items is None or (length is not None and len(items) != length):
-        count = "a sequence of" if length is None else length
-        raise error(f"{what} {values!r} must be {count} integers")
+    of = f"{'a sequence of' if length is None else length} integers"
+    items = _sequence(values, what, error, of)
+    if length is not None and len(items) != length:
+        raise error(f"{what} {values!r} must be {of}")
     if not all(map(_is_integer, items)):
         raise error(f"{what} {items!r} must hold integers")
     return tuple(int(v) for v in items)
@@ -79,7 +85,10 @@ class Fan2D:
     """A complete fan in Z^2, encoded by its primitive rays in ccw order."""
 
     def __init__(self, rays: Sequence[Sequence[int]]):
-        rays = [_integers(v, "ray", FanError, 2) for v in rays]
+        rays = [
+            _integers(v, "ray", FanError, 2)
+            for v in _sequence(rays, "rays", FanError, "a sequence of integer pairs")
+        ]
         if len(rays) < 3:
             raise FanError(f"need at least 3 rays, got {len(rays)} (fan incomplete)")
         for v in rays:
@@ -211,7 +220,10 @@ class LatticePolytope:
     """
 
     def __init__(self, normals: Sequence[Vec], offsets: Sequence[int]):
-        self.normals = tuple(_integers(v, "normal", PolytopeError, 2) for v in normals)
+        self.normals = tuple(
+            _integers(v, "normal", PolytopeError, 2)
+            for v in _sequence(normals, "normals", PolytopeError, "a sequence of integer pairs")
+        )
         self.offsets = _integers(offsets, "offsets", PolytopeError)
         if len(self.normals) != len(self.offsets):
             raise PolytopeError("normals/offsets length mismatch")

@@ -443,6 +443,69 @@ def test_thread_pool_is_bounded_by_tasks_and_processors(monkeypatch):
     assert sizes and max(sizes) <= 4
 
 
+class LeafFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("caller", [None, 4096], ids=["default", "caller-4096"])
+def test_engines_leave_the_callers_buffer_size(monkeypatch, caller, workers):
+    """Every leaf runs under the engines' ufunc buffer, and the caller's
+    buffer size is the same after a normal return, a budget stop (the
+    interval report), WorkCapExceeded and a failing leaf."""
+    from toric_codes import codes
+
+    real_nearest = codes._nearest
+    seen = []
+
+    def recording_nearest(*args):
+        seen.append(np.getbufsize())
+        return real_nearest(*args)
+
+    monkeypatch.setattr(codes, "_nearest", recording_nearest)
+    code = random_code(GF(3), 12, 6, np.random.default_rng(9))
+    with np.errstate():
+        if caller is not None:
+            np.setbufsize(caller)
+        before = np.getbufsize()
+        assert min_distance_exhaustive(code, workers=workers).exact
+        assert np.getbufsize() == before
+        assert min_distance_infoset(code, workers=workers).exact
+        assert np.getbufsize() == before
+        stopped = min_distance_infoset(code, work_budget=13, workers=workers)
+        assert not stopped.exact and stopped.lower < stopped.upper
+        assert np.getbufsize() == before
+        with pytest.raises(WorkCapExceeded):
+            min_distance_exhaustive(code, work_cap=10, workers=workers)
+        assert np.getbufsize() == before
+        assert seen and set(seen) == {codes._LEAF_BUFSIZE}
+
+        def failing_nearest(*args):
+            raise LeafFailure
+
+        monkeypatch.setattr(codes, "_nearest", failing_nearest)
+        for engine in (min_distance_exhaustive, min_distance_infoset):
+            with pytest.raises(LeafFailure):
+                engine(code, workers=workers)
+            assert np.getbufsize() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_record_report_does_not_depend_on_the_callers_buffer(workers):
+    """The record (49, 11, 28): the same d, work and witness when the
+    caller has set an odd ufunc buffer, which is restored afterwards."""
+    from toric_codes.toric import toric_code
+
+    code = toric_code(GF(2, 3), [(5, -1), (-1, 5), (-1, -1)], (0, 0, 5)).code
+    want = min_distance_infoset(code)
+    assert (want.d, want.work) == (28, 8995767)
+    with np.errstate():
+        np.setbufsize(64)
+        got = min_distance_infoset(code, workers=workers)
+        assert np.getbufsize() == 64
+    assert_same_report(got, want)
+
+
 # -- information-set engine ---------------------------------------------------
 
 

@@ -254,8 +254,10 @@ def test_packed_add_covers_every_pair(p, m):
     assert np.array_equal(got, gf.add_table[a, b])
 
 
-# every field of the engine tests in test_codes.py, and the two-byte form
-@pytest.mark.parametrize("n", [1, 49, 64, 65, 130])
+# every field of the engine tests in test_codes.py, and the two-byte form;
+# n = 255 and 256 are the largest distance a uint8 count holds and the first
+# that needs a uint16 one
+@pytest.mark.parametrize("n", [1, 49, 64, 65, 130, 255, 256])
 @pytest.mark.parametrize("p,m", PACKED_FIELDS)
 def test_packed_distance_matches_unpacked_words(p, m, n):
     """pdist counts the positions where two words differ, pdist(x, -y) is
@@ -267,9 +269,10 @@ def test_packed_distance_matches_unpacked_words(p, m, n):
     B = rng.integers(0, gf.q, size=(1, 7, n)).astype(np.int16)
     B[0, 0] = A[0, 0]  # distance 0
     B[0, 1] = gf.vneg(A[1, 0])  # a zero sum
+    B[0, 2] = gf.vadd(A[2, 0], np.ones(n, dtype=np.int16))  # distance n
     PA, PB = gf.pack(A), gf.pack(B)
     D = gf.pdist(PA, PB)
-    assert D.shape == (5, 7) and D[0, 0] == 0
+    assert D.shape == (5, 7) and D[0, 0] == 0 and D[2, 2] == n
     assert np.array_equal(D, np.count_nonzero(gf.unpack(PA, n) != gf.unpack(PB, n), axis=-1))
     assert np.array_equal(gf.pdist(PB, PA), D)
     W = gf.pdist(PA, gf.pack(gf.vneg(B)))

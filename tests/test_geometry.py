@@ -108,6 +108,18 @@ def test_normals_must_be_pairs(bad):
         LatticePolytope([bad, (-1, 5), (-1, -1)], (0, 0, 5))
 
 
+@pytest.mark.parametrize("bad", [5, None, 2.5], ids=["int", "none", "float"])
+def test_ray_and_normal_lists_must_be_sequences(bad):
+    with pytest.raises(FanError, match=re.escape(f"rays {bad!r} must be a sequence of integer pairs")):
+        Fan2D(bad)
+    with pytest.raises(
+        PolytopeError, match=re.escape(f"normals {bad!r} must be a sequence of integer pairs")
+    ):
+        LatticePolytope(bad, (0, 0, 5))
+    with pytest.raises(PolytopeError, match=re.escape(f"offsets {bad!r} must be a sequence of integers")):
+        LatticePolytope(FAN7.rays, bad)
+
+
 @NOT_PAIRS
 def test_translations_must_be_pairs(bad):
     with pytest.raises(PolytopeError, match=re.escape(f"translation {bad!r} must be 2 integers")):
