@@ -234,9 +234,12 @@ def null_space(gf: GF, mat: np.ndarray) -> np.ndarray:
 def matmul(gf: GF, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact matrix product over the field, the one product kernel (module
     docstring): per block of the inner axis, one broadcast product and one
-    field sum, added into the result."""
-    A = np.asarray(A, dtype=np.int16)
-    B = np.asarray(B, dtype=np.int16)
+    field sum, added into the result.  A and B must be integer arrays, else
+    CodeError; their entries are element indices that the caller checked
+    (a check of every entry would cost ``decode`` a pass per product)."""
+    A, B = np.asarray(A), np.asarray(B)
+    if A.dtype.kind not in "iu" or B.dtype.kind not in "iu":
+        raise CodeError(f"operands must be integer arrays, got dtypes {A.dtype} and {B.dtype}")
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise CodeError("length mismatch")
     (rows, inner), cols = A.shape, B.shape[1]
@@ -255,21 +258,35 @@ def matvec(gf: GF, A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return matmul(gf, A, np.asarray(v)[:, None])[:, 0]
 
 
+def _solution(R: np.ndarray, rank: int, pivots: list[int]) -> np.ndarray | None:
+    """The solution of A x = b whose free variables are 0, read off the
+    reduced form R of the augmented matrix [A | b] with its rank and pivot
+    columns; None when the system is inconsistent (a pivot in the last
+    column).  The first columns of R are the reduced form of A itself, so
+    ``_null_basis`` reads the null space off R with no second reduction."""
+    cols = R.shape[1] - 1
+    if rank and pivots[-1] == cols:
+        return None
+    if rank == cols:  # unique: the pivots are the columns 0..cols-1
+        return R[:cols, cols]
+    x = np.zeros(cols, dtype=np.int16)
+    x[pivots] = R[:rank, cols]
+    return x
+
+
 def solve(gf: GF, A: np.ndarray, b: np.ndarray):
-    """Solve A x = b.  Returns (particular, null_basis) or None when
-    inconsistent; the particular solution sets all free variables to 0."""
-    A = np.asarray(A, dtype=np.int16)
-    b = np.asarray(b, dtype=np.int16).reshape(-1)
-    aug = np.concatenate([A, b[:, None]], axis=1)
-    R, rank, pivots = rref(gf, aug)
-    ncols = A.shape[1]
-    if ncols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = np.zeros(ncols, dtype=np.int16)
-    x[pivots] = R[:rank, ncols]
-    # R[:, :ncols] is the reduced form of A itself, so its null space needs
-    # no second reduction
-    return x, _null_basis(gf, R, pivots, ncols)
+    """Solve A x = b for a 2-D matrix A and a vector b of len(A) element
+    indices (else CodeError).  Returns (particular, null_basis) or None
+    when inconsistent; the particular solution sets all free variables
+    to 0."""
+    A = np.asarray(A)
+    if A.ndim != 2:
+        raise CodeError(f"the matrix of a linear system must be 2-D, got shape {A.shape}")
+    A = _elements(gf, A, "matrix")
+    b = _elements(gf, b, "right-hand side", len(A))
+    R, rank, pivots = rref(gf, np.concatenate([A, b[:, None]], axis=1))
+    x = _solution(R, rank, pivots)
+    return None if x is None else (x, _null_basis(gf, R, pivots, A.shape[1]))
 
 
 # -- the code object --------------------------------------------------------
@@ -783,10 +800,19 @@ def _rm_exponents(q: int, m: int, ell: int) -> list[tuple[int, ...]]:
 RM_SIZE_CAP = 1 << 16  # the most points q^m a Reed-Muller code is built on
 
 
+def _rm_params(m, ell) -> tuple[int, int]:
+    """The Reed-Muller parameters m and ell as ints; CodeError unless both
+    are Python or numpy integers (a bool is not one)."""
+    if not _is_integer(m) or not _is_integer(ell):
+        raise CodeError(f"m = {m!r} and ell = {ell!r} must be integers")
+    return int(m), int(ell)
+
+
 def reed_muller(gf: GF, m: int, ell: int) -> LinearCode:
     """Evaluation code of all m-variate monomials of total degree <= ell
     (per-variable degree <= q-1) at every point of GF(q)^m."""
     q = gf.q
+    m, ell = _rm_params(m, ell)
     if m < 1 or ell < 0:
         raise CodeError("need m >= 1 and ell >= 0")
     n = q**m
@@ -812,6 +838,7 @@ def rm_predicted_params(q: int, m: int, ell: int) -> tuple[int, int, int]:
     """Closed-form (n, k, d) for the Reed-Muller family: n = q^m, k from the
     alternating binomial double sum, d = (q-b) q^(m-a-1) for
     ell = a(q-1) + b with 1 <= b <= q-1."""
+    m, ell = _rm_params(m, ell)
     if m < 1 or not 0 <= ell <= m * (q - 1):
         raise CodeError(f"need m >= 1 and 0 <= ell <= m(q-1), got m = {m}, ell = {ell}")
     k = 0

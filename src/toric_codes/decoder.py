@@ -17,7 +17,11 @@ the whole null basis are the free rows of the locator table plus
 bench words), where the null basis times the table runs over
 ell = dim L(G').  The locator is the first of these vectors, and the value
 system runs without the input checks of ``error_values``, on a syndrome
-and a candidate set that ``decode`` made itself.  The stage functions
+and a candidate set that ``decode`` made itself.  The value system is one
+reduction of [H[:, N] | s]: a pivot in its last column leaves no
+solution, else its q^(|N| - rank) solutions are counted before any is
+formed, a unique one is the last column's first |N| entries, and the null
+basis is read off only for a list within the cap.  The stage functions
 keep their checks and stay the reference that ``decode`` is tested
 against.
 
@@ -57,13 +61,14 @@ from .codes import (
     WorkCapExceeded,
     _elements,
     _free_columns,
+    _null_basis,
     _positive,
+    _solution,
     matmul,
     matvec,
     min_distance,
     null_space,
     rref,
-    solve,
 )
 from .geometry import (
     TDivisor,
@@ -251,13 +256,14 @@ def error_values(
 
 def _values(s: np.ndarray, nf: list[int], setup: DecoderSetup, list_cap: int) -> DecodeOutcome:
     """``error_values`` on inputs it has checked, or that ``decode`` made."""
-    gf = setup.spec.gf
-    H = setup.result.eval_matrix
-    within = len(nf) <= setup.zero_cap
-    sol = solve(gf, H[:, nf], s)  # an empty nf solves only a zero syndrome
-    count = 0 if sol is None else gf.q ** len(sol[1])  # number of solutions
+    gf, H, t = setup.spec.gf, setup.result.eval_matrix, len(nf)
+    within = t <= setup.zero_cap
+    # one reduction of [H[:, nf] | s]; an empty nf solves only a zero syndrome
+    R, rank, pivots = rref(gf, np.concatenate([H[:, nf], s[:, None]], axis=1))
+    x = _solution(R, rank, pivots)
+    count = 0 if x is None else gf.q ** (t - rank)  # number of solutions
     status, found, diagnostics = "fail", None, ""
-    if sol is None:
+    if x is None:
         diagnostics = (
             "inconsistent value system (locator missed an error position)"
             if nf
@@ -266,19 +272,18 @@ def _values(s: np.ndarray, nf: list[int], setup: DecoderSetup, list_cap: int) ->
     elif count > list_cap:
         diagnostics = f"{count} candidate solutions exceed the list cap {list_cap}"
     else:
-        x, ns = sol
         cands = np.zeros((count, setup.n), dtype=np.int16)
         cands[:, nf] = x
-        if len(ns):
+        if count > 1:
+            ns = _null_basis(gf, R, pivots, t)
             # every combination of the null-space rows, last coefficient fastest
             combos = np.indices((gf.q,) * len(ns)).reshape(len(ns), count).T
             cands[:, nf] = gf.vadd(cands[:, nf], matmul(gf, combos, ns))
-        status, found = "list", list(cands)
-        if count > 1:
-            diagnostics = "underdetermined value system"
+            status, found, diagnostics = "list", list(cands), "underdetermined value system"
         elif within:
             status, found = "unique", cands[0]
         else:
+            status, found = "list", list(cands)
             diagnostics = "solution unique but |N(f)| exceeds the zero cap"
     return DecodeOutcome(
         status=status,

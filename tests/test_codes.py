@@ -21,6 +21,8 @@ from toric_codes.codes import (
     null_space,
     reed_muller,
     rm_predicted_params,
+    _null_basis,
+    _solution,
     rref,
     solve,
 )
@@ -244,6 +246,68 @@ def test_solve_and_null_space():
     for row in ns:
         assert not matvec(gf, A, row).any()
     assert solve(gf, A, np.array([1, 3], dtype=np.int16)) is None
+
+
+def random_systems(gf, rng):
+    """Random systems (A, b): full rank, rank-deficient (repeated and
+    combined rows), with zero columns, with no columns or no rows, and
+    inconsistent ones (b off the column space)."""
+    for rows, cols in [(3, 3), (4, 2), (2, 5), (5, 5), (3, 0), (0, 3), (0, 0), (1, 1), (6, 4)]:
+        for _ in range(6):
+            A = rng.integers(0, gf.q, size=(rows, cols)).astype(np.int16)
+            if rows >= 2 and rng.integers(2):  # a combination of two rows
+                c = int(rng.integers(1, gf.q))
+                A[-1] = gf.vadd(A[0], gf.vscale(c, A[1 % (rows - 1)]))
+            if cols and rng.integers(2):
+                A[:, rng.integers(cols)] = 0
+            x = rng.integers(0, gf.q, size=cols).astype(np.int16)
+            b = matvec(gf, A, x) if cols else np.zeros(rows, dtype=np.int16)
+            yield A, b
+            yield A, rng.integers(0, gf.q, size=rows).astype(np.int16)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 2), (7, 1), (5, 2)])
+def test_solution_read_off_the_reduced_system_agrees_with_solve(p, m):
+    """``_solution`` and ``_null_basis`` on one reduction of [A | b], as
+    the decoder's value system reads them, against ``solve``, and both
+    against the definition: A x = b with x zero on the free columns, a
+    null basis of cols - rank(A) independent rows, and None exactly when
+    b is outside the column space (rank [A | b] > rank A)."""
+    gf = GF(p, m)
+    rng = np.random.default_rng([23, p, m])
+    seen = set()
+    for A, b in random_systems(gf, rng):
+        rows, cols = A.shape
+        R, rank, pivots = rref(gf, np.column_stack([A, b]))
+        x = _solution(R, rank, pivots)
+        sol = solve(gf, A, b)
+        rank_a = rref(gf, A)[1]
+        assert (x is None) == (sol is None) == (rank > rank_a)
+        if x is None:
+            seen.add("inconsistent")
+            continue
+        ns = _null_basis(gf, R, pivots, cols)
+        assert np.array_equal(x, sol[0]) and np.array_equal(ns, sol[1])
+        assert x.dtype == ns.dtype == np.int16 and x.shape == (cols,)
+        assert np.array_equal(matvec(gf, A, x), b)
+        assert not x[[c for c in range(cols) if c not in pivots]].any()
+        assert ns.shape == (cols - rank_a, cols) and rref(gf, ns)[1] == len(ns)
+        assert not (len(ns) and matmul(gf, A, ns.T).any())
+        seen.add("unique" if rank_a == cols else "deficient")
+    assert seen == {"inconsistent", "unique", "deficient"}
+
+
+def test_solve_checks_its_inputs():
+    gf = GF(7)
+    A = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int16)
+    for b in ([1.5, 2, 3], [1, -1, 0], [1, 7, 0], [1, 2], [[1], [2], [3]], 3):
+        with pytest.raises(CodeError):
+            solve(gf, A, b)
+    for bad in (A[0], A.astype(float), A - 1, A + 5, np.zeros((3, 3, 1), dtype=np.int16)):
+        with pytest.raises(CodeError):
+            solve(gf, bad, [1, 2, 3])
+    x, ns = solve(gf, A.tolist(), [1, 2, 3])  # nested lists are fine
+    assert np.array_equal(matvec(gf, A, x), [1, 2, 3]) and len(ns) == 1
 
 
 # -- exhaustive engine -------------------------------------------------------
@@ -1161,6 +1225,13 @@ def test_rm_constructed_rank_equals_prediction():
 
 
 def test_rm_errors():
+    for m, ell in [(5, 1.5), (True, 1), (2.0, 1), (5, False), ("5", 1), (5, None)]:
+        with pytest.raises(CodeError, match="must be integers"):
+            reed_muller(GF(2), m, ell)
+        with pytest.raises(CodeError, match="must be integers"):
+            rm_predicted_params(2, m, ell)
+    assert reed_muller(GF(2), np.int64(3), np.int8(1)).k == rm_predicted_params(2, np.int64(3), np.int8(1))[1] == 4
+    assert rm_predicted_params(7, np.int8(100), np.int8(1))[0] == 7**100  # no int8 overflow
     with pytest.raises(CodeError):
         rm_predicted_params(3, 2, 5)  # ell > m(q-1)
     with pytest.raises(CodeError):
@@ -1219,3 +1290,36 @@ def test_matmul_consistency(p, m):
         matmul(gf, A[:2, :2], B[:3, :4])
     with pytest.raises(CodeError, match="length mismatch"):
         matvec(gf, A, B[:4, 0])
+
+
+def test_matmul_refuses_operands_that_are_not_integer_arrays():
+    gf = GF(2, 3)
+    with pytest.raises(CodeError, match="integer arrays"):
+        matmul(gf, [[1.5]], [[2]])
+    A = np.ones((2, 3), dtype=np.int16)
+    for bad in (A.astype(float), A.astype(bool), A.astype(complex), A.astype(object), A.astype(str)):
+        with pytest.raises(CodeError, match="integer arrays"):
+            matmul(gf, bad, A.T)
+        with pytest.raises(CodeError, match="integer arrays"):
+            matmul(gf, A, bad.T)
+        with pytest.raises(CodeError, match="integer arrays"):
+            matvec(gf, A, bad[0])
+    with pytest.raises(CodeError, match="integer arrays"):
+        matvec(gf, A, [])  # an empty list is a float array
+    for dtype in (np.uint8, np.int32, np.int64, np.uint64):
+        assert np.array_equal(matmul(gf, A.astype(dtype), [[1], [2], [3]]), [[0], [0]])
+
+
+def test_matmul_sums_past_the_chunk_cap():
+    """(1, 2000) by (2000, 1) over GF(3^6): one block of 2000 products,
+    summed in chunks of at most 511; the all-(q - 1) products fill every
+    digit field of the first chunk."""
+    gf = GF(3, 6)
+    assert gf.sum_cap == 511
+    rng = np.random.default_rng(29)
+    A = rng.integers(0, gf.q, size=(1, 2000)).astype(np.int16)
+    B = rng.integers(0, gf.q, size=(2000, 1)).astype(np.int16)
+    one, top = np.ones_like(A), np.full_like(B, gf.q - 1)
+    for X, Y in [(A, B), (one, top), (one, B), (A, top)]:
+        assert np.array_equal(matmul(gf, X, Y), matmul_reference(gf, X, Y))
+    assert matmul(gf, one, top)[0, 0] == gf.vscale(2000 % 3, np.int16(gf.q - 1))

@@ -585,10 +585,11 @@ def count_decoder_calls(monkeypatch, setup):
     wrap(decoder, "_elements", lambda gf, a, what, *rest: "check of r" if what == "received word" else f"check of {what}")
     for name in ("matmul", "matvec"):
         wrap(decoder, name, lambda gf, A, B: "product with H" if H is A or H is B else None)
-    # every reduction, the decoder's own and those inside solve and null_space
+    # every reduction, the decoder's own and those inside codes (null_space)
     for module in (decoder, codes):
         wrap(module, "rref", lambda gf, M, *rest: "reduction of B" if np.shape(M) == bracket_shape else None)
-    wrap(decoder, "solve", lambda *args: "value system")
+    # the value system: its solution read off one reduction of [H[:, nf] | s]
+    wrap(decoder, "_solution", lambda *args: "value system")
     for name in ("syndrome", "bracket_matrix", "error_locator", "zero_set", "error_values", "null_space"):
         wrap(decoder, name, lambda *args, name=name: name)
     return calls

@@ -177,8 +177,8 @@ def test_vectorized_ops_match_scalar(p, m):
         assert gf.element(gf.coeffs(a)) == a
 
 
-# every odd p^m with m >= 2 and q <= 1024: the fields whose vsum reads the
-# digit planes
+# every odd p^m with m >= 2 and q <= 1024: the fields whose vsum sums the
+# digit fields
 ODD_EXTENSIONS = sorted((p, m) for p, m in _DEFAULT_MODULI if p > 2)
 
 
@@ -199,6 +199,36 @@ def test_vsum_matches_digit_loop(p, m):
             assert S.dtype == np.int16 and np.shape(S) == want.shape
             assert np.array_equal(S, want)
         assert type(gf.vsum(A.ravel())) is np.int16  # a 1-D sum is a scalar
+
+
+@pytest.mark.parametrize("p,m", ODD_EXTENSIONS)
+def test_vsum_fills_each_digit_field_up_to_the_chunk_cap(p, m):
+    """Sums of exactly sum_cap, sum_cap + 1 and 2 sum_cap terms along an
+    axis.  In column 0 every term is the element whose digits are all
+    p - 1, so a chunk brings every bit field of width b = 63 // m to within
+    p - 1 of 2^b, where one more term would carry; from the second chunk on,
+    the sum so far is one of the terms.  Over m = 2 the cap
+    (2^31 - 1) // (p - 1) is too many terms to gather, so the instance's
+    cap is lowered to 7 there: the chunk loop runs on the same fields."""
+    gf = GF(p, m)
+    width = 63 // m
+    assert gf.sum_cap == ((1 << width) - 1) // (p - 1)
+    assert (p, m) != (3, 6) or gf.sum_cap == 511
+    if m == 2:
+        gf.sum_cap = 7
+    rng = np.random.default_rng([17, p, m])
+    top = gf.q - 1  # every digit p - 1
+    for terms in (gf.sum_cap, gf.sum_cap + 1, 2 * gf.sum_cap):
+        A = rng.integers(0, gf.q, size=(terms, 3)).astype(np.int16)
+        A[:, 0] = top
+        A[: gf.sum_cap, 1] = top
+        # one digit at a time, each digit sum mod p
+        want = sum(gf.digits[A, k].sum(axis=0, dtype=np.int64) % p * p**k for k in range(m))
+        assert want[0] == undigits([terms * (p - 1) % p] * m, p)
+        for B, axis in [(A, 0), (A.T, 1), (A.T, -1), (A[:, :, None], 0)]:
+            S = gf.vsum(B, axis=axis)
+            assert S.dtype == np.int16
+            assert np.array_equal(S.reshape(-1), want)
 
 
 def naive_add_table(p, m):
