@@ -22,7 +22,6 @@ from .codes import (
     WorkCapExceeded,
     _positive,
     check_work_budget,
-    check_workers,
     min_distance,
     reed_muller,
     rm_predicted_params,
@@ -97,9 +96,7 @@ def load_job(path: str) -> dict:
             job["points"], {"torus": False, "orbits": False, "orbit_points": False}, "points"
         )
     if "mindist" in job:
-        _require_keys(
-            job["mindist"], {"method": False, "workers": False, "work_cap": False}, "mindist"
-        )
+        _require_keys(job["mindist"], {"method": False, "work_cap": False}, "mindist")
     if "decoder" in job:
         _require_keys(job["decoder"], {"gprime": True, "list_cap": False}, "decoder")
     return job
@@ -220,17 +217,16 @@ def cmd_build(args) -> int:
 def _mindist_report(code: LinearCode, job: dict, args):
     cfg = job.get("mindist", {})
     method = args.method or cfg.get("method", "auto")
-    workers = cfg.get("workers", 1) if args.workers is None else args.workers
     budget = cfg.get("work_cap") if args.work_cap is None else args.work_cap
     if method not in METHODS:
         raise ValidationError(
             f"mindist: method must be one of {', '.join(METHODS)}, got {method!r}"
         )
     try:
-        workers, budget = check_workers(workers), check_work_budget(budget)
+        budget = check_work_budget(budget)
     except CodeError as exc:
         raise ValidationError(f"mindist: {exc}") from exc
-    return min_distance(code, method=method, workers=workers, work_budget=budget)
+    return min_distance(code, method=method, work_budget=budget)
 
 
 def cmd_mindist(args) -> int:
@@ -343,11 +339,10 @@ def cmd_decode(args) -> int:
 
 def cmd_reproduce(args) -> int:
     try:
-        workers = check_workers(1 if args.workers is None else args.workers)
         budget = check_work_budget(args.work_cap)
     except CodeError as exc:
         raise ValidationError(f"reproduce: {exc}") from exc
-    results = reproduce_table(args.table, workers=workers, work_budget=budget)
+    results = reproduce_table(args.table, work_budget=budget)
     print(format_results(results, args.format))
     bad = [r for r in results if not r.ok]
     if bad:
@@ -397,7 +392,6 @@ def make_parser() -> argparse.ArgumentParser:
     src.add_argument("--spec")
     src.add_argument("--code", help="a build output file")
     m.add_argument("--method", choices=METHODS)
-    m.add_argument("--workers", type=int)
     m.add_argument("--work-cap", type=int)
     m.set_defaults(fn=cmd_mindist)
 
@@ -405,7 +399,6 @@ def make_parser() -> argparse.ArgumentParser:
     bo.add_argument("--spec", required=True)
     bo.add_argument("--no-mindist", action="store_true")
     bo.add_argument("--method", choices=METHODS)
-    bo.add_argument("--workers", type=int)
     bo.add_argument("--work-cap", type=int)
     bo.set_defaults(fn=cmd_bounds)
 
@@ -417,7 +410,6 @@ def make_parser() -> argparse.ArgumentParser:
     re_ = sub.add_parser("reproduce", help="recompute a golden table and diff it")
     re_.add_argument("table", choices=list(GOLDEN_TABLES))
     re_.add_argument("--format", choices=["csv", "markdown", "json"], default="markdown")
-    re_.add_argument("--workers", type=int)
     re_.add_argument("--work-cap", type=int)
     re_.set_defaults(fn=cmd_reproduce)
 

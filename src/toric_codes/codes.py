@@ -52,11 +52,10 @@ leaves of the golden rows have an inner axis below 4096 and an outer
 one above 8 (343 x 147, 2401 x 7 to 35, 49 x 294 to 1029).  So every task
 of both engines runs under a buffer of ``_LEAF_BUFSIZE`` = 1024 elements,
 scoped by ``np.errstate``, which restores the caller's buffer size on exit
-(numpy >= 2.0): one scope per search with one worker, one per task in a
-pool, whose threads do not inherit the caller's context.  A uint64 XOR of
-64 x 1 words against 1 x 512 takes 14.5 us against 38.4 us at numpy's
-default of 8192 elements and 12.3 us on contiguous operands; 21 x 2401
-takes 18.4 against 59.3 us.  The count of nonzero bytes in ``GF.pdist``
+(numpy >= 2.0), one scope per exhaustive search and per information-set
+level.  A uint64 XOR of 64 x 1 words against 1 x 512 takes 14.5 us
+against 38.4 us at numpy's default of 8192 elements and 12.3 us on
+contiguous operands; 21 x 2401 takes 18.4 against 59.3 us.  The count of nonzero bytes in ``GF.pdist``
 sums the flags as uint8 rather than casting bools, a cast the small buffer
 would slow; its sum over the position axis still runs slower there (37
 against 22 us for 36 x 16807 bytes), which the p >= 5 leaves with long
@@ -107,16 +106,14 @@ runs, 2 shared vCPUs, Python 3.11.7, numpy 2.4.6).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .field import GF, _is_integer
+from .field import GF, FieldError, _is_integer, prime_power
 
 
 class CodeError(ValueError):
@@ -409,7 +406,7 @@ def _nearest(
     The weights are distances (``GF.pdist``), the longer of X and T along
     the inner axis, and only the words at the least weight are formed.
     Every table T of the engines is closed under negation, so x - t runs
-    over the words x + t.  The engines call it under ``_leaf_scope``: a
+    over the words x + t.  The engines call it under ``_run_tasks``: a
     broadcast whose inner axis is shorter than 4096 runs in chunks of up to
     numpy's ufunc buffer, and it runs faster in small ones (module
     docstring).
@@ -466,56 +463,33 @@ def _positive(value, what: str) -> int:
     return int(value)
 
 
-def check_workers(workers) -> int:
-    """``workers`` if it is an integer >= 1, else CodeError."""
-    return _positive(workers, "workers")
-
-
 def check_work_budget(work_budget) -> int | None:
     """``work_budget`` if it is None (no budget) or an integer >= 1, else
     CodeError."""
     return None if work_budget is None else _positive(work_budget, "work budget")
 
 
-def _leaf_scope(fn, *args):
-    """fn(*args) under a ufunc buffer of ``_LEAF_BUFSIZE`` elements (module
-    docstring); the caller's buffer size is restored on return."""
+def _run_tasks(fn, tasks, best_w=None, ties=None, work=0):
+    """``_reduce_results`` over fn of each task, in task order, under a
+    ufunc buffer of ``_LEAF_BUFSIZE`` elements (module docstring); the
+    caller's buffer size is restored on return."""
     with np.errstate():
         np.setbufsize(_LEAF_BUFSIZE)
-        return fn(*args)
+        return _reduce_results(map(fn, tasks), best_w, ties, work)
 
 
-def _run_tasks(fn, tasks, workers: int, best_w=None, ties=None, work=0):
-    """``_reduce_results`` over fn of each task, in task order, every task
-    under ``_leaf_scope``.  One worker streams the tasks in one scope; a
-    pool starts no more threads than there are tasks or processors and
-    scopes each task, as its threads do not inherit the caller's context."""
-    if workers > 1:
-        tasks = list(tasks)
-        workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return _leaf_scope(_reduce_results, map(fn, tasks), best_w, ties, work)
-    import concurrent.futures as cf
-
-    with cf.ThreadPoolExecutor(max_workers=workers) as ex:
-        results = ex.map(functools.partial(_leaf_scope, fn), tasks)
-        return _reduce_results(results, best_w, ties, work)
-
-
-def min_distance_exhaustive(
-    code: LinearCode, work_cap: int = 2_000_000_000, workers: int = 1
-) -> WeightReport:
+def min_distance_exhaustive(code: LinearCode, work_cap: int = 2_000_000_000) -> WeightReport:
     """Exact d by enumerating one representative per projective message
     class (first nonzero message symbol = 1).
 
     Messages are scanned in vectorized blocks of packed words: a shared
     suffix table covers the trailing rows, short odometer prefixes cover
-    the rest.  The result is a deterministic min-reduce, identical for any
-    worker count.
+    the rest.  The result is a deterministic min-reduce.  ``work_cap``
+    must be an integer >= 1, else CodeError.
     """
     gf, G, k, n = code.gf, code.gen, code.k, code.n
     q = gf.q
-    workers = check_workers(workers)
+    work_cap = _positive(work_cap, "work cap")
     if k == 0:
         raise CodeError("empty code has no minimum distance")
     total = (q**k - 1) // (q - 1)
@@ -552,7 +526,7 @@ def min_distance_exhaustive(
         # the first q^r suffixes span the last r rows: a subspace
         return _nearest(gf, prefix, S[:, :rows], n)
 
-    best_w, ties, work = _run_tasks(run, tasks(), workers)
+    best_w, ties, work = _run_tasks(run, tasks())
     return WeightReport(d=best_w, witness=_witness(gf, ties, n), method="exhaustive", work=work)
 
 
@@ -626,7 +600,6 @@ def _torus_translations(gf: GF, R: np.ndarray) -> np.ndarray | None:
 def min_distance_infoset(
     code: LinearCode,
     work_budget: int | None = None,
-    workers: int = 1,
 ) -> WeightReport:
     """Exact d via enumeration of bounded information-weight codewords in
     systematic generators over disjoint information sets.
@@ -643,7 +616,6 @@ def min_distance_infoset(
     """
     gf, G, k, n = code.gf, code.gen, code.k, code.n
     q = gf.q
-    workers = check_workers(workers)
     work_budget = check_work_budget(work_budget)
     if k == 0:
         raise CodeError("empty code has no minimum distance")
@@ -705,7 +677,7 @@ def min_distance_infoset(
         # keeps a leaf's packed ties only when its least weight is at most
         # the task's best so far, which starts at the best weight of the
         # earlier levels; the level's ties are unpacked after every task has
-        # run, so the result is the same for any worker count.
+        # run.
         level_best = best_w
 
         def run(task):
@@ -744,7 +716,7 @@ def min_distance_infoset(
             tasks.extend(
                 (rows[j][:, s0 : s0 + 1], s0 + 1, multiples[j], pairs[j]) for s0 in range(k - w + 1)
             )
-        level_w, ties, work = _run_tasks(run, tasks, workers, best_w, None, work)
+        level_w, ties, work = _run_tasks(run, tasks, best_w, None, work)
         if ties is not None:
             cand = _witness(gf, ties, n, translations)
             if witness is None or level_w < best_w or tuple(cand) < tuple(witness):
@@ -758,7 +730,6 @@ def min_distance_infoset(
 def min_distance(
     code: LinearCode,
     method: str = "auto",
-    workers: int = 1,
     work_budget: int | None = None,
 ) -> WeightReport:
     """Dispatch between the two engines under one work budget (codewords
@@ -774,9 +745,9 @@ def min_distance(
         method = "exhaustive" if total <= min(EXHAUSTIVE_LIMIT, work_budget or total) else "infoset"
     if method == "exhaustive":
         cap = {} if work_budget is None else {"work_cap": work_budget}
-        rep = min_distance_exhaustive(code, workers=workers, **cap)
+        rep = min_distance_exhaustive(code, **cap)
     else:
-        rep = min_distance_infoset(code, work_budget=work_budget, workers=workers)
+        rep = min_distance_infoset(code, work_budget=work_budget)
     if rep.exact:
         code.d = rep.d
     return rep
@@ -837,7 +808,13 @@ def reed_muller(gf: GF, m: int, ell: int) -> LinearCode:
 def rm_predicted_params(q: int, m: int, ell: int) -> tuple[int, int, int]:
     """Closed-form (n, k, d) for the Reed-Muller family: n = q^m, k from the
     alternating binomial double sum, d = (q-b) q^(m-a-1) for
-    ell = a(q-1) + b with 1 <= b <= q-1."""
+    ell = a(q-1) + b with 1 <= b <= q-1.  q must be a prime power, else
+    CodeError."""
+    try:
+        p, e = prime_power(q)
+    except FieldError as exc:
+        raise CodeError(str(exc)) from exc
+    q = p**e  # a Python int: a numpy q would overflow in q^m
     m, ell = _rm_params(m, ell)
     if m < 1 or not 0 <= ell <= m * (q - 1):
         raise CodeError(f"need m >= 1 and 0 <= ell <= m(q-1), got m = {m}, ell = {ell}")

@@ -78,6 +78,7 @@ integers.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -134,6 +135,22 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def prime_power(q) -> tuple[int, int]:
+    """(p, m) with q = p^m for a prime p; FieldError unless q is such an
+    integer (a bool is not one)."""
+    if not _is_integer(q):
+        raise FieldError(f"q = {q!r} is not a prime power")
+    q = int(q)
+    # the least divisor p >= 2 of q is prime, and q is a prime power iff q = p^m
+    p = next((d for d in range(2, math.isqrt(max(q, 0)) + 1) if q % d == 0), q)
+    m = 1
+    while 1 < p and p**m < q:
+        m += 1
+    if p < 2 or p**m != q:
+        raise FieldError(f"q = {q} is not a prime power")
+    return p, m
 
 
 class GF:

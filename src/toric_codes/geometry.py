@@ -235,24 +235,14 @@ class LatticePolytope:
 
     def _check_bounded(self) -> bool:
         # bounded iff the recession cone {w : <w, v_i> >= 0 for all i} is {0},
-        # i.e. the normals are not all contained in a closed half plane;
-        # equivalently every angular gap between consecutive normals is < pi
-        import functools
-
-        vs = sorted(
-            set(self.normals),
-            key=functools.cmp_to_key(lambda u, v: -1 if _angle_less(u, v) else (0 if u == v else 1)),
-        )
-        if len(vs) < 3:
-            return False
-        k = len(vs)
-        for i in range(k):
-            u, v = vs[i], vs[(i + 1) % k]
-            d = _det(u, v)
-            dot = u[0] * v[0] + u[1] * v[1]
-            if d < 0 or (d == 0 and dot < 0):
-                return False  # gap >= pi
-        return True
+        # i.e. the normals are not all contained in a closed half plane.  A
+        # cone other than {0} and the whole plane has a ray on a line
+        # <w, v_i> = 0 with v_i != 0, and the ray w = +-(-v_i[1], v_i[0])
+        # lies in the cone iff every <w, v_j> = +-det(v_i, v_j) is >= 0.  So
+        # the set is bounded iff each nonzero normal has normals strictly on
+        # both sides, and some normal is nonzero (else the cone is the plane)
+        dets = [[_det(u, v) for v in self.normals] for u in self.normals if u != (0, 0)]
+        return bool(dets) and all(min(d) < 0 < max(d) for d in dets)
 
     def contains(self, pt: Sequence) -> bool:
         x, y = pt

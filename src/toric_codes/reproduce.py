@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import LinearCode, check_workers, min_distance, reed_muller
+from .codes import LinearCode, min_distance, reed_muller
 from .tables import GOLDEN_TABLES, GoldenTable, field_for_q
 from .toric import hansen_code, toric_code
 
@@ -59,13 +59,11 @@ def _check(label, expected, code: LinearCode, rep, note, flag="") -> RowResult:
 
 def reproduce_table(
     table_id: str,
-    workers: int = 1,
     work_budget: int | None = None,
 ) -> list[RowResult]:
     if table_id not in GOLDEN_TABLES:
         raise KeyError(f"unknown table id {table_id!r}; known: {', '.join(GOLDEN_TABLES)}")
     table: GoldenTable = GOLDEN_TABLES[table_id]
-    check_workers(workers)
     out: list[RowResult] = []
     for row in table.rows:
         if table.kind == "rm":
@@ -93,7 +91,7 @@ def reproduce_table(
                 )
                 continue
             code = toric_code(field_for_q(row.q), table.fan, row.divisor).code
-        rep = min_distance(code, workers=workers, work_budget=work_budget)
+        rep = min_distance(code, work_budget=work_budget)
         flag = getattr(row, "flag", "")
         out.append(_check(label, (row.n, row.k, row.d), code, rep, row.note, flag))
     return out

@@ -9,10 +9,9 @@ other reading, and the flagged row is reported but not diffed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .field import GF, FieldError
+from .field import GF, prime_power
 
 # preset fans, keyed by the table ids they serve
 FANS = {
@@ -30,14 +29,7 @@ FANS = {
 
 def field_for_q(q: int) -> GF:
     """GF(q) with its default modulus, q = p^m factored."""
-    # the least divisor p >= 2 of q is prime, and q is a prime power iff q = p^m
-    p = next((d for d in range(2, math.isqrt(max(q, 0)) + 1) if q % d == 0), q)
-    m = 1
-    while 1 < p and p**m < q:
-        m += 1
-    if p < 2 or p**m != q:
-        raise FieldError(f"q = {q} is not a prime power")
-    return GF(p, m)
+    return GF(*prime_power(q))
 
 
 @dataclass(frozen=True)

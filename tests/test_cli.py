@@ -523,19 +523,17 @@ def test_decode_rejects_malformed_gprime(tmp_path, capsys):
     assert "decoder.gprime" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_workers_flag_below_one_exits_2(tmp_path, capsys, workers):
+def test_workers_flag_is_gone(tmp_path, capsys):
     spec = write_job(tmp_path)
-    assert main(["mindist", "--spec", spec, "--workers", workers]) == 2
-    assert main(["reproduce", "rm", "--workers", workers]) == 2
-    assert capsys.readouterr().err.count("workers must be an integer >= 1") == 2
+    for argv in (["mindist", "--spec", spec], ["bounds", "--spec", spec], ["reproduce", "rm"]):
+        assert exit_code(argv + ["--workers", "2"]) == 2
+    assert capsys.readouterr().err.count("unrecognized arguments: --workers 2") == 3
 
 
-@pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True, None])
-def test_job_file_workers_must_be_a_positive_integer(tmp_path, capsys, workers):
-    spec = write_job(tmp_path, mindist={"workers": workers})
+def test_job_file_workers_key_is_unknown(tmp_path, capsys):
+    spec = write_job(tmp_path, mindist={"workers": 1})
     assert main(["mindist", "--spec", spec]) == 2
-    assert "workers must be an integer >= 1" in capsys.readouterr().err
+    assert "mindist: unknown key 'workers'" in capsys.readouterr().err
 
 
 # small values only: a mutated field stays at q <= 25, so every run is quick
@@ -573,7 +571,7 @@ def test_mutated_job_and_build_files_never_crash(tmp_path, capsys):
         "fan": {"rays": [[2, -1], [-1, 2], [-1, -1]]},
         "divisor": [0, 0, 3],
         "points": {"torus": True, "orbits": [1]},
-        "mindist": {"method": "auto", "workers": 1, "work_cap": 100000},
+        "mindist": {"method": "auto", "work_cap": 100000},
     }
     good_build = tmp_path / "good.json"
     job_path = write_job(tmp_path, "good_job.json", **job)

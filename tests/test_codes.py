@@ -330,7 +330,7 @@ def _reduce_reference(results, best_w=None, witness=None, work=0):
 
 def min_distance_exhaustive_reference(code):
     """The int16 exhaustive engine that the packed one replaced, kept as its
-    oracle (one worker)."""
+    oracle."""
     gf, G, k, n = code.gf, code.gen, code.k, code.n
     q = gf.q
     v = 0
@@ -356,7 +356,7 @@ def min_distance_exhaustive_reference(code):
 
 def min_distance_infoset_reference(code, work_budget=None, levels=None):
     """The int16 information-set engine that the packed one replaced, kept
-    as its oracle (one worker, one leaf block per support prefix).  Under a
+    as its oracle (one leaf block per support prefix).  Under a
     budget it enumerates each level in full and discards a level whose work
     would cross the budget, without the engine's cost formula.  ``levels``,
     if given, collects the cumulative work after each finished level."""
@@ -449,71 +449,19 @@ def test_witness_in_row_space():
     assert not code.dual().syndrome(rep.witness).any()
 
 
-def test_workers_deterministic():
-    rng = np.random.default_rng(2)
-    gf = GF(3)
-    code = random_code(gf, 12, 6, rng)
-    a = min_distance_exhaustive(code, workers=1)
-    b = min_distance_exhaustive(code, workers=4)
-    assert a.d == b.d and np.array_equal(a.witness, b.witness)
-    c = min_distance_infoset(code, workers=4)
-    assert c.d == a.d
-    for gf, n, k in [(GF(3), 12, 6), (GF(2, 3), 70, 5), (GF(7), 30, 4)]:
-        code = random_code(gf, n, k, rng)
-        for engine in (min_distance_exhaustive, min_distance_infoset):
-            assert_same_report(engine(code, workers=2), engine(code, workers=1))
-
-
-@pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True, None])
-def test_workers_must_be_a_positive_integer(workers):
-    from toric_codes.reproduce import reproduce_table
-
+@pytest.mark.parametrize("cap", [None, 2.5, "9", True, 0, -1])
+def test_work_cap_must_be_a_positive_integer(cap):
     code = LinearCode(GF(3), [[1, 0, 1, 1], [0, 1, 1, 2]])
-    for call in (min_distance, min_distance_exhaustive, min_distance_infoset):
-        with pytest.raises(CodeError, match="workers must be an integer >= 1"):
-            call(code, workers=workers)
-    with pytest.raises(CodeError, match="workers must be an integer >= 1"):
-        reproduce_table("rm", workers=workers)
-
-
-def test_thread_pool_is_bounded_by_tasks_and_processors(monkeypatch):
-    """A huge worker count starts no more threads than there are tasks or
-    processors; the pool is a recording fake, so no thread starts."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
-    code = random_code(GF(3), 12, 6, np.random.default_rng(9))
-    want = min_distance_exhaustive(code)  # 6 tasks, one per leading row
-    for cpus, size in [(64, 6), (4, 4)]:
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        sizes.clear()
-        assert_same_report(min_distance_exhaustive(code, workers=10**9), want)
-        assert sizes == [size]
-    sizes.clear()
-    min_distance_infoset(code, workers=10**9)
-    assert sizes and max(sizes) <= 4
+    with pytest.raises(CodeError, match="work cap must be an integer >= 1"):
+        min_distance_exhaustive(code, work_cap=cap)
 
 
 class LeafFailure(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("caller", [None, 4096], ids=["default", "caller-4096"])
-def test_engines_leave_the_callers_buffer_size(monkeypatch, caller, workers):
+def test_engines_leave_the_callers_buffer_size(monkeypatch, caller):
     """Every leaf runs under the engines' ufunc buffer, and the caller's
     buffer size is the same after a normal return, a budget stop (the
     interval report), WorkCapExceeded and a failing leaf."""
@@ -532,15 +480,15 @@ def test_engines_leave_the_callers_buffer_size(monkeypatch, caller, workers):
         if caller is not None:
             np.setbufsize(caller)
         before = np.getbufsize()
-        assert min_distance_exhaustive(code, workers=workers).exact
+        assert min_distance_exhaustive(code).exact
         assert np.getbufsize() == before
-        assert min_distance_infoset(code, workers=workers).exact
+        assert min_distance_infoset(code).exact
         assert np.getbufsize() == before
-        stopped = min_distance_infoset(code, work_budget=13, workers=workers)
+        stopped = min_distance_infoset(code, work_budget=13)
         assert not stopped.exact and stopped.lower < stopped.upper
         assert np.getbufsize() == before
         with pytest.raises(WorkCapExceeded):
-            min_distance_exhaustive(code, work_cap=10, workers=workers)
+            min_distance_exhaustive(code, work_cap=10)
         assert np.getbufsize() == before
         assert seen and set(seen) == {codes._LEAF_BUFSIZE}
 
@@ -550,12 +498,11 @@ def test_engines_leave_the_callers_buffer_size(monkeypatch, caller, workers):
         monkeypatch.setattr(codes, "_nearest", failing_nearest)
         for engine in (min_distance_exhaustive, min_distance_infoset):
             with pytest.raises(LeafFailure):
-                engine(code, workers=workers)
+                engine(code)
             assert np.getbufsize() == before
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_record_report_does_not_depend_on_the_callers_buffer(workers):
+def test_record_report_does_not_depend_on_the_callers_buffer():
     """The record (49, 11, 28): the same d, work and witness when the
     caller has set an odd ufunc buffer, which is restored afterwards."""
     from toric_codes.toric import toric_code
@@ -565,7 +512,7 @@ def test_record_report_does_not_depend_on_the_callers_buffer(workers):
     assert (want.d, want.work) == (28, 8995767)
     with np.errstate():
         np.setbufsize(64)
-        got = min_distance_infoset(code, workers=workers)
+        got = min_distance_infoset(code)
         assert np.getbufsize() == 64
     assert_same_report(got, want)
 
@@ -791,33 +738,6 @@ def test_translation_path_work_budget(p, m, k):
             assert not code.dual().syndrome(rep.witness).any()
 
 
-def test_translation_path_workers_deterministic():
-    from toric_codes.toric import toric_code
-
-    record = toric_code(GF(2, 3), [(5, -1), (-1, 5), (-1, -1)], (0, 0, 5)).code
-    codes = [record, random_torus_code(GF(3, 2), 5, np.random.default_rng(37))]
-    for code in codes:
-        assert translations_taken(code) is not None
-        assert_same_report(min_distance_infoset(code, workers=2), min_distance_infoset(code))
-    assert (record.n, record.k, min_distance_infoset(record).d) == (49, 11, 28)
-
-
-# GF(7) digit bytes, GF(8) bit planes, GF(9) trit planes
-@pytest.mark.parametrize("p,m", [(7, 1), (2, 3), (3, 2)])
-def test_translation_path_two_workers(p, m):
-    """Two workers give the one-worker report on the translation path, with
-    no budget and under a budget that stops after level 1."""
-    gf = GF(p, m)
-    code = random_torus_code(gf, 5, np.random.default_rng([43, p, m]))
-    assert translations_taken(code) is not None
-    _, _, _, levels = min_distance_translation_reference(code)
-    assert len(levels) >= 2
-    for budget in (None, levels[0]):
-        one = min_distance_infoset(code, work_budget=budget)
-        assert one.exact == (budget is None)
-        assert_same_report(min_distance_infoset(code, work_budget=budget, workers=2), one)
-
-
 def test_translate_lexmin_over_blocks_of_ties(monkeypatch):
     """With one tie per block the witness is still the oracle's lex-min
     translate: this GF(8) code ends with 12 ties at its last level, and
@@ -977,26 +897,24 @@ def run_both_leaf_forms(monkeypatch, search, pairs=True):
 def test_two_leaf_forms_give_one_report(monkeypatch, p, m, n, k):
     """With the two-row leaf never and always taken, the information-set
     engine reports the same d, exact flag, interval, work and witness as the
-    int16 reference, with one and two workers and under budgets at each
-    level's cumulative work and one below it."""
+    int16 reference, with no budget and under budgets at each level's
+    cumulative work and one below it."""
     code = random_code(GF(p, m), n, k, np.random.default_rng([59, p, m]))
     levels = []
     want = min_distance_infoset_reference(code, levels=levels)
     assert len(levels) >= 3
     budgets = sorted({b for lw in levels for b in (lw - 1, lw)} - {0})
     wants = {b: min_distance_infoset_reference(code, work_budget=b) for b in budgets}
-    for workers in (1, 2):
+    never, always = run_both_leaf_forms(monkeypatch, lambda: min_distance_infoset(code))
+    assert_same_report(never, want)
+    assert_same_report(always, want)
+    for budget in budgets:
         never, always = run_both_leaf_forms(
-            monkeypatch, lambda: min_distance_infoset(code, workers=workers))
-        assert_same_report(never, want)
-        assert_same_report(always, want)
-        for budget in budgets:
-            never, always = run_both_leaf_forms(
-                monkeypatch,
-                lambda: min_distance_infoset(code, workers=workers, work_budget=budget),
-                pairs=budget >= levels[2])
-            assert_same_report(never, wants[budget])
-            assert_same_report(always, wants[budget])
+            monkeypatch,
+            lambda: min_distance_infoset(code, work_budget=budget),
+            pairs=budget >= levels[2])
+        assert_same_report(never, wants[budget])
+        assert_same_report(always, wants[budget])
 
 
 # GF(7) digit bytes, GF(8) bit planes, GF(9) trit planes
@@ -1004,50 +922,48 @@ def test_two_leaf_forms_give_one_report(monkeypatch, p, m, n, k):
 def test_two_leaf_forms_give_one_report_on_the_translation_path(monkeypatch, p, m, k):
     """The translation path, with the two-row leaf never and always taken:
     d, witness and work equal the plain enumeration oracle, and the full
-    reports equal each other with one and two workers and under budgets at
-    each level's cumulative work and one below it."""
+    reports equal each other with no budget and under budgets at each
+    level's cumulative work and one below it."""
     gf = GF(p, m)
     code = random_torus_code(gf, k, np.random.default_rng([61, p, m]))
     assert translations_taken(code) is not None
     d, witness, work, levels = min_distance_translation_reference(code)
     assert len(levels) >= 3
-    for workers in (1, 2):
-        for budget in [None] + sorted({b for lw in levels[2:] for b in (lw - 1, lw)}):
-            never, always = run_both_leaf_forms(
-                monkeypatch,
-                lambda: min_distance_infoset(code, workers=workers, work_budget=budget),
-                pairs=budget is None or budget >= levels[2])
-            assert_same_report(always, never)
-            done = [lw for lw in levels if budget is None or lw <= budget]
-            assert never.work == done[-1] and never.exact == (len(done) == len(levels))
-            if never.exact:
-                assert never.d == d and np.array_equal(never.witness, witness)
+    for budget in [None] + sorted({b for lw in levels[2:] for b in (lw - 1, lw)}):
+        never, always = run_both_leaf_forms(
+            monkeypatch,
+            lambda: min_distance_infoset(code, work_budget=budget),
+            pairs=budget is None or budget >= levels[2])
+        assert_same_report(always, never)
+        done = [lw for lw in levels if budget is None or lw <= budget]
+        assert never.work == done[-1] and never.exact == (len(done) == len(levels))
+        if never.exact:
+            assert never.d == d and np.array_equal(never.witness, witness)
 
 
 def test_record_search_peak_memory():
     """One search of the record (49, 11, 28) holds at most 4 MB of numpy
-    buffers at a time with one worker, and 6 MB with two."""
+    buffers at a time."""
     import tracemalloc
 
     from toric_codes.toric import toric_code
 
     record = toric_code(GF(2, 3), [(5, -1), (-1, 5), (-1, -1)], (0, 0, 5)).code
-    for workers, bound in [(1, 4 << 20), (2, 6 << 20)]:
-        tracemalloc.start()
-        try:
-            rep = min_distance(record, workers=workers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.d == 28 and peak < bound
+    tracemalloc.start()
+    try:
+        rep = min_distance(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.d == 28 and peak < 4 << 20
 
 
 def test_pair_tables_of_many_matrices_share_the_cap(monkeypatch):
     """A search over seven disjoint information sets builds a pair table
     for each at level 3, and together they hold at most _PAIR_LEAF_BYTES;
-    through level 3 it holds at most 3 MB of numpy buffers at a time with
-    one worker, and 4 MB with two, with the report of the one-row leaves
-    alone.  (With a 2 MB cap per table the seven held 4.7 MB.)"""
+    through level 3 it holds at most 3 MB of numpy buffers at a time, with
+    the report of the one-row leaves alone.  (With a 2 MB cap per table the
+    seven held 4.7 MB.)"""
     import tracemalloc
 
     import toric_codes.codes as codes_module
@@ -1059,16 +975,14 @@ def test_pair_tables_of_many_matrices_share_the_cap(monkeypatch):
     pair_table = codes_module._pair_table
     monkeypatch.setattr(
         codes_module, "_pair_table", lambda *a: (lambda t: sizes.append(t.nbytes) or t)(pair_table(*a)))
-    for workers, bound in [(1, 3 << 20), (2, 4 << 20)]:
-        sizes.clear()
-        tracemalloc.start()
-        try:
-            rep = min_distance_infoset(code, workers=workers, work_budget=budget)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.work == budget and len(sizes) == 7
-        assert sum(sizes) <= codes_module._PAIR_LEAF_BYTES and peak < bound
+    tracemalloc.start()
+    try:
+        rep = min_distance_infoset(code, work_budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.work == budget and len(sizes) == 7
+    assert sum(sizes) <= codes_module._PAIR_LEAF_BYTES and peak < 3 << 20
     monkeypatch.setattr(codes_module, "_PAIR_LEAF_BYTES", 0)
     assert_same_report(rep, min_distance_infoset(code, work_budget=budget))
 
@@ -1232,12 +1146,19 @@ def test_rm_errors():
             rm_predicted_params(2, m, ell)
     assert reed_muller(GF(2), np.int64(3), np.int8(1)).k == rm_predicted_params(2, np.int64(3), np.int8(1))[1] == 4
     assert rm_predicted_params(7, np.int8(100), np.int8(1))[0] == 7**100  # no int8 overflow
+    assert rm_predicted_params(np.int64(7), 100, 1)[0] == 7**100  # no int64 overflow
     with pytest.raises(CodeError):
         rm_predicted_params(3, 2, 5)  # ell > m(q-1)
     with pytest.raises(CodeError):
         rm_predicted_params(3, 0, 0)  # no variables
     with pytest.raises(CodeError):
         reed_muller(GF(2), 20, 1)  # size cap
+
+
+@pytest.mark.parametrize("q", [2.5, 6, True, 1, 12, "4", None])
+def test_rm_prediction_rejects_a_q_that_is_not_a_prime_power(q):
+    with pytest.raises(CodeError, match="is not a prime power"):
+        rm_predicted_params(q, 2, 1)
 
 
 def matmul_reference(gf, A, B):

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -229,6 +230,36 @@ def test_empty_polytope():
     assert lattice_points(p) == []
     with pytest.raises(Exception):
         p.volume()
+
+
+def bounded_reference(normals):
+    """The angular-gap rule, kept as the oracle of the boundedness check:
+    the normals' distinct directions, in angle order, turn by less than pi
+    from each one to the next.  Float angles order the small directions of
+    the tests exactly."""
+    dirs = {(x // math.gcd(x, y), y // math.gcd(x, y)) for x, y in normals if (x, y) != (0, 0)}
+    vs = sorted(dirs, key=lambda v: math.atan2(v[1], v[0]) % (2 * math.pi))
+    return len(vs) >= 3 and all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in zip(vs, vs[1:] + vs[:1]))
+
+
+def test_boundedness_matches_the_angular_gap_rule():
+    rng = np.random.default_rng(17)
+    for _ in range(3000):
+        k = int(rng.integers(1, 7))
+        r = int(rng.choice([1, 2, 6]))
+        normals = [tuple(int(c) for c in rng.integers(-r, r + 1, size=2)) for _ in range(k)]
+        assert LatticePolytope(normals, [1] * k)._bounded == bounded_reference(normals)
+
+
+@pytest.mark.parametrize(
+    "normals", [[(1, 0), (0, 1), (0, 0)], [(1, 0), (2, 0), (3, 0)]], ids=["zero-normal", "parallel"]
+)
+def test_normals_in_a_closed_half_plane_bound_nothing(normals):
+    """x >= -1 and y >= -1 bound a quadrant with or without the constraint
+    <u, 0> >= -1, and three parallel normals a half plane, so neither set's
+    points can be enumerated."""
+    with pytest.raises(PolytopeError, match="needs a bounded polytope"):
+        lattice_points(LatticePolytope(normals, (1, 1, 1)))
 
 
 def test_fan6_volume_closed_form():
