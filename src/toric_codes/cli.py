@@ -31,7 +31,7 @@ from .field import GF, FieldError, _is_integer
 from .geometry import Fan2D, FanError, OrbitPoint, PoleError, TDivisor, polytope_of_divisor
 from .reproduce import format_results, reproduce_table
 from .tables import GOLDEN_TABLES
-from .toric import ToricCodeSpec, build as toric_build, default_points
+from .toric import ToricCodeSpec, build as toric_build, checked_polytope, default_points
 
 
 class ValidationError(ValueError):
@@ -138,7 +138,6 @@ def job_to_spec(job: dict) -> ToricCodeSpec:
             raise ValidationError(f"orbit ray index {i + 1} out of range 1..{fan.s}")
         if i in orbits[:t]:
             raise ValidationError(f"points.orbits repeats ray {i + 1}")
-    points = default_points(gf, fan, torus=torus, orbits=orbits)
     # single orbit points [ray, s] follow the whole orbits, in file order
     for t, (ray, u) in enumerate(singles):
         if not 1 <= ray <= fan.s:
@@ -151,9 +150,13 @@ def job_to_spec(job: dict) -> ToricCodeSpec:
             raise ValidationError(f"orbit point [{ray}, {u}] lies on the whole orbit of ray {ray}")
         if [ray, u] in singles[:t]:
             raise ValidationError(f"points.orbit_points repeats [{ray}, {u}]")
-        points.append(OrbitPoint(ray - 1, u))
-    if not points:
+    n = (gf.q - 1) * ((gf.q - 1) * torus + len(orbits)) + len(singles)
+    if not n:
         raise ValidationError("empty point set")
+    # a code over the size caps exits 3 before its points are listed
+    checked_polytope(fan, div, n)
+    points = default_points(gf, fan, torus=torus, orbits=orbits)
+    points += [OrbitPoint(ray - 1, u) for ray, u in singles]
     return ToricCodeSpec(gf, fan, div, points)
 
 

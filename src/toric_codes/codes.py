@@ -4,11 +4,16 @@ exact minimum-distance engines, and the Reed-Muller baseline family.
 Matrices are numpy int16 arrays of element indices.  Row reduction is
 exact and vectorized: each pivot eliminates its column from every other row
 in one rank-1 update, and a null-space basis (hence a dual) is read off the
-reduced form without a second reduction.  The exhaustive engine
-enumerates one representative per projective message class; the
-information-set engine is a Brouwer-Zimmermann-style search over systematic
-generators on (maximally) disjoint information sets, maintaining a
-certified lower bound until it meets the best weight found.
+reduced form without a second reduction.  ``dual()`` reads that basis off
+the primal's reduction and takes it as it is, with no second validation or
+rank pass: its entries are 1s and negated entries of R, and each row owns
+its free column, so its rank is n - k by construction.  A dual generator
+of more than ``MATRIX_SIZE_CAP`` = 2^28 entries is refused with CodeError
+before it is allocated, as is an evaluation matrix (``toric``).  The
+exhaustive engine enumerates one representative per projective message
+class; the information-set engine is a Brouwer-Zimmermann-style search
+over systematic generators on (maximally) disjoint information sets,
+maintaining a certified lower bound until it meets the best weight found.
 
 Both engines weigh codewords as packed words (``GF.pack``: bit planes for
 p = 2 and 3, one byte per position otherwise) and keep them packed.  A leaf
@@ -145,6 +150,10 @@ _PAIR_LEAF_BYTES = 1 << 21
 # the numpy ufunc buffer, in elements, under which every task of both
 # engines runs (module docstring)
 _LEAF_BUFSIZE = 1 << 10
+
+# the most entries of a matrix that construction forms, an evaluation matrix
+# |P_G| x n or a dual generator (n - k) x n: 512 MiB of int16
+MATRIX_SIZE_CAP = 1 << 28
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -289,6 +298,16 @@ def solve(gf: GF, A: np.ndarray, b: np.ndarray):
 # -- the code object --------------------------------------------------------
 
 
+def check_matrix_size(rows: int, cols: int, what: str) -> None:
+    """CodeError when a rows x cols matrix would hold more than
+    ``MATRIX_SIZE_CAP`` entries; called before the matrix is formed."""
+    if rows * cols > MATRIX_SIZE_CAP:
+        raise CodeError(
+            f"the {what} would hold {rows} x {cols} entries, "
+            f"more than the size cap {MATRIX_SIZE_CAP} (2^28)"
+        )
+
+
 def _rows_own_columns(M: np.ndarray) -> bool:
     """True when every row has a column in which it is the only nonzero
     entry.  Such rows are linearly independent, so their rank needs no
@@ -347,16 +366,33 @@ class LinearCode:
         self.d = None
 
     def dual(self) -> "LinearCode":
-        """The (n-k)-dimensional annihilator code; G @ H^T = 0."""
+        """The (n-k)-dimensional annihilator code; G @ H^T = 0.  Its
+        generator is the null basis of this code's reduced form; one of
+        more than ``MATRIX_SIZE_CAP`` entries is CodeError."""
         if self.k == 0:
             raise CodeError("dual of the zero-dimensional code is everything")
+        check_matrix_size(self.n - self.k, self.n, "dual generator")
         if self._reduced is None:
             R, _, pivots = rref(self.gf, self.gen)
         else:
             R, pivots = self._reduced
-        code = LinearCode(self.gf, _null_basis(self.gf, R, pivots, self.n))
+        code = LinearCode._of_null_basis(self.gf, _null_basis(self.gf, R, pivots, self.n))
         if self.k == self.n:
             code.warnings.append("dual of the full space is the zero code")
+        return code
+
+    @classmethod
+    def _of_null_basis(cls, gf: GF, basis: np.ndarray) -> "LinearCode":
+        """The code whose generator is ``basis``, a fresh int16 array from
+        ``_null_basis``, taken as it is; ``dual`` is its only caller.  Its
+        entries are 1s and entries of ``gf.neg_table``, so element indices,
+        and each row is the only one nonzero in its free column, so its
+        rank is its row count: ``__init__``'s range check and rank pass
+        would find nothing.  Every other matrix goes through ``__init__``."""
+        code = cls.__new__(cls)
+        code.gf, code.gen = gf, basis
+        code.n, code.k = basis.shape[1], basis.shape[0]
+        code.d, code.warnings, code._reduced = None, [], None
         return code
 
     def syndrome(self, v) -> np.ndarray:

@@ -64,6 +64,7 @@ from .codes import (
     _null_basis,
     _positive,
     _solution,
+    check_matrix_size,
     matmul,
     matvec,
     min_distance,
@@ -131,10 +132,16 @@ def setup(
     stays valid).
     """
     gf, fan = spec.gf, spec.fan
+    n = len(spec.points)
     result = build(spec)
 
-    basis_locator = lattice_points(polytope_of_divisor(fan, gprime))
-    basis_gap = lattice_points(polytope_of_divisor(fan, spec.divisor - gprime))
+    # L(G') and L(G - G') are each evaluated at every point: counted first
+    bases = []
+    for div in (gprime, spec.divisor - gprime):
+        poly = polytope_of_divisor(fan, div)
+        check_matrix_size(poly.lattice_point_count(), n, "evaluation matrix")
+        bases.append(lattice_points(poly))
+    basis_locator, basis_gap = bases
     if not basis_locator or not basis_gap:  # build has rejected an empty L(G)
         raise SetupError(
             "a required function space is zero: "
@@ -148,7 +155,6 @@ def setup(
         [[row_of[(f[0] + g[0], f[1] + g[1])] for f in basis_locator] for g in basis_gap],
         dtype=np.intp,
     )
-    n = len(spec.points)
 
     # each point's twisted level: minus the least order of the gap basis
     level = -graded_evaluation(basis_gap, spec.points, gf, fan)[0].min(axis=0)

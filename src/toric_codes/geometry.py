@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -287,26 +288,67 @@ class LatticePolytope:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    def lattice_points(self) -> list[Vec]:
-        """All integer points, graded-lex order (total degree, then lex)."""
+    # Lattice points by columns.  In the coordinates (t, x), t = x + y, the
+    # integer points of column t are one interval of x, and columns in
+    # ascending t with x ascending are the graded-lex order.  A half plane
+    # <u, v> >= -d reads c t + e x >= -d with c = v[1] and e = v[0] - v[1]:
+    # for e > 0 it bounds x below by -floor((c t + d) / e), for e < 0 above
+    # by floor((c t + d) / -e), and for e = 0 it holds on every column that
+    # meets the polytope.  A bounded polytope has half planes of both signs.
+
+    @cached_property
+    def _columns(self) -> tuple[list[Fraction], list, list]:
+        """(cuts, lower, upper): the t of every vertex, ascending, so that
+        the columns that meet the polytope run from the first cut to the
+        last, and the half planes (c, d, |e|) that bound x below and above;
+        computed once for the count and the listing."""
         if not self._bounded:
             raise PolytopeError("lattice-point enumeration needs a bounded polytope")
+        lower, upper = [], []
+        for (a, b), d in zip(self.normals, self.offsets):
+            if a != b:
+                (lower if a > b else upper).append((b, d, abs(a - b)))
+        return sorted({x + y for x, y in self.vertices or ()}), lower, upper
+
+    def lattice_point_count(self) -> int:
+        """The number of integer points, without listing them: per column
+        t, upper(t) - lower(t) + 1, summed in closed form over each stretch
+        of columns between two vertices, where one half plane bounds each
+        side (``_floor_sum``).  Its cost does not grow with the polytope."""
+        cuts, lower, upper = self._columns
+        # (c t + d) / |e| in integers, times the lcm of one side's |e|
+        sides = [(side, math.lcm(*(e for _, _, e in side))) for side in (lower, upper)]
+        total = 0
+        for i, a in enumerate(cuts):
+            # the columns a <= t < b, and t = a at the last vertex
+            b = cuts[i + 1] if i + 1 < len(cuts) else a
+            lo, hi = math.ceil(a), (math.ceil(b) - 1 if b > a else math.floor(a))
+            if lo > hi:
+                continue
+            # upper(t) - lower(t) is the sum over both sides of the floor of
+            # (c t + d) / |e| for the half plane that binds on the stretch,
+            # the least at its middle num / den
+            total += hi - lo + 1
+            mid = (a + b) / 2
+            num, den = mid.numerator, mid.denominator
+            for side, scale in sides:
+                c, d, e = min(side, key=lambda h: (h[0] * num + h[1] * den) * (scale // h[2]))
+                total += _floor_sum(hi - lo + 1, e, c, c * lo + d)
+        return total
+
+    def lattice_points(self) -> list[Vec]:
+        """All integer points, graded-lex order (total degree, then lex),
+        listed by columns (see ``_columns``): one step per column and one
+        per point."""
         if self._points is None:
-            if not self.vertices:
-                self._points = []
-            else:
-                xs = [v[0] for v in self.vertices]
-                ys = [v[1] for v in self.vertices]
-                x0, x1 = math.ceil(min(xs)), math.floor(max(xs))
-                y0, y1 = math.ceil(min(ys)), math.floor(max(ys))
-                pts = [
-                    (x, y)
-                    for x in range(x0, x1 + 1)
-                    for y in range(y0, y1 + 1)
-                    if self.contains((x, y))
-                ]
-                pts.sort(key=lambda a: (a[0] + a[1], a))
-                self._points = pts
+            cuts, lower, upper = self._columns
+            columns = range(math.ceil(cuts[0]), math.floor(cuts[-1]) + 1) if cuts else ()
+            pts = []
+            for t in columns:
+                lo = -min((c * t + d) // e for c, d, e in lower)
+                hi = min((c * t + d) // e for c, d, e in upper)
+                pts.extend((x, t - x) for x in range(lo, hi + 1))
+            self._points = pts
         return self._points
 
     def volume(self) -> Fraction:
@@ -335,6 +377,21 @@ class LatticePolytope:
 
     def __repr__(self) -> str:
         return f"LatticePolytope(vertices={self.vertices})"
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a i + b) / m) for i in range(n)), m >= 1, in O(log m)
+    steps: the lattice points under a line, counted by the Euclidean
+    algorithm on (a, m)."""
+    total = 0
+    while n > 0:
+        total += (n * (n - 1) // 2) * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        top = a * n + b
+        if top < m:
+            break
+        n, b, m, a = top // m, top % m, a, m
+    return total
 
 
 def polytope_of_divisor(fan: Fan2D, div: TDivisor) -> LatticePolytope:

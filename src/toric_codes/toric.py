@@ -18,10 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .field import GF
-from .codes import CodeError, LinearCode
+from .codes import CodeError, LinearCode, check_matrix_size
 from .geometry import (
     EvalPoint,
     Fan2D,
+    LatticePolytope,
     TDivisor,
     evaluation_matrix,
     lattice_points,
@@ -41,7 +42,7 @@ class ToricCodeSpec:
     basis: list[tuple[int, int]] = dc_field(init=False)
 
     def __post_init__(self):
-        self.basis = lattice_points(polytope_of_divisor(self.fan, self.divisor))
+        self.basis = lattice_points(checked_polytope(self.fan, self.divisor, len(self.points)))
         if len(set(self.points)) != len(self.points):
             raise CodeError("evaluation points must be distinct")
 
@@ -63,6 +64,18 @@ class ToricCodeResult:
     @property
     def k(self) -> int:
         return self.code.k
+
+
+def checked_polytope(fan: Fan2D, divisor: TDivisor, n: int) -> LatticePolytope:
+    """P_G, once its lattice points are counted, not listed: CodeError when
+    the evaluation matrix on n points (|P_G| x n) or the dual of the code
+    it spans (at least (n - |P_G|) x n, as k <= |P_G|) would exceed
+    ``MATRIX_SIZE_CAP`` entries."""
+    poly = polytope_of_divisor(fan, divisor)
+    kc = poly.lattice_point_count()
+    check_matrix_size(kc, n, "evaluation matrix")
+    check_matrix_size(n - kc, n, "dual generator")
+    return poly
 
 
 def default_points(

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -564,6 +565,36 @@ def mutate(doc, rng):
         node.append(JUNK[rng.integers(len(JUNK))])
 
 
+OVERSIZE_JOBS = {
+    # n = 1020^2: the dual would hold (n - 2) x n entries
+    "gf1021": ({"p": 1021, "m": 1}, [0, 0, 2], "dual generator would hold 1040398 x 1040400"),
+    # |P_G| = 1 666 716 667 lattice points on 49 torus points
+    "divisor": ({"p": 2, "m": 3}, [0, 0, 100_000], "evaluation matrix would hold 1666716667 x 49"),
+}
+
+
+@pytest.mark.parametrize("command", ["build", "mindist", "bounds"])
+@pytest.mark.parametrize("job", list(OVERSIZE_JOBS))
+def test_oversize_job_exits_3_within_a_second(tmp_path, capsys, job, command):
+    field, divisor, message = OVERSIZE_JOBS[job]
+    spec = write_job(tmp_path, field=field, divisor=divisor)
+    t0 = time.perf_counter()
+    assert main([command, "--spec", spec]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert message in err and "size cap 268435456 (2^28)" in err and "Traceback" not in err
+
+
+def test_oversize_decoder_basis_exits_3(tmp_path, capsys):
+    spec = write_job(tmp_path, divisor=[0, 0, 6], decoder={"gprime": [0, 0, 100_000]})
+    received = tmp_path / "r.txt"
+    received.write_text(" ".join(["0"] * 16))
+    t0 = time.perf_counter()
+    assert main(["decode", "--spec", spec, "--received", str(received)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "evaluation matrix would hold 1666716667 x 16" in capsys.readouterr().err
+
+
 def test_mutated_job_and_build_files_never_crash(tmp_path, capsys):
     rng = np.random.default_rng(2024)
     job = {
@@ -584,6 +615,30 @@ def test_mutated_job_and_build_files_never_crash(tmp_path, capsys):
         path = write_job(tmp_path, "mutated.json", **bad)
         assert main(["build", "--spec", path]) == 2
         assert main(["mindist", "--spec", path]) == 2
+    # large divisors and large fields: a code over a size cap, or with an
+    # empty P_G, exits 3 before it is formed, and a field over the q cap
+    # exits 2, each within a second
+    large = [
+        ("divisor", 2, 10**5, 3), ("divisor", 0, 10**12, 3), ("divisor", 1, -(10**12), 3),
+        ("field", "p", 1021, 3), ("field", "p", 10**12, 2), ("field", "m", 10, 2),
+    ]
+    for block, key, value, code in large:
+        bad = json.loads(json.dumps(job))
+        bad[block][key] = value
+        path = write_job(tmp_path, "large.json", **bad)
+        for command in ("build", "mindist"):
+            t0 = time.perf_counter()
+            assert main([command, "--spec", path]) == code
+            assert time.perf_counter() - t0 < 1.0
+    # the same generator read over GF(1021) is a valid code
+    for p, code in ((1021, 0), (10**12, 2)):
+        bad = json.loads(json.dumps(build))
+        bad["field"]["p"] = p
+        path = tmp_path / "large_build.json"
+        path.write_text(json.dumps(bad))
+        t0 = time.perf_counter()
+        assert main(["mindist", "--code", str(path)]) == code
+        assert time.perf_counter() - t0 < 1.0
     codes = []
     for trial in range(150):
         for doc, argv in ((job, ["build", "--spec"]), (build, ["mindist", "--code"])):

@@ -7,6 +7,7 @@ import pytest
 from toric_codes.field import GF
 from toric_codes.geometry import torus_evaluation_matrix, torus_points
 from toric_codes.codes import (
+    MATRIX_SIZE_CAP,
     CodeError,
     LinearCode,
     WeightReport,
@@ -23,6 +24,7 @@ from toric_codes.codes import (
     rm_predicted_params,
     _null_basis,
     _solution,
+    check_matrix_size,
     rref,
     solve,
 )
@@ -144,6 +146,85 @@ def test_dual_is_the_null_space_basis(p, m):
         assert np.array_equal(h.gen, null_space(gf, code.gen))
         assert not matmul(gf, code.gen, h.gen.T).any()
         assert bool(h.warnings) == (code.k == n)
+
+
+def same_code(a, b):
+    assert a.gen.dtype == b.gen.dtype == np.int16
+    assert np.array_equal(a.gen, b.gen)
+    assert (a.n, a.k, a.warnings) == (b.n, b.k, b.warnings)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (2, 3), (3, 2), (5, 2)])
+def test_dual_matches_the_checked_construction(p, m):
+    """``dual()`` against the construction it replaced: the null basis of
+    the primal's reduction through the public, checked ``LinearCode``."""
+    gf = GF(p, m)
+    rng = np.random.default_rng(3000 + 10 * p + m)
+    shapes = [(7, 3, 3), (9, 5, 2), (12, 8, 6), (6, 6, 6), (5, 7, 5), (10, 1, 1), (8, 4, 0)]
+    matrices = [random_matrix(gf, rows, n, rank, rng) for n, rows, rank in shapes]
+    # a systematic generator, whose rows own a column each
+    matrices.append(np.hstack([np.eye(3, dtype=np.int16), rng.integers(0, gf.q, (3, 4), dtype=np.int16)]))
+    for M in matrices:
+        if not M.any():
+            M[0, 0] = 1  # a zero code has no dual
+        code, n = LinearCode(gf, M), M.shape[1]
+        if code._reduced is None:  # rows that own a column each skip elimination
+            R, _, pivots = rref(gf, code.gen)
+        else:
+            R, pivots = code._reduced
+        oracle = LinearCode(gf, _null_basis(gf, R, pivots, n))
+        if code.k == n:
+            oracle.warnings.append("dual of the full space is the zero code")
+        h = code.dual()
+        same_code(h, oracle)
+        assert not matmul(gf, code.gen, h.gen.T).any()
+        assert not np.shares_memory(h.gen, R) and not np.shares_memory(h.gen, code.gen)
+        if code.k < n:
+            same_code(h.dual(), oracle.dual())
+
+
+def test_dual_skips_the_checks_of_outside_input(monkeypatch):
+    import toric_codes.codes as codes
+
+    seen = []
+
+    def spy(name):
+        real = getattr(codes, name)
+
+        def wrapper(*args):
+            seen.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_elements", "_rows_own_columns"):
+        monkeypatch.setattr(codes, name, spy(name))
+    gf = GF(3)
+    code = LinearCode(gf, [[1, 2, 0, 1], [0, 1, 1, 2]])
+    assert seen == ["_elements", "_rows_own_columns"]
+    h = code.dual()
+    assert seen == ["_elements", "_rows_own_columns"] and (h.n, h.k) == (4, 2)
+
+
+def test_dual_over_the_size_cap_is_refused_before_it_is_formed(monkeypatch):
+    def never(*args):
+        raise AssertionError("the null basis was formed")
+
+    monkeypatch.setattr("toric_codes.codes._null_basis", never)
+    n = 1 << 15  # (n - 1) n entries, nearly four times the cap
+    code = LinearCode(GF(2), np.ones((1, n), dtype=np.int16))
+    with pytest.raises(CodeError, match="dual generator would hold 32767 x 32768 entries"):
+        code.dual()
+
+
+def test_matrix_size_cap_is_inclusive():
+    side = 1 << 14
+    assert side * side == MATRIX_SIZE_CAP
+    check_matrix_size(side, side, "dual generator")
+    with pytest.raises(CodeError, match="evaluation matrix"):
+        check_matrix_size(side + 1, side, "evaluation matrix")
+    # the dual of fan1 over GF(128), divisor (0, 0, 6), k = 10, fits
+    check_matrix_size(16129 - 10, 16129, "dual generator")
 
 
 @pytest.mark.parametrize("orbits", [(), (0, 1)])

@@ -287,6 +287,79 @@ def test_lattice_count_translation_invariant():
             assert {(x + t[0], y + t[1]) for x, y in a} == set(b)
 
 
+def box_listing(p):
+    """The listing that the column listing replaced, kept as its oracle:
+    every point of the bounding box that the polytope contains, sorted
+    into graded-lex order."""
+    if not p.vertices:
+        return []
+    xs, ys = [v[0] for v in p.vertices], [v[1] for v in p.vertices]
+    pts = [
+        (x, y)
+        for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1)
+        for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1)
+        if p.contains((x, y))
+    ]
+    return sorted(pts, key=lambda a: (a[0] + a[1], a))
+
+
+def golden_polytopes():
+    from toric_codes.tables import GOLDEN_TABLES
+
+    for table in GOLDEN_TABLES.values():
+        for row in table.rows:
+            if table.kind == "hansen-b":
+                yield poly(FAN4, (0, 0, row.a))
+            elif table.kind != "rm":
+                yield poly(Fan2D(table.fan), row.divisor)
+
+
+def test_column_listing_matches_the_box_listing():
+    polytopes = list(golden_polytopes())
+    assert len(polytopes) == 64
+    rng = np.random.default_rng(23)
+    while len(polytopes) < 1064:
+        k = int(rng.integers(3, 7))
+        normals = [tuple(int(c) for c in rng.integers(-4, 5, size=2)) for _ in range(k)]
+        p = LatticePolytope(normals, [int(d) for d in rng.integers(-6, 13, size=k)])
+        if p._bounded:
+            polytopes.append(p)
+    sizes = set()
+    for p in polytopes:
+        want = box_listing(p)
+        assert lattice_points(p) == want
+        assert p.lattice_point_count() == len(want)
+        sizes.add(min(len(want), 2))
+    assert sizes == {0, 1, 2}  # empty polytopes and single points included
+
+
+def test_lattice_point_count_without_listing():
+    """fan1, divisor (0, 0, D): column t = x + y, 0 <= t <= D, holds the x
+    with t/3 <= x <= 2t/3 (2x - y >= 0 and 2y - x >= 0), which sum to
+    (D+1)(D+2)//6, plus 1 when 3 divides D."""
+
+    def closed(D):
+        return (D + 1) * (D + 2) // 6 + (D % 3 == 0)
+
+    for D in (0, 1, 2, 3, 100, 300, 1000, 100_000):
+        by_column = sum(2 * t // 3 + (-t // 3) + 1 for t in range(D + 1))
+        assert by_column == closed(D)
+        assert poly(FAN1, (0, 0, D)).lattice_point_count() == closed(D)
+    assert [closed(D) for D in (100, 300, 1000)] == [1717, 15151, 167167]
+    big = poly(FAN1, (0, 0, 10**30))
+    assert big.lattice_point_count() == closed(10**30) and big._points is None
+
+
+def test_floor_sum_matches_the_direct_sum():
+    from toric_codes.geometry import _floor_sum
+
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        n, m = int(rng.integers(0, 40)), int(rng.integers(1, 30))
+        a, b = (int(v) for v in rng.integers(-90, 91, size=2))
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
 # -- rational points ------------------------------------------------------
 
 

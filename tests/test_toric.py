@@ -16,6 +16,7 @@ from toric_codes.geometry import (
 from toric_codes.toric import (
     ToricCodeSpec,
     build,
+    checked_polytope,
     default_points,
     hansen_code,
     hansen_fan,
@@ -74,6 +75,17 @@ def test_pole_is_hard_error():
     pts = default_points(gf, FAN1, orbits=[2])  # ray 3 carries the divisor
     with pytest.raises(PoleError):
         build(ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 3)), pts))
+
+
+def test_spec_over_the_size_caps_is_refused_before_listing_p_g():
+    # |P_G| = 1 666 716 667 on 49 points: counted, never listed
+    with pytest.raises(CodeError, match="evaluation matrix would hold 1666716667 x 49"):
+        toric_code(GF(2, 3), FAN1.rays, (0, 0, 100_000))
+    # over GF(1021), k <= |P_G| = 2, so the dual has at least n - 2 rows
+    with pytest.raises(CodeError, match="dual generator would hold 1040398 x 1040400"):
+        checked_polytope(FAN1, TDivisor((0, 0, 2)), 1020**2)
+    # fan1 over GF(64), divisor (0, 0, 40): (3969, 287), within both caps
+    assert checked_polytope(FAN1, TDivisor((0, 0, 40)), 63**2).lattice_point_count() == 287
 
 
 def test_empty_basis_error():
