@@ -88,7 +88,10 @@ def random_matrix(gf, rows, cols, rank, rng):
     return matmul(gf, A, B)
 
 
-ORACLE_FIELDS = [(2, 1), (2, 3), (2, 4), (5, 1), (7, 1), (3, 2), (5, 2)]
+# p = 2, prime p (GF(1021) the largest) and odd p^m; GF(3^5) and GF(7^3)
+# have q^2 > 2^15, so their in-place adds index the add table in intp
+ORACLE_FIELDS = [(2, 1), (2, 3), (2, 4), (2, 5), (5, 1), (7, 1), (23, 1), (1021, 1), (3, 2), (5, 2),
+                 (3, 5), (7, 3)]
 
 
 @pytest.mark.parametrize("p,m", ORACLE_FIELDS)
@@ -109,8 +112,9 @@ def test_rref_matches_row_by_row_reference(p, m):
 
 @pytest.mark.parametrize("p,m", ORACLE_FIELDS + [(2, 6)])
 def test_rref_matches_reference_on_sparse_and_thin_matrices(p, m):
-    """rref updates every row at each pivot; rows that are zero in the pivot
-    column must come out unchanged."""
+    """Sparse pivot columns take the gathered update, and block-diagonal
+    ones update only their block; rows that are zero in the pivot column
+    must come out unchanged."""
     gf = GF(p, m)
     rng = np.random.default_rng(3000 + 10 * p + m)
     cases = [rng.integers(0, gf.q, size=shape).astype(np.int16) for shape in [(1, 9), (9, 1), (1, 1)]]
@@ -131,6 +135,89 @@ def test_rref_matches_reference_on_sparse_and_thin_matrices(p, m):
             want = rref_reference(gf, M, col_order=order)
             assert np.array_equal(got[0], want[0])
             assert got[1:] == want[1:]
+
+
+def spy_on_updates(gf):
+    """Record the form of each pivot update of rref over ``gf``: "slab"
+    when the rows are updated in place in R, "gathered" when a copy is."""
+    forms = []
+
+    def iadd(X, Y):
+        forms.append("gathered" if X.flags.owndata else "slab")
+        GF._iadd(gf, X, Y)
+
+    gf._iadd = iadd
+    return forms
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_rref_matches_reference_on_wide_and_tall_matrices(p, m):
+    """Wide rank-k matrices of the benchmark's shapes, whose pivots update
+    slabs (over GF(2) some are under half full), and a tall sparse one whose
+    pivot columns stay under half full, so that it reaches the gathered
+    form."""
+    gf = GF(p, m)
+    forms = spy_on_updates(gf)
+    rng = np.random.default_rng(4000 + 10 * p + m)
+    for rows, cols in [(31, 961), (22, 484), (22, 624)]:
+        M = rng.integers(0, gf.q, size=(rows, cols)).astype(np.int16)
+        for order in [None, list(rng.permutation(cols))]:
+            forms.clear()
+            got = rref(gf, M, col_order=order)
+            want = rref_reference(gf, M, col_order=order)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+            assert got[1] == rows and "slab" in forms
+    M = rng.integers(0, gf.q, size=(3000, 16)).astype(np.int16)
+    M[rng.random(M.shape) >= 0.04] = 0
+    forms.clear()
+    got = rref(gf, M)
+    want = rref_reference(gf, M)
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    assert "gathered" in forms
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_rref_slab_leaves_rows_with_a_zero_factor_unchanged(p, m):
+    """One pivot, in column 0, whose nonzero rows are scattered: the slab
+    from the first to the last row that needs an update holds rows that are
+    zero in column 0, which must come out unchanged, as must the rows
+    outside it; a span under half full takes the gathered form."""
+    gf = GF(p, m)
+    forms = spy_on_updates(gf)
+    rng = np.random.default_rng(5000 + 10 * p + m)
+    cases = [([2, 4, 5, 7, 8], "slab"), ([3, 4, 6], "slab"), ([1, 5, 6, 7, 9, 10], "slab"),
+             ([0, 1, 11], "gathered")]
+    for nonzero, form in cases:
+        M = rng.integers(0, gf.q, size=(12, 9)).astype(np.int16)
+        M[:, 0] = 0
+        M[nonzero, 0] = rng.integers(1, gf.q, size=len(nonzero))
+        forms.clear()
+        R, rank, pivots = rref(gf, M, col_order=[0])
+        assert (rank, pivots, forms) == (1, [0], [form])
+        if nonzero[0]:  # the pivot row, swapped with row 0
+            assert np.array_equal(R[nonzero[0]], M[0])
+        zero = [i for i in range(1, 12) if i not in nonzero]
+        assert np.array_equal(R[zero], M[zero])
+        assert not R[1:, 0].any() and R[0, 0] == 1
+        want = rref_reference(gf, M, col_order=[0])
+        assert np.array_equal(R, want[0]) and (rank, pivots) == want[1:]
+
+
+BAD_MATRICES = [
+    pytest.param((7, 1), [[1.5, 2.0]], id="floats"),
+    pytest.param((7, 1), np.array([[1, 2]], dtype=float), id="integral-floats"),
+    pytest.param((7, 1), [[True, False], [False, True]], id="bools"),
+    pytest.param((7, 1), [[-1, 3], [2, 5]], id="negative"),
+    pytest.param((7, 1), [[1, 3], [2, 7]], id="q"),
+    pytest.param((2, 3), [[9, 1]], id="above-q"),
+]
+
+
+@pytest.mark.parametrize("solve_fn", [rref, null_space])
+@pytest.mark.parametrize("pm,mat", BAD_MATRICES)
+def test_rref_and_null_space_refuse_entries_that_are_not_element_indices(solve_fn, pm, mat):
+    with pytest.raises(CodeError, match="element indices"):
+        solve_fn(GF(*pm), mat)
 
 
 @pytest.mark.parametrize("p,m", ORACLE_FIELDS)
@@ -186,13 +273,13 @@ def test_dual_matches_the_checked_construction(p, m):
 def test_dual_skips_the_checks_of_outside_input(monkeypatch):
     import toric_codes.codes as codes
 
-    seen = []
+    seen = []  # (name, the matrix it was given)
 
     def spy(name):
         real = getattr(codes, name)
 
         def wrapper(*args):
-            seen.append(name)
+            seen.append((name, np.array(args[1] if name == "_elements" else args[0])))
             return real(*args)
 
         return wrapper
@@ -200,10 +287,18 @@ def test_dual_skips_the_checks_of_outside_input(monkeypatch):
     for name in ("_elements", "_rows_own_columns"):
         monkeypatch.setattr(codes, name, spy(name))
     gf = GF(3)
-    code = LinearCode(gf, [[1, 2, 0, 1], [0, 1, 1, 2]])
-    assert seen == ["_elements", "_rows_own_columns"]
-    h = code.dual()
-    assert seen == ["_elements", "_rows_own_columns"] and (h.n, h.k) == (4, 2)
+    # the rows of the first matrix own a column each, so dual() reduces gen,
+    # and rref checks its input; the rows of the second are reduced once, in
+    # the constructor.  Neither dual basis is checked.
+    for rows, dual_checks in [([[1, 2, 0, 1], [0, 1, 1, 2]], 1), ([[1, 2, 0, 1], [1, 1, 1, 2]], 0)]:
+        seen.clear()
+        code = LinearCode(gf, rows)
+        names = ["_elements", "_rows_own_columns"] + ["_elements"] * (code._reduced is not None)
+        assert [name for name, _ in seen] == names
+        seen.clear()
+        h = code.dual()
+        assert [name for name, _ in seen] == ["_elements"] * dual_checks
+        assert all(np.array_equal(M, code.gen) for _, M in seen) and (h.n, h.k) == (4, 2)
 
 
 def test_dual_over_the_size_cap_is_refused_before_it_is_formed(monkeypatch):

@@ -248,6 +248,38 @@ def test_add_table_matches_naive_oracle(p, m):
     assert np.array_equal(gf.add_table, naive_add_table(p, m))
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 23, 1021])
+def test_prime_vadd_matches_the_integer_sum_mod_p(p):
+    """Every pair (a, b), as int64 and as int16 operands."""
+    gf = GF(p)
+    a, b = np.divmod(np.arange(p * p, dtype=np.int64), p)
+    for A, B in [(a, b), (a.astype(np.int16), b.astype(np.int16))]:
+        C = gf.vadd(A, B)
+        assert C.dtype == np.int16 and np.array_equal(C, (a + b) % p)
+
+
+# p = 2, prime p, and odd p^m with int16 (q^2 < 2^15) and intp indices
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 5), (3, 1), (23, 1), (1021, 1), (3, 2), (5, 2), (13, 2),
+                                 (3, 5), (7, 3)])
+def test_in_place_add_matches_the_add_table(p, m):
+    """``_iadd`` on every pair, and on a strided block of rows with a
+    broadcast row, as ``rref`` calls it."""
+    gf = GF(p, m)
+    q = gf.q
+    a, b = np.divmod(np.arange(q * q), q)
+    a, b = a.astype(np.int16), b.astype(np.int16)
+    X = a.copy()
+    gf._iadd(X, b)
+    assert X.dtype == np.int16 and np.array_equal(X, gf.add_table[a, b])
+    rng = np.random.default_rng([5, p, m])
+    R = rng.integers(0, q, size=(9, 12)).astype(np.int16)
+    Y = rng.integers(0, q, size=(1, 9)).astype(np.int16)
+    want = R.copy()
+    want[2:7, 3:] = gf.add_table[R[2:7, 3:], Y]
+    gf._iadd(R[2:7, 3:], Y)
+    assert np.array_equal(R, want)
+
+
 # bit planes for p = 2 and 3, digit bytes for p >= 5, and uint16 digits for GF(131)
 PACKED_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (7, 1), (5, 2),
                  (31, 1), (2, 10), (31, 2), (131, 1)]
