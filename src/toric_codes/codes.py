@@ -7,7 +7,8 @@ exact and vectorized, on a copy of the input, in place:
 - ``rref`` checks the entries once, on entry (``_elements``: an integer
   array of indices 0..q-1, else CodeError), so every later entry is an
   element index, which the flat table index below needs (an index >= q
-  would read another row of the table);
+  would read another row of the table); ``solve`` and ``LinearCode``
+  leave the check of what they reduce to it;
 - each pivot c adds -R[i, c] times the pivot row, from column c on, to
   every other row i nonzero in column c.  When those rows fill at least
   half of the span lo..hi-1 from the first to the last of them, the slab
@@ -16,22 +17,28 @@ exact and vectorized, on a copy of the input, in place:
   pivot columns thin out pays only for its nonzero rows;
 - the update is ``GF._iadd``: XOR for p = 2, an add and an unsigned
   minimum for prime p, and one ``take`` from the flat add table at
-  X q + Y for odd p^m.  The products f_i R[r, j] are gathered row-major,
+  X q + Y for odd p^m.  The products f_i R[r, j] are formed row-major,
   as R is (a column-major product made the slab update several times
-  slower): from the factors' rows of ``mul_table`` for fewer than q rows,
-  else, the table being symmetric, from its rows at the pivot row's
-  entries, which numpy gathers faster there.  Rows are swapped by copying
-  them and the pivot row is scaled by one 1-D ``take``.
+  slower), from at most min(#f, q) rows of ``mul_table``: for fewer than
+  q factors, its rows at f, then their entries at the pivot row's; else
+  its columns at the pivot row's entries, then that block's rows at f,
+  copied whole.  Rows are swapped by copying them and the pivot row is
+  scaled by one 1-D ``take``.
 
 Against one gathered update per pivot through ``vadd`` (2 shared vCPUs,
-Python 3.11.7, numpy 2.4.6): the three ``construct`` matrices (31 x 961
-over GF(32), 22 x 484 over GF(23), 22 x 624 over GF(25)) reduce in 2.5
-against 4.5 to 5.0 ms (medians of 200), the 884 x 961 generator of the
-GF(32) dual (961, 884) in 0.30 to 0.42 against 1.3 to 1.6 s, and the tall
-175 275 x 20 evaluation matrix of a GF(5) fan1 code, inside a first
-build, in 0.12 to 0.17 against 0.14 to 0.22 s (three fresh processes
-each).  Updating the whole slab at every pivot made that tall reduction
-slower (0.33 against 0.21 s in one run), hence the half-full rule.
+Python 3.11.7, numpy 2.4.6, fresh processes interleaved): the three
+``construct`` matrices (31 x 961 over GF(32), 22 x 484 over GF(23), 22 x
+624 over GF(25)) reduce in 2.8 to 4.6 against 6.0 to 7.6 ms (medians of
+200, three processes each), the 884 x 961 generator of the GF(32) dual
+(961, 884), inside its distance search, in 0.23 to 0.25 against 1.8 to
+2.1 s, and the tall 175 275 x 20 evaluation matrix of a GF(5) fan1 code,
+inside a first build, in 0.12 to 0.20 against 0.18 to 0.26 s (four
+processes each).  Updating the whole slab at every pivot took that tall
+reduction 0.20 to 0.23 s against 0.11 to 0.15 s (four processes each),
+hence the half-full rule.  Of the two product forms, the first alone
+reduces the dual generator in 0.54 to 0.73 s against 0.20 to 0.25 s, and
+the second alone the ``construct`` matrices in 4.9 against 4.5 ms and a
+31 x 961 matrix over GF(1021) in 50 against 3 ms (in process, medians).
 
 A null-space basis (hence a dual) is read off the reduced form without a
 second reduction.  ``dual()`` reads that basis off the primal's reduction
@@ -241,14 +248,14 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
             lo, hi = int(other[0]), int(other[-1]) + 1
             slab = 2 * other.size >= hi - lo
             f = factor[lo:hi] if slab else factor[other]
-            # the products f_i R[r, j], row-major: from the rows of f in
-            # mul_table below q rows, else (mul_table is symmetric) from
-            # its rows at the pivot row's entries, faster there
+            # the products f_i R[r, j], row-major as R is: from the table's
+            # rows at f below q rows, else from its columns at the pivot
+            # row's entries, whose rows at f are then copied whole
             pivot_row = R[r, c:]
             if f.size < gf.q:
                 Y = mul[f].take(pivot_row, axis=1)
             else:
-                Y = mul[pivot_row][:, f].T
+                Y = mul.take(pivot_row, axis=1)[f]
             if slab:
                 gf._iadd(R[lo:hi, c:], Y)
             else:
@@ -338,11 +345,20 @@ def solve(gf: GF, A: np.ndarray, b: np.ndarray):
     indices (else CodeError).  Returns (particular, null_basis) or None
     when inconsistent; the particular solution sets all free variables
     to 0."""
-    A = np.asarray(A)
+    A, b = np.asarray(A), np.asarray(b)
     if A.ndim != 2:
         raise CodeError(f"the matrix of a linear system must be 2-D, got shape {A.shape}")
-    A = _elements(gf, A, "matrix")
-    b = _elements(gf, b, "right-hand side", len(A))
+    if b.shape != (len(A),):
+        raise CodeError(
+            f"right-hand side must be a 1-D vector of length {len(A)}, got shape {b.shape}"
+        )
+    # rref checks the entries of [A | b]; only the dtypes are checked here,
+    # as a bool or float operand would take the other's in the concatenation
+    # (an empty A, say from [[], []], has no entry to check and becomes int16)
+    if any(M.size and M.dtype.kind not in "iu" for M in (A, b)):
+        raise CodeError(f"the entries of a linear system must be element indices 0..{gf.q - 1}")
+    if not A.size:
+        A = A.astype(np.int16)
     R, rank, pivots = rref(gf, np.concatenate([A, b[:, None]], axis=1))
     x = _solution(R, rank, pivots)
     return None if x is None else (x, _null_basis(gf, R, pivots, A.shape[1]))
@@ -399,13 +415,15 @@ class LinearCode:
         rows = np.asarray(rows)
         if rows.ndim != 2:
             raise CodeError("generator must be a 2-D matrix")
-        rows = _elements(gf, rows, "generator")
         self.warnings = []
         self._reduced = None  # (R, pivots) of rows, hence of gen, for dual()
+        # the entries are checked once: here, or by rref
         if _rows_own_columns(rows):
+            rows = _elements(gf, rows, "generator")
             rank = rows.shape[0]
         else:
             R, rank, pivots = rref(gf, rows)
+            rows = rows.astype(np.int16)
             self._reduced = (R, pivots)
         if rank < rows.shape[0]:
             self.warnings.append(

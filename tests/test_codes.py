@@ -287,14 +287,15 @@ def test_dual_skips_the_checks_of_outside_input(monkeypatch):
     for name in ("_elements", "_rows_own_columns"):
         monkeypatch.setattr(codes, name, spy(name))
     gf = GF(3)
-    # the rows of the first matrix own a column each, so dual() reduces gen,
-    # and rref checks its input; the rows of the second are reduced once, in
-    # the constructor.  Neither dual basis is checked.
+    # the constructor checks the entries once, itself when the rows own a
+    # column each (the first matrix), else through rref (the second).  So
+    # dual() reduces, and rref checks, the first gen a second time; the
+    # second is reduced once, in the constructor.  No dual basis is checked.
     for rows, dual_checks in [([[1, 2, 0, 1], [0, 1, 1, 2]], 1), ([[1, 2, 0, 1], [1, 1, 1, 2]], 0)]:
         seen.clear()
         code = LinearCode(gf, rows)
-        names = ["_elements", "_rows_own_columns"] + ["_elements"] * (code._reduced is not None)
-        assert [name for name, _ in seen] == names
+        assert [name for name, _ in seen] == ["_rows_own_columns", "_elements"]
+        assert (code._reduced is None) == dual_checks
         seen.clear()
         h = code.dual()
         assert [name for name, _ in seen] == ["_elements"] * dual_checks
@@ -479,9 +480,12 @@ def test_solve_checks_its_inputs():
     for b in ([1.5, 2, 3], [1, -1, 0], [1, 7, 0], [1, 2], [[1], [2], [3]], 3):
         with pytest.raises(CodeError):
             solve(gf, A, b)
-    for bad in (A[0], A.astype(float), A - 1, A + 5, np.zeros((3, 3, 1), dtype=np.int16)):
+    for bad in (A[0], A.astype(float), A - 1, A + 5, np.zeros((3, 3, 1), dtype=np.int16), A == 1):
         with pytest.raises(CodeError):
             solve(gf, bad, [1, 2, 3])
+    with pytest.raises(CodeError):  # a bool b would become int16 in [A | b]
+        solve(gf, A, np.array([True, False, True]))
+    assert solve(gf, [[], []], [0, 0])[0].shape == (0,) and solve(gf, [[], []], [0, 1]) is None
     x, ns = solve(gf, A.tolist(), [1, 2, 3])  # nested lists are fine
     assert np.array_equal(matvec(gf, A, x), [1, 2, 3]) and len(ns) == 1
 
