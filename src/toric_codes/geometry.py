@@ -472,19 +472,13 @@ def _integer_array(entries, what: str, width: int) -> np.ndarray:
         raise ValueError(f"{what} must be integers of at most 64 bits") from None
 
 
-def graded_evaluation(
-    exponents: Sequence[Vec], points: Sequence[EvalPoint], gf: GF, fan: Fan2D | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vanishing order and leading value of every character x^a at every
-    point: two k x n arrays, rows = exponents, columns = points.
-
-    At a torus point (t1, t2) the order is 0 and the value t1^a1 t2^a2.  At
-    the orbit point s on D_r the order is <a, v_r> (a pole when negative);
-    with m_r = transverse_vector(r), a - <a, v_r> m_r = det(m_r, a) u_r, so
-    the leading value is the orbit character s^det(m_r, a).  Either value
-    is g^((a . w) mod (q-1)): w = (log t1, log t2), or log(s) (-m_r2, m_r1).
-    Exponents and point fields must be integers, not bools (ValueError).
-    """
+def _characters(
+    exponents: Sequence[Vec], points: Sequence[EvalPoint], gf: GF, fan: Fan2D | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The checked exponents A (k x 2), the order of each character along
+    each ray (k x (s+1), a last column of 0s for the torus), and per point
+    its column of those (n) and w (n x 2), all int64: the values are
+    g^((A w^T) mod (q-1)) (``graded_evaluation``)."""
     s = fan.s if fan is not None else 0
     # one row per point: orbit flag, ray, and two field elements whose logs
     # make w through the ray's turn matrix (row s of the tables: the torus)
@@ -507,24 +501,60 @@ def graded_evaluation(
         turns[r, 0] = (-m2, m1)
     logs = gf.log[coords]
     w = logs[:, :1] * turns[ray, 0] + logs[:, 1:] * turns[ray, 1]
-    order = (A @ normals.T)[:, ray]
+    return A, A @ normals.T, ray, w
+
+
+def _graded(
+    gf: GF, A: np.ndarray, orders: np.ndarray, ray: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 orders and int16 values of ``_characters``' output."""
     e = A @ w.T
     np.remainder(e, gf.q - 1, out=e)
-    value = gf.exp.astype(np.int16)[e]
-    return order, value
+    return orders[:, ray], gf.exp.astype(np.int16)[e]
+
+
+def graded_evaluation(
+    exponents: Sequence[Vec], points: Sequence[EvalPoint], gf: GF, fan: Fan2D | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vanishing order and leading value of every character x^a at every
+    point: two k x n arrays, rows = exponents, columns = points.
+
+    At a torus point (t1, t2) the order is 0 and the value t1^a1 t2^a2.  At
+    the orbit point s on D_r the order is <a, v_r> (a pole when negative);
+    with m_r = transverse_vector(r), a - <a, v_r> m_r = det(m_r, a) u_r, so
+    the leading value is the orbit character s^det(m_r, a).  Either value
+    is g^((a . w) mod (q-1)): w = (log t1, log t2), or log(s) (-m_r2, m_r1).
+    Exponents and point fields must be integers, not bools (ValueError).
+    """
+    return _graded(gf, *_characters(exponents, points, gf, fan))
+
+
+# the most entries of one block of ``evaluation_matrix``, unless a single
+# point needs more (k)
+_EVALUATION_BLOCK = 1 << 18
 
 
 def evaluation_matrix(
     exponents: Sequence[Vec], points: Sequence[EvalPoint], gf: GF, fan: Fan2D | None = None
 ) -> np.ndarray:
     """Strict evaluation: x^a at every point, rows = exponents.  A character
-    vanishing along an orbit's divisor is 0 there; a pole is a PoleError."""
-    order, value = graded_evaluation(exponents, points, gf, fan)
-    if (order < 0).any():
-        j, i = np.argwhere(order.T < 0)[0]
-        a = tuple(int(x) for x in exponents[i])
-        raise PoleError(f"monomial {a} has a pole along D_{points[j].ray + 1}")
-    return np.where(order == 0, value, 0)
+    vanishing along an orbit's divisor is 0 there; a pole is a PoleError,
+    at the first point with one.  The points are evaluated in blocks of
+    max(2^18 // k, 1) columns, so that of the k x n arrays only the int16
+    result is formed in full: the int64 orders and exponents of the whole
+    matrix took about 9 times its bytes."""
+    A, orders, ray, w = _characters(exponents, points, gf, fan)
+    M = np.empty((len(A), len(w)), dtype=np.int16)
+    width = max(_EVALUATION_BLOCK // max(len(A), 1), 1)
+    for s in range(0, len(w), width):
+        blk = slice(s, s + width)
+        order, value = _graded(gf, A, orders, ray[blk], w[blk])
+        if (order < 0).any():
+            j, i = np.argwhere(order.T < 0)[0]
+            a = tuple(A[i].tolist())
+            raise PoleError(f"monomial {a} has a pole along D_{points[s + j].ray + 1}")
+        M[:, blk] = np.where(order == 0, value, 0)
+    return M
 
 
 def torus_evaluation_matrix(exponents: Sequence[Vec], gf: GF) -> np.ndarray:

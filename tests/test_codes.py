@@ -689,7 +689,7 @@ def test_record_report_does_not_depend_on_the_callers_buffer():
 
     code = toric_code(GF(2, 3), [(5, -1), (-1, 5), (-1, -1)], (0, 0, 5)).code
     want = min_distance_infoset(code)
-    assert (want.d, want.work) == (28, 8995767)
+    assert (want.d, want.work) == (28, 5466297)
     with np.errstate():
         np.setbufsize(64)
         got = min_distance_infoset(code)
@@ -811,17 +811,21 @@ def translations_taken(code):
     return _torus_translations(code.gf, rref(code.gf, code.gen)[0])
 
 
-def min_distance_translation_reference(code):
-    """Oracle of the translation path by plain message enumeration: level w
-    takes every message of weight w with first nonzero symbol 1 through the
-    reduced echelon generator, and the search stops once ceil(n (w+1) / k)
-    reaches the least weight seen.  The witness is the lex-min over every
-    translate of every least-weight word.  Returns (d, witness, work,
-    cumulative work after each level)."""
+def translation_search(code):
+    """Plain message enumeration of the translation rule through the reduced
+    echelon generator: level w takes every message of weight w with first
+    nonzero symbol 1, and the search stops once ceil(n (w+1) / k) reaches
+    the least weight seen.  A level w >= 2 with (k-1) best < n w, best the
+    least weight before it, is the engine's restricted level: its work and
+    the cumulative level list count only the messages whose symbol 0 is 1,
+    and the full rule must stop there too.  Returns (d, hits, work,
+    cumulative work after each level, the restricted level or None); a hit
+    is (level, word, enumerated) for each word of weight d, enumerated False
+    for a word that the restricted level skips."""
     gf, k, n = code.gf, code.k, code.n
     R = rref(gf, code.gen)[0]
     units = gf.units()  # units[0] is 1
-    best, hits, work, levels = n + 1, [], 0, []
+    best, hits, work, levels, restricted = n + 1, [], 0, [], None
     for w in range(1, k + 1):
         msgs = []
         for support in itertools.combinations(range(k), w):
@@ -829,18 +833,57 @@ def min_distance_translation_reference(code):
                 msg = np.zeros(k, dtype=np.int16)
                 msg[list(support)] = (units[0],) + coeffs
                 msgs.append(msg)
-        words = gf.vsum(gf.vmul(np.array(msgs)[:, :, None], R[None]), axis=1)
-        work += len(words)
+        msgs = np.array(msgs)
+        through_0 = msgs[:, 0] != 0
+        if w >= 2 and (k - 1) * best < n * w:
+            restricted = w
+        words = gf.vsum(gf.vmul(msgs[:, :, None], R[None]), axis=1)
+        work += int(through_0.sum()) if restricted else len(words)
         levels.append(work)
         weights = np.count_nonzero(words, axis=1)
         if weights.min() < best:
             best, hits = int(weights.min()), []
-        hits.extend(words[weights == best])
+        at_best = weights == best
+        hits.extend((w, word, restricted is None or bool(t))
+                    for word, t in zip(words[at_best], through_0[at_best]))
         if -(-n * (w + 1) // k) >= best:
             break
-    perms = translation_permutations(gf)
-    translates = np.concatenate([hit[perms] for hit in hits])
-    return best, translates[np.lexsort(translates.T[::-1])[0]], work, levels
+        assert restricted is None
+    return best, hits, work, levels, restricted
+
+
+def lexmin_row(words):
+    words = np.asarray(words)
+    return words[np.lexsort(words.T[::-1])[0]]
+
+
+def translate_lexmin(words, perms):
+    """The lex-min over every translate of every word."""
+    return lexmin_row(np.concatenate([word[perms] for word in words]))
+
+
+def restored_lexmin(gf, words, perms, pivots, w):
+    """The lex-min of lam sigma(c) over the words c, their translates sigma,
+    and lam the inverse of tau(c)'s entry at its first pivot column, for
+    each translate tau(c) of information weight at most w."""
+    scaled = []
+    for c in words:
+        moved = c[perms]
+        for tau in moved:
+            info = tau[pivots][tau[pivots] != 0]
+            if len(info) <= w:
+                scaled.append(gf.vscale(gf.inv(int(info[0])), moved))
+    return lexmin_row(np.concatenate(scaled))
+
+
+def min_distance_translation_reference(code):
+    """Oracle of the translation path: d and the witness, the lex-min over
+    every translate of every least-weight word, from full levels; work and
+    the cumulative level list with the restricted last level
+    (``translation_search``).  Returns (d, witness, work, levels)."""
+    d, hits, work, levels, _ = translation_search(code)
+    witness = translate_lexmin([word for _, word, _ in hits], translation_permutations(code.gf))
+    return d, witness, work, levels
 
 
 # GF(4) and GF(8) bit planes, GF(9) trit planes, GF(5) and GF(7) digit bytes
@@ -895,12 +938,17 @@ def test_codes_without_translations_take_the_generic_path():
 def test_translation_path_work_budget(p, m, k):
     """Budgets at each level's cumulative work and one below it: the engine
     runs exactly the levels that fit, lower is ceil(n (w+1) / k) after
-    level w (ceil(n / k) before level 1), and the interval holds d."""
+    level w (ceil(n / k) before level 1), and the interval holds d.  The
+    GF(8) code ends with a restricted level 3, and one word below it the
+    report is the interval of level 2."""
     gf = GF(p, m)
     code = random_torus_code(gf, k, np.random.default_rng([31, p, m]))
     n = code.n
-    d, _, _, levels = min_distance_translation_reference(code)
-    assert len(levels) >= 2
+    d, _, _, levels, restricted = translation_search(code)
+    assert len(levels) >= 2 and restricted == (3 if (p, m) == (2, 3) else None)
+    if restricted is not None:
+        rep = min_distance_infoset(code, work_budget=levels[-1] - 1)
+        assert (rep.work, rep.exact, rep.lower) == (levels[-2], False, -(-n * restricted // k))
     for budget in sorted({b for lw in levels for b in (lw - 1, lw)} - {0}):
         rep = min_distance_infoset(code, work_budget=budget)
         done = [lw for lw in levels if lw <= budget]
@@ -916,6 +964,75 @@ def test_translation_path_work_budget(p, m, k):
         else:
             assert int(np.count_nonzero(rep.witness)) == rep.upper
             assert not code.dual().syndrome(rep.witness).any()
+
+
+# the fields of the translation path: GF(4) and GF(8) bit planes, GF(5) and
+# GF(7) digit bytes, GF(9) trit planes; per field, how many of its 200
+# random torus codes below take a restricted last level
+RESTRICTED_LEVELS = {(2, 2): 11, (5, 1): 23, (7, 1): 37, (2, 3): 122, (3, 2): 58}
+
+
+def seeded_torus_codes(gf, seed):
+    """The random torus codes of k = 2..6, drawn in turn from one seeded
+    generator."""
+    rng = np.random.default_rng([seed, gf.p, gf.m])
+    return [random_torus_code(gf, k, rng) for k in range(2, 7)]
+
+
+@pytest.mark.parametrize("p,m", RESTRICTED_LEVELS)
+def test_restricted_level_keeps_d_and_witness_on_random_torus_codes(p, m):
+    """On 200 random torus codes per field the engine's d, witness and work
+    equal the oracle's: d and the witness by full enumeration, the work
+    with the restricted last level, which the pinned number of codes
+    takes."""
+    gf = GF(p, m)
+    perms = translation_permutations(gf)
+    restricted = 0
+    for seed in range(40):
+        for code in seeded_torus_codes(gf, seed):
+            d, hits, work, _, w = translation_search(code)
+            rep = min_distance_infoset(code)
+            assert (rep.d, rep.work) == (d, work)
+            assert np.array_equal(rep.witness, translate_lexmin([word for _, word, _ in hits], perms))
+            restricted += w is not None
+    assert restricted == RESTRICTED_LEVELS[(p, m)]
+
+
+# (p, m, seed, k): codes of ``seeded_torus_codes`` whose witness a search
+# without the restoration would get wrong; of these, only the GF(9) seed-3
+# code also needs the ties of its earlier levels restored
+UNRESTORED_WITNESS_DIFFERS = [(2, 3, 18, 3), (2, 3, 29, 3), (2, 3, 30, 3), (2, 3, 39, 6),
+                              (3, 2, 3, 3), (3, 2, 6, 3), (3, 2, 26, 3), (3, 2, 34, 3)]
+
+
+@pytest.mark.parametrize("p,m,seed,k", UNRESTORED_WITNESS_DIFFERS)
+def test_restricted_level_restores_the_skipped_witnesses(monkeypatch, p, m, seed, k):
+    """The engine's witness is the full enumeration's, also with one tie per
+    unpack block.  The lex-min over the translates of the words that the
+    restricted search enumerates is another word, and so, for the GF(9)
+    seed-3 code, is the restoration of the restricted level's ties alone
+    after the earlier levels' witness; restoring every tie gives the full
+    witness."""
+    gf = GF(p, m)
+    code = seeded_torus_codes(gf, seed)[k - 2]
+    d, hits, work, _, w = translation_search(code)
+    assert w is not None
+    perms = translation_permutations(gf)
+    pivots = rref(gf, code.gen)[2]
+    full = translate_lexmin([word for _, word, _ in hits], perms)
+    for block in (None, 1):
+        if block is not None:
+            monkeypatch.setattr("toric_codes.codes._PRODUCT_BLOCK", block)
+        rep = min_distance_infoset(code)
+        assert (rep.d, rep.work) == (d, work) and np.array_equal(rep.witness, full)
+    enumerated = [word for _, word, on in hits if on]
+    assert not np.array_equal(translate_lexmin(enumerated, perms), full)
+    assert np.array_equal(restored_lexmin(gf, enumerated, perms, pivots, w), full)
+    earlier = [word for level, word, _ in hits if level < w]
+    last = [word for level, word, on in hits if on and level == w]
+    partial = [translate_lexmin(earlier, perms)] if earlier else []
+    partial += [restored_lexmin(gf, last, perms, pivots, w)] if last else []
+    assert np.array_equal(lexmin_row(partial), full) == ((p, m, seed) != (3, 2, 3))
 
 
 def test_translate_lexmin_over_blocks_of_ties(monkeypatch):

@@ -91,6 +91,30 @@ def test_setup_empty_space_error():
         decoder_setup(spec, TDivisor((0, 0, 5)))  # L(G - G') empty
 
 
+# fan1, G' = 2(D_1+D_2+D_3): the worked example (demo 05, the default
+# budget), and the benchmark's gf8-boundary and gf9-torus set-ups (a budget
+# of 300 000 words); the fields are (zero_cap, zero_cap_exact, condition_c,
+# d_dual)
+PINNED_SETUPS = [
+    ((2, 3), (0, 0, 10), [(0, 1), (1, 1)], {}, (23, False, "unverified", None)),
+    ((2, 3), (0, 0, 10), [(0, 1), (1, 1)], {"z_work_budget": 300_000}, (26, False, "unverified", None)),
+    ((3, 2), (0, 0, 12), [], {"z_work_budget": 300_000}, (32, False, "unverified", None)),
+]
+
+
+@pytest.mark.parametrize("pm,divisor,boundary,kwargs,want", PINNED_SETUPS,
+                         ids=["demo05", "gf8-boundary", "gf9-torus"])
+def test_setup_zero_caps_are_pinned(pm, divisor, boundary, kwargs, want):
+    """The auxiliary searches of these set-ups run on the translation path,
+    and none of them reaches a restricted last level (k - 1) best < n w,
+    so their set-up fields stay as recorded."""
+    gf = GF(*pm)
+    pts = list(torus_points(gf)) + [OrbitPoint(ray, s) for ray, s in boundary]
+    spec = ToricCodeSpec(gf, FAN1, TDivisor(divisor), pts)
+    st = decoder_setup(spec, TDivisor((2, 2, 2)), **kwargs)
+    assert (st.zero_cap, st.zero_cap_exact, st.condition_c, st.d_dual) == want
+
+
 def test_zero_cap_exact_on_torus_setup():
     st = torus_setup()
     # aux code is the (16, 3) triangle code with d = 12, all points clean

@@ -568,3 +568,45 @@ def test_graded_evaluation_rejects_bad_points():
         graded_evaluation([(1, 0)], [TorusPoint(0, 1)], gf)
     with pytest.raises(FanError, match="out of range"):
         graded_evaluation([(1, 0)], [OrbitPoint(3, 1)], gf, FAN1)
+
+
+def test_evaluation_in_blocks_matches_one_block(monkeypatch):
+    """On every golden toric divisor, at the torus points and then the
+    points of the orbits whose divisor coefficient is 0 (no pole), or of
+    every orbit, blocks of 1, 100 and 2^18 entries (one point, a few points
+    and every point per block) give the strict mode of one
+    ``graded_evaluation`` over all points: the same int16 matrix, or a
+    PoleError at the same first pole."""
+    from toric_codes import geometry
+    from toric_codes.tables import GOLDEN_TABLES, field_for_q
+    from toric_codes.toric import default_points
+
+    outcomes = {"matrix": 0, "pole": 0}
+    for table in GOLDEN_TABLES.values():
+        if table.kind != "toric":
+            continue
+        fan = Fan2D(table.fan)
+        for row in table.rows:
+            gf = field_for_q(row.q)
+            basis = lattice_points(polytope_of_divisor(fan, TDivisor(row.divisor)))
+            flat = [r for r in range(fan.s) if row.divisor[r] == 0]
+            for orbits in (flat, range(fan.s)):
+                pts = default_points(gf, fan, orbits=orbits)
+                order, value = graded_evaluation(basis, pts, gf, fan)
+                poles = np.argwhere(order.T < 0)
+                if len(poles):
+                    j, i = poles[0]
+                    want = f"monomial {tuple(basis[i])} has a pole along D_{pts[j].ray + 1}"
+                else:
+                    want = np.where(order == 0, value, 0)
+                outcomes["pole" if len(poles) else "matrix"] += 1
+                for block in (1, 100, 1 << 18):
+                    monkeypatch.setattr(geometry, "_EVALUATION_BLOCK", block)
+                    if isinstance(want, str):
+                        with pytest.raises(PoleError) as err:
+                            evaluation_matrix(basis, pts, gf, fan)
+                        assert str(err.value) == want
+                    else:
+                        got = evaluation_matrix(basis, pts, gf, fan)
+                        assert got.dtype == np.int16 and np.array_equal(got, want)
+    assert min(outcomes.values()) >= 5
