@@ -51,6 +51,10 @@ exhaustive engine enumerates one representative per projective message
 class; the information-set engine is a Brouwer-Zimmermann-style search
 over systematic generators on (maximally) disjoint information sets,
 maintaining a certified lower bound until it meets the best weight found.
+Its first systematic matrix is the code's reduced echelon form, which
+``LinearCode`` keeps (``_reduced``); only the later, disjoint information
+sets, and codes built without that reduction (duals, rows that own a
+column each), are reduced in the search.
 
 Both engines weigh codewords as packed words (``GF.pack``: bit planes for
 p = 2 and 3, one byte per position otherwise) and keep them packed.  A leaf
@@ -58,11 +62,16 @@ of either engine is a block X of packed words and a table T that is closed
 under negation, so the distances ``GF.pdist`` from each x to each t are the
 weights of the words x + t.  The longer of X and T is the inner axis, and
 only the words at the leaf's least weight are formed (x - t, ``GF.psub``).
-The tables are:
+The leaves are:
 
-- exhaustive engine: the first q^r words of its suffix table, which span
-  the last r rows; each message prefix is a chain of packed adds of the
-  multiples c r_i of the rows, packed once per search;
+- exhaustive engine: a message with first nonzero symbol 1 at row j is
+  its prefix (row j, then odometer rows: packed adds of the multiples
+  c r_i) plus a word of the block table and one of the suffix table.  The
+  suffix table spans the last v rows in at most ``_SUFFIX_WORDS`` = 2^15
+  words, which stay in cache, and the block table the b rows above them,
+  q^(b+v) <= ``_PRODUCT_BLOCK``; the first q^r words of either span its
+  last r rows.  Each message is weighed once, so the work is
+  (q^k - 1)/(q - 1) however the rows are split;
 - information-set engine, level 1: the zero word, against every row of a
   matrix at once;
 - one support row left: the unit multiples u r_s of the rows after the
@@ -76,39 +85,25 @@ The tables are:
   recurses one row first.
 
 A leaf hands on its words at its least weight; a smaller weight replaces
-the words kept so far and an equal one joins them.  The witness is the
-lex-min of these ties, taken once per finished information-set level and
-once per exhaustive search, after one unpack unless the ties and their
-translates exceed max(2^18, translates x n) entries; the lex-min of a union
-is the lex-min of its parts' lex-mins, here one argmin over the rows as
-byte strings.  Against leaves that added the whole block and then weighed
-it, one pass over the 61 golden rows of the ``corpus`` benchmark went from
-0.465 s to 0.273 s (``wall_s``, medians of 10 alternating runs each,
-scaled), with the same d, method, work and witness on every row (2 vCPUs,
-Python 3.11.7, numpy 2.4.6).
+the words kept so far and an equal one joins them, across the levels of an
+information-set search as well.  The witness is the lex-min of these ties,
+taken once per search, when it ends or a budget stops it, after one unpack
+unless the ties and their translates exceed max(2^18, translates x n)
+entries; the lex-min of a union is the lex-min of its parts' lex-mins, here
+one argmin over the rows as byte strings.
 
 The leaf buffer.  A broadcast of a leaf, X against T, runs through numpy's
 buffered iterator when its inner axis is shorter than 4096, in chunks of up
-to the ufunc buffer's size, and smaller chunks run faster there; most GF(8)
-leaves of the golden rows have an inner axis below 4096 and an outer
-one above 8 (343 x 147, 2401 x 7 to 35, 49 x 294 to 1029).  So every task
-of both engines runs under a buffer of ``_LEAF_BUFSIZE`` = 1024 elements,
-scoped by ``np.errstate``, which restores the caller's buffer size on exit
-(numpy >= 2.0), one scope per exhaustive search and per information-set
-level.  A uint64 XOR of 64 x 1 words against 1 x 512 takes 14.5 us
-against 38.4 us at numpy's default of 8192 elements and 12.3 us on
-contiguous operands; 21 x 2401 takes 18.4 against 59.3 us.  The count of nonzero bytes in ``GF.pdist``
-sums the flags as uint8 rather than casting bools, a cast the small buffer
-would slow; its sum over the position axis still runs slower there (37
-against 22 us for 36 x 16807 bytes), which the p >= 5 leaves with long
-tables pay.  Against the default buffer and the bool cast, one ``corpus``
-pass went from 0.275 s to 0.212 s (``wall_s``, medians of 12 alternating
-30 s runs each, faster in all 12 pairs) and ``op_p99_ms`` from 173 to 124
-ms, while ``op_p50_ms`` read 7.57 against 7.37 ms.  In process, a pass
-took 223 ms at 1024 elements, 226 at 512, 240 at 2048, 242 at 4096 and
-290 at 8192 (medians of 16 interleaved passes); all on 2 vCPUs, Python
-3.11.7, numpy 2.4.6.  The buffer changes no result: d, work and witness
-stay bit for bit.
+to the ufunc buffer's size, and smaller chunks run faster there; most
+leaves of the golden rows have such an inner axis.  So every task of both
+engines runs under a buffer of ``_LEAF_BUFSIZE`` = 1024 elements, scoped by
+``np.errstate``, which restores the caller's buffer size on exit (numpy >=
+2.0), one scope per exhaustive search and per information-set level.  The
+count of nonzero bytes in ``GF.pdist`` sums the flags as uint8 rather than
+casting bools, a cast the small buffer would slow.  The buffer changes no
+result: d, work and witness stay bit for bit.  CHANGES.md records the
+measurements behind the leaves, the buffer and the two torus paragraphs
+below.
 
 Torus translations.  When n = (q-1)^2, q >= 3, and the code is invariant
 under the torus translations (t1, t2) -> (s1 t1, s2 t2) (checked on the
@@ -124,11 +119,8 @@ translates of I; each coordinate lies in exactly k of them, so its weight is
 at least ceil(n (w+1) / k) (ceil(n / k) before level 1).  The witness is the
 lex-min over every translate of the least-weight words.  Every torus-only
 code in the fixed point order qualifies, since a translation multiplies each
-character by a constant; codes with orbit points, Reed-Muller codes and random codes keep the
-disjoint information sets.  Over the 64 golden rows the work fell from
-1.19 G to 0.13 G codewords and the record (49, 11, 28) from 0.42 s to
-0.09 s (2 vCPUs, numpy 2.4.6), with equal d, interval and witness on every
-row.
+character by a constant; codes with orbit points, Reed-Muller codes and
+random codes keep the disjoint information sets.
 
 The last level through row 0.  Before a level w >= 2, with best the least
 weight found so far: if (k-1) best < n w, the level enumerates only the
@@ -148,12 +140,7 @@ lam sigma(c) over those ties c, every translate sigma, and the scales lam
 that make a translate tau(c) of information weight at most w read 1 at its
 first pivot column (the normalization of enumerated words), which is the
 set of translates of the words the full level and its predecessors would
-have enumerated at that weight.  Other searches keep the per-level witness.
-On the three golden rows that take such a level the work fell from 17.6 M
-to 9.8 M (fan1 GF(8) (0,3,4), (49, 12, 26)), 9.0 M to 5.5 M (the record)
-and 8.0 M to 5.3 M (fan6 GF(9) (0,0,3)) codewords, and one search from 49
-to 31, 28 to 21 and 40 to 28 ms (min of 7 warm calls, 2 shared vCPUs,
-Python 3.11.7, numpy 2.4.6), with equal d and witness on all 64 rows.
+have enumerated at that weight.
 
 Products.  ``matmul`` is the one product kernel: ``matvec``, syndromes,
 codewords and the decoder's brackets and candidate set all run through
@@ -203,6 +190,10 @@ METHODS = ("auto", "exhaustive", "infoset")
 # the most entries of one broadcast block of matmul, unless a single inner
 # index needs more (rows * cols)
 _PRODUCT_BLOCK = 1 << 18
+
+# the most words of the exhaustive engine's suffix table, which every leaf
+# reads: a fraction of a product block, so that it stays in cache
+_SUFFIX_WORDS = _PRODUCT_BLOCK >> 3
 
 # the most bytes of packed words in the pair tables of one information-set
 # search together: each of its m matrices has a share of 1/m, and a two-row
@@ -637,53 +628,64 @@ def _run_tasks(fn, tasks, best_w=None, ties=None, work=0):
         return _reduce_results(map(fn, tasks), best_w, ties, work)
 
 
+def _span_table(gf: GF, multiples: np.ndarray) -> np.ndarray:
+    """The packed words sum_t c_t r_t over every choice of the c_t, one per
+    column, from the multiples (word, q, r) of r rows; the last row is the
+    fastest digit, so the first q^s words span the last s rows."""
+    S = np.zeros((len(multiples), 1), dtype=gf.packed_dtype)
+    for t in reversed(range(multiples.shape[2])):
+        S = gf.padd(multiples[:, :, t, None], S[:, None, :]).reshape(len(S), -1)
+    return S
+
+
 def min_distance_exhaustive(code: LinearCode, work_cap: int = 2_000_000_000) -> WeightReport:
     """Exact d by enumerating one representative per projective message
     class (first nonzero message symbol = 1).
 
     Messages are scanned in vectorized blocks of packed words: a shared
-    suffix table covers the trailing rows, short odometer prefixes cover
-    the rest.  The result is a deterministic min-reduce.  ``work_cap``
-    must be an integer >= 1, else CodeError.
+    suffix table covers the trailing rows, a block per task the rows above
+    it, and short odometer prefixes the rest.  The result is a
+    deterministic min-reduce.  ``work_cap`` must be an integer >= 1, else
+    CodeError.
     """
     gf, G, k, n = code.gf, code.gen, code.k, code.n
     q = gf.q
     work_cap = _positive(work_cap, "work cap")
     if k == 0:
         raise CodeError("empty code has no minimum distance")
-    total = (q**k - 1) // (q - 1)
-    if total > work_cap:
-        raise WorkCapExceeded(
-            f"{total} projective messages exceed the work cap {work_cap}"
-        )
+    # the count is compared, never formatted: it may have more digits than
+    # Python converts to a string
+    if (q**k - 1) // (q - 1) > work_cap:
+        raise WorkCapExceeded(f"{q}^{k}/({q} - 1) messages exceed the work cap {work_cap}")
 
-    # every multiple c * row, packed once (word, q, k); the packed suffix
-    # table over the last v rows, last row = fastest digit; a block holds at
-    # most 2^18 messages
+    # every multiple c * row, packed once (word, q, k).  The suffix table
+    # spans the last v rows in at most _SUFFIX_WORDS words, the block table
+    # the b rows above them, with q^(b+v) <= _PRODUCT_BLOCK; each task's
+    # block adds the block table to one odometer prefix (module docstring)
     multiples = gf.pack(gf.mul_table[:, G])
     v = 0
-    while v + 1 <= k - 1 and q ** (v + 1) <= 1 << 18:
+    while v + 1 <= k - 1 and q ** (v + 1) <= _SUFFIX_WORDS:
         v += 1
-    S = np.zeros((len(multiples), 1), dtype=gf.packed_dtype)
-    for t in range(v):
-        S = gf.padd(multiples[:, :, k - 1 - t, None], S[:, None, :]).reshape(len(S), -1)
+    b = 0
+    while v + b + 1 <= k - 1 and q ** (v + b + 1) <= _PRODUCT_BLOCK:
+        b += 1
+    S = _span_table(gf, multiples[:, :, k - v :])
+    B = _span_table(gf, multiples[:, :, k - v - b : k - v])
 
     def tasks():
         for j in range(k):
-            free = k - 1 - j
-            if free <= v:
-                yield (j, ())
-            else:
-                yield from ((j, combo) for combo in itertools.product(range(q), repeat=free - v))
+            odometer = max(0, k - 1 - j - v - b)
+            yield from ((j, combo) for combo in itertools.product(range(q), repeat=odometer))
 
     def run(task):
         j, combo = task
         prefix = multiples[:, 1, j : j + 1]  # row j, then the odometer rows
         for t, c in enumerate(combo, j + 1):
             prefix = gf.padd(prefix, multiples[:, c, t : t + 1])
-        rows = q ** min(k - 1 - j, v)
-        # the first q^r suffixes span the last r rows: a subspace
-        return _nearest(gf, prefix, S[:, :rows], n)
+        free = k - 1 - j
+        # the first q^r words of either table span its last r rows
+        block = gf.padd(prefix, B[:, : q ** min(max(0, free - v), b)])
+        return _nearest(gf, block, S[:, : q ** min(free, v)], n)
 
     best_w, ties, work = _run_tasks(run, tasks())
     return WeightReport(d=best_w, witness=_witness(gf, ties, n), method="exhaustive", work=work)
@@ -708,15 +710,24 @@ def _pair_table(gf: GF, scaled: np.ndarray, first: int) -> np.ndarray:
     )
 
 
-def _systematic_generators(gf: GF, G: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
+def _systematic_generators(
+    gf: GF, G: np.ndarray, reduced: tuple[np.ndarray, list[int]] | None = None
+) -> Iterator[tuple[np.ndarray, int]]:
     """Row-reduced generators systematic on pairwise disjoint column sets,
     computed lazily.
 
     Yields (matrix, rank_of_its_set); ranks are k for the first sets and may
     drop for the last one(s).  The first matrix is G's reduced echelon form.
+    That form is unique, so with ``reduced``, the (R, pivots) that
+    ``LinearCode`` kept of a matrix with G's row space, it is R[:k] and
+    needs no reduction.
     """
     k, n = G.shape
     used: set[int] = set()
+    if reduced is not None:
+        R, pivots = reduced
+        used.update(pivots)
+        yield R[:k], len(pivots)
     while len(used) < n:
         order = [c for c in range(n) if c not in used] + [c for c in range(n) if c in used]
         R, rank, pivots = rref(gf, G, col_order=order)
@@ -782,7 +793,7 @@ def min_distance_infoset(
     work_budget = check_work_budget(work_budget)
     if k == 0:
         raise CodeError("empty code has no minimum distance")
-    generators = _systematic_generators(gf, G)
+    generators = _systematic_generators(gf, G, code._reduced)
     first = next(generators)
     translations = _torus_translations(gf, first[0])
     mats = [first] if translations is not None else [first, *generators]
@@ -803,9 +814,8 @@ def min_distance_infoset(
     pair_first = next(s for s in range(k + 1) if pair_sizes[s] <= pair_words)
     zero = np.zeros((len(rows[0]), 1), dtype=gf.packed_dtype)
     best_w = n + 1
-    witness: np.ndarray | None = None
     work = 0
-    kept: np.ndarray | None = None  # translation path: the packed ties at best_w
+    kept: np.ndarray | None = None  # the packed ties at best_w of every level
 
     # a matrix may be dropped from the enumeration, but then its term is
     # forfeited for the rest of the search (the bound requires enumeration
@@ -834,6 +844,7 @@ def min_distance_infoset(
             cost = sum(active) * math.comb(k, w) * (q - 1) ** (w - 1)
         if work_budget is not None and work + cost > work_budget:
             upper = min(best_w, n)
+            witness = None if kept is None else _witness(gf, kept, n, translations)
             return WeightReport(
                 upper, witness, "information-set", work, exact=False, lower=lower, upper=upper
             )
@@ -845,8 +856,8 @@ def min_distance_infoset(
         # starts at one row s0, or at level 1 at every row of a matrix.  It
         # keeps a leaf's packed ties only when its least weight is at most
         # the task's best so far, which starts at the best weight of the
-        # earlier levels; the level's ties are unpacked after every task has
-        # run.
+        # earlier levels; the ties join those of the earlier levels and are
+        # unpacked once, when the search ends.
         level_best = best_w
 
         def run(task):
@@ -886,22 +897,17 @@ def min_distance_infoset(
                 (rows[j][:, s0 : s0 + 1], s0 + 1, multiples[j], pairs[j])
                 for s0 in range(1 if restricted else k - w + 1)
             )
-        level_w, ties, work = _run_tasks(run, tasks, best_w, None, work)
-        if ties is not None:
-            if translations is not None:
-                kept = ties if kept is None or level_w < best_w else np.concatenate([kept, ties], axis=1)
-            if not restricted:
-                cand = _witness(gf, ties, n, translations)
-                if witness is None or level_w < best_w or tuple(cand) < tuple(witness):
-                    witness = cand
-            best_w = level_w
+        best_w, kept, work = _run_tasks(run, tasks, best_w, kept, work)
         if restricted:  # every word of weight at most best_w has been found
             pivots = np.argmax(mats[0][0] != 0, axis=1)
-            witness = _restored_witness(gf, kept, n, translations, pivots, w)
-            break
+            return WeightReport(
+                best_w, _restored_witness(gf, kept, n, translations, pivots, w),
+                "information-set", work,
+            )
         lower = bound(w)
         if lower >= best_w:
             break
+    witness = _witness(gf, kept, n, translations)
     return WeightReport(d=best_w, witness=witness, method="information-set", work=work)
 
 
@@ -966,7 +972,7 @@ def reed_muller(gf: GF, m: int, ell: int) -> LinearCode:
         raise CodeError("need m >= 1 and ell >= 0")
     n = q**m
     if n > RM_SIZE_CAP:
-        raise CodeError(f"q^m = {n} exceeds the size cap {RM_SIZE_CAP}")
+        raise CodeError(f"q^m = {q}^{m} exceeds the size cap {RM_SIZE_CAP}")
     # power table: POW[v, e] with 0^0 = 1
     emax = min(q - 1, ell)
     POW = np.zeros((q, emax + 1), dtype=np.int16)

@@ -276,7 +276,10 @@ def _values(s: np.ndarray, nf: list[int], setup: DecoderSetup, list_cap: int) ->
             else "empty candidate set but nonzero syndrome"
         )
     elif count > list_cap:
-        diagnostics = f"{count} candidate solutions exceed the list cap {list_cap}"
+        # a long count is written as a power: Python formats no integer of
+        # more than 4300 digits
+        shown = count if count < 1 << 64 else f"{gf.q}^{t - rank}"
+        diagnostics = f"{shown} candidate solutions exceed the list cap {list_cap}"
     else:
         cands = np.zeros((count, setup.n), dtype=np.int16)
         cands[:, nf] = x

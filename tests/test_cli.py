@@ -434,7 +434,8 @@ def test_rm_cmd(capsys):
 
 @pytest.mark.parametrize(
     "m, ell, code",
-    [("0", "1", 2), ("5", "-1", 2), ("5", "6", 2), ("5", "9", 2), ("5", "5", 0), ("20", "1", 3)],
+    [("0", "1", 2), ("5", "-1", 2), ("5", "6", 2), ("5", "9", 2), ("5", "5", 0), ("20", "1", 3),
+     ("20000", "1", 3)],
 )
 def test_rm_parameters(capsys, m, ell, code):
     # ell runs over 0..m(q-1) = 5; the q^m size cap is a computation error
@@ -583,6 +584,24 @@ def test_oversize_job_exits_3_within_a_second(tmp_path, capsys, job, command):
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert message in err and "size cap 268435456 (2^28)" in err and "Traceback" not in err
+
+
+def test_exhaustive_count_past_the_digit_limit_exits_3(tmp_path, capsys):
+    """A GF(64) build file with k = 2400 (the identity plus an all-ones
+    column): (q^k - 1)/(q - 1) has more than 4300 digits, and the
+    exhaustive engine's refusal is a computation error, not a traceback."""
+    from toric_codes.field import GF
+
+    k = 2400
+    gen = np.concatenate([np.eye(k, dtype=int), np.ones((k, 1), dtype=int)], axis=1)
+    doc = {"field": {"p": 2, "m": 6, "modulus": [int(c) for c in GF(2, 6).modulus]},
+           "generator": gen.tolist()}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mindist", "--code", str(path), "--method", "exhaustive"]) == 3
+    err = capsys.readouterr().err
+    assert "64^2400/(64 - 1) messages exceed the work cap 2000000000" in err
+    assert len(err) < 200 and "Traceback" not in err
 
 
 def test_oversize_decoder_basis_exits_3(tmp_path, capsys):

@@ -619,6 +619,56 @@ def test_work_cap():
         min_distance_exhaustive(code, work_cap=10)
 
 
+def test_huge_message_count_exceeds_the_work_cap_without_formatting_it():
+    """GF(64), k = 2400: (q^k - 1)/(q - 1) has more digits than Python
+    converts to a string, and both ways into the exhaustive engine raise
+    WorkCapExceeded with a short message."""
+    k = 2400
+    gen = np.concatenate([np.eye(k, dtype=np.int16), np.ones((k, 1), dtype=np.int16)], axis=1)
+    code = LinearCode(GF(2, 6), gen)  # the identity plus an all-ones column
+    assert code.k == k
+    for call in (lambda: min_distance_exhaustive(code),
+                 lambda: min_distance(code, method="exhaustive", work_budget=10)):
+        with pytest.raises(WorkCapExceeded, match=r"^64\^2400/\(64 - 1\) messages exceed the work cap") as exc:
+            call()
+        assert len(str(exc.value)) < 200
+
+
+# (p, m, k): codes whose leaves weigh a block of prefixes against the suffix
+# table, GF(5) k = 9 with an odometer row above the block
+BLOCK_LEAF_CODES = [(7, 1, 7), (2, 3, 7), (5, 1, 9), (3, 2, 6)]
+
+
+@pytest.mark.parametrize("p,m,k", BLOCK_LEAF_CODES)
+def test_exhaustive_blocks_match_the_reference(monkeypatch, p, m, k):
+    """The engine's d, work and witness equal the int16 reference, and its
+    leaves form every codeword once per projective class: as many words as
+    classes, pairwise apart by more than a unit scale, all in the row
+    space."""
+    from toric_codes import codes as codes_module
+
+    gf = GF(p, m)
+    code = random_code(gf, k + 3, k, np.random.default_rng([67, p, m]))
+    nearest = codes_module._nearest
+    words = []
+
+    def recording_nearest(gf_, X, T, bound):
+        words.append(gf_.unpack(gf_.psub(X[:, :, None], T[:, None, :]).reshape(len(X), -1), code.n))
+        return nearest(gf_, X, T, bound)
+
+    monkeypatch.setattr(codes_module, "_nearest", recording_nearest)
+    got = min_distance_exhaustive(code)
+    assert_same_report(got, min_distance_exhaustive_reference(code))
+    assert max(len(w) for w in words) > 1  # the blocks hold more than one prefix
+    words = np.concatenate(words)
+    assert len(words) == got.work == (gf.q**k - 1) // (gf.q - 1)
+    assert not matmul(gf, code.dual().gen, words.T).any()
+    # the unit multiple of each word whose first nonzero entry is 1
+    lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
+    normal = gf.mul_table[gf.inv_table[lead][:, None], words]
+    assert len(np.unique(normal.view(f"V{normal.itemsize * code.n}"))) == len(words)
+
+
 def test_witness_in_row_space():
     rng = np.random.default_rng(1)
     gf = GF(5)
@@ -698,6 +748,30 @@ def test_record_report_does_not_depend_on_the_callers_buffer():
 
 
 # -- information-set engine ---------------------------------------------------
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (2, 3), (3, 2), (5, 2)])
+def test_first_systematic_matrix_is_the_codes_reduction(p, m):
+    """The first matrix that the search takes from ``LinearCode._reduced``
+    equals a fresh reduction of the generator in natural column order,
+    rank and pivots included, also for rank-deficient rows; the later
+    disjoint sets equal those of a search that reduces from scratch."""
+    gf = GF(p, m)
+    rng = np.random.default_rng([71, p, m])
+    deficient = 0
+    for rows, cols, rank in [(4, 9, 4), (6, 12, 4), (5, 20, 5), (8, 10, 3), (3, 30, 2), (7, 7, 7)]:
+        code = LinearCode(gf, random_matrix(gf, rows, cols, rank, rng))
+        assert code._reduced is not None
+        deficient += code.k < rows
+        R, r, pivots = rref(gf, code.gen, col_order=range(cols))
+        mats = list(_systematic_generators(gf, code.gen, code._reduced))
+        assert (mats[0][1], code.k, code._reduced[1]) == (r, r, pivots)
+        assert np.array_equal(mats[0][0], R)
+        assert np.argmax(mats[0][0] != 0, axis=1).tolist() == pivots
+        fresh = list(_systematic_generators(gf, code.gen))
+        assert [rk for _, rk in mats] == [rk for _, rk in fresh]
+        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(mats, fresh))
+    assert deficient >= 2
 
 
 def test_engines_agree_random():
@@ -1061,11 +1135,10 @@ def test_translation_table_in_closed_form(p, m):
     assert np.array_equal(table, np.argsort(translation_permutations(gf), axis=1))
 
 
-def test_witness_is_unpacked_once_per_level(monkeypatch):
-    """The engines keep their ties packed: the information-set engine
-    unpacks at most once per finished level, the exhaustive engine once per
-    search, on a random GF(8) code and a GF(9) torus code (their ties fit
-    one unpack block)."""
+def test_witness_is_unpacked_once_per_search(monkeypatch):
+    """The engines keep their ties packed and unpack them once per search,
+    when it ends or a budget stops it, on a random GF(8) code and a GF(9)
+    torus code (their ties fit one unpack block)."""
     calls = []
     unpack = GF.unpack
 
@@ -1082,7 +1155,10 @@ def test_witness_is_unpacked_once_per_level(monkeypatch):
         assert len(levels) >= 2
         calls.clear()
         rep = min_distance_infoset(code)
-        assert rep.work == levels[-1] and 1 <= len(calls) <= len(levels)
+        assert rep.work == levels[-1] and len(calls) == 1
+        calls.clear()
+        rep = min_distance_infoset(code, work_budget=levels[-2])
+        assert not rep.exact and rep.work == levels[-2] and len(calls) == 1
         calls.clear()
         min_distance_exhaustive(code)
         assert len(calls) == 1
@@ -1450,6 +1526,9 @@ def test_rm_errors():
         rm_predicted_params(3, 0, 0)  # no variables
     with pytest.raises(CodeError):
         reed_muller(GF(2), 20, 1)  # size cap
+    # q^m past the digits that Python converts to a string
+    with pytest.raises(CodeError, match=r"^q\^m = 2\^20000 exceeds the size cap 65536$"):
+        reed_muller(GF(2), 20000, 1)
 
 
 @pytest.mark.parametrize("q", [2.5, 6, True, 1, 12, "4", None])

@@ -495,6 +495,20 @@ def test_error_values_outcomes_match_recorded_values(case):
         assert all(e.dtype == np.int16 and e.shape == (16,) for e in out.errors_found)
 
 
+def test_list_cap_message_of_a_count_past_the_digit_limit():
+    """A value system over GF(64) with 2400 free unknowns has 64^2400
+    solutions, more digits than Python converts to a string: the outcome
+    writes the count as a power (a count below 2^64 stays in decimal, as in
+    the recorded outcomes above)."""
+    from types import SimpleNamespace
+
+    n = 2400
+    setup = SimpleNamespace(spec=SimpleNamespace(gf=GF(2, 6)), zero_cap=n, n=n,
+                            result=SimpleNamespace(eval_matrix=np.zeros((1, n), dtype=np.int16)))
+    out = decoder._values(np.zeros(1, dtype=np.int16), list(range(n)), setup, 256)
+    assert (out.status, out.diagnostics) == ("fail", "64^2400 candidate solutions exceed the list cap 256")
+
+
 def reference_candidates(gf, x, ns, nf, n):
     """The nested loop that listed the solutions x + sum c_i ns_i."""
     cands = []
