@@ -21,6 +21,7 @@ from .codes import (
     LinearCode,
     WorkCapExceeded,
     _positive,
+    _rm_predicted_inputs,
     check_work_budget,
     min_distance,
     reed_muller,
@@ -357,10 +358,13 @@ def cmd_reproduce(args) -> int:
 def cmd_rm(args) -> int:
     gf = GF(args.p, args.m_ext)
     try:
-        n, k, d = rm_predicted_params(gf.q, args.m, args.ell)
+        q, m, ell = _rm_predicted_inputs(gf.q, args.m, args.ell)
     except CodeError as exc:
         raise ValidationError(f"rm: {exc}") from exc
-    code = reed_muller(gf, args.m, args.ell)  # over the q^m size cap: CodeError, exit 3
+    # over the q^m size cap: CodeError, exit 3, before the closed-form sum,
+    # whose cost grows with ell^2 / q
+    code = reed_muller(gf, m, ell)
+    n, k, d = rm_predicted_params(q, m, ell)
     doc = {
         "q": gf.q,
         "m": args.m,

@@ -25,36 +25,26 @@ exact and vectorized, on a copy of the input, in place:
   copied whole.  Rows are swapped by copying them and the pivot row is
   scaled by one 1-D ``take``.
 
-Against one gathered update per pivot through ``vadd`` (2 shared vCPUs,
-Python 3.11.7, numpy 2.4.6, fresh processes interleaved): the three
-``construct`` matrices (31 x 961 over GF(32), 22 x 484 over GF(23), 22 x
-624 over GF(25)) reduce in 2.8 to 4.6 against 6.0 to 7.6 ms (medians of
-200, three processes each), the 884 x 961 generator of the GF(32) dual
-(961, 884), inside its distance search, in 0.23 to 0.25 against 1.8 to
-2.1 s, and the tall 175 275 x 20 evaluation matrix of a GF(5) fan1 code,
-inside a first build, in 0.12 to 0.20 against 0.18 to 0.26 s (four
-processes each).  Updating the whole slab at every pivot took that tall
-reduction 0.20 to 0.23 s against 0.11 to 0.15 s (four processes each),
-hence the half-full rule.  Of the two product forms, the first alone
-reduces the dual generator in 0.54 to 0.73 s against 0.20 to 0.25 s, and
-the second alone the ``construct`` matrices in 4.9 against 4.5 ms and a
-31 x 961 matrix over GF(1021) in 50 against 3 ms (in process, medians).
+CHANGES.md records the measurements behind the two update paths, the
+half-full rule and the two product forms.
 
+Each code keeps one reduction, ``LinearCode._reduced``: the one that
+``__init__`` makes of its rows (through ``rref``, which checks them), or,
+for a dual, a reduction of its generator made the first time it is read.
 A null-space basis (hence a dual) is read off the reduced form without a
 second reduction.  ``dual()`` reads that basis off the primal's reduction
 and takes it as it is, with no second validation or rank pass: its
-entries are 1s and negated entries of R, and each row owns its free
-column, so its rank is n - k by construction.  A dual generator
-of more than ``MATRIX_SIZE_CAP`` = 2^28 entries is refused with CodeError
-before it is allocated, as is an evaluation matrix (``toric``).  The
-exhaustive engine enumerates one representative per projective message
-class; the information-set engine is a Brouwer-Zimmermann-style search
-over systematic generators on (maximally) disjoint information sets,
-maintaining a certified lower bound until it meets the best weight found.
-Its first systematic matrix is the code's reduced echelon form, which
-``LinearCode`` keeps (``_reduced``); only the later, disjoint information
-sets, and codes built without that reduction (duals, rows that own a
-column each), are reduced in the search.
+entries are 1s and negated entries of R, and each row is the only one
+nonzero in its free column, so its rank is n - k by construction.  A dual
+generator of more than ``MATRIX_SIZE_CAP`` = 2^28 entries is refused with
+CodeError before it is allocated, as is an evaluation matrix (``toric``).
+The exhaustive engine enumerates one representative per projective
+message class; the information-set engine is a Brouwer-Zimmermann-style
+search over systematic generators on (maximally) disjoint information
+sets, maintaining a certified lower bound until it meets the best weight
+found.  Its first systematic matrix is the code's kept reduced echelon
+form; only the later, disjoint information sets are reduced in the
+search.
 
 Both engines weigh codewords as packed words (``GF.pack``: bit planes for
 p = 2 and 3, one byte per position otherwise) and keep them packed.  A leaf
@@ -148,14 +138,11 @@ it.  Per block of the inner axis it takes one broadcast ``vmul`` of shape
 (rows, width, cols), one ``vsum`` over the width and one ``vadd`` into the
 result, with width max(1, 2^18 // (rows cols)).  No temporary then holds more than
 max(2^18, rows cols) entries: a small product is a single broadcast, and
-one with rows cols > 2^18 runs one inner index at a time, as the column
-loop it replaced did.  ``decode``'s candidate step multiplies the negated
-reduced rows of the bracket system, transposed, by the pivot rows of the
-locator table, an inner axis of the rank (1 to 4); on the GF(8) boundary
-words of the README it takes 16 to 21 us against 28 to 38 us for the null
-basis times the whole table (inner axis 10), and 43 to 66 against 70 to
-91 us on its GF(9) torus words (best of seven passes over 300 words, three
-runs, 2 shared vCPUs, Python 3.11.7, numpy 2.4.6).
+one with rows cols > 2^18 runs one inner index at a time.  ``decode``'s
+candidate step multiplies the negated reduced rows of the bracket system,
+transposed, by the pivot rows of the locator table, an inner axis of the
+rank, which is shorter than the null basis times the whole table (inner
+axis ell); CHANGES.md records the timings.
 """
 
 from __future__ import annotations
@@ -163,6 +150,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -393,14 +381,6 @@ def check_matrix_size(rows: int, cols: int, what: str) -> None:
         )
 
 
-def _rows_own_columns(M: np.ndarray) -> bool:
-    """True when every row has a column in which it is the only nonzero
-    entry.  Such rows are linearly independent, so their rank needs no
-    elimination; a null-space basis and a systematic generator qualify."""
-    nz = M != 0
-    return bool(nz[:, nz.sum(axis=0) == 1].any(axis=1).all())
-
-
 def _elements(gf: GF, a, what: str, length: int | None = None) -> np.ndarray:
     """``a`` as an int16 array of element indices 0..q-1, else CodeError;
     with ``length``, ``a`` must be a 1-D vector of that length."""
@@ -432,25 +412,28 @@ class LinearCode:
         if rows.ndim != 2:
             raise CodeError("generator must be a 2-D matrix")
         self.warnings = []
-        self._reduced = None  # (R, pivots) of rows, hence of gen, for dual()
-        # the entries are checked once: here, or by rref
-        if _rows_own_columns(rows):
-            rows = _elements(gf, rows, "generator")
-            rank = rows.shape[0]
-        else:
-            R, rank, pivots = rref(gf, rows)
-            rows = rows.astype(np.int16)
-            self._reduced = (R, pivots)
+        # rref checks the entries, once
+        R, rank, pivots = rref(gf, rows)
+        self._reduced = (R, pivots)
         if rank < rows.shape[0]:
             self.warnings.append(
                 f"generator rows are dependent: rank {rank} < {rows.shape[0]}; reduced"
             )
             self.gen = R[:rank].copy()
         else:
-            self.gen = rows
+            self.gen = rows.astype(np.int16)
         self.n = int(rows.shape[1])
         self.k = int(rank)
         self.d = None
+
+    @cached_property
+    def _reduced(self) -> tuple[np.ndarray, list[int]]:
+        """(R, pivots): the reduced echelon form of a matrix with the row
+        space of ``gen`` (its first k rows are that of ``gen``) and its
+        pivot columns.  ``__init__`` keeps the reduction it made; a dual
+        reduces its generator the first time this is read."""
+        R, _, pivots = rref(self.gf, self.gen)
+        return R, pivots
 
     def dual(self) -> "LinearCode":
         """The (n-k)-dimensional annihilator code; G @ H^T = 0.  Its
@@ -459,10 +442,7 @@ class LinearCode:
         if self.k == 0:
             raise CodeError("dual of the zero-dimensional code is everything")
         check_matrix_size(self.n - self.k, self.n, "dual generator")
-        if self._reduced is None:
-            R, _, pivots = rref(self.gf, self.gen)
-        else:
-            R, pivots = self._reduced
+        R, pivots = self._reduced
         code = LinearCode._of_null_basis(self.gf, _null_basis(self.gf, R, pivots, self.n))
         if self.k == self.n:
             code.warnings.append("dual of the full space is the zero code")
@@ -479,7 +459,7 @@ class LinearCode:
         code = cls.__new__(cls)
         code.gf, code.gen = gf, basis
         code.n, code.k = basis.shape[1], basis.shape[0]
-        code.d, code.warnings, code._reduced = None, [], None
+        code.d, code.warnings = None, []
         return code
 
     def syndrome(self, v) -> np.ndarray:
@@ -710,24 +690,20 @@ def _pair_table(gf: GF, scaled: np.ndarray, first: int) -> np.ndarray:
     )
 
 
-def _systematic_generators(
-    gf: GF, G: np.ndarray, reduced: tuple[np.ndarray, list[int]] | None = None
-) -> Iterator[tuple[np.ndarray, int]]:
-    """Row-reduced generators systematic on pairwise disjoint column sets,
-    computed lazily.
+def _systematic_generators(code: LinearCode) -> Iterator[tuple[np.ndarray, int]]:
+    """Row-reduced generators of ``code`` systematic on pairwise disjoint
+    column sets, computed lazily.
 
     Yields (matrix, rank_of_its_set); ranks are k for the first sets and may
-    drop for the last one(s).  The first matrix is G's reduced echelon form.
-    That form is unique, so with ``reduced``, the (R, pivots) that
-    ``LinearCode`` kept of a matrix with G's row space, it is R[:k] and
-    needs no reduction.
+    drop for the last one(s).  The first matrix is the code's reduced
+    echelon form, R[:k] of ``code._reduced``; the later ones reduce ``gen``
+    with the columns used so far scanned last.
     """
+    gf, G = code.gf, code.gen
     k, n = G.shape
-    used: set[int] = set()
-    if reduced is not None:
-        R, pivots = reduced
-        used.update(pivots)
-        yield R[:k], len(pivots)
+    R, pivots = code._reduced
+    used = set(pivots)
+    yield R[:k], len(pivots)
     while len(used) < n:
         order = [c for c in range(n) if c not in used] + [c for c in range(n) if c in used]
         R, rank, pivots = rref(gf, G, col_order=order)
@@ -788,12 +764,12 @@ def min_distance_infoset(
     ``work_budget`` is not started, and the report is the certified
     [lower, upper] interval of the last finished level.
     """
-    gf, G, k, n = code.gf, code.gen, code.k, code.n
+    gf, k, n = code.gf, code.k, code.n
     q = gf.q
     work_budget = check_work_budget(work_budget)
     if k == 0:
         raise CodeError("empty code has no minimum distance")
-    generators = _systematic_generators(gf, G, code._reduced)
+    generators = _systematic_generators(code)
     first = next(generators)
     translations = _torus_translations(gf, first[0])
     mats = [first] if translations is not None else [first, *generators]
@@ -989,19 +965,29 @@ def reed_muller(gf: GF, m: int, ell: int) -> LinearCode:
     return LinearCode(gf, np.array(rows, dtype=np.int16))
 
 
-def rm_predicted_params(q: int, m: int, ell: int) -> tuple[int, int, int]:
-    """Closed-form (n, k, d) for the Reed-Muller family: n = q^m, k from the
-    alternating binomial double sum, d = (q-b) q^(m-a-1) for
-    ell = a(q-1) + b with 1 <= b <= q-1.  q must be a prime power, else
-    CodeError."""
+def _rm_predicted_inputs(q, m, ell) -> tuple[int, int, int]:
+    """q, m and ell as Python ints (a numpy q would overflow in q^m);
+    CodeError unless q is a prime power and m >= 1 and 0 <= ell <= m(q-1)
+    are integers."""
     try:
         p, e = prime_power(q)
     except FieldError as exc:
         raise CodeError(str(exc)) from exc
-    q = p**e  # a Python int: a numpy q would overflow in q^m
+    q = p**e
     m, ell = _rm_params(m, ell)
     if m < 1 or not 0 <= ell <= m * (q - 1):
         raise CodeError(f"need m >= 1 and 0 <= ell <= m(q-1), got m = {m}, ell = {ell}")
+    return q, m, ell
+
+
+def rm_predicted_params(q: int, m: int, ell: int) -> tuple[int, int, int]:
+    """Closed-form (n, k, d) for the Reed-Muller family: n = q^m, k from the
+    alternating binomial double sum, d = (q-b) q^(m-a-1) for
+    ell = a(q-1) + b with 1 <= b <= q-1.  The inputs are checked by
+    ``_rm_predicted_inputs`` (CodeError).  The sum takes O(ell^2 / q)
+    big-integer binomials, so a caller with a size cap checks the cap
+    first."""
+    q, m, ell = _rm_predicted_inputs(q, m, ell)
     k = 0
     for i in range(ell + 1):
         for j in range(i // q + 1):

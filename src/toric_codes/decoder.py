@@ -29,19 +29,22 @@ Every bracket is an entry of s: a product f_j g_i has its exponent in
 P_G' + P_(G-G'), which lies in P_G, the exponents of the basis h
 (Skorobogatov-Vladut, IEEE Trans. IT 1990).  Setup keeps each product's
 row in H; none has a pole, because ``build`` evaluated every exponent of
-P_G strictly.
+P_G at level 0.
 
 Boundary subtleties: G' may carry positive coefficients on rays that host
 orbit points, so a basis monomial of L(G') may have a pole there, and the
-locator is read at a twisted level, not at order 0.  Every product
-f_j g_i lies in P_G, which ``build`` evaluated without a pole, so at a
-point P on ray r each f_j has order at least -beta_r, where beta_r is the
-least order <b, v_r> over the gap basis L(G - G') (0 on the torus).
-Hence f_j g_i (P) = f~_j(P) g~_i(P), where ``geometry.graded_evaluation``
-gives f~_j(P), the leading value of f_j if its order at P is -beta_r (else
-0), and g~_i(P), that of g_i at order +beta_r.  Setup keeps the one table
-f~_j(P).  The bracket system gives sum_i e_i f~(P_i) g~(P_i) = 0 for every
-g, so (e_i f~(P_i)) lies in the dual of the twisted evaluation code of
+locator is read at a twisted level, not at order 0.  At a point P on ray
+r, let beta_r be the least order <b, v_r> over the gap basis L(G - G')
+(0 on the torus; ``geometry.least_orders``), and read L(G') at the level
+-beta_r (``geometry.evaluation_matrix``).  That level never exceeds the
+order of a locator monomial f_j: with g_i a gap monomial of order beta_r
+at P, the product f_j g_i lies in P_G, which ``build`` evaluated without
+a pole, so ord_P(f_j) + beta_r = ord_P(f_j g_i) >= 0.  So the reading
+raises no PoleError, and f_j g_i (P) = f~_j(P) g~_i(P), where f~_j(P) is
+the leading value of f_j if its order at P is -beta_r (else 0), and
+g~_i(P) that of g_i at level +beta_r.  Setup keeps the one table f~_j(P).
+The bracket system gives sum_i e_i f~(P_i) g~(P_i) = 0 for every g, so
+(e_i f~(P_i)) lies in the dual of the twisted evaluation code of
 L(G - G'): while the error count is below that dual's distance, f~
 vanishes at every error position for every f in the null space
 (Skorobogatov-Vladut 1990; Pellikaan, Discrete Math. 1992), and ``decode``
@@ -73,11 +76,12 @@ from .codes import (
 )
 from .geometry import (
     TDivisor,
-    graded_evaluation,
+    evaluation_matrix,
     lattice_points,
+    least_orders,
     polytope_of_divisor,
 )
-from .toric import ToricCodeSpec, ToricCodeResult, build
+from .toric import ToricCodeSpec, ToricCodeResult, build, check_listing
 
 
 class SetupError(ValueError):
@@ -134,12 +138,18 @@ def setup(
     gf, fan = spec.gf, spec.fan
     n = len(spec.points)
     result = build(spec)
+    if result.dual.k == 0:
+        raise SetupError(
+            f"the dual code, which this decoder decodes, is zero: the code has k = n = {n}"
+        )
 
     # L(G') and L(G - G') are each evaluated at every point: counted first
     bases = []
     for div in (gprime, spec.divisor - gprime):
         poly = polytope_of_divisor(fan, div)
-        check_matrix_size(poly.lattice_point_count(), n, "evaluation matrix")
+        count = poly.lattice_point_count()
+        check_matrix_size(count, n, "evaluation matrix")
+        check_listing(poly, count)
         bases.append(lattice_points(poly))
     basis_locator, basis_gap = bases
     if not basis_locator or not basis_gap:  # build has rejected an empty L(G)
@@ -157,9 +167,8 @@ def setup(
     )
 
     # each point's twisted level: minus the least order of the gap basis
-    level = -graded_evaluation(basis_gap, spec.points, gf, fan)[0].min(axis=0)
-    order, value = graded_evaluation(basis_locator, spec.points, gf, fan)
-    locator = np.where(order == level, value, 0)
+    level = -least_orders(basis_gap, spec.points, gf, fan)
+    locator = evaluation_matrix(basis_locator, spec.points, gf, fan, level)
 
     # zero cap from the level-0 columns of the auxiliary code
     flat = level == 0

@@ -23,21 +23,17 @@ cyclic unit group (Lidl and Niederreiter, *Finite Fields*).
 
 Addition reads the q x q ``add_table``; negation and digit sums read the
 same tables.  Two vectorized fast paths stay because the table gather is
-slower there (median times, 2 vCPUs, numpy 2.4.6):
+slower there:
 
-- p = 2 adds by XOR: a (7, 5000, 49) broadcast add over GF(8) takes
-  0.55 ms, against 6.2 ms through the table.
+- p = 2 adds by XOR;
 - prime fields add and reduce once, as the unsigned minimum of C and
-  C - p (``padd``'s formula): a (36, 64) block over GF(7) or GF(23) takes
-  2.5 to 3.0 us, against 6.3 to 6.8 us for the compare, select and int16
-  copy it replaced.
+  C - p (``padd``'s formula), in place of a compare, select and int16
+  copy.
 
-For odd p^m the table replaces a loop over digits: the broadcast add above
-takes 5.5 ms against 22.1 ms over GF(9), and 7.9 against 19.2 ms over
-GF(25).  ``_iadd``, the in-place add of ``codes.rref``, takes the same
-paths for p = 2 and prime p, and for odd p^m one ``take`` from the flat
-table at X q + Y, in int16 while q^2 < 2^15: a (22, 614) block over GF(25)
-takes 20 us against 76 us for the 2-D gather.  Its operands must be
+For odd p^m the table replaces a loop over digits.  ``_iadd``, the
+in-place add of ``codes.rref``, takes the same paths for p = 2 and prime
+p, and for odd p^m one ``take`` from the flat table at X q + Y, in int16
+while q^2 < 2^15, in place of the 2-D gather.  Its operands must be
 element indices; an index >= q would read another row of the table.
 
 A field sum (``vsum``) for odd p^m gathers ``digit_fields``, one int64
@@ -45,12 +41,9 @@ per element that holds digit k in bit field k, of width b = 63 // m, and
 sums it along the axis as integers: the digit sums of up to ``sum_cap`` =
 (2^b - 1) // (p - 1) terms fit their fields (511 over GF(3^6)), a longer
 axis runs in chunks of that many, and each field mod p, recombined with
-``place``, is the sum's index.  Against the m gathers and m sums of the
-digit rows it replaced (medians of three best-of-7 runs, 2 vCPUs, numpy
-2.4.6): a (100, 64) block summed along its rows takes 18 against 28 us
-over GF(9) and GF(25), and 19 against 78 us over GF(3^6); a (31, 64, 1)
-block over GF(9), the decoder's syndrome product, 10.5 against 16.1 us;
-a (200, 100, 50) block over GF(25), 4.4 against 7.9 ms.
+``place``, is the sum's index: one gather and one sum in place of m of
+each over the digit rows.  CHANGES.md records the measurements behind
+these paths and the packed kernels below.
 
 The distance engines add and compare whole blocks of codewords in a
 packed form (``pack``, ``unpack``, ``padd``, ``psub``, ``pdist``), with the
@@ -65,15 +58,8 @@ packed word axis first so that a broadcast runs along the contiguous block:
 Every form is canonical, so two words differ at a position exactly when
 one of its planes differs.  ``pdist`` XORs each plane and ORs it in place
 into one accumulator, then takes the popcount (bit planes) or the count of
-nonzero bytes; a weight is the distance to the zero word.  One block
-of 512 words against the q-1 unit multiples of 8 rows, as the
-information-set engine's one-row leaf does it, in words per second
-against the earlier leaf (``padd`` of the whole block, then its weights)
-and int16 ``vadd`` and ``count_nonzero`` one row at a time (best of 7,
-best of 5 interleaved rounds, 2 vCPUs, numpy 2.4.6): GF(8), n = 49, 204 M
-against 190 M and 11 M; GF(9), n = 64, 155 M against 27 M and 2.0 M;
-GF(5), n = 16, 249 M against 167 M and 6.1 M; GF(7), n = 36, 115 M
-against 15 M and 3.2 M; GF(25), n = 24, 100 M against 16 M and 4.2 M.
+nonzero bytes; a weight is the distance to the zero word, so no sum of
+the block is formed before its weights.
 
 The default modulus for each (p, m) comes from a frozen table of primitive
 polynomials (t itself generates the unit group), so every derived artifact

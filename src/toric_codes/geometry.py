@@ -10,8 +10,10 @@ list aligned with the rays.  Its polytope is
 
 always bounded when the fan is complete.  All polytope arithmetic is exact
 (Fractions); all evaluation is exact field arithmetic, through one
-routine, ``graded_evaluation``: the vanishing order and leading value of
-each character at each point.  ``evaluation_matrix`` is its strict mode.
+routine, ``evaluation_matrix``: each character read at each point's level,
+its leading value where its vanishing order there equals the level.
+``build`` reads level 0 and the decoder the twisted levels of
+``least_orders``.
 """
 
 from __future__ import annotations
@@ -336,6 +338,12 @@ class LatticePolytope:
                 total += _floor_sum(hi - lo + 1, e, c, c * lo + d)
         return total
 
+    def column_count(self) -> int:
+        """The number of columns t that ``lattice_points`` steps through,
+        from the first cut to the last, without listing them."""
+        cuts = self._columns[0]
+        return max(0, math.floor(cuts[-1]) - math.ceil(cuts[0]) + 1) if cuts else 0
+
     def lattice_points(self) -> list[Vec]:
         """All integer points, graded-lex order (total degree, then lex),
         listed by columns (see ``_columns``): one step per column and one
@@ -477,8 +485,8 @@ def _characters(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The checked exponents A (k x 2), the order of each character along
     each ray (k x (s+1), a last column of 0s for the torus), and per point
-    its column of those (n) and w (n x 2), all int64: the values are
-    g^((A w^T) mod (q-1)) (``graded_evaluation``)."""
+    its column of those (n) and w (n x 2), all int64: the leading values
+    are g^((A w^T) mod (q-1)) (``evaluation_matrix``)."""
     s = fan.s if fan is not None else 0
     # one row per point: orbit flag, ray, and two field elements whose logs
     # make w through the ray's turn matrix (row s of the tables: the torus)
@@ -504,29 +512,17 @@ def _characters(
     return A, A @ normals.T, ray, w
 
 
-def _graded(
-    gf: GF, A: np.ndarray, orders: np.ndarray, ray: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 orders and int16 values of ``_characters``' output."""
-    e = A @ w.T
-    np.remainder(e, gf.q - 1, out=e)
-    return orders[:, ray], gf.exp.astype(np.int16)[e]
-
-
-def graded_evaluation(
+def least_orders(
     exponents: Sequence[Vec], points: Sequence[EvalPoint], gf: GF, fan: Fan2D | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vanishing order and leading value of every character x^a at every
-    point: two k x n arrays, rows = exponents, columns = points.
-
-    At a torus point (t1, t2) the order is 0 and the value t1^a1 t2^a2.  At
-    the orbit point s on D_r the order is <a, v_r> (a pole when negative);
-    with m_r = transverse_vector(r), a - <a, v_r> m_r = det(m_r, a) u_r, so
-    the leading value is the orbit character s^det(m_r, a).  Either value
-    is g^((a . w) mod (q-1)): w = (log t1, log t2), or log(s) (-m_r2, m_r1).
-    Exponents and point fields must be integers, not bools (ValueError).
-    """
-    return _graded(gf, *_characters(exponents, points, gf, fan))
+) -> np.ndarray:
+    """The least vanishing order of the characters x^a at each point, n
+    int64: the least of each column of the k x (s+1) table of orders along
+    the rays (``_characters``), read at each point's ray, so no k x n array
+    is formed.  The exponents must be nonempty, else ValueError."""
+    A, orders, ray, _ = _characters(exponents, points, gf, fan)
+    if not len(A):
+        raise ValueError("the least order over no exponents is undefined")
+    return orders.min(axis=0)[ray]
 
 
 # the most entries of one block of ``evaluation_matrix``, unless a single
@@ -535,25 +531,50 @@ _EVALUATION_BLOCK = 1 << 18
 
 
 def evaluation_matrix(
-    exponents: Sequence[Vec], points: Sequence[EvalPoint], gf: GF, fan: Fan2D | None = None
+    exponents: Sequence[Vec],
+    points: Sequence[EvalPoint],
+    gf: GF,
+    fan: Fan2D | None = None,
+    level: Sequence[int] | np.ndarray | None = None,
 ) -> np.ndarray:
-    """Strict evaluation: x^a at every point, rows = exponents.  A character
-    vanishing along an orbit's divisor is 0 there; a pole is a PoleError,
-    at the first point with one.  The points are evaluated in blocks of
-    max(2^18 // k, 1) columns, so that of the k x n arrays only the int16
-    result is formed in full: the int64 orders and exponents of the whole
-    matrix took about 9 times its bytes."""
+    """Every character x^a read at every point's level, rows = exponents:
+    its leading value where its vanishing order there equals the level, 0
+    where the order is above it, and a PoleError at the first point where
+    the order is below it.  ``level`` holds n integers; None is level 0,
+    strict evaluation, where a character vanishing along an orbit's
+    divisor is 0 and a pole is the error.
+
+    At a torus point (t1, t2) the order is 0 and the value t1^a1 t2^a2.
+    At the orbit point s on D_r the order is <a, v_r>; with m_r =
+    transverse_vector(r), a - <a, v_r> m_r = det(m_r, a) u_r, so the
+    leading value is the orbit character s^det(m_r, a).  Either value is
+    g^((a . w) mod (q-1)): w = (log t1, log t2), or log(s) (-m_r2, m_r1).
+    Exponents and point fields must be integers, not bools (ValueError).
+
+    The points are evaluated in blocks of max(2^18 // k, 1) columns, so
+    that of the k x n arrays only the int16 result is formed in full.
+    """
     A, orders, ray, w = _characters(exponents, points, gf, fan)
+    level = np.zeros(len(w), dtype=np.int64) if level is None else np.asarray(level)
+    if level.shape != (len(w),) or (level.size and level.dtype.kind not in "iu"):
+        raise ValueError(f"level must hold {len(w)} integers, one per point")
+    level = level.astype(np.int64, copy=False)
+    values = gf.exp.astype(np.int16)
     M = np.empty((len(A), len(w)), dtype=np.int16)
     width = max(_EVALUATION_BLOCK // max(len(A), 1), 1)
     for s in range(0, len(w), width):
         blk = slice(s, s + width)
-        order, value = _graded(gf, A, orders, ray[blk], w[blk])
+        order = orders[:, ray[blk]] - level[blk]
         if (order < 0).any():
             j, i = np.argwhere(order.T < 0)[0]
-            a = tuple(A[i].tolist())
-            raise PoleError(f"monomial {a} has a pole along D_{points[s + j].ray + 1}")
-        M[:, blk] = np.where(order == 0, value, 0)
+            a, at = tuple(A[i].tolist()), level[s + j]
+            raise PoleError(
+                f"monomial {a} has a pole along D_{points[s + j].ray + 1}" if at == 0
+                else f"monomial {a} has order {order[i, j] + at} below the level {at} at point {s + j}"
+            )
+        e = A @ w[blk].T
+        np.remainder(e, gf.q - 1, out=e)
+        M[:, blk] = np.where(order == 0, values[e], 0)
     return M
 
 

@@ -66,15 +66,37 @@ class ToricCodeResult:
         return self.code.k
 
 
+# the most columns t = x + y that listing a polytope may step through
+# beyond its lattice points
+LISTING_SLACK = 1 << 18
+
+
+def check_listing(poly: LatticePolytope, count: int) -> None:
+    """CodeError when listing the ``count`` lattice points of ``poly``
+    would step through more than count + 2^18 columns.  The listing takes
+    one step per column and one per point, so under this rule it costs at
+    most a fixed amount beyond the points it returns, which the size caps
+    bound; a sliver polytope, few points over many columns, is refused.
+    The columns are counted, not listed."""
+    columns = poly.column_count()
+    if columns > count + LISTING_SLACK:
+        raise CodeError(
+            f"listing {count} lattice points would step through {columns} columns, "
+            f"more than their count plus {LISTING_SLACK} (2^18)"
+        )
+
+
 def checked_polytope(fan: Fan2D, divisor: TDivisor, n: int) -> LatticePolytope:
     """P_G, once its lattice points are counted, not listed: CodeError when
     the evaluation matrix on n points (|P_G| x n) or the dual of the code
     it spans (at least (n - |P_G|) x n, as k <= |P_G|) would exceed
-    ``MATRIX_SIZE_CAP`` entries."""
+    ``MATRIX_SIZE_CAP`` entries, or when listing them would step through
+    too many columns (``check_listing``)."""
     poly = polytope_of_divisor(fan, divisor)
     kc = poly.lattice_point_count()
     check_matrix_size(kc, n, "evaluation matrix")
     check_matrix_size(n - kc, n, "dual generator")
+    check_listing(poly, kc)
     return poly
 
 

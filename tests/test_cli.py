@@ -435,13 +435,18 @@ def test_rm_cmd(capsys):
 @pytest.mark.parametrize(
     "m, ell, code",
     [("0", "1", 2), ("5", "-1", 2), ("5", "6", 2), ("5", "9", 2), ("5", "5", 0), ("20", "1", 3),
-     ("20000", "1", 3)],
+     ("20000", "1", 3), ("2000", "2000", 3), ("2000", "-1", 2), ("2000", "4001", 2)],
 )
 def test_rm_parameters(capsys, m, ell, code):
-    # ell runs over 0..m(q-1) = 5; the q^m size cap is a computation error
+    """ell runs over 0..m(q-1); the q^m size cap is a computation error,
+    checked after m and ell and before the closed-form sum, so a job far
+    over the cap exits at once."""
+    t0 = time.perf_counter()
     assert main(["rm", "--p", "2", "-m", m, "-l", ell]) == code
+    assert time.perf_counter() - t0 < 1.0
     message = {0: "", 2: "need m >= 1 and 0 <= ell <= m(q-1)", 3: "exceeds the size cap 65536"}[code]
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 # -- malformed input: exit 2 (or 3), never a traceback -----------------------------
@@ -586,6 +591,26 @@ def test_oversize_job_exits_3_within_a_second(tmp_path, capsys, job, command):
     assert message in err and "size cap 268435456 (2^28)" in err and "Traceback" not in err
 
 
+SLIVER_RAYS = [[1000001, -1000000], [1, 1], [-1000001, 1000000], [-1, -1]]
+
+
+@pytest.mark.parametrize("command", ["build", "mindist", "bounds"])
+@pytest.mark.parametrize("divisor, points, columns", [
+    ([0, 0, 0, 2 * 10**7], 10, 20000001),  # listed in about a minute before
+    ([0, 0, 0, 10**12], 500000, 1000000000001),  # under the size cap at n = 49
+])
+def test_sliver_job_exits_3_within_a_second(tmp_path, capsys, command, divisor, points, columns):
+    """A sliver polytope, few lattice points over many columns t = x + y,
+    is refused before its points are listed."""
+    spec = write_job(tmp_path, field={"p": 2, "m": 3}, fan={"rays": SLIVER_RAYS}, divisor=divisor)
+    t0 = time.perf_counter()
+    assert main([command, "--spec", spec]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert f"listing {points} lattice points would step through {columns} columns" in err
+    assert "Traceback" not in err
+
+
 def test_exhaustive_count_past_the_digit_limit_exits_3(tmp_path, capsys):
     """A GF(64) build file with k = 2400 (the identity plus an all-ones
     column): (q^k - 1)/(q - 1) has more than 4300 digits, and the
@@ -602,6 +627,17 @@ def test_exhaustive_count_past_the_digit_limit_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "64^2400/(64 - 1) messages exceed the work cap 2000000000" in err
     assert len(err) < 200 and "Traceback" not in err
+
+
+def test_decoding_a_full_rank_code_says_its_dual_is_zero(tmp_path, capsys):
+    """fan1 over GF(8), G = 40 D_3, G' = 2(D_1 + D_2 + D_3): k = n = 49."""
+    spec = write_job(tmp_path, field={"p": 2, "m": 3}, divisor=[0, 0, 40], decoder={"gprime": [2, 2, 2]})
+    received = tmp_path / "r.txt"
+    received.write_text(" ".join(["0"] * 49))
+    assert main(["decode", "--spec", spec, "--received", str(received)]) == 3
+    err = capsys.readouterr().err
+    assert "the dual code, which this decoder decodes, is zero" in err
+    assert "minimum distance" not in err
 
 
 def test_oversize_decoder_basis_exits_3(tmp_path, capsys):

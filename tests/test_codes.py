@@ -249,16 +249,13 @@ def test_dual_matches_the_checked_construction(p, m):
     rng = np.random.default_rng(3000 + 10 * p + m)
     shapes = [(7, 3, 3), (9, 5, 2), (12, 8, 6), (6, 6, 6), (5, 7, 5), (10, 1, 1), (8, 4, 0)]
     matrices = [random_matrix(gf, rows, n, rank, rng) for n, rows, rank in shapes]
-    # a systematic generator, whose rows own a column each
+    # a systematic generator
     matrices.append(np.hstack([np.eye(3, dtype=np.int16), rng.integers(0, gf.q, (3, 4), dtype=np.int16)]))
     for M in matrices:
         if not M.any():
             M[0, 0] = 1  # a zero code has no dual
         code, n = LinearCode(gf, M), M.shape[1]
-        if code._reduced is None:  # rows that own a column each skip elimination
-            R, _, pivots = rref(gf, code.gen)
-        else:
-            R, pivots = code._reduced
+        R, pivots = code._reduced
         oracle = LinearCode(gf, _null_basis(gf, R, pivots, n))
         if code.k == n:
             oracle.warnings.append("dual of the full space is the zero code")
@@ -278,28 +275,53 @@ def test_dual_skips_the_checks_of_outside_input(monkeypatch):
     def spy(name):
         real = getattr(codes, name)
 
-        def wrapper(*args):
-            seen.append((name, np.array(args[1] if name == "_elements" else args[0])))
-            return real(*args)
+        def wrapper(gf, mat, *args):
+            seen.append((name, np.array(mat)))
+            return real(gf, mat, *args)
 
         return wrapper
 
-    for name in ("_elements", "_rows_own_columns"):
+    for name in ("_elements", "rref"):
         monkeypatch.setattr(codes, name, spy(name))
     gf = GF(3)
-    # the constructor checks the entries once, itself when the rows own a
-    # column each (the first matrix), else through rref (the second).  So
-    # dual() reduces, and rref checks, the first gen a second time; the
-    # second is reduced once, in the constructor.  No dual basis is checked.
-    for rows, dual_checks in [([[1, 2, 0, 1], [0, 1, 1, 2]], 1), ([[1, 2, 0, 1], [1, 1, 1, 2]], 0)]:
+    # the constructor checks the entries once, through rref, whether the
+    # rows are systematic (the first matrix) or not (the second), and keeps
+    # the reduction; dual() reduces and checks nothing.  The dual reduces
+    # its own generator, once, the first time its reduction is read
+    for rows in ([[1, 2, 0, 1], [0, 1, 1, 2]], [[1, 2, 0, 1], [1, 1, 1, 2]]):
         seen.clear()
         code = LinearCode(gf, rows)
-        assert [name for name, _ in seen] == ["_rows_own_columns", "_elements"]
-        assert (code._reduced is None) == dual_checks
+        assert [name for name, _ in seen] == ["rref", "_elements"]
+        assert all(np.array_equal(M, rows) for _, M in seen)
         seen.clear()
         h = code.dual()
-        assert [name for name, _ in seen] == ["_elements"] * dual_checks
-        assert all(np.array_equal(M, code.gen) for _, M in seen) and (h.n, h.k) == (4, 2)
+        assert seen == [] and (h.n, h.k) == (4, 2)
+        h.dual()
+        h.dual()
+        assert [name for name, _ in seen] == ["rref", "_elements"]
+        assert all(np.array_equal(M, h.gen) for _, M in seen)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (2, 3), (3, 2), (5, 2)])
+def test_kept_reduction_is_the_rref_of_the_generator(p, m):
+    """However a code is made, ``_reduced`` is (R, pivots) of a fresh
+    ``rref`` of its generator, up to the zero rows a rank-deficient input
+    leaves: full-rank, systematic and rank-deficient rows through
+    ``__init__``, ``dual()`` and ``dual().dual()``."""
+    gf = GF(p, m)
+    rng = np.random.default_rng([29, p, m])
+    systematic = np.hstack([np.eye(4, dtype=np.int16), rng.integers(0, gf.q, (4, 5), dtype=np.int16)])
+    cases = [random_code(gf, 9, 4, rng).gen, systematic, random_matrix(gf, 6, 8, 3, rng)]
+    deficient = 0
+    for M in cases:
+        code = LinearCode(gf, M)
+        deficient += code.k < len(M)
+        for c in (code, code.dual(), code.dual().dual()):
+            R, pivots = c._reduced
+            want, rank, want_pivots = rref(gf, c.gen)
+            assert (rank, pivots) == (c.k, want_pivots)
+            assert np.array_equal(R[: c.k], want) and not R[c.k :].any()
+    assert deficient == 1
 
 
 def test_dual_over_the_size_cap_is_refused_before_it_is_formed(monkeypatch):
@@ -541,7 +563,7 @@ def min_distance_infoset_reference(code, work_budget=None, levels=None):
     would cross the budget, without the engine's cost formula.  ``levels``,
     if given, collects the cumulative work after each finished level."""
     gf, G, k, n = code.gf, code.gen, code.k, code.n
-    mats = list(_systematic_generators(gf, G))
+    mats = list(_systematic_generators(code))
     deficits = [k - rank for _, rank in mats]
     units = np.array(gf.units(), dtype=np.int16)
     best_w, witness, work = n + 1, None, 0
@@ -755,22 +777,24 @@ def test_first_systematic_matrix_is_the_codes_reduction(p, m):
     """The first matrix that the search takes from ``LinearCode._reduced``
     equals a fresh reduction of the generator in natural column order,
     rank and pivots included, also for rank-deficient rows; the later
-    disjoint sets equal those of a search that reduces from scratch."""
+    disjoint sets equal those of the same search on the code's dual's
+    dual, which has the same row space and reduces its generator when the
+    search first reads it."""
     gf = GF(p, m)
     rng = np.random.default_rng([71, p, m])
     deficient = 0
     for rows, cols, rank in [(4, 9, 4), (6, 12, 4), (5, 20, 5), (8, 10, 3), (3, 30, 2), (7, 7, 7)]:
         code = LinearCode(gf, random_matrix(gf, rows, cols, rank, rng))
-        assert code._reduced is not None
         deficient += code.k < rows
         R, r, pivots = rref(gf, code.gen, col_order=range(cols))
-        mats = list(_systematic_generators(gf, code.gen, code._reduced))
+        mats = list(_systematic_generators(code))
         assert (mats[0][1], code.k, code._reduced[1]) == (r, r, pivots)
         assert np.array_equal(mats[0][0], R)
         assert np.argmax(mats[0][0] != 0, axis=1).tolist() == pivots
-        fresh = list(_systematic_generators(gf, code.gen))
-        assert [rk for _, rk in mats] == [rk for _, rk in fresh]
-        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(mats, fresh))
+        if code.k < cols:
+            fresh = list(_systematic_generators(code.dual().dual()))
+            assert [rk for _, rk in mats] == [rk for _, rk in fresh]
+            assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(mats, fresh))
     assert deficient >= 2
 
 

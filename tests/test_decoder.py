@@ -26,15 +26,15 @@ from toric_codes.geometry import (
     OrbitPoint,
     TDivisor,
     evaluation_matrix,
-    graded_evaluation,
     lattice_points,
+    least_orders,
     polytope_of_divisor,
     torus_points,
 )
 from toric_codes.tables import FANS, field_for_q
 from toric_codes.toric import ToricCodeSpec, default_points
 
-from test_geometry import reference_graded
+from test_geometry import graded_evaluation, reference_graded
 
 FAN1 = Fan2D([(2, -1), (-1, 2), (-1, -1)])
 FAN4 = Fan2D([(1, 0), (0, 1), (-1, -1)])
@@ -89,6 +89,33 @@ def test_setup_empty_space_error():
     spec = ToricCodeSpec(gf, FAN4, TDivisor((0, 0, 3)), default_points(gf, FAN4))
     with pytest.raises(SetupError, match="zero"):
         decoder_setup(spec, TDivisor((0, 0, 5)))  # L(G - G') empty
+
+
+def test_setup_of_a_full_rank_code_says_its_dual_is_zero(monkeypatch):
+    """fan1 over GF(8), G = 40 D_3: k = n = 49, so the dual, the code the
+    decoder decodes, is zero; set-up says so before any distance search."""
+    def never(*args, **kwargs):
+        raise AssertionError("a distance search ran")
+
+    monkeypatch.setattr(decoder, "min_distance", never)
+    gf = GF(2, 3)
+    spec = ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 40)), default_points(gf, FAN1))
+    with pytest.raises(SetupError, match=r"the dual code, which this decoder decodes, is zero: the code has k = n = 49"):
+        decoder_setup(spec, TDivisor((2, 2, 2)))
+
+
+def test_setup_refuses_a_sliver_basis_before_listing_it(monkeypatch):
+    """A G' whose polytope holds one point over 2 000 001 columns t = x + y
+    is refused with CodeError before either basis is listed."""
+    def never(*args):
+        raise AssertionError("a basis was listed")
+
+    rays = [(1000001, -1000000), (1, 1), (-1000001, 1000000), (-1, -1)]
+    gf = GF(2, 3)
+    spec = ToricCodeSpec(gf, Fan2D(rays), TDivisor((0, 0, 0, 0)), list(torus_points(gf)))
+    monkeypatch.setattr(decoder, "lattice_points", never)
+    with pytest.raises(codes.CodeError, match="would step through 2000001 columns"):
+        decoder_setup(spec, TDivisor((0, 0, 0, 2 * 10**6)))
 
 
 # fan1, G' = 2(D_1+D_2+D_3): the worked example (demo 05, the default
@@ -295,6 +322,27 @@ def test_bracket_matrix_matches_per_product_evaluation(name):
         B = bracket_matrix(syndrome(r, st), st)
         assert B.dtype == np.int16
         assert np.array_equal(B, reference_bracket_matrix(r, st))
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_SETUPS))
+def test_locator_table_is_the_levelled_evaluation(monkeypatch, name):
+    """The set-up's locator table is L(G') read at the levels minus the
+    least order of the gap basis (``least_orders``, the per-point minimum
+    of the oracle's orders), in blocks of 1, 100 and 2^18 entries; no
+    locator monomial has an order below its level (module docstring)."""
+    from toric_codes import geometry
+
+    st = BRACKET_SETUPS[name]()
+    gf, fan, pts = st.spec.gf, st.spec.fan, st.spec.points
+    beta = graded_evaluation(st.basis_gap, pts, gf, fan)[0].min(axis=0)
+    assert np.array_equal(least_orders(st.basis_gap, pts, gf, fan), beta)
+    order, value = graded_evaluation(st.basis_locator, pts, gf, fan)
+    assert (order >= -beta).all()
+    want = np.where(order == -beta, value, 0)
+    assert st.locator.dtype == np.int16 and np.array_equal(st.locator, want)
+    for block in (1, 100, 1 << 18):
+        monkeypatch.setattr(geometry, "_EVALUATION_BLOCK", block)
+        assert np.array_equal(evaluation_matrix(st.basis_locator, pts, gf, fan, -beta), want)
 
 
 @pytest.mark.parametrize("name", sorted(set(BRACKET_SETUPS) - {"torus"}))

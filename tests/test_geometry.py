@@ -16,12 +16,13 @@ from toric_codes.geometry import (
     TDivisor,
     TorusPoint,
     count_rational_points,
+    _characters,
     evaluation_matrix,
-    graded_evaluation,
     is_ample,
     is_cartier,
     is_smooth,
     lattice_points,
+    least_orders,
     orbit_points,
     polytope_of_divisor,
     torus_evaluation_matrix,
@@ -497,6 +498,32 @@ def reference_graded(a, point, gf, fan):
     return c, gf.pow(point.s, lam)
 
 
+def graded_evaluation(exponents, points, gf, fan=None):
+    """The oracle of the levelled evaluation: the vanishing order and the
+    leading value of every character at every point, two whole k x n
+    arrays (int64 and int16), from the checked inputs of ``_characters``."""
+    A, orders, ray, w = _characters(exponents, points, gf, fan)
+    e = A @ w.T
+    np.remainder(e, gf.q - 1, out=e)
+    return orders[:, ray], gf.exp.astype(np.int16)[e]
+
+
+def levelled_oracle(exponents, points, gf, fan, level):
+    """What ``evaluation_matrix`` at ``level`` must give, from the oracle:
+    the message of the PoleError at the first point where some order is
+    below the level, else the leading values where the order equals it."""
+    order, value = graded_evaluation(exponents, points, gf, fan)
+    level = np.zeros(len(points), dtype=np.int64) if level is None else level
+    below = np.argwhere(order.T < level[:, None])
+    if not len(below):
+        return np.where(order == level, value, 0)
+    j, i = below[0]
+    a, at = tuple(exponents[i]), level[j]
+    if at == 0:
+        return f"monomial {a} has a pole along D_{points[j].ray + 1}"
+    return f"monomial {a} has order {order[i, j]} below the level {at} at point {j}"
+
+
 @pytest.mark.parametrize("p,m", ORACLE_FIELDS)
 @pytest.mark.parametrize("fan", [FAN1, FAN4, FAN6, FAN7, FAN2_M3], ids=["fan1", "fan4", "fan6", "fan7", "fan2-m3"])
 def test_graded_evaluation_matches_scalar_formulas(p, m, fan):
@@ -512,6 +539,20 @@ def test_graded_evaluation_matches_scalar_formulas(p, m, fan):
     for i, a in enumerate(exps):
         for j, pt in enumerate(pts):
             assert (order[i, j], value[i, j]) == reference_graded(a, pt, gf, fan)
+    # the least order at each point, and the reading at that level and at
+    # random levels around it: values, zeros above it, the first pole below
+    least = least_orders(exps, pts, gf, fan)
+    assert least.dtype == np.int64 and np.array_equal(least, order.min(axis=0))
+    for level in [least, least + rng.integers(-1, 2, size=len(pts))]:
+        want = levelled_oracle(exps, pts, gf, fan, level)
+        if isinstance(want, str):
+            with pytest.raises(PoleError) as err:
+                evaluation_matrix(exps, pts, gf, fan, level)
+            assert str(err.value) == want
+        else:
+            got = evaluation_matrix(exps, pts, gf, fan, level)
+            assert got.dtype == np.int16 and np.array_equal(got, want)
+    assert isinstance(levelled_oracle(exps, pts, gf, fan, least + 1), str)
     # strict mode, one orbit at a time, on the exponents pole-free there
     for r in range(fan.s):
         v = fan.rays[r]
@@ -551,7 +592,7 @@ def test_evaluation_takes_no_bools(bool_):
         ([(1, 2)], OrbitPoint(0, bool_)),
     ]:
         with pytest.raises(ValueError, match="not bools"):
-            graded_evaluation(exps, [point], gf, FAN1)
+            least_orders(exps, [point], gf, FAN1)
         with pytest.raises(ValueError, match="not bools"):
             evaluation_matrix(exps, [point], gf, FAN1)
     # an integer array cannot hold a bool; a bool array is no integer array
@@ -561,22 +602,36 @@ def test_evaluation_takes_no_bools(bool_):
 
 
 def test_graded_evaluation_rejects_bad_points():
+    """Both readers, the levelled evaluation and the least orders, check
+    the points, the levels and the exponents."""
     gf = GF(5)
-    with pytest.raises(ValueError, match="needs the fan"):
-        graded_evaluation([(1, 0)], [OrbitPoint(0, 1)], gf)
-    with pytest.raises(ValueError, match="units"):
-        graded_evaluation([(1, 0)], [TorusPoint(0, 1)], gf)
-    with pytest.raises(FanError, match="out of range"):
-        graded_evaluation([(1, 0)], [OrbitPoint(3, 1)], gf, FAN1)
+    for read in (evaluation_matrix, least_orders):
+        with pytest.raises(ValueError, match="needs the fan"):
+            read([(1, 0)], [OrbitPoint(0, 1)], gf)
+        with pytest.raises(ValueError, match="units"):
+            read([(1, 0)], [TorusPoint(0, 1)], gf)
+        with pytest.raises(FanError, match="out of range"):
+            read([(1, 0)], [OrbitPoint(3, 1)], gf, FAN1)
+    with pytest.raises(ValueError, match="no exponents"):
+        least_orders([], [TorusPoint(1, 1)], gf)
+    pts = [TorusPoint(1, 1), OrbitPoint(0, 1)]
+    for level in ([0], [0, 0, 0], [0.5, 0], [True, False], [[0, 0]]):
+        with pytest.raises(ValueError, match="level must hold 2 integers"):
+            evaluation_matrix([(1, 0)], pts, gf, FAN1, level)
+    # a level above every order at a torus point reads a pole there
+    with pytest.raises(PoleError, match=re.escape("monomial (1, 0) has order 0 below the level 1 at point 0")):
+        evaluation_matrix([(1, 0)], pts, gf, FAN1, [1, 0])
+    assert not evaluation_matrix([(1, 0)], pts, gf, FAN1, np.array([-1, -5], dtype=np.int8)).any()
 
 
 def test_evaluation_in_blocks_matches_one_block(monkeypatch):
     """On every golden toric divisor, at the torus points and then the
     points of the orbits whose divisor coefficient is 0 (no pole), or of
     every orbit, blocks of 1, 100 and 2^18 entries (one point, a few points
-    and every point per block) give the strict mode of one
-    ``graded_evaluation`` over all points: the same int16 matrix, or a
-    PoleError at the same first pole."""
+    and every point per block) give the oracle's reading over all points,
+    at level 0, at the least order of the basis, and one above that at the
+    orbit points: the same int16 matrix, or a PoleError at the same first
+    pole."""
     from toric_codes import geometry
     from toric_codes.tables import GOLDEN_TABLES, field_for_q
     from toric_codes.toric import default_points
@@ -592,21 +647,18 @@ def test_evaluation_in_blocks_matches_one_block(monkeypatch):
             flat = [r for r in range(fan.s) if row.divisor[r] == 0]
             for orbits in (flat, range(fan.s)):
                 pts = default_points(gf, fan, orbits=orbits)
-                order, value = graded_evaluation(basis, pts, gf, fan)
-                poles = np.argwhere(order.T < 0)
-                if len(poles):
-                    j, i = poles[0]
-                    want = f"monomial {tuple(basis[i])} has a pole along D_{pts[j].ray + 1}"
-                else:
-                    want = np.where(order == 0, value, 0)
-                outcomes["pole" if len(poles) else "matrix"] += 1
-                for block in (1, 100, 1 << 18):
-                    monkeypatch.setattr(geometry, "_EVALUATION_BLOCK", block)
-                    if isinstance(want, str):
-                        with pytest.raises(PoleError) as err:
-                            evaluation_matrix(basis, pts, gf, fan)
-                        assert str(err.value) == want
-                    else:
-                        got = evaluation_matrix(basis, pts, gf, fan)
-                        assert got.dtype == np.int16 and np.array_equal(got, want)
+                least = least_orders(basis, pts, gf, fan)
+                orbit = np.array([isinstance(pt, OrbitPoint) for pt in pts])
+                for level in (None, least, least + orbit):
+                    want = levelled_oracle(basis, pts, gf, fan, level)
+                    outcomes["pole" if isinstance(want, str) else "matrix"] += 1
+                    for block in (1, 100, 1 << 18):
+                        monkeypatch.setattr(geometry, "_EVALUATION_BLOCK", block)
+                        if isinstance(want, str):
+                            with pytest.raises(PoleError) as err:
+                                evaluation_matrix(basis, pts, gf, fan, level)
+                            assert str(err.value) == want
+                        else:
+                            got = evaluation_matrix(basis, pts, gf, fan, level)
+                            assert got.dtype == np.int16 and np.array_equal(got, want)
     assert min(outcomes.values()) >= 5
