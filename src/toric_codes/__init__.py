@@ -11,6 +11,7 @@ from .geometry import (
     FanError,
     LatticePolytope,
     OrbitPoint,
+    PointSet,
     PoleError,
     TDivisor,
     TorusPoint,

@@ -156,8 +156,9 @@ def job_to_spec(job: dict) -> ToricCodeSpec:
         raise ValidationError("empty point set")
     # a code over the size caps exits 3 before its points are listed
     checked_polytope(fan, div, n)
-    points = default_points(gf, fan, torus=torus, orbits=orbits)
-    points += [OrbitPoint(ray - 1, u) for ray, u in singles]
+    points = default_points(gf, fan, torus=torus, orbits=orbits) + [
+        OrbitPoint(ray - 1, u) for ray, u in singles
+    ]
     return ToricCodeSpec(gf, fan, div, points)
 
 

@@ -981,17 +981,21 @@ def _rm_predicted_inputs(q, m, ell) -> tuple[int, int, int]:
 
 
 def rm_predicted_params(q: int, m: int, ell: int) -> tuple[int, int, int]:
-    """Closed-form (n, k, d) for the Reed-Muller family: n = q^m, k from the
-    alternating binomial double sum, d = (q-b) q^(m-a-1) for
-    ell = a(q-1) + b with 1 <= b <= q-1.  The inputs are checked by
-    ``_rm_predicted_inputs`` (CodeError).  The sum takes O(ell^2 / q)
-    big-integer binomials, so a caller with a size cap checks the cap
-    first."""
+    """Closed-form (n, k, d) for the Reed-Muller family: n = q^m,
+    k = sum_j (-1)^j C(m, j) C(m + ell - q j, m) over 0 <= j <= min(m,
+    ell / q), and d = (q-b) q^(m-a-1) for ell = a(q-1) + b with
+    1 <= b <= q-1.  k counts the exponent vectors in [0, q-1]^m of total
+    degree at most ell: by inclusion-exclusion over the j coordinates
+    that exceed q-1, each term counts degree i <= ell by C(m-1 + i - q j,
+    m-1), and the hockey-stick identity sums those over i.  The inputs
+    are checked by ``_rm_predicted_inputs`` (CodeError).  The sum takes
+    O(ell / q) big-integer binomials, so a caller with a size cap checks
+    the cap first."""
     q, m, ell = _rm_predicted_inputs(q, m, ell)
-    k = 0
-    for i in range(ell + 1):
-        for j in range(i // q + 1):
-            k += (-1) ** j * math.comb(m, j) * math.comb(m - 1 + i - q * j, m - 1)
+    k = sum(
+        (-1) ** j * math.comb(m, j) * math.comb(m + ell - q * j, m)
+        for j in range(min(m, ell // q) + 1)
+    )
     if ell == 0:
         a, b = -1, q - 1
     else:

@@ -105,10 +105,7 @@ class DecoderSetup:
     zero_cap_exact: bool
     condition_c: str  # "verified" | "failed" | "unverified"
     d_dual: int | None
-
-    @property
-    def n(self) -> int:
-        return len(self.spec.points)
+    n: int  # the number of points, read by every stage
 
 
 @dataclass
@@ -199,6 +196,7 @@ def setup(
         zero_cap_exact=exact,
         condition_c=cond,
         d_dual=d_dual,
+        n=n,
     )
 
 

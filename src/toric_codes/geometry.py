@@ -8,22 +8,24 @@ list aligned with the rays.  Its polytope is
 
     P_G = { u in R^2 : <u, v_i> >= -d_i  for all i },
 
-always bounded when the fan is complete.  All polytope arithmetic is exact
-(Fractions); all evaluation is exact field arithmetic, through one
-routine, ``evaluation_matrix``: each character read at each point's level,
-its leading value where its vanishing order there equals the level.
-``build`` reads level 0 and the decoder the twisted levels of
-``least_orders``.
+always bounded when the fan is complete.  A set of rational points is a
+``PointSet``, one int64 array of rows, listed with numpy and checked once.
+All polytope arithmetic is exact (Fractions); all evaluation is exact
+field arithmetic, through one routine, ``evaluation_matrix``: each
+character read at each point's level, its leading value where its
+vanishing order there equals the level.  ``build`` reads level 0 and the
+decoder the twisted levels of ``least_orders``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -441,16 +443,96 @@ def count_rational_points(fan: Fan2D, gf: GF) -> int:
     return (q - 1) ** 2 + fan.s * (q - 1) + fan.s
 
 
-def torus_points(gf: GF) -> list[TorusPoint]:
+class PointSet(Sequence):
+    """An immutable sequence of evaluation points, held as one int64 array
+    ``rows`` of shape (n, 4): kind (0 on the torus, 1 on an orbit), ray,
+    and two coordinates.  The torus point (t1, t2) is (0, 0, t1, t2) and
+    the orbit point s on ray r is (1, r, s, 1), so both coordinates are
+    field elements whose logs ``_characters`` reads.
+
+    Indexing and iteration yield ``TorusPoint`` and ``OrbitPoint`` objects;
+    a slice is a PointSet.  ``==`` compares point by point with any
+    sequence of points, and ``+`` concatenates a PointSet or a sequence of
+    points on either side.  ``PointSet(points)`` checks and converts a
+    sequence of point objects (``PointSet.of``); ``torus_points``,
+    ``orbit_points`` and ``toric.default_points`` make their rows with
+    numpy."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, points: Sequence[EvalPoint] = ()):
+        # the point fields must be integers, not bools or floats, by the
+        # rules of ``_integer_array``; ranges are checked where the field
+        # and the fan are known (``_characters``)
+        rows = [(0, 0, pt.t1, pt.t2) if isinstance(pt, TorusPoint) else (1, pt.ray, pt.s, 1) for pt in points]
+        self.rows = _integer_array(rows, "point coordinates and ray indices", 4)
+        self.rows.flags.writeable = False
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray) -> "PointSet":
+        """Rows made by this module, taken without a check."""
+        pts = cls.__new__(cls)
+        pts.rows = rows
+        rows.flags.writeable = False
+        return pts
+
+    @classmethod
+    def of(cls, points: "PointSet | Sequence[EvalPoint]") -> "PointSet":
+        """``points`` itself if it is a PointSet, else its one checked
+        conversion."""
+        return points if isinstance(points, PointSet) else cls(points)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PointSet._of_rows(self.rows[i])
+        kind, ray, c1, c2 = self.rows[i].tolist()
+        return OrbitPoint(ray, c1) if kind else TorusPoint(c1, c2)
+
+    def __iter__(self):
+        for kind, ray, c1, c2 in self.rows.tolist():
+            yield OrbitPoint(ray, c1) if kind else TorusPoint(c1, c2)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PointSet):
+            return np.array_equal(self.rows, other.rows)
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __add__(self, other) -> "PointSet":
+        return PointSet._of_rows(np.concatenate([self.rows, PointSet.of(other).rows]))
+
+    def __radd__(self, other) -> "PointSet":
+        return PointSet.of(other) + self
+
+    def __repr__(self) -> str:
+        return f"PointSet({list(self)!r})"
+
+
+def torus_points(gf: GF) -> PointSet:
     """All (q-1)^2 torus points, lex by (dlog t1, dlog t2)."""
-    us = gf.units()
-    return [TorusPoint(a, b) for a in us for b in us]
+    us = np.array(gf.units(), dtype=np.int64)
+    rows = np.zeros((len(us) ** 2, 4), dtype=np.int64)
+    rows[:, 2] = np.repeat(us, len(us))
+    rows[:, 3] = np.tile(us, len(us))
+    return PointSet._of_rows(rows)
 
 
-def orbit_points(fan: Fan2D, ray: int, gf: GF) -> list[OrbitPoint]:
+def orbit_points(fan: Fan2D, ray: int, gf: GF) -> PointSet:
+    """The q-1 points of the orbit of the 0-based ``ray``, by dlog s."""
+    # a bool or a float would be written into the int64 rows as a ray
+    if not _is_integer(ray):
+        raise FanError(f"ray index {ray!r} must be an integer")
     if not 0 <= ray < fan.s:
         raise FanError(f"ray index {ray} out of range for a {fan.s}-ray fan")
-    return [OrbitPoint(ray, s) for s in gf.units()]
+    us = np.array(gf.units(), dtype=np.int64)
+    rows = np.ones((len(us), 4), dtype=np.int64)
+    rows[:, 1] = ray
+    rows[:, 2] = us
+    return PointSet._of_rows(rows)
 
 
 def _integer_array(entries, what: str, width: int) -> np.ndarray:
@@ -488,11 +570,10 @@ def _characters(
     its column of those (n) and w (n x 2), all int64: the leading values
     are g^((A w^T) mod (q-1)) (``evaluation_matrix``)."""
     s = fan.s if fan is not None else 0
-    # one row per point: orbit flag, ray, and two field elements whose logs
-    # make w through the ray's turn matrix (row s of the tables: the torus)
-    rows = [(0, s, pt.t1, pt.t2) if isinstance(pt, TorusPoint) else (1, pt.ray, pt.s, 1) for pt in points]
     A = _integer_array(exponents, "exponents", 2)
-    rows = _integer_array(rows, "point coordinates and ray indices", 4)
+    # per point the orbit flag, the ray, and two field elements whose logs
+    # make w through the ray's turn matrix (row s of the tables: the torus)
+    rows = PointSet.of(points).rows
     orbit, ray, coords = rows[:, 0] == 1, rows[:, 1], rows[:, 2:]
     if orbit.any() and fan is None:
         raise ValueError("orbit-point evaluation needs the fan")
@@ -500,6 +581,7 @@ def _characters(
         raise FanError(f"orbit ray index out of range for a {s}-ray fan")
     if ((coords < 1) | (coords >= gf.q)).any():
         raise ValueError(f"point coordinates must be units of GF({gf.q})")
+    ray = np.where(orbit, ray, s)
     normals = np.zeros((s + 1, 2), dtype=np.int64)
     turns = np.zeros((s + 1, 2, 2), dtype=np.int64)
     turns[s] = np.eye(2, dtype=np.int64)
@@ -569,7 +651,7 @@ def evaluation_matrix(
             j, i = np.argwhere(order.T < 0)[0]
             a, at = tuple(A[i].tolist()), level[s + j]
             raise PoleError(
-                f"monomial {a} has a pole along D_{points[s + j].ray + 1}" if at == 0
+                f"monomial {a} has a pole along D_{ray[s + j] + 1}" if at == 0
                 else f"monomial {a} has order {order[i, j] + at} below the level {at} at point {s + j}"
             )
         e = A @ w[blk].T

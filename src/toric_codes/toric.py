@@ -23,6 +23,7 @@ from .geometry import (
     EvalPoint,
     Fan2D,
     LatticePolytope,
+    PointSet,
     TDivisor,
     evaluation_matrix,
     lattice_points,
@@ -37,13 +38,18 @@ class ToricCodeSpec:
     gf: GF
     fan: Fan2D
     divisor: TDivisor
-    points: list[EvalPoint]
+    # a sequence of TorusPoint and OrbitPoint objects, kept as its
+    # PointSet (``PointSet.of``)
+    points: PointSet | Sequence[EvalPoint]
     # the lattice points of P_G, one generator row each; always derived
     basis: list[tuple[int, int]] = dc_field(init=False)
 
     def __post_init__(self):
+        self.points = PointSet.of(self.points)
         self.basis = lattice_points(checked_polytope(self.fan, self.divisor, len(self.points)))
-        if len(set(self.points)) != len(self.points):
+        # equal points are equal rows, which sorting puts next to each other
+        rows = self.points.rows[np.lexsort(self.points.rows.T)]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise CodeError("evaluation points must be distinct")
 
 
@@ -102,12 +108,12 @@ def checked_polytope(fan: Fan2D, divisor: TDivisor, n: int) -> LatticePolytope:
 
 def default_points(
     gf: GF, fan: Fan2D, torus: bool = True, orbits: Sequence[int] = ()
-) -> list[EvalPoint]:
+) -> PointSet:
     """Torus points in the fixed order, then the full orbits of the 0-based
     rays in ``orbits``, in the order given."""
-    pts: list[EvalPoint] = list(torus_points(gf)) if torus else []
+    pts = torus_points(gf) if torus else PointSet()
     for i in orbits:
-        pts.extend(orbit_points(fan, i, gf))
+        pts += orbit_points(fan, i, gf)
     return pts
 
 

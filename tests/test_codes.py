@@ -1498,8 +1498,31 @@ def test_rm_q3_m2():
 
 
 def test_rm_prediction_k_sum_terms():
-    # q=2, m=5, ell=1: i=0 contributes 1, i=1 contributes 5
+    # q=2, m=5, ell=1: one monomial of degree 0 and five of degree 1
     assert rm_predicted_params(2, 5, 1)[1] == 1 + 5
+
+
+def rm_k_double_sum(q: int, m: int, ell: int) -> int:
+    """k as the alternating double sum over each degree i <= ell of the
+    vectors in [0, q-1]^m of degree i, by inclusion-exclusion over the j
+    coordinates above q-1: O(ell^2 / q) binomials."""
+    return sum(
+        (-1) ** j * math.comb(m, j) * math.comb(m - 1 + i - q * j, m - 1)
+        for i in range(ell + 1)
+        for j in range(i // q + 1)
+    )
+
+
+def test_rm_k_single_sum_matches_the_double_sum():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for m in range(1, 7):
+            for ell in range(m * (q - 1) + 1):
+                assert rm_predicted_params(q, m, ell)[1] == rm_k_double_sum(q, m, ell)
+    # ell = m(q - 1) takes every monomial; halfway, over GF(2), half of
+    # them and half the middle binomial
+    assert rm_predicted_params(2, 400, 400)[1] == 2**400
+    assert 2 * rm_predicted_params(2, 200, 100)[1] == 2**200 + math.comb(200, 100)
+    assert rm_predicted_params(3, 40, 37)[1] == rm_k_double_sum(3, 40, 37)
 
 
 def rm_degree_counts(q: int, m: int) -> list[int]:

@@ -400,7 +400,6 @@ def test_decode_rejects_symbols_outside_the_field(symbol):
 # (n = 16) for the stages that take r, the syndrome (|basis of L(G)| = 10)
 # for the rest
 STAGES = {
-    "bracket": (lambda r, st: bracket(r, (0, 0), st), 16),
     "syndrome": (syndrome, 16),
     "decode": (decode, 16),
     "bracket_matrix": (bracket_matrix, 10),

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from toric_codes.codes import CodeError
 from toric_codes.field import GF
 from toric_codes.geometry import (
     Fan2D,
     FanError,
     LatticePolytope,
     OrbitPoint,
+    PointSet,
     PoleError,
     PolytopeError,
     TDivisor,
@@ -662,3 +664,125 @@ def test_evaluation_in_blocks_matches_one_block(monkeypatch):
                             got = evaluation_matrix(basis, pts, gf, fan, level)
                             assert got.dtype == np.int16 and np.array_equal(got, want)
     assert min(outcomes.values()) >= 5
+
+
+# -- point sets -------------------------------------------------------------
+
+
+def object_points(gf, fan, torus, orbits, singles=()):
+    """The reference listing as point objects: the torus lex by
+    (dlog t1, dlog t2), then each orbit by dlog s, then single points."""
+    us = gf.units()
+    pts = [TorusPoint(a, b) for a in us for b in us] if torus else []
+    pts += [OrbitPoint(r, s) for r in orbits for s in us]
+    return pts + [OrbitPoint(r, s) for r, s in singles]
+
+
+def test_point_sets_read_as_their_point_objects():
+    gf = GF(5)
+    torus, orbit = torus_points(gf), orbit_points(FAN1, 1, gf)
+    assert isinstance(torus, PointSet) and torus.rows.dtype == np.int64
+    assert torus == [TorusPoint(a, b) for a in gf.units() for b in gf.units()]
+    assert list(orbit) == [OrbitPoint(1, s) for s in gf.units()]
+    assert [orbit[i] for i in range(-len(orbit), len(orbit))] == list(orbit) * 2
+    assert type(orbit[0].ray) is int and type(torus[5].t2) is int
+    assert torus[2:7] == list(torus)[2:7] and isinstance(torus[2:7], PointSet)
+    # + on either side, with a PointSet or a list of objects
+    joined = torus + list(orbit)
+    assert isinstance(joined, PointSet) and joined == list(torus) + list(orbit)
+    assert list(torus) + orbit == joined == torus + orbit
+    assert joined != torus and joined != list(torus) + list(orbit)[::-1]
+    assert OrbitPoint(1, 3) in joined and joined.index(OrbitPoint(1, 1)) == 16
+    # the conversion of a PointSet is the set itself; of a list, its rows
+    assert PointSet.of(joined) is joined
+    assert PointSet.of(list(joined)) == joined and len(PointSet()) == 0
+    with pytest.raises(ValueError):
+        torus.rows[0, 2] = 2
+    with pytest.raises(TypeError):
+        hash(torus)
+    for ray in (True, 1.0, np.True_):
+        with pytest.raises(FanError, match="must be an integer"):
+            orbit_points(FAN1, ray, gf)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2)])
+@pytest.mark.parametrize("fan", [FAN1, FAN4, FAN6, FAN7], ids=["fan1", "fan4", "fan6", "fan7"])
+def test_point_set_path_matches_the_object_lists(p, m, fan):
+    """Over each orbit subset of the fan, in a seeded order, with and
+    without the torus and with seeded single orbit points after it: the
+    listing equals the object list in order, and the least orders and the
+    levelled evaluation at level 0 and at those orders read the same from
+    the PointSet, from the object list and from the oracle."""
+    from itertools import combinations
+
+    from toric_codes.toric import default_points
+
+    gf = GF(p, m)
+    rng = np.random.default_rng([p, m, fan.s])
+    exps = [tuple(int(x) for x in rng.integers(-4, 5, size=2)) for _ in range(6)]
+    subsets = [c for k in range(fan.s + 1) for c in combinations(range(fan.s), k)]
+    for subset in subsets:
+        orbits = [int(r) for r in rng.permutation(subset)]
+        others = [r for r in range(fan.s) if r not in orbits]
+        singles = [(r, int(rng.integers(1, gf.q))) for r in others[:2]]
+        for torus in (True, False):
+            objects = object_points(gf, fan, torus, orbits, singles)
+            pts = default_points(gf, fan, torus=torus, orbits=orbits)
+            assert pts == object_points(gf, fan, torus, orbits)
+            pts = pts + [OrbitPoint(r, s) for r, s in singles]
+            assert pts == objects and list(pts) == objects
+            if not objects:
+                continue
+            least = least_orders(exps, pts, gf, fan)
+            assert np.array_equal(least, least_orders(exps, objects, gf, fan))
+            for level in (None, least):
+                want = levelled_oracle(exps, objects, gf, fan, level)
+                for points in (pts, objects):
+                    if isinstance(want, str):
+                        with pytest.raises(PoleError) as err:
+                            evaluation_matrix(exps, points, gf, fan, level)
+                        assert str(err.value) == want
+                    else:
+                        assert np.array_equal(evaluation_matrix(exps, points, gf, fan, level), want)
+
+
+# a point that breaks a rule next to the orbit of ray 1 (0-based) of FAN1
+# over GF(5), with the error and message of the object lists: a ray
+# outside 0..2, a coordinate outside 1..4, a bool or a float where an
+# integer belongs, and a point that is already in the set
+BAD_POINTS = {
+    "ray-1": (OrbitPoint(-1, 1), FanError, "orbit ray index out of range for a 3-ray fan"),
+    "ray-s": (OrbitPoint(3, 1), FanError, "orbit ray index out of range for a 3-ray fan"),
+    "coordinate-0": (TorusPoint(0, 1), ValueError, "point coordinates must be units of GF(5)"),
+    "bool": (TorusPoint(True, 2), ValueError, "point coordinates and ray indices must be integers, not bools"),
+    "numpy-bool": (OrbitPoint(0, np.True_), ValueError, "point coordinates and ray indices must be integers, not bools"),
+    "float": (TorusPoint(2.0, 1), ValueError, "point coordinates and ray indices must be integers, got ['float', 'int']"),
+    "duplicate": (OrbitPoint(1, 3), CodeError, "evaluation points must be distinct"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_POINTS))
+def test_bad_points_keep_their_errors(name):
+    """In a list of objects or added to a PointSet, through a spec and its
+    build, or through the levelled evaluation and the least orders, a bad
+    point raises one error type with one message; a repeated point is no
+    error for evaluation."""
+    from toric_codes.toric import ToricCodeSpec, build
+
+    gf = GF(5)
+    bad, error, message = BAD_POINTS[name]
+    orbit = orbit_points(FAN1, 1, gf)
+    basis = lattice_points(poly(FAN1, (0, 0, 3)))  # no pole on ray 1
+    routes = {
+        "spec": lambda pts: build(ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 3)), pts())),
+        "evaluation": lambda pts: evaluation_matrix(basis, pts(), gf, FAN1),
+        "least orders": lambda pts: least_orders(basis, pts(), gf, FAN1),
+    }
+    for route, read in routes.items():
+        for points in (lambda: list(orbit) + [bad], lambda: orbit + [bad], lambda: [bad] + orbit):
+            if error is CodeError and route != "spec":
+                assert len(read(points)) in (len(basis), len(orbit) + 1)
+                continue
+            with pytest.raises(error) as err:
+                read(points)
+            assert type(err.value) is error and str(err.value) == message

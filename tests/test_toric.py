@@ -7,6 +7,7 @@ from toric_codes.geometry import (
     Fan2D,
     FanError,
     OrbitPoint,
+    PointSet,
     PoleError,
     TDivisor,
     evaluation_matrix,
@@ -210,3 +211,45 @@ def test_hansen_invalid():
         hansen_code("e", GF(5), a=1)
     with pytest.raises(CodeError):
         hansen_code("c", GF(5), a=1, b=0)
+
+
+def test_a_list_of_points_is_converted_once(monkeypatch):
+    """The spec converts a list of point objects to its PointSet once;
+    build and the decoder set-up read that set, and the set-up keeps n as
+    an int."""
+    from toric_codes import decoder, geometry
+
+    calls = []
+    init = geometry.PointSet.__init__
+    monkeypatch.setattr(geometry.PointSet, "__init__", lambda self, pts=(): calls.append(1) or init(self, pts))
+    gf = GF(2, 3)
+    points = list(torus_points(gf)) + [OrbitPoint(0, 1), OrbitPoint(1, 1)]
+    assert not calls  # the listing makes its rows with numpy
+    spec = ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 10)), points)
+    assert len(calls) == 1 and isinstance(spec.points, PointSet) and spec.points == points
+    assert ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 10)), spec.points).points is spec.points
+    st = decoder.setup(spec, TDivisor((2, 2, 2)))
+    assert len(calls) == 1 and st.spec.points is spec.points
+    assert type(st.n) is int and st.n == 51
+
+
+# the generators of the three fan1 codes that the construct benchmark
+# builds, as the sha256 of their shape and little-endian int16 entries
+CONSTRUCT_DIGESTS = {
+    ((2, 5), (0, 0, 12), ()): "aeaf182773b62ec868717a1f4106c84ad75e71d73988246a9dc756538218e5a6",
+    ((23, 1), (0, 0, 10), ()): "e0229e8e455ea57f975b7e25806322b17228cbd8b6a20985769986568df68830",
+    ((5, 2), (0, 0, 10), (0, 1)): "4d62d4cc903e0d62b3c2b277f039ebc44803a8413d55ed52d09035793ddba93d",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CONSTRUCT_DIGESTS))
+def test_built_generators_keep_their_bytes(key):
+    """From the default PointSet and from the same points as objects."""
+    import hashlib
+
+    (p, m), divisor, orbits = key
+    gf = GF(p, m)
+    pts = default_points(gf, FAN1, orbits=orbits)
+    for points in (pts, list(pts)):
+        gen = np.ascontiguousarray(build(ToricCodeSpec(gf, FAN1, TDivisor(divisor), points)).code.gen, dtype="<i2")
+        assert hashlib.sha256(repr(gen.shape).encode() + gen.tobytes()).hexdigest() == CONSTRUCT_DIGESTS[key]
