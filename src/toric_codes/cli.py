@@ -3,13 +3,16 @@ compute distances and bounds, decode received words, and reproduce the
 golden parameter tables.
 
 Exit codes: 0 success, 2 input validation, 3 computation error, 4 golden
-mismatch.
+mismatch, 141 standard output closed by its reader before the output was
+written (128 + SIGPIPE, the status a shell reports for a program that
+SIGPIPE ends, as ``toric-codes build ... | head`` can do).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -42,6 +45,7 @@ class ValidationError(ValueError):
 EXIT_VALIDATION = 2
 EXIT_COMPUTATION = 3
 EXIT_MISMATCH = 4
+EXIT_CLOSED_OUTPUT = 141
 
 
 # -- job files ------------------------------------------------------------------
@@ -434,7 +438,14 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the output is cut short, not wrong: no traceback, and standard
+        # output goes to devnull so that the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
     except ValidationError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

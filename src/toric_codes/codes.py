@@ -8,7 +8,10 @@ exact and vectorized, on a copy of the input, in place:
   array of indices 0..q-1, else CodeError), so every later entry is an
   element index, which the flat table index below needs (an index >= q
   would read another row of the table); ``solve`` and ``LinearCode``
-  leave the check of what they reduce to it;
+  leave the check of what they reduce to it.  It permutes the columns
+  into scan order and hands its checked copy to ``_rref``, the one pivot
+  loop, which reduces a matrix in place with no check; ``decode`` calls
+  ``_rref`` directly on the two systems it forms from checked data;
 - each pivot c adds -R[i, c] times the pivot row, from column c on, to
   every other row i nonzero in column c.  When those rows fill at least
   half of the span lo..hi-1 from the first to the last of them, the slab
@@ -132,17 +135,21 @@ first pivot column (the normalization of enumerated words), which is the
 set of translates of the words the full level and its predecessors would
 have enumerated at that weight.
 
-Products.  ``matmul`` is the one product kernel: ``matvec``, syndromes,
-codewords and the decoder's brackets and candidate set all run through
-it.  Per block of the inner axis it takes one broadcast ``vmul`` of shape
-(rows, width, cols), one ``vsum`` over the width and one ``vadd`` into the
-result, with width max(1, 2^18 // (rows cols)).  No temporary then holds more than
-max(2^18, rows cols) entries: a small product is a single broadcast, and
-one with rows cols > 2^18 runs one inner index at a time.  ``decode``'s
-candidate step multiplies the negated reduced rows of the bracket system,
-transposed, by the pivot rows of the locator table, an inner axis of the
-rank, which is shorter than the null basis times the whole table (inner
-axis ell); CHANGES.md records the timings.
+Products.  ``matmul`` is the public product kernel: ``matvec``,
+syndromes of a ``LinearCode``, codewords and the decoder's stage functions
+run through it.  Per block of the inner axis it takes one broadcast
+``vmul`` of shape (rows, width, cols), one ``vsum`` over the width and one
+``vadd`` into the result, with width max(1, 2^18 // (rows cols)).  No
+temporary then holds more than max(2^18, rows cols) entries: a small
+product is a single broadcast, and one with rows cols > 2^18 runs one
+inner index at a time.  It checks only the dtypes of its operands, so it
+keeps the 2-D gather of ``vmul``, which raises on an index >= q.
+``decode``'s per-word products, the syndrome and the candidate step, run
+on operands it has checked or made (decoder module docstring) through the
+flat ``GF._mul``; the candidate step multiplies the negated reduced rows
+of the bracket system by the pivot rows of the locator table, an inner
+axis of the rank, which is shorter than the null basis times the whole
+table (inner axis ell); CHANGES.md records the timings.
 """
 
 from __future__ import annotations
@@ -206,33 +213,47 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
     col_order optionally gives the column scan order (used to steer pivots
     into chosen information sets).  Returns (R, rank, pivot_columns).  The
     entries of ``mat`` must be element indices 0..q-1 of an integer array,
-    else CodeError; they are checked once, on entry.
-
-    The columns are first permuted into scan order, so the pivot row is
-    zero left of its pivot, and each pivot adds -R[i, c] times the pivot
-    row to every other row i, in place, from column c on (module
-    docstring): to the slab of rows from the first to the last such row
-    when at least half of them are such rows (the others add 0), else to
-    those rows gathered and scattered back.
+    else CodeError; they are checked once, on entry.  The columns are
+    permuted into scan order, reduced by ``_rref`` on that copy, and put
+    back.
     """
     mat = np.asarray(mat)
     if mat.ndim != 2:
         raise CodeError("rref expects a 2-D matrix")
     R = _elements(gf, mat, "matrix")  # a fresh int16 copy, reduced in place
+    if col_order is None:
+        rank, pivots = _rref(gf, R)
+        return R, rank, pivots
+    cols = R.shape[1]
+    perm = np.asarray(list(col_order), dtype=np.intp)
+    unscanned = np.ones(cols, dtype=bool)
+    unscanned[perm] = False
+    perm = np.concatenate([perm, np.flatnonzero(unscanned)])
+    R = R.take(perm, axis=1)  # row-major, as the row updates need
+    rank, pivots = _rref(gf, R, len(col_order))
+    out = np.empty_like(R)
+    out[:, perm] = R
+    return out, rank, [int(perm[c]) for c in pivots]
+
+
+def _rref(gf: GF, R: np.ndarray, scan: int | None = None) -> tuple[int, list[int]]:
+    """Reduce R in place to reduced row echelon form over its first
+    ``scan`` columns (all by default); returns (rank, pivot_columns).  R
+    must be a writable int16 array of element indices that the caller
+    owns: ``rref`` makes it from a checked copy, and ``decode`` from its
+    own syndrome and the set-up's tables, so no entry is checked here.
+
+    Each pivot row is zero left of its pivot, and each pivot adds
+    -R[i, c] times the pivot row to every other row i, in place, from
+    column c on (module docstring): to the slab of rows from the first to
+    the last such row when at least half of them are such rows (the others
+    add 0), else to those rows gathered and scattered back.
+    """
     rows, cols = R.shape
-    scan = cols
-    perm = None
-    if col_order is not None:
-        scan = len(col_order)
-        perm = np.asarray(list(col_order), dtype=np.intp)
-        unscanned = np.ones(cols, dtype=bool)
-        unscanned[perm] = False
-        perm = np.concatenate([perm, np.flatnonzero(unscanned)])
-        R = R.take(perm, axis=1)  # row-major, as the row updates need
     mul = gf.mul_table
     pivots: list[int] = []
     r = 0
-    for c in range(scan):
+    for c in range(cols if scan is None else scan):
         if r == rows:
             break
         nz = R[r:, c].nonzero()[0]
@@ -268,12 +289,7 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
                 R[other, c:] = X
         pivots.append(c)
         r += 1
-    if perm is not None:
-        out = np.empty_like(R)
-        out[:, perm] = R
-        R = out
-        pivots = [int(perm[c]) for c in pivots]
-    return R, r, pivots
+    return r, pivots
 
 
 def _free_columns(cols: int, pivots: list[int]) -> np.ndarray:

@@ -25,6 +25,25 @@ basis is read off only for a list within the cap.  The stage functions
 keep their checks and stay the reference that ``decode`` is tested
 against.
 
+The per-word path checks r once, in ``syndrome``, and nothing after it.
+Every later operand is the checked word, a table that set-up made from
+checked data (H, the locator table, ``bracket_index``), or an array formed
+from those by gathers, field products, negation and reduction, each of
+which maps element indices to element indices.  So:
+
+- the syndrome H r is one flat-table product (``GF._mul``) and one field
+  sum along each row;
+- the bracket matrix s[bracket_index] and the value matrix [H[:, N] | s]
+  are fresh arrays that ``codes._rref``, the pivot loop of ``rref``
+  without its entry check and copy, reduces in place;
+- the candidate step forms its rho x |free| x n products in one ``_mul``
+  and adds them, one pivot row at a time, into the free rows of the
+  locator table with ``GF._iadd``.
+
+The flat products read an index >= q as another row of the table, which
+is why only operands made this way reach them; ``matmul`` and ``rref``
+keep their entry checks for every other caller.
+
 Every bracket is an entry of s: a product f_j g_i has its exponent in
 P_G' + P_(G-G'), which lies in P_G, the exponents of the basis h
 (Skorobogatov-Vladut, IEEE Trans. IT 1990).  Setup keeps each product's
@@ -66,13 +85,12 @@ from .codes import (
     _free_columns,
     _null_basis,
     _positive,
+    _rref,
     _solution,
     check_matrix_size,
     matmul,
-    matvec,
     min_distance,
     null_space,
-    rref,
 )
 from .geometry import (
     TDivisor,
@@ -211,7 +229,8 @@ def syndrome(r, setup: DecoderSetup) -> np.ndarray:
     CodeError, a ValueError): s_j = [r, h_j] over the basis h of L(G).
     The one place a received word enters the decoder."""
     gf = setup.spec.gf
-    return matvec(gf, setup.result.eval_matrix, _elements(gf, r, "received word", setup.n))
+    r = _elements(gf, r, "received word", setup.n)
+    return gf.vsum(gf._mul(setup.result.eval_matrix, r), axis=1)
 
 
 def _syndrome(s, setup: DecoderSetup) -> np.ndarray:
@@ -272,7 +291,8 @@ def _values(s: np.ndarray, nf: list[int], setup: DecoderSetup, list_cap: int) ->
     gf, H, t = setup.spec.gf, setup.result.eval_matrix, len(nf)
     within = t <= setup.zero_cap
     # one reduction of [H[:, nf] | s]; an empty nf solves only a zero syndrome
-    R, rank, pivots = rref(gf, np.concatenate([H[:, nf], s[:, None]], axis=1))
+    R = np.concatenate([H[:, nf], s[:, None]], axis=1)
+    rank, pivots = _rref(gf, R)
     x = _solution(R, rank, pivots)
     count = 0 if x is None else gf.q ** (t - rank)  # number of solutions
     status, found, diagnostics = "fail", None, ""
@@ -321,14 +341,19 @@ def decode(r: np.ndarray, setup: DecoderSetup, list_cap: int = 256) -> DecodeOut
     gf = setup.spec.gf
     list_cap = _positive(list_cap, "list cap")
     s = syndrome(r, setup)
-    R, rank, pivots = rref(gf, s[setup.bracket_index])
-    ell = R.shape[1]
+    B = s[setup.bracket_index]  # a fresh array, reduced in place
+    rank, pivots = _rref(gf, B)
+    ell = B.shape[1]
     if rank == ell:
         return DecodeOutcome("fail", None, None, [], diagnostics=_NO_LOCATOR)
     free = _free_columns(ell, pivots)
-    coef = gf.neg_table[R[:rank, free]]  # column k: the pivot entries of null vector k
+    coef = gf.neg_table[B[:rank, free]]  # column k: the pivot entries of null vector k
     L = setup.locator
-    values = gf.vadd(L[free], matmul(gf, coef.T, L[pivots]))
+    # the twisted values of the null basis: its free rows of L plus, folded
+    # one pivot at a time, coef[i, k] times pivot row i of L
+    values = L[free]
+    for Y in gf._mul(coef[:, :, None], L[pivots][:, None]):
+        gf._iadd(values, Y)
     out = _values(s, np.flatnonzero(~values.any(axis=0)).tolist(), setup, list_cap)
     out.locator = np.zeros(ell, dtype=np.int16)
     out.locator[free[0]] = 1

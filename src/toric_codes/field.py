@@ -33,8 +33,13 @@ slower there:
 For odd p^m the table replaces a loop over digits.  ``_iadd``, the
 in-place add of ``codes.rref``, takes the same paths for p = 2 and prime
 p, and for odd p^m one ``take`` from the flat table at X q + Y, in int16
-while q^2 < 2^15, in place of the 2-D gather.  Its operands must be
-element indices; an index >= q would read another row of the table.
+while q^2 < 2^15, in place of the 2-D gather.  ``_mul``, the product of
+the decoder's per-word path, is the same ``take`` from the flat
+``mul_table`` at A q + B.  The operands of both must be element indices:
+an index >= q reads another row of the table and gives a wrong result
+without an error.  So they stay private, for operands that the caller
+checked or formed from checked data, and the public ``vmul`` keeps the
+2-D gather ``mul_table[A, B]``, which raises IndexError on such an index.
 
 A field sum (``vsum``) for odd p^m gathers ``digit_fields``, one int64
 per element that holds digit k in bit field k, of width b = 63 // m, and
@@ -326,6 +331,14 @@ class GF:
             index *= q
             index += Y
             X[...] = self.add_table.ravel().take(index)
+
+    def _mul(self, A, B) -> np.ndarray:
+        """A * B elementwise, broadcast, for int16 arrays of element indices:
+        one ``take`` from the flat multiplication table at A q + B, indexed
+        in int16 while q^2 < 2^15 and in intp above."""
+        q = self.q
+        index = np.multiply(A, q, dtype=np.int16 if q * q < 1 << 15 else np.intp)
+        return self.mul_table.ravel().take(index + B)
 
     def _reduce_sum(self, C: np.ndarray) -> np.ndarray:
         """C mod p in place, for an int16 array of sums of two elements of

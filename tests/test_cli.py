@@ -1,13 +1,19 @@
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import toric_codes
 from toric_codes.cli import load_build, main, make_parser
+
+SRC = Path(toric_codes.__file__).parents[1]
 
 
 def write_job(tmp_path, name="job.json", **overrides):
@@ -694,6 +700,21 @@ def test_mutated_job_and_build_files_never_crash(tmp_path, capsys):
         t0 = time.perf_counter()
         assert main(["mindist", "--code", str(path)]) == code
         assert time.perf_counter() - t0 < 1.0
+    # a GF(64) decoder job whose dual is too large for condition (C), which
+    # traced back on the integer digit limit, and a sliver polytope of 10
+    # points over 2e7 columns
+    received = tmp_path / "r.txt"
+    received.write_text(" ".join(["0"] * 63**2))
+    gf64 = write_job(tmp_path, "gf64.json", field={"p": 2, "m": 6}, divisor=[0, 0, 28],
+                     decoder={"gprime": [5, 5, 5]})
+    capsys.readouterr()
+    assert main(["decode", "--spec", gf64, "--received", str(received)]) == 0
+    assert json.loads(capsys.readouterr().out)["condition_c"] == "unverified"
+    sliver = write_job(tmp_path, "sliver.json", field={"p": 2, "m": 3}, fan={"rays": SLIVER_RAYS},
+                       divisor=[0, 0, 0, 2 * 10**7])
+    t0 = time.perf_counter()
+    assert main(["build", "--spec", sliver]) == 3
+    assert time.perf_counter() - t0 < 1.0
     codes = []
     for trial in range(150):
         for doc, argv in ((job, ["build", "--spec"]), (build, ["mindist", "--code"])):
@@ -708,3 +729,47 @@ def test_mutated_job_and_build_files_never_crash(tmp_path, capsys):
     capsys.readouterr()
     assert set(codes) <= {0, 2, 3}
     assert {0, 2, 3} <= set(codes)
+
+
+def cli_process(argv, stdout):
+    """``python -m toric_codes`` with the package under test, its standard
+    error piped."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, "-m", "toric_codes", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env)
+
+
+def test_build_into_a_reader_that_stops_after_100_bytes_exits_141(tmp_path):
+    """``build | head -c 100``: the GF(32) fan1 code with G = 10 D_3 prints
+    about 140 kB, more than a pipe holds, so the write is still going when
+    the reader closes; the exit is 141 with nothing on standard error."""
+    spec = write_job(tmp_path, field={"p": 2, "m": 5}, divisor=[0, 0, 10])
+    proc = cli_process(["build", "--spec", spec], subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert head.startswith(b"{") and err == b""
+
+
+@pytest.mark.parametrize("command", ["build", "mindist", "bounds", "decode", "reproduce", "rm"])
+def test_every_subcommand_exits_141_on_a_closed_output(tmp_path, command):
+    """Standard output is a pipe whose reader has already gone: every
+    subcommand exits 141, with no traceback on standard error."""
+    spec = write_job(tmp_path, fan={"rays": [[1, 0], [0, 1], [-1, -1]]}, decoder={"gprime": [0, 0, 1]})
+    received = tmp_path / "r.txt"
+    received.write_text(" ".join(["0"] * 16))
+    argv = {
+        "decode": ["decode", "--spec", spec, "--received", str(received)],
+        "reproduce": ["reproduce", "rm"],
+        "rm": ["rm", "--p", "2", "-m", "3", "-l", "1"],
+    }.get(command, [command, "--spec", spec])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process(argv, write_end)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

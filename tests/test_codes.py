@@ -23,6 +23,7 @@ from toric_codes.codes import (
     reed_muller,
     rm_predicted_params,
     _null_basis,
+    _rref,
     _solution,
     check_matrix_size,
     rref,
@@ -108,6 +109,13 @@ def test_rref_matches_row_by_row_reference(p, m):
                 want = rref_reference(gf, M, col_order=order)
                 assert np.array_equal(got[0], want[0])
                 assert got[1:] == want[1:]
+            # the in-place loop on a copy that is already element indices,
+            # over every column and over the first half
+            for scan in (None, cols // 2):
+                R = M.astype(np.int16)
+                got = _rref(gf, R, scan)
+                want = rref(gf, M, col_order=None if scan is None else range(scan))
+                assert np.array_equal(R, want[0]) and got == want[1:]
 
 
 @pytest.mark.parametrize("p,m", ORACLE_FIELDS + [(2, 6)])

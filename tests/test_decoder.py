@@ -651,9 +651,10 @@ def test_gf16_torus_words_decode_uniquely():
 
 
 def count_decoder_calls(monkeypatch, setup):
-    """Wrap decoder bindings; the returned Counter tallies every input
-    check by what it checks, the products with H, the reductions of the
-    bracket system, the value systems and the calls of each public stage."""
+    """Wrap decoder bindings and the set-up field's product kernel; the
+    returned Counter tallies every input check by what it checks, the
+    products with H, the reductions of the bracket system, the value
+    systems and the calls of each public stage."""
     calls = collections.Counter()
     H = setup.result.eval_matrix
     bracket_shape = setup.bracket_index.shape
@@ -668,11 +669,14 @@ def count_decoder_calls(monkeypatch, setup):
         monkeypatch.setattr(module, name, counted)
 
     wrap(decoder, "_elements", lambda gf, a, what, *rest: "check of r" if what == "received word" else f"check of {what}")
-    for name in ("matmul", "matvec"):
-        wrap(decoder, name, lambda gf, A, B: "product with H" if H is A or H is B else None)
-    # every reduction, the decoder's own and those inside codes (null_space)
+    # the products: the field product kernel on checked operands, which the
+    # syndrome and the zero-set step use, and matmul
+    wrap(setup.spec.gf, "_mul", lambda A, B: "product with H" if H is A or H is B else None)
+    wrap(decoder, "matmul", lambda gf, A, B: "product with H" if H is A or H is B else None)
+    # every reduction runs the one in-place loop: the decoder's own, and
+    # rref's inside codes (null_space)
     for module in (decoder, codes):
-        wrap(module, "rref", lambda gf, M, *rest: "reduction of B" if np.shape(M) == bracket_shape else None)
+        wrap(module, "_rref", lambda gf, M, *rest: "reduction of B" if np.shape(M) == bracket_shape else None)
     # the value system: its solution read off one reduction of [H[:, nf] | s]
     wrap(decoder, "_solution", lambda *args: "value system")
     for name in ("syndrome", "bracket_matrix", "error_locator", "zero_set", "error_values", "null_space"):
@@ -748,6 +752,15 @@ def listing_setup():
     return decoder_setup(spec, TDivisor((0, 0, 1)))
 
 
+def gf9_torus_setup():
+    """fan1 over GF(9), G = 6 D_3, G' = D_1 + D_2 + D_3, all 64 torus
+    points: an odd p^m, whose adds take the flat table and whose sums read
+    the digit fields."""
+    gf = GF(3, 2)
+    spec = ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 6)), list(torus_points(gf)))
+    return decoder_setup(spec, TDivisor((1, 1, 1)))
+
+
 # (set-up, seed, most planted errors, the outcomes the words must reach as
 # (status, locator is None)); the torus bracket systems have at least ell
 # rows, so a full-rank one leaves no locator
@@ -756,6 +769,7 @@ CHAIN_CASES = {
     "boundary": (boundary_setup, 31, 12, ["unique", "fail"]),
     "torus": (torus_setup, 32, 9, ["unique", "none"]),
     "listing torus": (listing_setup, 33, 9, ["unique", "fail", "none", "list"]),
+    "GF(9) torus": (gf9_torus_setup, 34, 9, ["unique", "fail", "none", "list"]),
 }
 
 

@@ -280,6 +280,26 @@ def test_in_place_add_matches_the_add_table(p, m):
     assert np.array_equal(R, want)
 
 
+# int16 indices (q^2 < 2^15, GF(181) the largest such q), and intp ones past
+# that bound
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 3), (3, 2), (181, 1), (2, 8), (3, 5), (1021, 1)])
+def test_flat_product_matches_vmul(p, m):
+    """``_mul`` on every pair of elements, and broadcast as the decoder
+    calls it: a matrix times a vector, and a stack of scalars times rows."""
+    gf = GF(p, m)
+    q = gf.q
+    a, b = np.divmod(np.arange(q * q), q)
+    a, b = a.astype(np.int16), b.astype(np.int16)
+    C = gf._mul(a, b)
+    assert C.dtype == np.int16 and np.array_equal(C, gf.vmul(a, b))
+    rng = np.random.default_rng([6, p, m])
+    H = rng.integers(0, q, size=(5, 7)).astype(np.int16)
+    r = rng.integers(0, q, size=7).astype(np.int16)
+    assert np.array_equal(gf._mul(H, r), gf.vmul(H, r))
+    coef, L = H[:3, :2], H[2:]
+    assert np.array_equal(gf._mul(coef[:, :, None], L[:, None]), gf.vmul(coef[:, :, None], L[:, None]))
+
+
 # bit planes for p = 2 and 3, digit bytes for p >= 5, and uint16 digits for GF(131)
 PACKED_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (7, 1), (5, 2),
                  (31, 1), (2, 10), (31, 2), (131, 1)]
