@@ -7,9 +7,11 @@ bounds (reported, never asserted).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .field import _positive
 from .geometry import Fan2D, LatticePolytope, TDivisor, is_ample, is_cartier, is_smooth
 
 
@@ -32,8 +34,9 @@ class HansenPrediction:
 def hansen_params(case: str, q: int, a: int, b: int = 0, m: int = 1) -> HansenPrediction:
     """Exact (n, k, d) for the four families, with the q-range flag under
     which the closed form is guaranteed."""
-    if a <= 0 or (case in ("c", "d") and b <= 0) or (case == "d" and m <= 0):
-        raise BoundsError("parameters must be positive")
+    for name, value, read in (("a", a, True), ("b", b, case in ("c", "d")), ("m", m, case == "d")):
+        if read:  # a parameter that the case does not read is not checked
+            _positive(value, name, BoundsError)
     n = (q - 1) ** 2
     if case == "a":
         k = (a + 1) ** 2
@@ -63,30 +66,22 @@ def segment_upper_bound(poly: LatticePolytope, n: int, q: int | None = None) -> 
     """d <= n - h, where h+1 is the longest run of consecutive lattice
     points along a coordinate direction inside the polytope.
 
-    The polytope is first translated so all lattice points are
-    nonnegative (an integral translation is a monomial equivalence); a run
-    of h+1 points yields a function (x_j - a_1)...(x_j - a_h) * monomial
-    in the function space with at least h torus zeros and a nonzero
-    codeword.  The witness needs h distinct nonzero roots and must not
-    vanish on the whole torus, so h is capped at q - 2 when the field
-    size is supplied.
+    A run of h+1 points yields, after an integral translation (a monomial
+    equivalence), a function (x_j - a_1)...(x_j - a_h) * monomial in the
+    function space with at least h torus zeros and a nonzero codeword.
+    The witness needs h distinct nonzero roots and must not vanish on the
+    whole torus, so h is capped at q - 2 when the field size is supplied.
+    The polytope is convex, so the lattice points of each row and column
+    form one run, and h is the largest max - min over them.
     """
     pts = poly.lattice_points()
     if not pts:
         raise BoundsError("segment bound needs a nonempty polytope")
-    x0 = min(p[0] for p in pts)
-    y0 = min(p[1] for p in pts)
-    pts = {(x - x0, y - y0) for x, y in pts}
-    h = 0
-    for axis in (0, 1):
-        starts = [p for p in pts if (p[0] - (axis == 0), p[1] - (axis == 1)) not in pts]
-        for p in starts:
-            run = 0
-            nxt = (p[0] + (axis == 0), p[1] + (axis == 1))
-            while nxt in pts:
-                run += 1
-                nxt = (nxt[0] + (axis == 0), nxt[1] + (axis == 1))
-            h = max(h, run)
+    lines = defaultdict(list)
+    for x, y in pts:
+        lines["row", y].append(x)
+        lines["column", x].append(y)
+    h = max(max(line) - min(line) for line in lines.values())
     if q is not None:
         h = min(h, q - 2)
     return n - h
@@ -179,7 +174,7 @@ def conjecture2_bound(
     deg2 = 2 * poly.volume() if not poly.is_empty else Fraction(0)
     degree_ok = n > deg2
     applicable = smooth and convex and degree_ok
-    kc = len(poly.lattice_points())
+    kc = poly.lattice_point_count()
     return Conjecture2Report(
         smooth=smooth,
         strictly_convex=convex,

@@ -23,15 +23,13 @@ from .codes import (
     CodeError,
     LinearCode,
     WorkCapExceeded,
-    _positive,
     _rm_predicted_inputs,
-    check_work_budget,
     min_distance,
     reed_muller,
     rm_predicted_params,
 )
 from .decoder import SetupError, decode as decoder_decode, setup as decoder_setup
-from .field import GF, FieldError, _is_integer
+from .field import GF, FieldError, _integers, _positive, _sequence
 from .geometry import Fan2D, FanError, OrbitPoint, PoleError, TDivisor, polytope_of_divisor
 from .reproduce import format_results, reproduce_table
 from .tables import GOLDEN_TABLES
@@ -72,18 +70,14 @@ def _read_json(path: str, what: str):
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
 
 
-# JSON integers are read as they are: int() would truncate 2.5 and parse
-# "2", and bool() reads "false" as true, each into a different job
-def _integer(value, where: str) -> int:
-    if not _is_integer(value):
-        raise ValidationError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _integers(value, where: str) -> list[int]:
-    if not isinstance(value, list) or not all(map(_is_integer, value)):
-        raise ValidationError(f"{where} must be a list of integers, got {value!r}")
-    return value
+def _checked(key: str, make, *values):
+    """``make(*values)``, its refusal of a value raised as ValidationError
+    that names the job key: the constructors check their own inputs, by the
+    package's one integer rule (``field._is_integer``)."""
+    try:
+        return make(*values)
+    except (FieldError, FanError) as exc:
+        raise ValidationError(f"{key}: {exc}") from exc
 
 
 def load_job(path: str) -> dict:
@@ -109,33 +103,19 @@ def load_job(path: str) -> dict:
 
 def job_to_spec(job: dict) -> ToricCodeSpec:
     fld, pts_cfg = job["field"], job.get("points", {})
-    p, m = _integer(fld["p"], "field.p"), _integer(fld.get("m", 1), "field.m")
-    modulus = fld.get("modulus")
-    if modulus is not None:
-        modulus = _integers(modulus, "field.modulus")
-    rays = job["fan"]["rays"]
-    if not isinstance(rays, list):
-        raise ValidationError(f"fan.rays must be a list of integer pairs, got {rays!r}")
-    rays = [_integers(v, "fan.rays") for v in rays]
-    coeffs = _integers(job["divisor"], "divisor")
+    gf = _checked("field", GF, fld["p"], fld.get("m", 1), fld.get("modulus"))
+    fan = _checked("fan.rays", Fan2D, job["fan"]["rays"])
+    div = _checked("divisor", TDivisor, job["divisor"])
     torus = pts_cfg.get("torus", True)
     if not isinstance(torus, bool):
         raise ValidationError(f"points.torus must be true or false, got {torus!r}")
     # ray numbers are 1-based in files
-    orbits = [i - 1 for i in _integers(pts_cfg.get("orbits", []), "points.orbits")]
-    singles = pts_cfg.get("orbit_points", [])
-    if not (isinstance(singles, list)
-            and all(isinstance(pt, list) and len(pt) == 2 for pt in singles)):
-        raise ValidationError(
-            f"points.orbit_points must be a list of [ray, s] pairs, got {singles!r}"
-        )
-    singles = [_integers(pt, "points.orbit_points") for pt in singles]
-    try:
-        gf = GF(p, m, modulus)
-        fan = Fan2D(rays)
-        div = TDivisor(coeffs)
-    except (TypeError, ValueError) as exc:  # FieldError and FanError included
-        raise ValidationError(str(exc)) from exc
+    orbits = [i - 1 for i in _integers(pts_cfg.get("orbits", []), "points.orbits", ValidationError)]
+    singles = [
+        _integers(pt, "points.orbit_points", ValidationError, 2)
+        for pt in _sequence(pts_cfg.get("orbit_points", []), "points.orbit_points",
+                            ValidationError, "a list of [ray, s] pairs")
+    ]
     if len(div) != fan.s:
         raise ValidationError(f"divisor has {len(div)} coefficients for a {fan.s}-ray fan")
     for t, i in enumerate(orbits):
@@ -153,7 +133,7 @@ def job_to_spec(job: dict) -> ToricCodeSpec:
             )
         if ray - 1 in orbits:
             raise ValidationError(f"orbit point [{ray}, {u}] lies on the whole orbit of ray {ray}")
-        if [ray, u] in singles[:t]:
+        if (ray, u) in singles[:t]:
             raise ValidationError(f"points.orbit_points repeats [{ray}, {u}]")
     n = (gf.q - 1) * ((gf.q - 1) * torus + len(orbits)) + len(singles)
     if not n:
@@ -195,13 +175,10 @@ def load_build(path: str) -> tuple[GF, LinearCode, dict]:
     doc = _read_json(path, "build file")
     try:
         fld = doc["field"]
-        gf = GF(
-            _integer(fld["p"], "field.p"), _integer(fld["m"], "field.m"),
-            _integers(fld["modulus"], "field.modulus"),
-        )
-        gen = np.array(doc["generator"])
+        field, gen = (fld["p"], fld["m"], fld["modulus"]), np.array(doc["generator"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed build file: {exc!r}") from exc
+    gf = _checked("field", GF, *field)
     return gf, LinearCode(gf, gen), doc
 
 
@@ -231,10 +208,8 @@ def _mindist_report(code: LinearCode, job: dict, args):
         raise ValidationError(
             f"mindist: method must be one of {', '.join(METHODS)}, got {method!r}"
         )
-    try:
-        budget = check_work_budget(budget)
-    except CodeError as exc:
-        raise ValidationError(f"mindist: {exc}") from exc
+    if budget is not None:
+        budget = _positive(budget, "mindist: work budget", ValidationError)
     return min_distance(code, method=method, work_budget=budget)
 
 
@@ -306,13 +281,10 @@ def cmd_decode(args) -> int:
     if "decoder" not in job:
         raise ValidationError("job file has no decoder block")
     spec = job_to_spec(job)
-    gprime = TDivisor(_integers(job["decoder"]["gprime"], "decoder.gprime"))
+    gprime = _checked("decoder.gprime", TDivisor, job["decoder"]["gprime"])
     if len(gprime) != spec.fan.s:
         raise ValidationError("decoder.gprime length does not match the fan")
-    try:
-        list_cap = _positive(job["decoder"].get("list_cap", 256), "decoder.list_cap")
-    except CodeError as exc:
-        raise ValidationError(str(exc)) from exc
+    list_cap = _positive(job["decoder"].get("list_cap", 256), "decoder.list_cap", ValidationError)
     st = decoder_setup(spec, gprime)
     try:
         with open(args.received) as fh:
@@ -347,10 +319,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    try:
-        budget = check_work_budget(args.work_cap)
-    except CodeError as exc:
-        raise ValidationError(f"reproduce: {exc}") from exc
+    budget = args.work_cap
+    if budget is not None:
+        budget = _positive(budget, "reproduce: work budget", ValidationError)
     results = reproduce_table(args.table, work_budget=budget)
     print(format_results(results, args.format))
     bad = [r for r in results if not r.ok]
@@ -362,10 +333,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_rm(args) -> int:
     gf = GF(args.p, args.m_ext)
-    try:
-        q, m, ell = _rm_predicted_inputs(gf.q, args.m, args.ell)
-    except CodeError as exc:
-        raise ValidationError(f"rm: {exc}") from exc
+    q, m, ell = _rm_predicted_inputs(gf.q, args.m, args.ell, ValidationError)
     # over the q^m size cap: CodeError, exit 3, before the closed-form sum,
     # whose cost grows with ell^2 / q
     code = reed_muller(gf, m, ell)
@@ -446,10 +414,7 @@ def main(argv=None) -> int:
         # output goes to devnull so that the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_OUTPUT
-    except ValidationError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (FieldError, FanError) as exc:
+    except (ValidationError, FieldError, FanError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (PoleError, CodeError, SetupError, WorkCapExceeded) as exc:

@@ -162,7 +162,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import GF, FieldError, _is_integer, prime_power
+from .field import GF, FieldError, _integers, _positive, prime_power
 
 
 class CodeError(ValueError):
@@ -603,16 +603,10 @@ def _restored_witness(gf: GF, ties: np.ndarray, n: int, translations: np.ndarray
     return _lexmin(np.array(minima))
 
 
-def _positive(value, what: str) -> int:
-    if not _is_integer(value) or value < 1:
-        raise CodeError(f"{what} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def check_work_budget(work_budget) -> int | None:
     """``work_budget`` if it is None (no budget) or an integer >= 1, else
     CodeError."""
-    return None if work_budget is None else _positive(work_budget, "work budget")
+    return None if work_budget is None else _positive(work_budget, "work budget", CodeError)
 
 
 def _run_tasks(fn, tasks, best_w=None, ties=None, work=0):
@@ -646,7 +640,7 @@ def min_distance_exhaustive(code: LinearCode, work_cap: int = 2_000_000_000) -> 
     """
     gf, G, k, n = code.gf, code.gen, code.k, code.n
     q = gf.q
-    work_cap = _positive(work_cap, "work cap")
+    work_cap = _positive(work_cap, "work cap", CodeError)
     if k == 0:
         raise CodeError("empty code has no minimum distance")
     # the count is compared, never formatted: it may have more digits than
@@ -947,19 +941,11 @@ def _rm_exponents(q: int, m: int, ell: int) -> list[tuple[int, ...]]:
 RM_SIZE_CAP = 1 << 16  # the most points q^m a Reed-Muller code is built on
 
 
-def _rm_params(m, ell) -> tuple[int, int]:
-    """The Reed-Muller parameters m and ell as ints; CodeError unless both
-    are Python or numpy integers (a bool is not one)."""
-    if not _is_integer(m) or not _is_integer(ell):
-        raise CodeError(f"m = {m!r} and ell = {ell!r} must be integers")
-    return int(m), int(ell)
-
-
 def reed_muller(gf: GF, m: int, ell: int) -> LinearCode:
     """Evaluation code of all m-variate monomials of total degree <= ell
     (per-variable degree <= q-1) at every point of GF(q)^m."""
     q = gf.q
-    m, ell = _rm_params(m, ell)
+    m, ell = _integers((m, ell), "m and ell", CodeError)
     if m < 1 or ell < 0:
         raise CodeError("need m >= 1 and ell >= 0")
     n = q**m
@@ -981,18 +967,18 @@ def reed_muller(gf: GF, m: int, ell: int) -> LinearCode:
     return LinearCode(gf, np.array(rows, dtype=np.int16))
 
 
-def _rm_predicted_inputs(q, m, ell) -> tuple[int, int, int]:
+def _rm_predicted_inputs(q, m, ell, error: type[ValueError] = CodeError) -> tuple[int, int, int]:
     """q, m and ell as Python ints (a numpy q would overflow in q^m);
-    CodeError unless q is a prime power and m >= 1 and 0 <= ell <= m(q-1)
+    ``error`` unless q is a prime power and m >= 1 and 0 <= ell <= m(q-1)
     are integers."""
     try:
         p, e = prime_power(q)
     except FieldError as exc:
-        raise CodeError(str(exc)) from exc
+        raise error(str(exc)) from exc
     q = p**e
-    m, ell = _rm_params(m, ell)
+    m, ell = _integers((m, ell), "m and ell", error)
     if m < 1 or not 0 <= ell <= m * (q - 1):
-        raise CodeError(f"need m >= 1 and 0 <= ell <= m(q-1), got m = {m}, ell = {ell}")
+        raise error(f"need m >= 1 and 0 <= ell <= m(q-1), got m = {m}, ell = {ell}")
     return q, m, ell
 
 

@@ -79,12 +79,12 @@ import numpy as np
 
 from .codes import (
     EXHAUSTIVE_LIMIT,
+    CodeError,
     LinearCode,
     WorkCapExceeded,
     _elements,
     _free_columns,
     _null_basis,
-    _positive,
     _rref,
     _solution,
     check_matrix_size,
@@ -92,6 +92,7 @@ from .codes import (
     min_distance,
     null_space,
 )
+from .field import _positive
 from .geometry import (
     TDivisor,
     evaluation_matrix,
@@ -273,7 +274,7 @@ def error_values(
     """Solve the value system against the syndrome s = H r on the candidate
     positions ``nf``, distinct integers in 0..n-1, listing at most
     ``list_cap`` solutions, an integer >= 1 (else ValueError)."""
-    list_cap = _positive(list_cap, "list cap")
+    list_cap = _positive(list_cap, "list cap", CodeError)
     s = _syndrome(s, setup)
     pos = np.asarray(nf)
     nf = pos.tolist()
@@ -339,7 +340,7 @@ def decode(r: np.ndarray, setup: DecoderSetup, list_cap: int = 256) -> DecodeOut
     value system).  The list cap is checked before the word; the outcome's
     locator is the one ``error_locator`` returns."""
     gf = setup.spec.gf
-    list_cap = _positive(list_cap, "list cap")
+    list_cap = _positive(list_cap, "list cap", CodeError)
     s = syndrome(r, setup)
     B = s[setup.bracket_index]  # a fresh array, reduced in place
     rank, pivots = _rref(gf, B)

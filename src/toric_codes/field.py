@@ -119,8 +119,42 @@ class FieldError(ValueError):
 
 
 def _is_integer(value) -> bool:
-    """A Python or numpy integer; a bool is not one."""
+    """The package's one rule for an integer input: a Python or numpy
+    integer, never a bool.  Nothing is converted first, since int() would
+    truncate 2.5 and parse "2".  The helpers below apply it, each raising
+    the error type its caller passes."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _sequence(values, what: str, error: type[ValueError], of: str) -> tuple:
+    """``values`` as a tuple, else ``error`` naming the value: ``of`` says
+    what the sequence should hold.  A string, a mapping or a set is not
+    read as one: its items would be characters, keys, or in no set order."""
+    if not isinstance(values, (str, bytes, dict, set, frozenset)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise error(f"{what} {values!r} must be {of}")
+
+
+def _integers(values, what: str, error: type[ValueError], length: int | None = None) -> tuple[int, ...]:
+    """``values`` as Python ints when each is an integer and, with
+    ``length``, there are that many, else ``error``."""
+    of = f"{'a sequence of' if length is None else length} integers"
+    items = _sequence(values, what, error, of)
+    if length is not None and len(items) != length:
+        raise error(f"{what} {values!r} must be {of}")
+    if not all(map(_is_integer, items)):
+        raise error(f"{what} {items!r} must hold integers")
+    return tuple(int(v) for v in items)
+
+
+def _positive(value, what: str, error: type[ValueError]) -> int:
+    """``value`` as a Python int when it is an integer >= 1, else ``error``."""
+    if not _is_integer(value) or value < 1:
+        raise error(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def is_prime(n: int) -> bool:
@@ -158,9 +192,7 @@ class GF:
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Iterable[int] | None = None):
-        if not _is_integer(p) or not _is_integer(m):
-            raise FieldError(f"p = {p!r} and m = {m!r} must be integers")
-        p, m = int(p), int(m)
+        p, m = _integers((p, m), "p and m", FieldError)
         if m < 1:
             raise FieldError(f"extension degree m = {m} must be >= 1")
         # the cap comes first, so that a huge p or m fails at once
@@ -174,10 +206,7 @@ class GF:
         self.q = q
 
         if modulus is not None:
-            mod = list(modulus)
-            if not all(map(_is_integer, mod)):
-                raise FieldError(f"modulus {mod!r} must hold integers")
-            mod = [int(c) % p for c in mod]
+            mod = [c % p for c in _integers(modulus, "modulus", FieldError)]
             if len(mod) != m + 1 or mod[-1] != 1:
                 raise FieldError("modulus must be monic of degree m")
         elif m == 1:

@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from .field import GF, _is_integer
+from .field import GF, _integers, _is_integer, _sequence
 
 
 class FanError(ValueError):
@@ -45,28 +45,6 @@ class PoleError(ValueError):
 
 
 Vec = tuple[int, int]
-
-
-def _sequence(values, what: str, error: type[ValueError], of: str) -> tuple:
-    """``values`` as a tuple, else ``error`` naming the value: ``of`` says
-    what the sequence should hold."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise error(f"{what} {values!r} must be {of}") from None
-
-
-def _integers(values, what: str, error: type[ValueError], length: int | None = None) -> tuple[int, ...]:
-    """``values`` as Python ints when each is an integer (a bool is not
-    one) and, with ``length``, there are that many, else ``error``: int()
-    would truncate 2.5 and parse "2"."""
-    of = f"{'a sequence of' if length is None else length} integers"
-    items = _sequence(values, what, error, of)
-    if length is not None and len(items) != length:
-        raise error(f"{what} {values!r} must be {of}")
-    if not all(map(_is_integer, items)):
-        raise error(f"{what} {items!r} must hold integers")
-    return tuple(int(v) for v in items)
 
 
 def _det(u: Vec, v: Vec) -> int:
@@ -234,7 +212,6 @@ class LatticePolytope:
             raise PolytopeError("normals/offsets length mismatch")
         self._bounded = self._check_bounded()
         self.vertices = self._compute_vertices() if self._bounded else None
-        self._points: list[Vec] | None = None
 
     # -- geometry ---------------------------------------------------------
 
@@ -346,19 +323,21 @@ class LatticePolytope:
         cuts = self._columns[0]
         return max(0, math.floor(cuts[-1]) - math.ceil(cuts[0]) + 1) if cuts else 0
 
+    @cached_property
+    def _points(self) -> list[Vec]:
+        cuts, lower, upper = self._columns
+        columns = range(math.ceil(cuts[0]), math.floor(cuts[-1]) + 1) if cuts else ()
+        pts = []
+        for t in columns:
+            lo = -min((c * t + d) // e for c, d, e in lower)
+            hi = min((c * t + d) // e for c, d, e in upper)
+            pts.extend((x, t - x) for x in range(lo, hi + 1))
+        return pts
+
     def lattice_points(self) -> list[Vec]:
         """All integer points, graded-lex order (total degree, then lex),
-        listed by columns (see ``_columns``): one step per column and one
-        per point."""
-        if self._points is None:
-            cuts, lower, upper = self._columns
-            columns = range(math.ceil(cuts[0]), math.floor(cuts[-1]) + 1) if cuts else ()
-            pts = []
-            for t in columns:
-                lo = -min((c * t + d) // e for c, d, e in lower)
-                hi = min((c * t + d) // e for c, d, e in upper)
-                pts.extend((x, t - x) for x in range(lo, hi + 1))
-            self._points = pts
+        listed once by columns (see ``_columns``): one step per column and
+        one per point."""
         return self._points
 
     def volume(self) -> Fraction:
@@ -461,6 +440,9 @@ class PointSet(Sequence):
     __slots__ = ("rows",)
 
     def __init__(self, points: Sequence[EvalPoint] = ()):
+        points = _sequence(points, "points", ValueError, "a sequence of points")
+        if not all(isinstance(pt, (TorusPoint, OrbitPoint)) for pt in points):
+            raise ValueError("points must be TorusPoint and OrbitPoint objects")
         # the point fields must be integers, not bools or floats, by the
         # rules of ``_integer_array``; ranges are checked where the field
         # and the fan are known (``_characters``)
@@ -524,10 +506,8 @@ def torus_points(gf: GF) -> PointSet:
 def orbit_points(fan: Fan2D, ray: int, gf: GF) -> PointSet:
     """The q-1 points of the orbit of the 0-based ``ray``, by dlog s."""
     # a bool or a float would be written into the int64 rows as a ray
-    if not _is_integer(ray):
-        raise FanError(f"ray index {ray!r} must be an integer")
-    if not 0 <= ray < fan.s:
-        raise FanError(f"ray index {ray} out of range for a {fan.s}-ray fan")
+    if not (_is_integer(ray) and 0 <= ray < fan.s):
+        raise FanError(f"ray index {ray!r} must be an integer in 0..{fan.s - 1}")
     us = np.array(gf.units(), dtype=np.int64)
     rows = np.ones((len(us), 4), dtype=np.int64)
     rows[:, 1] = ray

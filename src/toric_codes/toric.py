@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import GF
+from .field import GF, _positive
 from .codes import CodeError, LinearCode, check_matrix_size
 from .geometry import (
     EvalPoint,
@@ -214,8 +214,9 @@ def hansen_code(case: str, gf: GF, a: int, b: int = 0, m: int = 1) -> ToricCodeR
     """
     if case not in ("a", "b", "c", "d"):
         raise CodeError(f"unknown case {case!r}")
-    if a <= 0 or (case in ("c", "d") and b <= 0) or (case == "d" and m <= 0):
-        raise CodeError("parameters must be positive")
+    for name, value, read in (("a", a, True), ("b", b, case in ("c", "d")), ("m", m, case == "d")):
+        if read:  # a parameter that the case does not read is not checked
+            _positive(value, name, CodeError)
     fan = hansen_fan(case, m)
     div = hansen_divisor(case, a, b, m)
     return build(ToricCodeSpec(gf, fan, div, default_points(gf, fan)))

@@ -17,6 +17,7 @@ from toric_codes.bounds import (
 )
 from toric_codes.geometry import Fan2D, TDivisor, polytope_of_divisor
 from toric_codes.codes import min_distance_exhaustive
+from toric_codes.tables import FANS
 from toric_codes.toric import toric_code
 
 FAN1 = Fan2D([(2, -1), (-1, 2), (-1, -1)])
@@ -75,6 +76,46 @@ def test_segment_bound_field_cap():
     p = poly(fan2_10, (5, 9, 4))
     assert segment_upper_bound(p, 49, 8) == 49 - 6
     assert segment_upper_bound(p, 49) < 0  # uncapped raw form
+
+
+def segment_walk(poly, n, q=None):
+    """The segment bound by a walk along every run of lattice points, after
+    a translation to nonnegative coordinates: the oracle that
+    ``segment_upper_bound``, which reads per-line extents, must match."""
+    pts = poly.lattice_points()
+    x0 = min(p[0] for p in pts)
+    y0 = min(p[1] for p in pts)
+    pts = {(x - x0, y - y0) for x, y in pts}
+    h = 0
+    for axis in (0, 1):
+        starts = [p for p in pts if (p[0] - (axis == 0), p[1] - (axis == 1)) not in pts]
+        for p in starts:
+            run = 0
+            nxt = (p[0] + (axis == 0), p[1] + (axis == 1))
+            while nxt in pts:
+                run += 1
+                nxt = (nxt[0] + (axis == 0), nxt[1] + (axis == 1))
+            h = max(h, run)
+    if q is not None:
+        h = min(h, q - 2)
+    return n - h
+
+
+def test_segment_bound_matches_the_run_walk():
+    """Random nonempty polytopes over every preset fan, with and without a
+    field cap."""
+    rng = np.random.default_rng(2469)
+    checked = 0
+    for rays in FANS.values():
+        fan = Fan2D(rays)
+        for _ in range(60):
+            p = poly(fan, rng.integers(-4, 9, size=fan.s).tolist())
+            if not p.lattice_points():
+                continue
+            checked += 1
+            for q in (None, 4, 9):
+                assert segment_upper_bound(p, 100, q) == segment_walk(p, 100, q)
+    assert checked >= 400
 
 
 def test_segment_bound_dominates_observed_d():

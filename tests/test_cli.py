@@ -379,9 +379,18 @@ def test_build_over_a_reducible_modulus_exits_2(tmp_path, capsys):
     assert "modulus [1, 0, 1] is reducible over GF(2)" in capsys.readouterr().err
 
 
+def named(name, cases):
+    """``(override, message)`` cases as pytest params with the ids
+    ``{name}{i}-{rule}``: a case that gives three values names the rule it
+    breaks apart from the message that the CLI prints."""
+    return [
+        pytest.param(*case[:2], id=f"{name}{i}-{case[-1]}") for i, case in enumerate(cases)
+    ]
+
+
 @pytest.mark.parametrize(
     "points, message",
-    [
+    named("points", [
         ({"orbit_points": [[4, 1]]}, "orbit point ray 4 out of range 1..3"),
         ({"orbit_points": [[0, 1]]}, "orbit point ray 0 out of range 1..3"),
         ({"orbit_points": [[1, 0]]}, "orbit point s = 0 is not a nonzero element index 1..4"),
@@ -389,13 +398,19 @@ def test_build_over_a_reducible_modulus_exits_2(tmp_path, capsys):
         ({"orbit_points": [[1, -1]]}, "orbit point s = -1 is not a nonzero element index 1..4"),
         ({"orbit_points": [[2, 1], [1, 3], [2, 1]]}, "points.orbit_points repeats [2, 1]"),
         ({"orbits": [2], "orbit_points": [[1, 1], [2, 4]]}, "orbit point [2, 4] lies on the whole orbit of ray 2"),
-        ({"orbit_points": [[1, 1.0]]}, "points.orbit_points must be a list of integers"),
-        ({"orbit_points": [[True, 1]]}, "points.orbit_points must be a list of integers"),
-        ({"orbit_points": [["1", 1]]}, "points.orbit_points must be a list of integers"),
-        ({"orbit_points": [[1, 1, 1]]}, "points.orbit_points must be a list of [ray, s] pairs"),
-        ({"orbit_points": [1, 1]}, "points.orbit_points must be a list of [ray, s] pairs"),
-        ({"orbit_points": {"1": 1}}, "points.orbit_points must be a list of [ray, s] pairs"),
-    ],
+        ({"orbit_points": [[1, 1.0]]}, "points.orbit_points (1, 1.0) must hold integers",
+         "points.orbit_points must be a list of integers"),
+        ({"orbit_points": [[True, 1]]}, "points.orbit_points (True, 1) must hold integers",
+         "points.orbit_points must be a list of integers"),
+        ({"orbit_points": [["1", 1]]}, "points.orbit_points ('1', 1) must hold integers",
+         "points.orbit_points must be a list of integers"),
+        ({"orbit_points": [[1, 1, 1]]}, "points.orbit_points [1, 1, 1] must be 2 integers",
+         "points.orbit_points must be a list of [ray, s] pairs"),
+        ({"orbit_points": [1, 1]}, "points.orbit_points 1 must be 2 integers",
+         "points.orbit_points must be a list of [ray, s] pairs"),
+        ({"orbit_points": {"1": 1}}, "points.orbit_points {'1': 1} must be a list of [ray, s] pairs",
+         "points.orbit_points must be a list of [ray, s] pairs"),
+    ]),
 )
 def test_job_with_a_bad_orbit_point_exits_2(tmp_path, capsys, points, message):
     spec = write_job(tmp_path, points=points)
@@ -475,19 +490,27 @@ def test_build_rejects_malformed_spec(tmp_path, capsys, override):
     assert "input error" in capsys.readouterr().err
 
 
-# values that int() or bool() would turn into a different job
-COERCED = [
-    ({"field": {"p": 2, "m": 2.5}}, "field.m must be an integer"),
-    ({"field": {"p": 5, "m": True}}, "field.m must be an integer"),
-    ({"field": {"p": 5.0}}, "field.p must be an integer"),
-    ({"field": {"p": 2, "m": 2, "modulus": [1, 1, 1.0]}}, "field.modulus must be a list of integers"),
-    ({"fan": {"rays": [[2.0, -1], [-1, 2], [-1, -1]]}}, "fan.rays must be a list of integers"),
-    ({"divisor": [0, 0, 2.5]}, "divisor must be a list of integers"),
-    ({"points": {"orbits": [1.7]}}, "points.orbits must be a list of integers"),
-    ({"points": {"orbits": [True]}}, "points.orbits must be a list of integers"),
+# values that int() or bool() would turn into a different job; the
+# constructors refuse them, and the CLI names the job key first
+COERCED = named("override", [
+    ({"field": {"p": 2, "m": 2.5}}, "field: p and m (2, 2.5) must hold integers",
+     "field.m must be an integer"),
+    ({"field": {"p": 5, "m": True}}, "field: p and m (5, True) must hold integers",
+     "field.m must be an integer"),
+    ({"field": {"p": 5.0}}, "field: p and m (5.0, 1) must hold integers", "field.p must be an integer"),
+    ({"field": {"p": 2, "m": 2, "modulus": [1, 1, 1.0]}}, "field: modulus (1, 1, 1.0) must hold integers",
+     "field.modulus must be a list of integers"),
+    ({"fan": {"rays": [[2.0, -1], [-1, 2], [-1, -1]]}}, "fan.rays: ray (2.0, -1) must hold integers",
+     "fan.rays must be a list of integers"),
+    ({"divisor": [0, 0, 2.5]}, "divisor: divisor (0, 0, 2.5) must hold integers",
+     "divisor must be a list of integers"),
+    ({"points": {"orbits": [1.7]}}, "points.orbits (1.7,) must hold integers",
+     "points.orbits must be a list of integers"),
+    ({"points": {"orbits": [True]}}, "points.orbits (True,) must hold integers",
+     "points.orbits must be a list of integers"),
     ({"points": {"torus": "false"}}, "points.torus must be true or false"),
     ({"points": {"torus": 0}}, "points.torus must be true or false"),
-]
+])
 
 
 @pytest.mark.parametrize("override, message", COERCED)
@@ -495,6 +518,25 @@ def test_job_file_values_are_not_coerced(tmp_path, capsys, override, message):
     spec = write_job(tmp_path, **override)
     assert main(["build", "--spec", spec]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"fan": {"rays": 5}}, "fan.rays: rays 5 must be a sequence of integer pairs"),
+        ({"field": {"p": 2, "m": 2, "modulus": 5}}, "field: modulus 5 must be a sequence of integers"),
+        ({"field": {"p": 2, "m": 2, "modulus": ""}}, "field: modulus '' must be a sequence of integers"),
+        ({"points": {"orbits": {}}}, "points.orbits {} must be a sequence of integers"),
+    ],
+)
+def test_malformed_values_are_named_by_their_job_key(tmp_path, capsys, override, message):
+    """A scalar, a string or an object where a list belongs: the
+    constructors or the shared helpers refuse it, and the message starts
+    with the job key (``COERCED`` holds the non-integer entries)."""
+    spec = write_job(tmp_path, **override)
+    for command in ("build", "mindist"):
+        assert main([command, "--spec", spec]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("cap", ["abc", 2.5, True, -1, 0, None])

@@ -1568,9 +1568,9 @@ def test_rm_constructed_rank_equals_prediction():
 
 def test_rm_errors():
     for m, ell in [(5, 1.5), (True, 1), (2.0, 1), (5, False), ("5", 1), (5, None)]:
-        with pytest.raises(CodeError, match="must be integers"):
+        with pytest.raises(CodeError, match="must hold integers"):
             reed_muller(GF(2), m, ell)
-        with pytest.raises(CodeError, match="must be integers"):
+        with pytest.raises(CodeError, match="must hold integers"):
             rm_predicted_params(2, m, ell)
     assert reed_muller(GF(2), np.int64(3), np.int8(1)).k == rm_predicted_params(2, np.int64(3), np.int8(1))[1] == 4
     assert rm_predicted_params(7, np.int8(100), np.int8(1))[0] == 7**100  # no int8 overflow

@@ -497,6 +497,67 @@ def test_construction_rejects_non_integers(args):
         GF(*args)
 
 
+def boundary_rows():
+    """Per public boundary of the package, its module error and a call
+    with one bad value in the named place.  Each place gets the values of
+    a JSON file that do not belong there: an int where a sequence belongs
+    (a list where an integer does), a string (where a sequence belongs,
+    the empty one too, which iterates as an empty sequence), a float, a
+    bool and None, except where None is the documented default (a field's
+    modulus, no work budget)."""
+    from toric_codes.bounds import BoundsError, hansen_params
+    from toric_codes.codes import CodeError, LinearCode, min_distance, reed_muller
+    from toric_codes.decoder import decode, setup
+    from toric_codes.geometry import (
+        Fan2D, FanError, LatticePolytope, PointSet, PolytopeError, TDivisor, orbit_points,
+    )
+    from toric_codes.toric import ToricCodeSpec, default_points, hansen_code
+
+    fan = Fan2D([(1, 0), (0, 1), (-1, -1)])
+    code = LinearCode(GF(5), [[1, 0, 1, 2], [0, 1, 3, 4]])
+    st = setup(ToricCodeSpec(GF(5), fan, TDivisor((0, 0, 3)), default_points(GF(5), fan)), TDivisor((0, 0, 1)))
+    word = np.zeros(st.n, dtype=np.int16)
+    sequence, scalar = [5, "x", "", 2.0, True, None], [[2], "x", 2.0, True, None]
+    return {
+        "GF.p": (FieldError, lambda bad: GF(bad), scalar),
+        "GF.m": (FieldError, lambda bad: GF(2, bad), scalar),
+        "GF.modulus": (FieldError, lambda bad: GF(2, 3, bad), sequence[:-1]),
+        "GF.modulus-entry": (FieldError, lambda bad: GF(2, 1, [bad, 1]), scalar),
+        "PointSet": (ValueError, lambda bad: PointSet(bad), sequence),
+        "PointSet-entry": (ValueError, lambda bad: PointSet([bad]), scalar),
+        "hansen_code.a": (CodeError, lambda bad: hansen_code("b", GF(5), bad), scalar),
+        "hansen_code.b": (CodeError, lambda bad: hansen_code("c", GF(5), 1, bad), scalar),
+        "hansen_code.m": (CodeError, lambda bad: hansen_code("d", GF(5), 1, 1, bad), scalar),
+        "hansen_params.a": (BoundsError, lambda bad: hansen_params("b", 5, bad), scalar),
+        "hansen_params.b": (BoundsError, lambda bad: hansen_params("c", 5, 1, bad), scalar),
+        "hansen_params.m": (BoundsError, lambda bad: hansen_params("d", 5, 1, 1, bad), scalar),
+        "Fan2D": (FanError, lambda bad: Fan2D(bad), sequence),
+        "Fan2D.ray": (FanError, lambda bad: Fan2D([bad, (0, 1), (-1, -1)]), sequence),
+        "TDivisor": (FanError, lambda bad: TDivisor(bad), sequence),
+        "TDivisor-entry": (FanError, lambda bad: TDivisor((0, 0, bad)), scalar),
+        "LatticePolytope.normals": (PolytopeError, lambda bad: LatticePolytope(bad, (0, 0, 1)), sequence),
+        "LatticePolytope.offsets": (PolytopeError, lambda bad: LatticePolytope(fan.rays, bad), sequence),
+        "orbit_points.ray": (FanError, lambda bad: orbit_points(fan, bad, GF(5)), scalar),
+        "reed_muller.m": (CodeError, lambda bad: reed_muller(GF(2), bad, 1), scalar),
+        "reed_muller.ell": (CodeError, lambda bad: reed_muller(GF(2), 3, bad), scalar),
+        "min_distance.work_budget": (CodeError, lambda bad: min_distance(code, work_budget=bad), scalar[:-1]),
+        "decode.list_cap": (CodeError, lambda bad: decode(word, st, list_cap=bad), scalar),
+    }
+
+
+def test_every_boundary_refuses_malformed_values_with_its_module_error():
+    """The one integer rule (``field._is_integer``) at each boundary: a
+    malformed value raises the module's own error, never a TypeError or
+    an AttributeError from deeper in the code."""
+    for place, (error, call, values) in boundary_rows().items():
+        for bad in values:
+            try:
+                call(bad)
+            except error:
+                continue
+            pytest.fail(f"{place} took {bad!r}")
+
+
 def test_construction_takes_numpy_integers():
     gf = GF(np.int64(2), np.int32(3), np.array([1, 1, 0, 1]))
     assert gf == GF(2, 3, (1, 1, 0, 1))
