@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import _positive
+from .field import FieldError, _positive, prime_power
 from .geometry import Fan2D, LatticePolytope, TDivisor, is_ample, is_cartier, is_smooth
 
 
@@ -33,7 +33,13 @@ class HansenPrediction:
 
 def hansen_params(case: str, q: int, a: int, b: int = 0, m: int = 1) -> HansenPrediction:
     """Exact (n, k, d) for the four families, with the q-range flag under
-    which the closed form is guaranteed."""
+    which the closed form is guaranteed.  q must be a prime power, and each
+    parameter that the case reads an integer >= 1, else BoundsError."""
+    try:
+        p, e = prime_power(q)
+    except FieldError as exc:
+        raise BoundsError(str(exc)) from exc
+    q = p**e
     for name, value, read in (("a", a, True), ("b", b, case in ("c", "d")), ("m", m, case == "d")):
         if read:  # a parameter that the case does not read is not checked
             _positive(value, name, BoundsError)

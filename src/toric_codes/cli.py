@@ -29,7 +29,7 @@ from .codes import (
     rm_predicted_params,
 )
 from .decoder import SetupError, decode as decoder_decode, setup as decoder_setup
-from .field import GF, FieldError, _integers, _positive, _sequence
+from .field import GF, FieldError, _integers, _positive, _sequence, _shown
 from .geometry import Fan2D, FanError, OrbitPoint, PoleError, TDivisor, polytope_of_divisor
 from .reproduce import format_results, reproduce_table
 from .tables import GOLDEN_TABLES
@@ -108,7 +108,7 @@ def job_to_spec(job: dict) -> ToricCodeSpec:
     div = _checked("divisor", TDivisor, job["divisor"])
     torus = pts_cfg.get("torus", True)
     if not isinstance(torus, bool):
-        raise ValidationError(f"points.torus must be true or false, got {torus!r}")
+        raise ValidationError(f"points.torus must be true or false, got {_shown(torus)}")
     # ray numbers are 1-based in files
     orbits = [i - 1 for i in _integers(pts_cfg.get("orbits", []), "points.orbits", ValidationError)]
     singles = [
@@ -206,7 +206,7 @@ def _mindist_report(code: LinearCode, job: dict, args):
     budget = cfg.get("work_cap") if args.work_cap is None else args.work_cap
     if method not in METHODS:
         raise ValidationError(
-            f"mindist: method must be one of {', '.join(METHODS)}, got {method!r}"
+            f"mindist: method must be one of {', '.join(METHODS)}, got {_shown(method)}"
         )
     if budget is not None:
         budget = _positive(budget, "mindist: work budget", ValidationError)

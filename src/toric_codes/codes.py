@@ -292,18 +292,15 @@ def _rref(gf: GF, R: np.ndarray, scan: int | None = None) -> tuple[int, list[int
     return r, pivots
 
 
-def _free_columns(cols: int, pivots: list[int]) -> np.ndarray:
-    """The columns 0..cols-1 that are not pivots, ascending."""
-    free = np.ones(cols, dtype=bool)
-    free[pivots] = False
-    return np.flatnonzero(free)
-
-
 def _null_basis(gf: GF, R: np.ndarray, pivots: list[int], cols: int) -> np.ndarray:
     """Null-space basis of the first ``cols`` columns of a reduced matrix R
     with the given pivot columns: the vector for free column f has x_f = 1
-    and x_p = -R[row of p, f] at each pivot p."""
-    free = _free_columns(cols, pivots)
+    and x_p = -R[row of p, f] at each pivot p.  The free columns come from
+    one mask over all ``cols`` columns, a numpy pass, as ``dual`` needs at
+    n in the hundreds; ``decode`` lists its few free columns itself."""
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = np.zeros((free.size, cols), dtype=np.int16)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = gf.neg_table[R[: len(pivots), free]].T

@@ -35,10 +35,21 @@ which maps element indices to element indices.  So:
   sum along each row;
 - the bracket matrix s[bracket_index] and the value matrix [H[:, N] | s]
   are fresh arrays that ``codes._rref``, the pivot loop of ``rref``
-  without its entry check and copy, reduces in place;
+  without its entry check and copy, reduces in place; the value matrix is
+  one int16 array, written by ``H.take(N, axis=1, out=...)`` and then s;
 - the candidate step forms its rho x |free| x n products in one ``_mul``
   and adds them, one pivot row at a time, into the free rows of the
   locator table with ``GF._iadd``.
+
+Each index a word needs is formed once and read with ``take``.  The free
+columns are one intp array, listed from the pivots that the reduction
+returns (a few of ell = dim L(G') columns; ``codes._null_basis`` masks
+all of its columns instead, as ``dual`` needs at n in the hundreds): they
+give the null-basis coefficients and the free rows of the locator table.
+The pivot list gives its pivot rows and the outcome's locator.  The
+candidate set N is the ``nonzero`` array of the zero test: it gives the
+columns of the value matrix and the positions of the errors, and becomes
+a list once, for ``DecodeOutcome.zero_set``.
 
 The flat products read an index >= q as another row of the table, which
 is why only operands made this way reach them; ``matmul`` and ``rref``
@@ -83,7 +94,6 @@ from .codes import (
     LinearCode,
     WorkCapExceeded,
     _elements,
-    _free_columns,
     _null_basis,
     _rref,
     _solution,
@@ -277,22 +287,26 @@ def error_values(
     list_cap = _positive(list_cap, "list cap", CodeError)
     s = _syndrome(s, setup)
     pos = np.asarray(nf)
-    nf = pos.tolist()
     if pos.ndim != 1 or (
         pos.size
         and (pos.dtype.kind not in "iu" or pos.min() < 0 or pos.max() >= setup.n
-             or len(set(nf)) != len(nf))
+             or len(set(pos.tolist())) != pos.size)
     ):
         raise ValueError(f"candidate positions must be distinct integers in 0..{setup.n - 1}")
-    return _values(s, nf, setup, list_cap)
+    return _values(s, pos.astype(np.intp), setup, list_cap)
 
 
-def _values(s: np.ndarray, nf: list[int], setup: DecoderSetup, list_cap: int) -> DecodeOutcome:
-    """``error_values`` on inputs it has checked, or that ``decode`` made."""
-    gf, H, t = setup.spec.gf, setup.result.eval_matrix, len(nf)
+def _values(s: np.ndarray, nf: np.ndarray, setup: DecoderSetup, list_cap: int) -> DecodeOutcome:
+    """``error_values`` on inputs it has checked, or that ``decode`` made:
+    the candidate positions ``nf`` as an intp array, read as one until the
+    outcome lists them."""
+    gf, H, t = setup.spec.gf, setup.result.eval_matrix, nf.size
     within = t <= setup.zero_cap
-    # one reduction of [H[:, nf] | s]; an empty nf solves only a zero syndrome
-    R = np.concatenate([H[:, nf], s[:, None]], axis=1)
+    # one reduction of [H[:, nf] | s], written into one array; an empty nf
+    # solves only a zero syndrome
+    R = np.empty((len(H), t + 1), dtype=np.int16)
+    H.take(nf, axis=1, out=R[:, :t])
+    R[:, t] = s
     rank, pivots = _rref(gf, R)
     x = _solution(R, rank, pivots)
     count = 0 if x is None else gf.q ** (t - rank)  # number of solutions
@@ -300,7 +314,7 @@ def _values(s: np.ndarray, nf: list[int], setup: DecoderSetup, list_cap: int) ->
     if x is None:
         diagnostics = (
             "inconsistent value system (locator missed an error position)"
-            if nf
+            if t
             else "empty candidate set but nonzero syndrome"
         )
     elif count > list_cap:
@@ -326,7 +340,7 @@ def _values(s: np.ndarray, nf: list[int], setup: DecoderSetup, list_cap: int) ->
         status=status,
         errors_found=found,
         locator=None,
-        zero_set=nf,
+        zero_set=nf.tolist(),
         within_zero_cap=within,
         diagnostics=diagnostics,
     )
@@ -347,16 +361,18 @@ def decode(r: np.ndarray, setup: DecoderSetup, list_cap: int = 256) -> DecodeOut
     ell = B.shape[1]
     if rank == ell:
         return DecodeOutcome("fail", None, None, [], diagnostics=_NO_LOCATOR)
-    free = _free_columns(ell, pivots)
-    coef = gf.neg_table[B[:rank, free]]  # column k: the pivot entries of null vector k
+    # the free columns, ascending as the pivots are, as one index array
+    free = np.array([c for c in range(ell) if c not in pivots], dtype=np.intp)
+    # column k: the pivot entries of null vector k
+    coef = gf.neg_table.take(B[:rank].take(free, axis=1))
     L = setup.locator
     # the twisted values of the null basis: its free rows of L plus, folded
     # one pivot at a time, coef[i, k] times pivot row i of L
-    values = L[free]
-    for Y in gf._mul(coef[:, :, None], L[pivots][:, None]):
+    values = L.take(free, axis=0)
+    for Y in gf._mul(coef[:, :, None], L.take(pivots, axis=0)[:, None]):
         gf._iadd(values, Y)
-    out = _values(s, np.flatnonzero(~values.any(axis=0)).tolist(), setup, list_cap)
+    out = _values(s, (~values.any(axis=0)).nonzero()[0], setup, list_cap)
     out.locator = np.zeros(ell, dtype=np.int16)
     out.locator[free[0]] = 1
-    out.locator[pivots] = coef[:, 0]
+    out.locator.put(pivots, coef[:, 0])
     return out

@@ -76,11 +76,15 @@ integers.
 from __future__ import annotations
 
 import math
+import reprlib
 from typing import Iterable, Sequence
 
 import numpy as np
 
 MAX_Q = 1024
+
+# the most characters of an input value that an error message shows
+_SHOWN_CHARS = 200
 
 # Lexicographically smallest monic primitive polynomial per (p, m).
 # Coefficient tuples are low-degree-first and include the leading 1.
@@ -126,6 +130,18 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """repr(value) when it has at most ``_SHOWN_CHARS`` characters, else
+    the abbreviation of ``reprlib.repr``, cut to that length: an error
+    message names a bad input without printing all of a long one."""
+    text = repr(value)
+    if len(text) > _SHOWN_CHARS:
+        text = reprlib.repr(value)
+        if len(text) > _SHOWN_CHARS:
+            text = text[: _SHOWN_CHARS - 3] + "..."
+    return text
+
+
 def _sequence(values, what: str, error: type[ValueError], of: str) -> tuple:
     """``values`` as a tuple, else ``error`` naming the value: ``of`` says
     what the sequence should hold.  A string, a mapping or a set is not
@@ -135,7 +151,7 @@ def _sequence(values, what: str, error: type[ValueError], of: str) -> tuple:
             return tuple(values)
         except TypeError:
             pass
-    raise error(f"{what} {values!r} must be {of}")
+    raise error(f"{what} {_shown(values)} must be {of}")
 
 
 def _integers(values, what: str, error: type[ValueError], length: int | None = None) -> tuple[int, ...]:
@@ -144,16 +160,16 @@ def _integers(values, what: str, error: type[ValueError], length: int | None = N
     of = f"{'a sequence of' if length is None else length} integers"
     items = _sequence(values, what, error, of)
     if length is not None and len(items) != length:
-        raise error(f"{what} {values!r} must be {of}")
+        raise error(f"{what} {_shown(values)} must be {of}")
     if not all(map(_is_integer, items)):
-        raise error(f"{what} {items!r} must hold integers")
+        raise error(f"{what} {_shown(items)} must hold integers")
     return tuple(int(v) for v in items)
 
 
 def _positive(value, what: str, error: type[ValueError]) -> int:
     """``value`` as a Python int when it is an integer >= 1, else ``error``."""
     if not _is_integer(value) or value < 1:
-        raise error(f"{what} must be an integer >= 1, got {value!r}")
+        raise error(f"{what} must be an integer >= 1, got {_shown(value)}")
     return int(value)
 
 
@@ -172,7 +188,7 @@ def prime_power(q) -> tuple[int, int]:
     """(p, m) with q = p^m for a prime p; FieldError unless q is such an
     integer (a bool is not one)."""
     if not _is_integer(q):
-        raise FieldError(f"q = {q!r} is not a prime power")
+        raise FieldError(f"q = {_shown(q)} is not a prime power")
     q = int(q)
     # the least divisor p >= 2 of q is prime, and q is a prime power iff q = p^m
     p = next((d for d in range(2, math.isqrt(max(q, 0)) + 1) if q % d == 0), q)
@@ -180,7 +196,7 @@ def prime_power(q) -> tuple[int, int]:
     while 1 < p and p**m < q:
         m += 1
     if p < 2 or p**m != q:
-        raise FieldError(f"q = {q} is not a prime power")
+        raise FieldError(f"q = {_shown(q)} is not a prime power")
     return p, m
 
 

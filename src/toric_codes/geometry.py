@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from .field import GF, _integers, _is_integer, _sequence
+from .field import GF, _integers, _is_integer, _sequence, _shown
 
 
 class FanError(ValueError):
@@ -507,7 +507,7 @@ def orbit_points(fan: Fan2D, ray: int, gf: GF) -> PointSet:
     """The q-1 points of the orbit of the 0-based ``ray``, by dlog s."""
     # a bool or a float would be written into the int64 rows as a ray
     if not (_is_integer(ray) and 0 <= ray < fan.s):
-        raise FanError(f"ray index {ray!r} must be an integer in 0..{fan.s - 1}")
+        raise FanError(f"ray index {_shown(ray)} must be an integer in 0..{fan.s - 1}")
     us = np.array(gf.units(), dtype=np.int64)
     rows = np.ones((len(us), 4), dtype=np.int64)
     rows[:, 1] = ray

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,39 @@ def test_hansen_params_table_rows():
     assert not p.in_range and p.k == 15
     p = hansen_params("a", 9, 2)
     assert p.in_range and p.k == 9
+
+
+@pytest.mark.parametrize("q", ["x", 6, 2.5, True, 1])
+def test_hansen_params_refuses_a_q_that_is_not_a_prime_power(q):
+    with pytest.raises(BoundsError, match=re.escape(f"q = {q!r} is not a prime power")):
+        hansen_params("b", q, 2)
+
+
+# every call of hansen_params in the tests and demo 03, with the (n, k, d,
+# in_range) recorded before q was checked
+HANSEN_PREDICTIONS = {
+    ("b", 7, 2, 0, 1): (36, 6, 24, True),
+    ("c", 5, 1, 1, 1): (16, 4, 9, True),
+    ("b", 5, 5, 0, 1): (16, 21, -4, False),
+    ("b", 5, 4, 0, 1): (16, 15, 0, False),
+    ("a", 9, 2, 0, 1): (64, 9, 32, True),
+    ("b", 5, 2, 0, 1): (16, 6, 8, True),
+    ("a", 7, 2, 0, 1): (36, 9, 12, True),
+    ("d", 5, 1, 1, 1): (16, 5, 8, True),
+    ("d", 8, 2, 1, 1): (49, 9, 28, True),
+    ("b", 7, 3, 0, 1): (36, 10, 18, True),
+    ("b", 8, 2, 0, 1): (49, 6, 35, True),
+}
+
+
+def test_hansen_predictions_are_unchanged_by_the_q_check():
+    """A prime power q, Python or numpy, gives the recorded prediction in
+    Python ints."""
+    for (case, q, a, b, m), want in HANSEN_PREDICTIONS.items():
+        for q_in in (q, np.int64(q)):
+            p = hansen_params(case, q_in, a, b, m)
+            assert (p.n, p.k, p.d, p.in_range) == want
+            assert all(type(v) is int for v in (p.n, p.k, p.d))
 
 
 # -- segment bound -------------------------------------------------------------

@@ -539,6 +539,26 @@ def test_malformed_values_are_named_by_their_job_key(tmp_path, capsys, override,
         assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+# the longest stderr a refused value may give: the value is shown in at
+# most 200 characters (``field._SHOWN_CHARS``)
+REFUSAL_CHARS = 300
+
+
+@pytest.mark.parametrize(
+    "override, start",
+    [
+        ({"divisor": [0] * 100_000 + [2.5]}, "input error: divisor: "),
+        ({"points": {"torus": [1] * 100_000}}, "input error: points.torus "),
+        ({"mindist": {"method": ["auto"] * 100_000}}, "input error: mindist: method "),
+    ],
+)
+def test_a_long_refused_value_gives_one_short_line(tmp_path, capsys, override, start):
+    spec = write_job(tmp_path, **override)
+    assert main(["mindist", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1 and len(err) < REFUSAL_CHARS
+
+
 @pytest.mark.parametrize("cap", ["abc", 2.5, True, -1, 0, None])
 def test_decode_list_cap_must_be_a_positive_integer(tmp_path, capsys, cap):
     spec = write_job(

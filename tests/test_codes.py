@@ -275,6 +275,44 @@ def test_dual_matches_the_checked_construction(p, m):
             same_code(h.dual(), oracle.dual())
 
 
+def reference_null_basis(gf, R, pivots, cols):
+    """The null basis entry by entry: for the k-th free column f, in
+    ascending order, x_f = 1 and x_p = -R[i, f] at the pivot p of row i."""
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int16)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        for i, p in enumerate(pivots):
+            basis[k, p] = gf.neg(int(R[i, f]))
+    return basis
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (2, 3), (3, 2)])
+def test_null_basis_and_dual_match_the_entrywise_definition(p, m):
+    """``_null_basis``, which finds the free columns by one mask, against
+    the definition on fixed-seed random reduced matrices, wide, tall and
+    rank-deficient, also on the first columns of a consistent augmented
+    system (the value system's case); ``dual()`` is that basis."""
+    gf = GF(p, m)
+    rng = np.random.default_rng([41, p, m])
+    # rows, columns, rank at most
+    shapes = [(3, 12, 3), (5, 300, 5), (12, 4, 4), (30, 9, 9), (8, 8, 3), (10, 25, 4), (20, 7, 2), (6, 6, 0)]
+    for rows, cols, rank in shapes:
+        M = random_matrix(gf, rows, cols, rank, rng)
+        R, r, pivots = rref(gf, M)
+        want = reference_null_basis(gf, R, pivots, cols)
+        got = _null_basis(gf, R, pivots, cols)
+        assert got.dtype == np.int16 and got.shape == want.shape == (cols - r, cols)
+        assert np.array_equal(got, want)
+        if 0 < r < cols:
+            assert np.array_equal(LinearCode(gf, M).dual().gen, want)
+        # [M | M x]: the last column is never a pivot
+        b = matvec(gf, M, rng.integers(0, gf.q, size=cols).astype(np.int16))
+        R, r, pivots = rref(gf, np.column_stack([M, b]))
+        assert pivots[-1:] != [cols]
+        assert np.array_equal(_null_basis(gf, R, pivots, cols), reference_null_basis(gf, R, pivots, cols))
+
+
 def test_dual_skips_the_checks_of_outside_input(monkeypatch):
     import toric_codes.codes as codes
 

@@ -552,7 +552,7 @@ def test_list_cap_message_of_a_count_past_the_digit_limit():
     n = 2400
     setup = SimpleNamespace(spec=SimpleNamespace(gf=GF(2, 6)), zero_cap=n, n=n,
                             result=SimpleNamespace(eval_matrix=np.zeros((1, n), dtype=np.int16)))
-    out = decoder._values(np.zeros(1, dtype=np.int16), list(range(n)), setup, 256)
+    out = decoder._values(np.zeros(1, dtype=np.int16), np.arange(n), setup, 256)
     assert (out.status, out.diagnostics) == ("fail", "64^2400 candidate solutions exceed the list cap 256")
 
 
@@ -797,6 +797,27 @@ def test_decode_matches_the_generic_chain(case):
     # an all-zero bracket matrix, a full-rank one, and every expected outcome
     assert {0, min(st.bracket_index.shape)} <= ranks
     assert {OUTCOMES[o] for o in reached} <= set(seen), seen
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_decode_outcomes_leave_the_index_arrays_behind(case):
+    """``decode`` carries its candidate set as an index array; the outcome
+    lists it as Python ints, and its errors and locator are int16, on the
+    words of ``test_decode_matches_the_generic_chain``."""
+    make, seed, most, _ = CHAIN_CASES[case]
+    st = make()
+    rng = np.random.default_rng(seed)
+    words = [r for r, _ in planted_words(st, rng, [j % (most + 1) for j in range(240)])]
+    words += [rng.integers(0, st.spec.gf.q, size=st.n).astype(np.int16) for _ in range(40)]
+    words.append(np.zeros(st.n, dtype=np.int16))
+    for r in words:
+        for cap in (256, 1):
+            out = decode(r, st, list_cap=cap)
+            assert type(out.zero_set) is list and all(type(i) is int for i in out.zero_set)
+            found = out.errors_found
+            for e in [] if found is None else found if out.status == "list" else [found]:
+                assert e.dtype == np.int16 and e.shape == (st.n,)
+            assert out.locator is None or out.locator.dtype == np.int16
 
 
 def test_boundary_overload_never_wrong_unique():

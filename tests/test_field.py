@@ -1,5 +1,6 @@
 import itertools
 import re
+import reprlib
 import time
 import tracemalloc
 
@@ -528,6 +529,7 @@ def boundary_rows():
         "hansen_code.a": (CodeError, lambda bad: hansen_code("b", GF(5), bad), scalar),
         "hansen_code.b": (CodeError, lambda bad: hansen_code("c", GF(5), 1, bad), scalar),
         "hansen_code.m": (CodeError, lambda bad: hansen_code("d", GF(5), 1, 1, bad), scalar),
+        "hansen_params.q": (BoundsError, lambda bad: hansen_params("b", bad, 2), scalar),
         "hansen_params.a": (BoundsError, lambda bad: hansen_params("b", 5, bad), scalar),
         "hansen_params.b": (BoundsError, lambda bad: hansen_params("c", 5, 1, bad), scalar),
         "hansen_params.m": (BoundsError, lambda bad: hansen_params("d", 5, 1, 1, bad), scalar),
@@ -556,6 +558,55 @@ def test_every_boundary_refuses_malformed_values_with_its_module_error():
             except error:
                 continue
             pytest.fail(f"{place} took {bad!r}")
+
+
+def refusal(call) -> str:
+    """The message of the ValueError that ``call`` raises."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+def test_refusals_show_a_short_value_in_full():
+    """Messages recorded before long values were abbreviated: a value of
+    at most ``_SHOWN_CHARS`` characters is shown as its repr."""
+    from toric_codes.geometry import Fan2D, TDivisor, orbit_points
+    from toric_codes.field import prime_power
+
+    fan = Fan2D([(1, 0), (0, 1), (-1, -1)])
+    recorded = {
+        "divisor (0, 0, 2.5) must hold integers": lambda: TDivisor((0, 0, 2.5)),
+        "divisor 'abc' must be a sequence of integers": lambda: TDivisor("abc"),
+        "divisor {'a': 1} must be a sequence of integers": lambda: TDivisor({"a": 1}),
+        "divisor 5 must be a sequence of integers": lambda: TDivisor(5),
+        "ray (1, 'x') must hold integers": lambda: Fan2D([(1, 0), (0, 1), (1, "x")]),
+        "modulus (1, 1, 0.5, 1) must hold integers": lambda: GF(2, 3, [1, 1, 0.5, 1]),
+        f"q = {'x' * 50!r} is not a prime power": lambda: prime_power("x" * 50),
+        "ray index [7, 7, 7, 7, 7] must be an integer in 0..2": lambda: orbit_points(fan, [7] * 5, GF(5)),
+        "divisor (np.float64(0.0), np.float64(0.5), np.float64(1.0), np.float64(1.5), "
+        "np.float64(2.0), np.float64(2.5)) must hold integers": lambda: TDivisor(np.arange(6) / 2),
+    }
+    for message, call in recorded.items():
+        assert refusal(call) == message
+
+
+def test_refusals_abbreviate_a_long_value():
+    """A long value is shown by reprlib's abbreviation, cut to
+    ``_SHOWN_CHARS`` characters, never in full."""
+    from toric_codes.field import _SHOWN_CHARS, _integers, _positive, _shown, prime_power
+    from toric_codes.geometry import TDivisor
+
+    message = refusal(lambda: TDivisor([0] * 100000 + [2.5]))
+    assert message == "divisor (0, 0, 0, 0, 0, 0, ...) must hold integers"
+    nested = [[[list(range(100))] * 6] * 6] * 6
+    for value in ("x" * 10_000, list(range(100_000)), np.zeros(100_000), -10**300, nested):
+        assert len(_shown(value)) <= _SHOWN_CHARS
+        for call in (lambda: _integers(value, "v", FieldError, 3), lambda: _positive(value, "v", FieldError),
+                     lambda: prime_power(value)):
+            assert len(refusal(call)) <= _SHOWN_CHARS + 60
+    # the shown form is repr up to the limit, and reprlib's past it
+    assert _shown("x" * (_SHOWN_CHARS - 2)) == repr("x" * (_SHOWN_CHARS - 2))
+    assert _shown("x" * (_SHOWN_CHARS - 1)) == reprlib.repr("x" * (_SHOWN_CHARS - 1)) == "'" + "x" * 12 + "..." + "x" * 13 + "'"
 
 
 def test_construction_takes_numpy_integers():
