@@ -135,11 +135,7 @@ def _shown(value) -> str:
     the abbreviation of ``reprlib.repr``, cut to that length: an error
     message names a bad input without printing all of a long one."""
     text = repr(value)
-    if len(text) > _SHOWN_CHARS:
-        text = reprlib.repr(value)
-        if len(text) > _SHOWN_CHARS:
-            text = text[: _SHOWN_CHARS - 3] + "..."
-    return text
+    return text if len(text) <= _SHOWN_CHARS else reprlib.repr(value)[:_SHOWN_CHARS]
 
 
 def _sequence(values, what: str, error: type[ValueError], of: str) -> tuple:
