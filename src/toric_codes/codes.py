@@ -98,22 +98,32 @@ result: d, work and witness stay bit for bit.  CHANGES.md records the
 measurements behind the leaves, the buffer and the two torus paragraphs
 below.
 
-Torus translations.  When n = (q-1)^2, q >= 3, and the code is invariant
-under the torus translations (t1, t2) -> (s1 t1, s2 t2) (checked on the
-first reduced generator: rolling the (q-1) x (q-1) grid of coordinates one
-step along each axis maps every row into the row space, compared on the
-n - k non-pivot columns), the translation
-group acts regularly on the coordinates and the engine enumerates its first
-systematic matrix only, on information set I.  A word of information weight
-at most w on a translate sI is the translate of a word of information weight
-at most w on I, of the same weight.  So after level w every word that is not
-a translate of an enumerated word has at least w+1 nonzeros on each of the n
-translates of I; each coordinate lies in exactly k of them, so its weight is
-at least ceil(n (w+1) / k) (ceil(n / k) before level 1).  The witness is the
-lex-min over every translate of the least-weight words.  Every torus-only
-code in the fixed point order qualifies, since a translation multiplies each
-character by a constant; codes with orbit points, Reed-Muller codes and
-random codes keep the disjoint information sets.
+Torus translations.  Coordinate i N + j of a code on the (q-1)^2 torus
+points in the fixed order, N = q-1 >= 2, is the point (a^i, a^j), and a
+translation (t1, t2) -> (s1 t1, s2 t2) rolls this N x N grid.  It
+multiplies every character row by a constant, so an evaluation code on
+these points is invariant by construction (Little and Schwarz, AAECC
+2007): ``toric.build`` marks such a code, and ``dual()`` copies the mark,
+since a coordinate permutation fixes a code exactly when it fixes its dual
+(``LinearCode._translation_grid``, N or None).  Every other code is checked
+on its first reduced generator: rolling the grid one step along each axis
+maps every row into the row space, compared on the n - k non-pivot
+columns (``_torus_translations``, which answers N or None).  On an
+invariant code the translation group acts regularly on the coordinates and
+the engine enumerates its first systematic matrix only, on information set
+I.  A word of information weight at most w on a translate sI is the
+translate of a word of information weight at most w on I, of the same
+weight.  So after level w every word that is not a translate of an
+enumerated word has at least w+1 nonzeros on each of the n translates of
+I; each coordinate lies in exactly k of them, so its weight is at least
+ceil(n (w+1) / k) (ceil(n / k) before level 1).  The witness is the
+lex-min over every translate of the least-weight words.  The translates
+are formed from N alone, as strided windows of each word's grid doubled
+along both axes, in blocks of at most max(2^18, N n) entries: while n^2 <=
+2^18 (n <= 512), several ties with all n translates each; above it, one
+tie with some grid rows of translates (``_witness_blocks``).  Codes with
+orbit points, another point order, Reed-Muller codes and random codes
+fail the check and keep the disjoint information sets.
 
 The last level through row 0.  Before a level w >= 2, with best the least
 weight found so far: if (k-1) best < n w, the level enumerates only the
@@ -138,12 +148,13 @@ have enumerated at that weight.
 Products.  ``matmul`` is the public product kernel: ``matvec``,
 syndromes of a ``LinearCode``, codewords and the decoder's stage functions
 run through it.  Per block of the inner axis it takes one broadcast
-``vmul`` of shape (rows, width, cols), one ``vsum`` over the width and one
+product of shape (rows, width, cols), one ``vsum`` over the width and one
 ``vadd`` into the result, with width max(1, 2^18 // (rows cols)).  No
 temporary then holds more than max(2^18, rows cols) entries: a small
 product is a single broadcast, and one with rows cols > 2^18 runs one
-inner index at a time.  It checks only the dtypes of its operands, so it
-keeps the 2-D gather of ``vmul``, which raises on an index >= q.
+inner index at a time.  It checks every entry of both operands once, on
+entry (``_elements``, as ``rref`` does), so its products are the flat
+``GF._mul``, which an index >= q would misread.
 ``decode``'s per-word products, the syndrome and the candidate step, run
 on operands it has checked or made (decoder module docstring) through the
 flat ``GF._mul``; the candidate step multiplies the negated reduced rows
@@ -162,7 +173,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import GF, FieldError, _integers, _positive, prime_power
+from .field import GF, FieldError, _integers, _positive, _shown, prime_power
 
 
 class CodeError(ValueError):
@@ -211,9 +222,11 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
     """Reduced row echelon form by exact field arithmetic.
 
     col_order optionally gives the column scan order (used to steer pivots
-    into chosen information sets).  Returns (R, rank, pivot_columns).  The
-    entries of ``mat`` must be element indices 0..q-1 of an integer array,
-    else CodeError; they are checked once, on entry.  The columns are
+    into chosen information sets): distinct integers 0..cols-1, else
+    CodeError; only its columns are scanned for pivots.
+    Returns (R, rank, pivot_columns).  The entries of ``mat`` must be
+    element indices 0..q-1 of an integer array, else CodeError; they are
+    checked once, on entry.  The columns are
     permuted into scan order, reduced by ``_rref`` on that copy, and put
     back.
     """
@@ -225,12 +238,18 @@ def rref(gf: GF, mat: np.ndarray, col_order=None) -> tuple[np.ndarray, int, list
         rank, pivots = _rref(gf, R)
         return R, rank, pivots
     cols = R.shape[1]
-    perm = np.asarray(list(col_order), dtype=np.intp)
+    order = _integers(col_order, "column order", CodeError)
     unscanned = np.ones(cols, dtype=bool)
-    unscanned[perm] = False
+    if not order or (min(order) >= 0 and max(order) < cols):
+        perm = np.array(order, dtype=np.intp)
+        unscanned[perm] = False
+    # a column out of range leaves every column unscanned, a repeated one more
+    # than the order leaves out
+    if np.count_nonzero(unscanned) != cols - len(order):
+        raise CodeError(f"column order {_shown(col_order)} must hold distinct columns 0..{cols - 1}")
     perm = np.concatenate([perm, np.flatnonzero(unscanned)])
     R = R.take(perm, axis=1)  # row-major, as the row updates need
-    rank, pivots = _rref(gf, R, len(col_order))
+    rank, pivots = _rref(gf, R, len(order))
     out = np.empty_like(R)
     out[:, perm] = R
     return out, rank, [int(perm[c]) for c in pivots]
@@ -317,21 +336,22 @@ def null_space(gf: GF, mat: np.ndarray) -> np.ndarray:
 def matmul(gf: GF, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact matrix product over the field, the one product kernel (module
     docstring): per block of the inner axis, one broadcast product and one
-    field sum, added into the result.  A and B must be integer arrays, else
-    CodeError; their entries are element indices that the caller checked
-    (a check of every entry would cost ``decode`` a pass per product)."""
+    field sum, added into the result.  A and B must be integer arrays of
+    element indices 0..q-1, else CodeError; every entry is checked once, on
+    entry, so the flat ``GF._mul`` forms the products."""
     A, B = np.asarray(A), np.asarray(B)
     if A.dtype.kind not in "iu" or B.dtype.kind not in "iu":
         raise CodeError(f"operands must be integer arrays, got dtypes {A.dtype} and {B.dtype}")
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise CodeError("length mismatch")
+    A, B = _elements(gf, A, "operand"), _elements(gf, B, "operand")
     (rows, inner), cols = A.shape, B.shape[1]
     width = max(1, _PRODUCT_BLOCK // max(1, rows * cols))
     out = None
     # an empty inner axis still takes one empty block, whose sum is zero
     for s in range(0, max(inner, 1), width):
         blk = slice(s, s + width)
-        block = gf.vsum(gf.vmul(A[:, blk, None], B[None, blk]), axis=1)
+        block = gf.vsum(gf._mul(A[:, blk, None], B[None, blk]), axis=1)
         out = block if out is None else gf.vadd(out, block)
     return out
 
@@ -418,6 +438,11 @@ class LinearCode:
     k: int
     d: int | None
     warnings: list[str]
+    # N when the code is invariant under the rolls of its N x N coordinate
+    # grid by construction: ``toric.build`` marks the codes on the torus
+    # points in the fixed order, and a dual copies its primal's mark.  The
+    # distance engine checks every other code itself (module docstring).
+    _translation_grid: int | None = None
 
     def __init__(self, gf: GF, rows):
         self.gf = gf
@@ -457,6 +482,8 @@ class LinearCode:
         check_matrix_size(self.n - self.k, self.n, "dual generator")
         R, pivots = self._reduced
         code = LinearCode._of_null_basis(self.gf, _null_basis(self.gf, R, pivots, self.n))
+        # a coordinate permutation fixes a code exactly when it fixes its dual
+        code._translation_grid = self._translation_grid
         if self.k == self.n:
             code.warnings.append("dual of the full space is the zero code")
         return code
@@ -556,47 +583,90 @@ def _reduce_results(results, best_w=None, ties=None, work=0):
     return best_w, ties, work
 
 
-def _witness(gf: GF, ties: np.ndarray, n: int, translations: np.ndarray | None = None):
-    """The lex-min word among the packed ties or, with ``translations`` (one
-    coordinate permutation per row), among every translate of every tie.
-    It unpacks the ties in blocks whose words, with their T translates
-    each (T = 1 without), hold at most max(_PRODUCT_BLOCK, T n) entries,
-    and takes the lex-min of the block minima."""
-    T = 1 if translations is None else len(translations)
-    per = max(1, _PRODUCT_BLOCK // (T * n))
+def _witness_blocks(n: int, N: int | None) -> tuple[int, list[tuple[int, int]]]:
+    """How the witness routines cut their work: (ties per block, the ranges
+    a0..a1 of grid rows whose translates (a, b), a0 <= a < a1, one block
+    forms).  A block holds at most max(_PRODUCT_BLOCK, N n) entries, and
+    max(_PRODUCT_BLOCK, n) without translations (N None, no ranges): while
+    n^2 <= _PRODUCT_BLOCK, as many ties as fit with all n translates each;
+    above it, one tie with as many grid rows of translates as fit."""
+    if N is None:
+        return max(1, _PRODUCT_BLOCK // n), []
+    rows = max(1, _PRODUCT_BLOCK // (N * n))
+    if rows >= N:
+        return max(1, _PRODUCT_BLOCK // (n * n)), [(0, N)]
+    return 1, [(a, min(a + rows, N)) for a in range(0, N, rows)]
+
+
+def _grid_translates(words: np.ndarray, N: int, a0: int, a1: int) -> np.ndarray:
+    """The torus translates (a, b) of each word, a0 <= a < a1 and
+    0 <= b < N, in (a, b) order: shape (words, (a1 - a0) N, N^2).
+    Translate (a, b) rolls the N x N coordinate grid by a along its first
+    axis and b along its second, so its entry i N + j is the word's entry
+    ((i - a) mod N) N + (j - b) mod N.  Each grid is doubled along both
+    axes, and translate (a, b) is its N x N window at (N - a, N - b), read
+    as one strided view and copied; no index table is formed."""
+    B = len(words)
+    doubled = np.empty((B, 2, N, 2, N), dtype=words.dtype)
+    doubled[...] = words.reshape(B, 1, N, 1, N)
+    doubled = doubled.reshape(B, 2 * N, 2 * N)
+    s0, s1, s2 = doubled.strides
+    windows = np.ndarray((B, a1 - a0, N, N, N), doubled.dtype, doubled,
+                         (N - a0) * s1 + N * s2, (s0, -s1, -s2, s1, s2))
+    return windows.reshape(B, (a1 - a0) * N, N * N)
+
+
+def _witness(gf: GF, ties: np.ndarray, n: int, N: int | None = None):
+    """The lex-min word among the packed ties or, with N (the side of the
+    coordinate grid of a translation-invariant code), among every torus
+    translate of every tie.  It unpacks the ties and forms their translates
+    in the blocks of ``_witness_blocks`` and takes the lex-min of the block
+    minima."""
+    per, ranges = _witness_blocks(n, N)
     minima = []
     for s in range(0, ties.shape[1], per):
         words = gf.unpack(ties[:, s : s + per], n)
-        if translations is not None:
-            words = np.take(words, translations, axis=1).reshape(-1, n)
-        minima.append(_lexmin(words))
+        if N is None:
+            minima.append(_lexmin(words))
+        for a0, a1 in ranges:
+            minima.append(_lexmin(_grid_translates(words, N, a0, a1).reshape(-1, n)))
     return _lexmin(np.array(minima))
 
 
-def _restored_witness(gf: GF, ties: np.ndarray, n: int, translations: np.ndarray,
+def _restored_witness(gf: GF, ties: np.ndarray, n: int, N: int,
                       pivots: np.ndarray, w: int) -> np.ndarray:
     """The witness of a search that its restricted last level w ended: the
     lex-min of lam sigma(c) over the packed ties c, every translate sigma,
     and the scales lam that normalize a translate tau(c) of information
     weight at most w (the inverse of its entry at its first pivot column);
     the words the full level would have enumerated (module docstring).
-    Scaling keeps zeros, so only the translates whose first nonzero position
-    is the latest are scaled.  Blocks of ties as in ``_witness``."""
-    per = max(1, _PRODUCT_BLOCK // (len(translations) * n))
+
+    Blocks as in ``_witness``.  A tie's scales are gathered first, over all
+    its translates, from their entries at the pivot columns alone; then
+    each block of translates is formed, and since scaling keeps zeros, only
+    the translates whose first nonzero position is the block's latest are
+    scaled."""
+    per, ranges = _witness_blocks(n, N)
+    pi, pj = np.divmod(pivots, N)
     minima = []
     for s in range(0, ties.shape[1], per):
-        V = gf.unpack(ties[:, s : s + per], n)[:, translations]  # V[c, t]: translate t of c
-        info = V[:, :, pivots]
-        nz = info != 0
-        lead = np.take_along_axis(info, nz.argmax(axis=2)[..., None], axis=2)[..., 0]
-        ok = nz.sum(axis=2) <= w
-        scales = np.zeros((len(V), gf.q), dtype=bool)  # scales[c, lam]
-        scales[np.nonzero(ok)[0], gf.inv_table[lead[ok]]] = True
-        first = (V != 0).argmax(axis=2)
-        c, t = np.nonzero(first == first.max())
-        words = V[c, t]
-        minima.append(_lexmin(np.concatenate(
-            [gf.mul_table[lam][words[scales[c, lam]]] for lam in gf.units()])))
+        words = gf.unpack(ties[:, s : s + per], n)
+        scales = np.zeros((len(words), gf.q), dtype=bool)  # scales[c, lam]
+        for a0, a1 in ranges:
+            a, b = np.arange(a0, a1)[:, None, None], np.arange(N)[:, None]
+            at = ((pi - a) % N * N + (pj - b) % N).reshape(-1, len(pivots))
+            info = words[:, at]  # info[c, t]: translate t of c on the pivot columns
+            nz = info != 0
+            lead = np.take_along_axis(info, nz.argmax(axis=2)[..., None], axis=2)[..., 0]
+            ok = nz.sum(axis=2) <= w
+            scales[np.nonzero(ok)[0], gf.inv_table[lead[ok]]] = True
+        for a0, a1 in ranges:
+            V = _grid_translates(words, N, a0, a1)  # V[c, t]: translate t of c
+            first = (V != 0).argmax(axis=2)
+            c, t = np.nonzero(first == first.max())
+            cands = V[c, t]
+            minima.append(_lexmin(np.concatenate(
+                [gf.mul_table[lam][cands[scales[c, lam]]] for lam in gf.units()])))
     return _lexmin(np.array(minima))
 
 
@@ -721,17 +791,18 @@ def _systematic_generators(code: LinearCode) -> Iterator[tuple[np.ndarray, int]]
         yield R, len(new_pivots)
 
 
-def _torus_translations(gf: GF, R: np.ndarray) -> np.ndarray | None:
-    """The coordinate permutations of all (q-1)^2 torus translations, one
-    per row, when the code with full-rank reduced echelon generator R is
-    invariant under them; else None.
+def _torus_translations(gf: GF, R: np.ndarray) -> int | None:
+    """N = q-1, the side of the coordinate grid, when the code with
+    full-rank reduced echelon generator R is invariant under the (q-1)^2
+    torus translations; else None.  ``min_distance_infoset`` runs it on
+    every code that ``toric.build`` did not mark invariant.
 
-    Coordinate i (q-1) + j is the torus point (a^i, a^j); a translation
-    (t1, t2) -> (s1 t1, s2 t2) rolls this (q-1) x (q-1) grid.  The rolls by
-    one step along each axis generate the group, so the code is invariant
-    when both map every row of R into its row space: a row space word x
-    equals x[pivots] @ R.  The pivot columns of R are the identity, so that
-    holds on them for any x, and only the n - k other columns are compared.
+    Coordinate i N + j is the torus point (a^i, a^j); a translation
+    (t1, t2) -> (s1 t1, s2 t2) rolls this N x N grid.  The rolls by one
+    step along each axis generate the group, so the code is invariant when
+    both map every row of R into its row space: a row space word x equals
+    x[pivots] @ R.  The pivot columns of R are the identity, so that holds
+    on them for any x, and only the n - k other columns are compared.
     """
     N, n = gf.q - 1, R.shape[1]
     if N < 2 or n != N**2:
@@ -744,10 +815,7 @@ def _torus_translations(gf: GF, R: np.ndarray) -> np.ndarray | None:
         V = R[:, np.roll(grid, 1, axis=axis).ravel()]
         if not np.array_equal(V[:, others], matmul(gf, V[:, pivots], R[:, others])):
             return None
-    # row a N + b is the grid rolled by (a, b): its entry i N + j is
-    # ((i - a) mod N) N + (j - b) mod N
-    shift = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N  # shift[a, i]
-    return (shift[:, None, :, None] * N + shift[None, :, None, :]).reshape(n, n)
+    return N
 
 
 def min_distance_infoset(
@@ -778,8 +846,9 @@ def min_distance_infoset(
         raise CodeError("empty code has no minimum distance")
     generators = _systematic_generators(code)
     first = next(generators)
-    translations = _torus_translations(gf, first[0])
-    mats = [first] if translations is not None else [first, *generators]
+    # the side of the coordinate grid whose translations fix the code, or None
+    N = code._translation_grid or _torus_translations(gf, first[0])
+    mats = [first] if N is not None else [first, *generators]
     deficits = [k - rank for _, rank in mats]
 
     # each matrix packed once: its rows (word, k), and from the second level
@@ -809,7 +878,7 @@ def min_distance_infoset(
 
     def bound(w_: int) -> int:
         """The certified lower bound once information weight w_ is done."""
-        if translations is not None:
+        if N is not None:
             return -(-n * (w_ + 1) // k)
         return sum(max(0, (w_ + 1) - dft) for dft, on in zip(deficits, active) if on)
 
@@ -820,14 +889,14 @@ def min_distance_infoset(
             if active[j] and (w_star + 1) - dft <= 0:
                 active[j] = False
         # the restricted last level of the translation path (module docstring)
-        restricted = translations is not None and w >= 2 and (k - 1) * best_w < n * w
+        restricted = N is not None and w >= 2 and (k - 1) * best_w < n * w
         if restricted:
             cost = math.comb(k - 1, w - 1) * (q - 1) ** (w - 1)
         else:
             cost = sum(active) * math.comb(k, w) * (q - 1) ** (w - 1)
         if work_budget is not None and work + cost > work_budget:
             upper = min(best_w, n)
-            witness = None if kept is None else _witness(gf, kept, n, translations)
+            witness = None if kept is None else _witness(gf, kept, n, N)
             return WeightReport(
                 upper, witness, "information-set", work, exact=False, lower=lower, upper=upper
             )
@@ -884,13 +953,13 @@ def min_distance_infoset(
         if restricted:  # every word of weight at most best_w has been found
             pivots = np.argmax(mats[0][0] != 0, axis=1)
             return WeightReport(
-                best_w, _restored_witness(gf, kept, n, translations, pivots, w),
+                best_w, _restored_witness(gf, kept, n, N, pivots, w),
                 "information-set", work,
             )
         lower = bound(w)
         if lower >= best_w:
             break
-    witness = _witness(gf, kept, n, translations)
+    witness = _witness(gf, kept, n, N)
     return WeightReport(d=best_w, witness=witness, method="information-set", work=work)
 
 

@@ -130,12 +130,33 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+class _ShortRepr(reprlib.Repr):
+    """``reprlib.repr``'s abbreviation, except that an int past Python's
+    limit on digits converted to a string, which repr refuses with
+    ValueError, is shown by its size."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+
+
+_SHORT_REPR = _ShortRepr()
+
+
 def _shown(value) -> str:
     """repr(value) when it has at most ``_SHOWN_CHARS`` characters, else
-    the abbreviation of ``reprlib.repr``, cut to that length: an error
+    the abbreviation of ``reprlib.repr``, cut to that length, with an int
+    past the digit limit shown by its size (``_ShortRepr``): an error
     message names a bad input without printing all of a long one."""
-    text = repr(value)
-    return text if len(text) <= _SHOWN_CHARS else reprlib.repr(value)[:_SHOWN_CHARS]
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the digit limit, or a container holding one
+        text = None
+    if text is not None and len(text) <= _SHOWN_CHARS:
+        return text
+    return _SHORT_REPR.repr(value)[:_SHOWN_CHARS]
 
 
 def _sequence(values, what: str, error: type[ValueError], of: str) -> tuple:

@@ -118,7 +118,9 @@ def default_points(
 
 
 def build(spec: ToricCodeSpec) -> ToricCodeResult:
-    """Evaluate every basis monomial at every point and take the row space."""
+    """Evaluate every basis monomial at every point and take the row space.
+    A code on exactly the (q-1)^2 torus points in the fixed order, q >= 3,
+    and its dual are marked invariant under the torus translations."""
     if not spec.basis:
         raise CodeError("empty monomial basis: the divisor polytope has no lattice points")
     warnings = []
@@ -130,6 +132,10 @@ def build(spec: ToricCodeSpec) -> ToricCodeResult:
         )
     M = evaluation_matrix(spec.basis, spec.points, spec.gf, spec.fan)
     code = LinearCode(spec.gf, M)
+    if q >= 3 and spec.points == torus_points(spec.gf):
+        # a torus translation multiplies each character row by a constant,
+        # so it fixes the row space (codes module docstring)
+        code._translation_grid = q - 1
     warnings.extend(code.warnings)
     kc = len(spec.basis)
     injective = code.k == kc

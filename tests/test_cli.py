@@ -835,3 +835,47 @@ def test_every_subcommand_exits_141_on_a_closed_output(tmp_path, command):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+# mindist --work-cap 3000 on the fan1 job G = (0, 0, 6) over GF(64) and
+# GF(128): the fields of its JSON, the sha256 of all of its bytes, and the
+# ceiling of the run's max RSS in MiB.  The JSON is the one that the (n, n)
+# table of translates gave; GF(128) then took 3 010 MiB and GF(64) 233 MiB.
+LONG_JOBS = {
+    6: ({"n": 3969, "k": 10, "d": None, "bounds": [1191, 3780], "method": "information-set", "work": 2845},
+        "b03c6fd2ebbd4a761873ff23772bc9c6ba8153517e167b560881f80f635422c5", 234),
+    7: ({"n": 16129, "k": 10, "d": None, "bounds": [3226, 15748], "method": "information-set", "work": 10},
+        "261d25cc11c85d59345cfa430384220960a1e26c8ab79b31adab291b3fcf363c", 1024),
+}
+
+# runs its arguments as one child and prints the child's standard output,
+# then its exit code and max RSS (getrusage counts only this one child)
+MEASURED_RUN = """
+import json, resource, subprocess, sys
+proc = subprocess.run(sys.argv[1:], capture_output=True, text=True)
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({"code": proc.returncode, "out": proc.stdout, "err": proc.stderr,
+                  "maxrss_kib": usage.ru_maxrss}))
+"""
+
+
+@pytest.mark.parametrize("m", sorted(LONG_JOBS))
+def test_budgeted_mindist_of_a_long_torus_code_stays_small(tmp_path, m):
+    """A budgeted search of a fan1 code over GF(2^m) forms the translates of
+    its ties from the grid side, in bounded blocks: the same JSON, byte for
+    byte, with no traceback, and the max RSS under the ceiling."""
+    import hashlib
+
+    pytest.importorskip("resource")
+    fields, sha256, ceiling_mib = LONG_JOBS[m]
+    spec = write_job(tmp_path, field={"p": 2, "m": m}, divisor=[0, 0, 6], points={"torus": True})
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-m", "toric_codes", "mindist", "--spec", spec, "--work-cap", "3000"]
+    run = subprocess.run([sys.executable, "-c", MEASURED_RUN, *argv], capture_output=True, text=True,
+                         env=env, timeout=300, check=True)
+    got = json.loads(run.stdout)
+    assert got["code"] == 0 and "Traceback" not in got["err"]
+    doc = json.loads(got["out"])
+    assert {key: doc[key] for key in fields} == fields
+    assert hashlib.sha256(got["out"].encode()).hexdigest() == sha256
+    assert got["maxrss_kib"] < ceiling_mib * 1024

@@ -13,6 +13,7 @@ from toric_codes.codes import (
     WeightReport,
     WorkCapExceeded,
     _systematic_generators,
+    _grid_translates,
     _torus_translations,
     matmul,
     matvec,
@@ -226,6 +227,28 @@ BAD_MATRICES = [
 def test_rref_and_null_space_refuse_entries_that_are_not_element_indices(solve_fn, pm, mat):
     with pytest.raises(CodeError, match="element indices"):
         solve_fn(GF(*pm), mat)
+
+
+@pytest.mark.parametrize("order", [[0, 0, 1], [-1], [5], [3], [0, 1, 2, 0], [2**70], [True], [1.0],
+                                   "01", [[0, 1]], 7])
+def test_rref_refuses_a_column_order_that_is_not_distinct_columns(order):
+    """On a 3 x 3 identity over GF(8), a repeated column once gave a 3 x 4
+    matrix of rank 2, -1 rank 1 with pivot -1, and 5 an IndexError: a
+    column order must hold distinct integers 0..cols-1, else CodeError."""
+    with pytest.raises(CodeError, match="column order"):
+        rref(GF(2, 3), np.eye(3, dtype=np.int16), col_order=order)
+
+
+def test_rref_takes_any_distinct_columns_as_its_order():
+    """Part of the columns, none, a range, an index array and a numpy int:
+    only the columns of the order are scanned, in its order, as the
+    reference does."""
+    gf = GF(2, 3)
+    M = random_matrix(gf, 3, 5, 3, np.random.default_rng(73))
+    for order in ([4, 0], [], range(5), np.array([3, 1, 2]), (np.int64(2),)):
+        got = rref(gf, M, col_order=order)
+        want = rref_reference(gf, M, col_order=order)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
 @pytest.mark.parametrize("p,m", ORACLE_FIELDS)
@@ -952,7 +975,12 @@ def translation_permutations(gf):
 
 
 def translations_taken(code):
-    return _torus_translations(code.gf, rref(code.gf, code.gen)[0])
+    """The coordinate maps of the torus translations that the engine forms
+    from the grid side N the check answers, one row per translate in (a, b)
+    order (``_grid_translates`` of the identity word); None when the check
+    refuses the code."""
+    N = _torus_translations(code.gf, rref(code.gf, code.gen)[0])
+    return None if N is None else _grid_translates(np.arange(N * N)[None], N, 0, N)[0]
 
 
 def translation_search(code):
@@ -1311,6 +1339,196 @@ def test_translation_check_rejects_two_swapped_columns():
         assert not assert_translation_check_is_full(LinearCode(record.gf, record.gen[:, perm]))
 
 
+# -- the translation mark of built codes --------------------------------------
+
+FAN1_RAYS = [(2, -1), (-1, 2), (-1, -1)]
+
+
+# the work budget of the searches below: some of their codes would take
+# 10^8 words and more to finish
+MARK_BUDGET = 200_000
+
+
+def translation_checks_run(monkeypatch, code):
+    """min_distance_infoset of the code under ``MARK_BUDGET``, and the
+    answers of the translation checks that it ran."""
+    import toric_codes.codes as codes_module
+
+    answers = []
+    check = codes_module._torus_translations
+    with monkeypatch.context() as patch:
+        patch.setattr(codes_module, "_torus_translations",
+                      lambda gf, R: answers.append(check(gf, R)) or answers[-1])
+        rep = min_distance_infoset(code, work_budget=MARK_BUDGET)
+    return rep, answers
+
+
+def assert_marked_and_invariant(monkeypatch, result):
+    """build marked the code and its dual with N = q-1, both pass the full
+    check, and the search runs no check of its own; the code as plain rows
+    runs the check, which says the same, and gets the same report."""
+    gf, code, dual = result.spec.gf, result.code, result.dual
+    N = gf.q - 1
+    assert code._translation_grid == dual._translation_grid == N
+    for c in (code, dual):
+        assert full_translation_check(gf, rref(gf, c.gen)[0])
+    rep, answers = translation_checks_run(monkeypatch, code)
+    assert answers == []
+    plain_rep, answers = translation_checks_run(monkeypatch, LinearCode(gf, code.gen))
+    assert answers == [N]
+    assert_same_report(rep, plain_rep)
+
+
+def test_build_marks_every_golden_torus_row():
+    """Every golden row of the torus tables is built on the torus points in
+    the fixed order, so build marks it and its dual, and both are invariant
+    by the full check: 64 rows, 24 of them rank-deficient."""
+    from toric_codes.tables import GOLDEN_TABLES, field_for_q
+    from toric_codes.toric import hansen_code, toric_code
+
+    rows = deficient = 0
+    for table in GOLDEN_TABLES.values():
+        if table.kind == "rm":
+            continue
+        for row in table.rows:
+            gf = field_for_q(row.q)
+            if table.kind == "hansen-b":
+                result = hansen_code("b", gf, a=row.a)
+            else:
+                result = toric_code(gf, table.fan, row.divisor)
+            assert result.code._translation_grid == result.dual._translation_grid == gf.q - 1
+            for c in (result.code, result.dual):
+                assert full_translation_check(gf, rref(gf, c.gen)[0])
+            rows += 1
+            deficient += not result.injective
+    assert (rows, deficient) == (64, 24)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_build_marks_random_torus_codes_with_colliding_characters(monkeypatch, p, m):
+    """Fixed-seed random rectangles, triangles and fan1 divisors whose
+    exponents reach q-1 or more, so that characters collide and the rank
+    drops: build marks every one and its dual, the full check holds on
+    both, and the marked search equals the checked one."""
+    from toric_codes.toric import hansen_code, toric_code
+
+    gf = GF(p, m)
+    q = gf.q
+    rng = np.random.default_rng([67, p, m])
+    deficient = 0
+    for _ in range(3):
+        a, b = (int(x) for x in rng.integers(q - 1, q + 2, size=2))
+        for result in (hansen_code("c", gf, a=a, b=1), hansen_code("b", gf, a=a),
+                       toric_code(gf, FAN1_RAYS, (0, 0, b))):
+            assert_marked_and_invariant(monkeypatch, result)
+            deficient += not result.injective
+    assert deficient >= 6
+
+
+def unmarked_codes(gf, rng):
+    """Codes that build does not mark, or that are not built: the torus
+    code of fan1 with G = (0, 0, 3) on its torus points and the orbit of a
+    ray, on the torus points with the grid's first axis permuted, and on
+    the torus points in reverse order; a Reed-Muller code; the torus code's
+    rows as a plain LinearCode."""
+    from toric_codes.geometry import Fan2D, TDivisor, torus_points
+    from toric_codes.toric import ToricCodeSpec, build, toric_code
+
+    N = gf.q - 1
+    fan, div = Fan2D(FAN1_RAYS), TDivisor((0, 0, 3))
+    points = list(torus_points(gf))
+    perm = rng.permutation(N)
+    if (perm == np.arange(N)).all():
+        perm = perm[::-1]
+    axis_permuted = [points[i * N + j] for i in perm for j in range(N)]
+    torus = toric_code(gf, fan, div)
+    return [toric_code(gf, fan, div, orbits=[0]).code,
+            build(ToricCodeSpec(gf, fan, div, axis_permuted)).code,
+            build(ToricCodeSpec(gf, fan, div, points[::-1])).code,
+            reed_muller(gf, 2, 2),
+            LinearCode(gf, torus.code.gen)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (5, 1), (2, 3), (3, 2)])
+def test_codes_build_does_not_mark_run_the_check(monkeypatch, p, m):
+    """Orbit points, a permuted grid axis, another point order, Reed-Muller
+    and plain rows: none is marked, the search runs the translation check
+    once, it decides as the full check on all n columns does, and the
+    report equals the one the check's decision leads to (the int16
+    reference for a refused code)."""
+    gf = GF(p, m)
+    N = gf.q - 1
+    for code in unmarked_codes(gf, np.random.default_rng([71, p, m])):
+        assert code._translation_grid is None
+        assert code.dual()._translation_grid is None
+        rep, answers = translation_checks_run(monkeypatch, code)
+        invariant = code.n == N * N and full_translation_check(gf, rref(gf, code.gen)[0])
+        assert answers == [N if invariant else None]
+        if not invariant:
+            assert_same_report(rep, min_distance_infoset_reference(code, work_budget=MARK_BUDGET))
+
+
+def dense_witness(gf, ties, n, table):
+    """The witness as the engine formed it from an (n, n) table of
+    translates, one unpack block: kept as the oracle of the blocks."""
+    words = gf.unpack(ties, n)
+    return lexmin_row(np.take(words, table, axis=1).reshape(-1, n))
+
+
+def dense_restored_witness(gf, ties, n, table, pivots, w):
+    """The restored witness as the engine formed it from an (n, n) table of
+    translates, one unpack block: kept as the oracle of the blocks."""
+    V = gf.unpack(ties, n)[:, table]  # V[c, t]: translate t of c
+    info = V[:, :, pivots]
+    nz = info != 0
+    lead = np.take_along_axis(info, nz.argmax(axis=2)[..., None], axis=2)[..., 0]
+    ok = nz.sum(axis=2) <= w
+    scales = np.zeros((len(V), gf.q), dtype=bool)
+    scales[np.nonzero(ok)[0], gf.inv_table[lead[ok]]] = True
+    first = (V != 0).argmax(axis=2)
+    c, t = np.nonzero(first == first.max())
+    words = V[c, t]
+    return lexmin_row(np.concatenate([gf.mul_table[lam][words[scales[c, lam]]] for lam in gf.units()]))
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_blocked_witness_equals_the_dense_one(monkeypatch, p, m):
+    """The witness calls of the searches of fixed-seed random torus codes,
+    restricted and unrestricted last levels both, repeated with product
+    blocks of one grid row of translates, of two, and of a single entry
+    (one tie's translates then span several blocks, the last of two rows
+    partial when N is odd): each equals the dense witness of the (n, n)
+    table of all translates."""
+    import toric_codes.codes as codes_module
+
+    gf = GF(p, m)
+    N = gf.q - 1
+    n = N * N
+    table = translations_taken(random_torus_code(gf, 2, np.random.default_rng(0)))
+    calls = {"plain": [], "restored": []}
+    witness, restored = codes_module._witness, codes_module._restored_witness
+    with monkeypatch.context() as patch:
+        patch.setattr(codes_module, "_witness",
+                      lambda *a: calls["plain"].append(a) or witness(*a))
+        patch.setattr(codes_module, "_restored_witness",
+                      lambda *a: calls["restored"].append(a) or restored(*a))
+        for seed in range(8):
+            for code in seeded_torus_codes(gf, seed):
+                min_distance_infoset(code)
+    assert calls["plain"] and calls["restored"]
+    for block in (N * n, 2 * N * n, 1):
+        monkeypatch.setattr(codes_module, "_PRODUCT_BLOCK", block)
+        assert len(codes_module._witness_blocks(n, N)[1]) >= 2
+        for _, ties, n_, N_ in calls["plain"]:
+            assert (n_, N_) == (n, N)
+            got = codes_module._witness(gf, ties, n, N)
+            assert got.dtype == np.int16 and np.array_equal(got, dense_witness(gf, ties, n, table))
+        for _, ties, n_, N_, pivots, w in calls["restored"]:
+            got = codes_module._restored_witness(gf, ties, n, N, pivots, w)
+            want = dense_restored_witness(gf, ties, n, table, pivots, w)
+            assert got.dtype == np.int16 and np.array_equal(got, want)
+
+
 # a code of every packed form whose search runs three or four levels, so that
 # two-row leaves occur; GF(2^10) would need a million words at level 3
 PAIR_LEAF_CODES = [(2, 1, 48, 14), (2, 2, 30, 7), (2, 3, 40, 8), (2, 4, 24, 6), (3, 1, 36, 12),
@@ -1645,12 +1863,12 @@ def test_matmul_consistency(p, m):
     rng = np.random.default_rng(8 + 10 * p + m)
     sizes = []  # of every broadcast block product
 
-    def vmul(X, Y):
-        out = GF.vmul(gf, X, Y)
+    def mul(X, Y):
+        out = GF._mul(gf, X, Y)
         sizes.append(out.size)
         return out
 
-    gf.vmul = vmul
+    gf._mul = mul
     # inner dimension 0, single rows and columns, several inner blocks of
     # width 2 (rows * cols = 90 000), and width 1 (rows * cols > 2^18)
     shapes = [(3, 0, 4), (0, 5, 3), (1, 7, 1), (1, 9, 6), (6, 9, 1), (4, 5, 3)]
@@ -1698,6 +1916,22 @@ def test_matmul_refuses_operands_that_are_not_integer_arrays():
         matvec(gf, A, [])  # an empty list is a float array
     for dtype in (np.uint8, np.int32, np.int64, np.uint64):
         assert np.array_equal(matmul(gf, A.astype(dtype), [[1], [2], [3]]), [[0], [0]])
+
+
+def test_matmul_refuses_entries_that_are_not_element_indices():
+    """Every entry of both operands is checked: -1 once read the last row
+    of the multiplication table (so [[-1]] times [[1]] gave [[7]] over
+    GF(8)), and an entry >= q raised IndexError.  An index past q^2 of the
+    flat table is refused as well, over GF(256), whose index is intp."""
+    for gf in (GF(2, 3), GF(5), GF(3, 2), GF(2, 8)):
+        q = gf.q
+        for A, B in [([[-1]], [[1]]), ([[q]], [[1]]), ([[1]], [[-1]]), ([[1]], [[q]]),
+                     (np.array([[q * q]], dtype=np.uint32), [[1]]), ([[1, 0], [0, 1]], [[1], [-q]])]:
+            with pytest.raises(CodeError, match=f"element indices 0..{q - 1}"):
+                matmul(gf, A, B)
+        with pytest.raises(CodeError, match="element indices"):
+            matvec(gf, [[1, 2]], [1, q])
+        assert np.array_equal(matmul(gf, [[q - 1]], np.array([[1]], dtype=np.uint64)), [[q - 1]])
 
 
 def test_matmul_sums_past_the_chunk_cap():

@@ -1,6 +1,7 @@
 import itertools
 import re
 import reprlib
+import sys
 import time
 import tracemalloc
 
@@ -642,3 +643,40 @@ def test_unpack_peak_memory_is_a_small_multiple_of_its_result(p, m):
         tracemalloc.stop()
     assert np.array_equal(U, A) and U.dtype == np.int16
     assert peak <= 6 * U.nbytes
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's limit on the digits of an int converted to a string, at its
+    default of 4300 for the test; an interpreter without the limit skips."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts ints of any length to strings")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
+def test_refusals_show_an_int_past_the_digit_limit_by_its_size(digit_limit):
+    """repr refuses an int of more than 4300 digits with ValueError; the
+    refusals show it by its size instead, alone or inside a container,
+    with the caller's error type."""
+    from toric_codes.field import _SHOWN_CHARS, _integers, _positive, _shown, prime_power
+
+    huge = 10**5000
+    assert _shown(huge) == "<int of 16610 bits>"
+    assert _shown(-huge) == "<negative int of 16610 bits>"
+    for call, message in [
+        (lambda: _positive(-huge, "x", FieldError), "x must be an integer >= 1, got <negative int of 16610 bits>"),
+        (lambda: prime_power(-huge), "q = <negative int of 16610 bits> is not a prime power"),
+        (lambda: prime_power(huge), "q = <int of 16610 bits> is not a prime power"),
+        (lambda: _integers([1, huge, 2.5], "v", FieldError), "v (1, <int of 16610 bits>, 2.5) must hold integers"),
+        (lambda: _integers([huge], "v", FieldError, 2), "v [<int of 16610 bits>] must be 2 integers"),
+    ]:
+        with pytest.raises(FieldError) as exc:
+            call()
+        assert str(exc.value) == message
+    # a value whose repr is short keeps it; an int just under the limit is
+    # abbreviated by reprlib as before
+    assert _shown(10**4299).startswith("1000000000")
+    assert len(_shown([huge] * 1000)) <= _SHOWN_CHARS
