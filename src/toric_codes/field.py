@@ -152,10 +152,10 @@ def _shown(value) -> str:
     message names a bad input without printing all of a long one."""
     try:
         text = repr(value)
+        if len(text) <= _SHOWN_CHARS:
+            return text
     except ValueError:  # an int past the digit limit, or a container holding one
-        text = None
-    if text is not None and len(text) <= _SHOWN_CHARS:
-        return text
+        pass
     return _SHORT_REPR.repr(value)[:_SHOWN_CHARS]
 
 
