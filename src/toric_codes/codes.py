@@ -148,13 +148,16 @@ have enumerated at that weight.
 Products.  ``matmul`` is the public product kernel: ``matvec``,
 syndromes of a ``LinearCode``, codewords and the decoder's stage functions
 run through it.  Per block of the inner axis it takes one broadcast
-product of shape (rows, width, cols), one ``vsum`` over the width and one
+``vmul`` of shape (rows, width, cols), one ``vsum`` over the width and one
 ``vadd`` into the result, with width max(1, 2^18 // (rows cols)).  No
 temporary then holds more than max(2^18, rows cols) entries: a small
 product is a single broadcast, and one with rows cols > 2^18 runs one
 inner index at a time.  It checks every entry of both operands once, on
-entry (``_elements``, as ``rref`` does), so its products are the flat
-``GF._mul``, which an index >= q would misread.
+entry: one maximum of each operand read as unsigned, where a negative
+entry lies above q - 1 (the 2-D gather of ``vmul`` read -1 as the last
+table row).  The flat ``GF._mul`` is not used here: with it in the
+product of ``G H^T``, the builds timed next to it in bench ``construct``
+ran about a fifth slower (CHANGES.md).
 ``decode``'s per-word products, the syndrome and the candidate step, run
 on operands it has checked or made (decoder module docstring) through the
 flat ``GF._mul``; the candidate step multiplies the negated reduced rows
@@ -338,20 +341,25 @@ def matmul(gf: GF, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     docstring): per block of the inner axis, one broadcast product and one
     field sum, added into the result.  A and B must be integer arrays of
     element indices 0..q-1, else CodeError; every entry is checked once, on
-    entry, so the flat ``GF._mul`` forms the products."""
+    entry, by one maximum of its unsigned view."""
     A, B = np.asarray(A), np.asarray(B)
     if A.dtype.kind not in "iu" or B.dtype.kind not in "iu":
         raise CodeError(f"operands must be integer arrays, got dtypes {A.dtype} and {B.dtype}")
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise CodeError("length mismatch")
-    A, B = _elements(gf, A, "operand"), _elements(gf, B, "operand")
+    for X in (A, B):
+        # read as unsigned, a negative entry of two or more bytes lies at
+        # 2^15 or above, past q - 1 (q <= 1024): one pass; one byte is widened
+        X = X.astype(np.int16) if X.itemsize == 1 else X
+        if X.size and X.view(X.dtype.str.replace("i", "u")).max() >= gf.q:
+            raise CodeError(f"operand entries must be element indices 0..{gf.q - 1}")
     (rows, inner), cols = A.shape, B.shape[1]
     width = max(1, _PRODUCT_BLOCK // max(1, rows * cols))
     out = None
     # an empty inner axis still takes one empty block, whose sum is zero
     for s in range(0, max(inner, 1), width):
         blk = slice(s, s + width)
-        block = gf.vsum(gf._mul(A[:, blk, None], B[None, blk]), axis=1)
+        block = gf.vsum(gf.vmul(A[:, blk, None], B[None, blk]), axis=1)
         out = block if out is None else gf.vadd(out, block)
     return out
 

@@ -1863,12 +1863,12 @@ def test_matmul_consistency(p, m):
     rng = np.random.default_rng(8 + 10 * p + m)
     sizes = []  # of every broadcast block product
 
-    def mul(X, Y):
-        out = GF._mul(gf, X, Y)
+    def vmul(X, Y):
+        out = GF.vmul(gf, X, Y)
         sizes.append(out.size)
         return out
 
-    gf._mul = mul
+    gf.vmul = vmul
     # inner dimension 0, single rows and columns, several inner blocks of
     # width 2 (rows * cols = 90 000), and width 1 (rows * cols > 2^18)
     shapes = [(3, 0, 4), (0, 5, 3), (1, 7, 1), (1, 9, 6), (6, 9, 1), (4, 5, 3)]
@@ -1922,16 +1922,19 @@ def test_matmul_refuses_entries_that_are_not_element_indices():
     """Every entry of both operands is checked: -1 once read the last row
     of the multiplication table (so [[-1]] times [[1]] gave [[7]] over
     GF(8)), and an entry >= q raised IndexError.  An index past q^2 of the
-    flat table is refused as well, over GF(256), whose index is intp."""
+    flat table is refused as well, over GF(256), whose index is intp, and
+    so is a negative entry of a narrow or byte-swapped integer dtype."""
     for gf in (GF(2, 3), GF(5), GF(3, 2), GF(2, 8)):
         q = gf.q
         for A, B in [([[-1]], [[1]]), ([[q]], [[1]]), ([[1]], [[-1]]), ([[1]], [[q]]),
-                     (np.array([[q * q]], dtype=np.uint32), [[1]]), ([[1, 0], [0, 1]], [[1], [-q]])]:
+                     (np.array([[q * q]], dtype=np.uint32), [[1]]), ([[1, 0], [0, 1]], [[1], [-q]]),
+                     (np.array([[-1]], dtype=np.int8), [[1]]), ([[1]], np.array([[-1]], dtype=">i4"))]:
             with pytest.raises(CodeError, match=f"element indices 0..{q - 1}"):
                 matmul(gf, A, B)
         with pytest.raises(CodeError, match="element indices"):
             matvec(gf, [[1, 2]], [1, q])
         assert np.array_equal(matmul(gf, [[q - 1]], np.array([[1]], dtype=np.uint64)), [[q - 1]])
+        assert np.array_equal(matmul(gf, np.array([[q - 1]], dtype=">i4"), [[1]]), [[q - 1]])
 
 
 def test_matmul_sums_past_the_chunk_cap():
