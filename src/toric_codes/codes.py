@@ -152,12 +152,15 @@ run through it.  Per block of the inner axis it takes one broadcast
 ``vadd`` into the result, with width max(1, 2^18 // (rows cols)).  No
 temporary then holds more than max(2^18, rows cols) entries: a small
 product is a single broadcast, and one with rows cols > 2^18 runs one
-inner index at a time.  It checks every entry of both operands once, on
-entry: one maximum of each operand read as unsigned, where a negative
-entry lies above q - 1 (the 2-D gather of ``vmul`` read -1 as the last
-table row).  The flat ``GF._mul`` is not used here: with it in the
-product of ``G H^T``, the builds timed next to it in bench ``construct``
-ran about a fifth slower (CHANGES.md).
+inner index at a time.  Every entry of both operands is checked once, by
+the 2-D gather of ``vmul`` itself, on the operands' unsigned views: an
+index past q - 1 raises there, and read as unsigned a negative entry lies
+past q - 1 (read as signed, -1 once gave the last table row).  Only
+eight-byte operands, which the gather reads as intp again, and the operands
+of an empty product take one maximum each (``_unsigned``).  The flat
+``GF._mul`` is not used here: it reads an entry past q - 1 as another
+element, and with it in the product of ``G H^T``, the builds timed next to
+it in bench ``construct`` ran about a fifth slower (CHANGES.md).
 ``decode``'s per-word products, the syndrome and the candidate step, run
 on operands it has checked or made (decoder module docstring) through the
 flat ``GF._mul``; the candidate step multiplies the negated reduced rows
@@ -340,28 +343,40 @@ def matmul(gf: GF, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact matrix product over the field, the one product kernel (module
     docstring): per block of the inner axis, one broadcast product and one
     field sum, added into the result.  A and B must be integer arrays of
-    element indices 0..q-1, else CodeError; every entry is checked once, on
-    entry, by one maximum of its unsigned view."""
+    element indices 0..q-1, else CodeError; every entry is checked once,
+    by the gather of ``vmul`` on its unsigned view (module docstring)."""
     A, B = np.asarray(A), np.asarray(B)
     if A.dtype.kind not in "iu" or B.dtype.kind not in "iu":
         raise CodeError(f"operands must be integer arrays, got dtypes {A.dtype} and {B.dtype}")
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise CodeError("length mismatch")
-    for X in (A, B):
-        # read as unsigned, a negative entry of two or more bytes lies at
-        # 2^15 or above, past q - 1 (q <= 1024): one pass; one byte is widened
-        X = X.astype(np.int16) if X.itemsize == 1 else X
-        if X.size and X.view(X.dtype.str.replace("i", "u")).max() >= gf.q:
-            raise CodeError(f"operand entries must be element indices 0..{gf.q - 1}")
     (rows, inner), cols = A.shape, B.shape[1]
     width = max(1, _PRODUCT_BLOCK // max(1, rows * cols))
     out = None
-    # an empty inner axis still takes one empty block, whose sum is zero
-    for s in range(0, max(inner, 1), width):
-        blk = slice(s, s + width)
-        block = gf.vsum(gf.vmul(A[:, blk, None], B[None, blk]), axis=1)
-        out = block if out is None else gf.vadd(out, block)
+    try:
+        A, B = _unsigned(A, gf.q, rows * cols == 0), _unsigned(B, gf.q, rows * cols == 0)
+        # an empty inner axis still takes one empty block, whose sum is zero
+        for s in range(0, max(inner, 1), width):
+            blk = slice(s, s + width)
+            block = gf.vsum(gf.vmul(A[:, blk, None], B[None, blk]), axis=1)
+            out = block if out is None else gf.vadd(out, block)
+    except IndexError:
+        raise CodeError(f"operand entries must be element indices 0..{gf.q - 1}") from None
     return out
+
+
+def _unsigned(X: np.ndarray, q: int, unread: bool) -> np.ndarray:
+    """The unsigned view of an integer operand of ``matmul``, whose gather
+    raises IndexError on every entry past q - 1; read as unsigned, a
+    negative entry lies there (a one-byte operand is widened first, as
+    q <= 1024).  Its entries are checked here instead, with the same error,
+    when the gather reads them as intp again (eight bytes) or reads none of
+    them (an empty product)."""
+    X = X.astype(np.int16) if X.itemsize == 1 else X
+    U = X.view(X.dtype.str.replace("i", "u"))
+    if (X.itemsize == 8 or unread) and U.size and U.max() >= q:
+        raise IndexError
+    return U
 
 
 def matvec(gf: GF, A: np.ndarray, v: np.ndarray) -> np.ndarray:

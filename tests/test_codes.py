@@ -1923,12 +1923,22 @@ def test_matmul_refuses_entries_that_are_not_element_indices():
     of the multiplication table (so [[-1]] times [[1]] gave [[7]] over
     GF(8)), and an entry >= q raised IndexError.  An index past q^2 of the
     flat table is refused as well, over GF(256), whose index is intp, and
-    so is a negative entry of a narrow or byte-swapped integer dtype."""
+    so is a negative entry of a narrow or byte-swapped integer dtype.  The
+    int16 and int32 operands are checked by the gather itself, also in a
+    later block of the inner axis; an empty product reads no entry, and its
+    operands are checked all the same."""
+    later = np.zeros((600, 2), dtype=np.int16)  # inner blocks of width 1
+    later[5, 1] = -1
+    empty = np.zeros((0, 1), dtype=np.int16)
     for gf in (GF(2, 3), GF(5), GF(3, 2), GF(2, 8)):
         q = gf.q
+        i16 = lambda x: np.array([[x]], dtype=np.int16)  # noqa: E731
         for A, B in [([[-1]], [[1]]), ([[q]], [[1]]), ([[1]], [[-1]]), ([[1]], [[q]]),
                      (np.array([[q * q]], dtype=np.uint32), [[1]]), ([[1, 0], [0, 1]], [[1], [-q]]),
-                     (np.array([[-1]], dtype=np.int8), [[1]]), ([[1]], np.array([[-1]], dtype=">i4"))]:
+                     (np.array([[-1]], dtype=np.int8), [[1]]), ([[1]], np.array([[-1]], dtype=">i4")),
+                     (i16(-1), i16(1)), (i16(1), i16(q)), (i16(q), np.array([[1]], dtype=np.uint16)),
+                     (np.array([[-1]], dtype=np.int32), i16(1)), (later, np.ones((2, 600), dtype=np.int16)),
+                     (empty, i16(q)), (empty, i16(-1)), (i16(-1), np.zeros((1, 0), dtype=np.int16))]:
             with pytest.raises(CodeError, match=f"element indices 0..{q - 1}"):
                 matmul(gf, A, B)
         with pytest.raises(CodeError, match="element indices"):
