@@ -1930,9 +1930,12 @@ def test_matmul_refuses_entries_that_are_not_element_indices():
     later = np.zeros((600, 2), dtype=np.int16)  # inner blocks of width 1
     later[5, 1] = -1
     empty = np.zeros((0, 1), dtype=np.int16)
+
+    def i16(x):
+        return np.array([[x]], dtype=np.int16)
+
     for gf in (GF(2, 3), GF(5), GF(3, 2), GF(2, 8)):
         q = gf.q
-        i16 = lambda x: np.array([[x]], dtype=np.int16)  # noqa: E731
         for A, B in [([[-1]], [[1]]), ([[q]], [[1]]), ([[1]], [[-1]]), ([[1]], [[q]]),
                      (np.array([[q * q]], dtype=np.uint32), [[1]]), ([[1, 0], [0, 1]], [[1], [-q]]),
                      (np.array([[-1]], dtype=np.int8), [[1]]), ([[1]], np.array([[-1]], dtype=">i4")),
