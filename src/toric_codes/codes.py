@@ -79,11 +79,12 @@ The leaves are:
 
 A leaf hands on its words at its least weight; a smaller weight replaces
 the words kept so far and an equal one joins them, across the levels of an
-information-set search as well.  The witness is the lex-min of these ties,
-taken once per search, when it ends or a budget stops it, after one unpack
-unless the ties and their translates exceed max(2^18, translates x n)
-entries; the lex-min of a union is the lex-min of its parts' lex-mins, here
-one argmin over the rows as byte strings.
+information-set search as well.  The witness is the lex-min of these ties
+(or of their translates, below), taken once per search, when it ends or a
+budget stops it, by ``_witness``.  It unpacks the ties in blocks of at most
+max(1, 2^18 // n) words, so most searches unpack once; the lex-min of a
+union is the lex-min of its parts' lex-mins, here one argmin over the rows
+as byte strings.
 
 The leaf buffer.  A broadcast of a leaf, X against T, runs through numpy's
 buffered iterator when its inner axis is shorter than 4096, in chunks of up
@@ -117,11 +118,19 @@ weight.  So after level w every word that is not a translate of an
 enumerated word has at least w+1 nonzeros on each of the n translates of
 I; each coordinate lies in exactly k of them, so its weight is at least
 ceil(n (w+1) / k) (ceil(n / k) before level 1).  The witness is the
-lex-min over every translate of the least-weight words.  The translates
-are formed from N alone, as strided windows of each word's grid doubled
-along both axes, in blocks of at most max(2^18, N n) entries: while n^2 <=
-2^18 (n <= 512), several ties with all n translates each; above it, one
-tie with some grid rows of translates (``_witness_blocks``).  Codes with
+lex-min over every translate of the least-weight words, found from N alone
+and narrowed before any translate is formed.  Translate (a, b) holds grid
+row i - a as its row i, rolled by b, so the lex-min translate starts with
+a tie's longest cyclic run of zero grid rows, then with the least rotation
+of the row after it.  Every start of such a run is kept; of each row after
+one, the rotations that start with its longest run of zeros, then those
+whose first nonzero entry is least, then those whose whole row is least.
+Only these survivors are formed in full, in blocks of at most max(2^18, n)
+entries, and compared.  A tie fixed by many translations, such as the
+constant word of a k = 1 code, keeps them all.  The rotated rows of a
+block of ties hold at most max(2^18, N n) entries.  Over GF(128), the 127
+ties of a budgeted fan1 search take 0.09 s on 2 vCPUs; forming every
+translate took 13.6 s (CHANGES.md).  Codes with
 orbit points, another point order, Reed-Muller codes and random codes
 fail the check and keep the disjoint information sets.
 
@@ -143,7 +152,11 @@ lam sigma(c) over those ties c, every translate sigma, and the scales lam
 that make a translate tau(c) of information weight at most w read 1 at its
 first pivot column (the normalization of enumerated words), which is the
 set of translates of the words the full level and its predecessors would
-have enumerated at that weight.
+have enumerated at that weight.  The same ``_witness`` restores it: a
+tie's scales come from its translates' entries at the pivot columns, and
+since scaling keeps zeros, the runs of zero rows and of leading zeros
+narrow the candidates before a scale is applied; the least first nonzero
+entry then leaves one scale per rotation.
 
 Products.  ``matmul`` is the public product kernel: ``matvec``,
 syndromes of a ``LinearCode``, codewords and the decoder's stage functions
@@ -606,90 +619,66 @@ def _reduce_results(results, best_w=None, ties=None, work=0):
     return best_w, ties, work
 
 
-def _witness_blocks(n: int, N: int | None) -> tuple[int, list[tuple[int, int]]]:
-    """How the witness routines cut their work: (ties per block, the ranges
-    a0..a1 of grid rows whose translates (a, b), a0 <= a < a1, one block
-    forms).  A block holds at most max(_PRODUCT_BLOCK, N n) entries, and
-    max(_PRODUCT_BLOCK, n) without translations (N None, no ranges): while
-    n^2 <= _PRODUCT_BLOCK, as many ties as fit with all n translates each;
-    above it, one tie with as many grid rows of translates as fit."""
-    if N is None:
-        return max(1, _PRODUCT_BLOCK // n), []
-    rows = max(1, _PRODUCT_BLOCK // (N * n))
-    if rows >= N:
-        return max(1, _PRODUCT_BLOCK // (n * n)), [(0, N)]
-    return 1, [(a, min(a + rows, N)) for a in range(0, N, rows)]
+def _zero_runs(zero: np.ndarray) -> np.ndarray:
+    """The length of the cyclic run of True that starts at each position of
+    each row of ``zero``; every row holds a False."""
+    N = zero.shape[1]
+    falses = np.where(np.concatenate([zero, zero], axis=1), 2 * N, np.arange(2 * N))
+    return np.minimum.accumulate(falses[:, ::-1], axis=1)[:, ::-1][:, :N] - np.arange(N)
 
 
-def _grid_translates(words: np.ndarray, N: int, a0: int, a1: int) -> np.ndarray:
-    """The torus translates (a, b) of each word, a0 <= a < a1 and
-    0 <= b < N, in (a, b) order: shape (words, (a1 - a0) N, N^2).
-    Translate (a, b) rolls the N x N coordinate grid by a along its first
-    axis and b along its second, so its entry i N + j is the word's entry
-    ((i - a) mod N) N + (j - b) mod N.  Each grid is doubled along both
-    axes, and translate (a, b) is its N x N window at (N - a, N - b), read
-    as one strided view and copied; no index table is formed."""
-    B = len(words)
-    doubled = np.empty((B, 2, N, 2, N), dtype=words.dtype)
-    doubled[...] = words.reshape(B, 1, N, 1, N)
-    doubled = doubled.reshape(B, 2 * N, 2 * N)
-    s0, s1, s2 = doubled.strides
-    windows = np.ndarray((B, a1 - a0, N, N, N), doubled.dtype, doubled,
-                         (N - a0) * s1 + N * s2, (s0, -s1, -s2, s1, s2))
-    return windows.reshape(B, (a1 - a0) * N, N * N)
-
-
-def _witness(gf: GF, ties: np.ndarray, n: int, N: int | None = None):
+def _witness(gf: GF, ties: np.ndarray, n: int, N: int | None = None,
+             pivots: np.ndarray | None = None, w: int | None = None) -> np.ndarray:
     """The lex-min word among the packed ties or, with N (the side of the
     coordinate grid of a translation-invariant code), among every torus
-    translate of every tie.  It unpacks the ties and forms their translates
-    in the blocks of ``_witness_blocks`` and takes the lex-min of the block
-    minima."""
-    per, ranges = _witness_blocks(n, N)
+    translate of every tie; with the pivots of a restricted last level w,
+    among the scaled translates that restore its witness; the ties are then
+    codewords with a translate of information weight at most w, as the
+    words a search enumerates are.  The candidates are narrowed before any
+    translate is formed (module docstring).  A block holds at most
+    max(2^18, n) entries of ties or survivors, and max(2^18, N n) of
+    rotated rows or max(2^18, k n) of pivot entries, k = len(pivots)."""
+    step = max(1, _PRODUCT_BLOCK // n)
+    per = step if N is None else max(1, step // max(N, 0 if pivots is None else len(pivots)))
     minima = []
     for s in range(0, ties.shape[1], per):
         words = gf.unpack(ties[:, s : s + per], n)
         if N is None:
             minima.append(_lexmin(words))
-        for a0, a1 in ranges:
-            minima.append(_lexmin(_grid_translates(words, N, a0, a1).reshape(-1, n)))
-    return _lexmin(np.array(minima))
-
-
-def _restored_witness(gf: GF, ties: np.ndarray, n: int, N: int,
-                      pivots: np.ndarray, w: int) -> np.ndarray:
-    """The witness of a search that its restricted last level w ended: the
-    lex-min of lam sigma(c) over the packed ties c, every translate sigma,
-    and the scales lam that normalize a translate tau(c) of information
-    weight at most w (the inverse of its entry at its first pivot column);
-    the words the full level would have enumerated (module docstring).
-
-    Blocks as in ``_witness``.  A tie's scales are gathered first, over all
-    its translates, from their entries at the pivot columns alone; then
-    each block of translates is formed, and since scaling keeps zeros, only
-    the translates whose first nonzero position is the block's latest are
-    scaled."""
-    per, ranges = _witness_blocks(n, N)
-    pi, pj = np.divmod(pivots, N)
-    minima = []
-    for s in range(0, ties.shape[1], per):
-        words = gf.unpack(ties[:, s : s + per], n)
+            continue
+        grid = words.reshape(-1, N, N)
         scales = np.zeros((len(words), gf.q), dtype=bool)  # scales[c, lam]
-        for a0, a1 in ranges:
-            a, b = np.arange(a0, a1)[:, None, None], np.arange(N)[:, None]
-            at = ((pi - a) % N * N + (pj - b) % N).reshape(-1, len(pivots))
-            info = words[:, at]  # info[c, t]: translate t of c on the pivot columns
+        if pivots is None:
+            scales[:, 1] = True  # the element 1
+        else:  # from each translate's entries at the pivot columns
+            pi, pj = np.divmod(pivots, N)
+            a, b = np.arange(N)[:, None, None], np.arange(N)[:, None]
+            info = words[:, ((pi - a) % N * N + (pj - b) % N).reshape(n, -1)]
             nz = info != 0
             lead = np.take_along_axis(info, nz.argmax(axis=2)[..., None], axis=2)[..., 0]
             ok = nz.sum(axis=2) <= w
             scales[np.nonzero(ok)[0], gf.inv_table[lead[ok]]] = True
-        for a0, a1 in ranges:
-            V = _grid_translates(words, N, a0, a1)  # V[c, t]: translate t of c
-            first = (V != 0).argmax(axis=2)
-            c, t = np.nonzero(first == first.max())
-            cands = V[c, t]
-            minima.append(_lexmin(np.concatenate(
-                [gf.mul_table[lam][cands[scales[c, lam]]] for lam in gf.units()])))
+        # translate (a, b) holds grid row (i - a) mod N as its row i, and
+        # entry (j - b) mod N of a row as its entry j: candidate (c, r, t,
+        # lam) is tie c's translate (-r, -t), scaled by lam
+        runs = _zero_runs(~grid.any(axis=2))
+        L = runs.max()
+        c, r = np.nonzero(runs == L)
+        first = grid[c, (r + L) % N]  # each candidate's first nonzero row
+        runs = _zero_runs(first == 0)
+        z = runs.max()
+        i, t = np.nonzero(runs == z)
+        e, lam = np.nonzero(scales[c[i]])
+        v = gf.mul_table[lam, first[i[e], (t[e] + z) % N]]  # the first nonzero entry
+        e, lam = e[v == v.min()], lam[v == v.min()]
+        i, t, at = i[e], t[e], np.arange(N)
+        rows = gf.mul_table[lam[:, None], first[i[:, None], (t[:, None] + at) % N]]
+        keep = (rows == _lexmin(rows)).all(axis=1)
+        c, r, t, lam = c[i[keep]], r[i[keep]], t[keep], lam[keep]
+        for u in range(0, len(lam), step):
+            b = slice(u, u + step)  # translate (-r, -t) of tie c, formed in full
+            V = grid[c[b, None, None], (r[b, None, None] + at[:, None]) % N, (t[b, None, None] + at) % N]
+            minima.append(_lexmin(gf.mul_table[lam[b, None], V.reshape(-1, n)]))
     return _lexmin(np.array(minima))
 
 
@@ -976,7 +965,7 @@ def min_distance_infoset(
         if restricted:  # every word of weight at most best_w has been found
             pivots = np.argmax(mats[0][0] != 0, axis=1)
             return WeightReport(
-                best_w, _restored_witness(gf, kept, n, N, pivots, w),
+                best_w, _witness(gf, kept, n, N, pivots, w),
                 "information-set", work,
             )
         lower = bound(w)

@@ -46,6 +46,8 @@ class ToricCodeSpec:
 
     def __post_init__(self):
         self.points = PointSet.of(self.points)
+        if not len(self.points):
+            raise CodeError("empty point set")
         self.basis = lattice_points(checked_polytope(self.fan, self.divisor, len(self.points)))
         # equal points are equal rows, which sorting puts next to each other
         rows = self.points.rows[np.lexsort(self.points.rows.T)]

@@ -13,8 +13,8 @@ from toric_codes.codes import (
     WeightReport,
     WorkCapExceeded,
     _systematic_generators,
-    _grid_translates,
     _torus_translations,
+    _witness,
     matmul,
     matvec,
     min_distance,
@@ -974,13 +974,20 @@ def translation_permutations(gf):
     )
 
 
+def grid_rolls(N):
+    """The coordinate maps of the torus translations on the N x N grid, one
+    row per translate (a, b) in (a, b) order: the word's grid rolled by a
+    along its first axis and b along its second."""
+    grid = np.arange(N * N).reshape(N, N)
+    return np.array([np.roll(grid, (a, b), axis=(0, 1)).ravel() for a in range(N) for b in range(N)])
+
+
 def translations_taken(code):
-    """The coordinate maps of the torus translations that the engine forms
-    from the grid side N the check answers, one row per translate in (a, b)
-    order (``_grid_translates`` of the identity word); None when the check
-    refuses the code."""
+    """The grid rolls of the side N that the check answers, the translates
+    the engine's witness ranges over; None when the check refuses the
+    code."""
     N = _torus_translations(code.gf, rref(code.gf, code.gen)[0])
-    return None if N is None else _grid_translates(np.arange(N * N)[None], N, 0, N)[0]
+    return None if N is None else grid_rolls(N)
 
 
 def translation_search(code):
@@ -1034,18 +1041,23 @@ def translate_lexmin(words, perms):
     return lexmin_row(np.concatenate([word[perms] for word in words]))
 
 
+def restoring_scales(gf, word, perms, pivots, w):
+    """The scales lam of a word c: the inverse of tau(c)'s entry at its
+    first pivot column, for each translate tau(c) of information weight at
+    most w."""
+    scales = set()
+    for tau in word[perms]:
+        info = tau[pivots][tau[pivots] != 0]
+        if len(info) <= w:
+            scales.add(gf.inv(int(info[0])))
+    return scales
+
+
 def restored_lexmin(gf, words, perms, pivots, w):
     """The lex-min of lam sigma(c) over the words c, their translates sigma,
-    and lam the inverse of tau(c)'s entry at its first pivot column, for
-    each translate tau(c) of information weight at most w."""
-    scaled = []
-    for c in words:
-        moved = c[perms]
-        for tau in moved:
-            info = tau[pivots][tau[pivots] != 0]
-            if len(info) <= w:
-                scaled.append(gf.vscale(gf.inv(int(info[0])), moved))
-    return lexmin_row(np.concatenate(scaled))
+    and their scales lam (``restoring_scales``)."""
+    return lexmin_row(np.concatenate([gf.vscale(lam, c[perms]) for c in words
+                                      for lam in restoring_scales(gf, c, perms, pivots, w)]))
 
 
 def min_distance_translation_reference(code):
@@ -1220,16 +1232,15 @@ def test_translate_lexmin_over_blocks_of_ties(monkeypatch):
 
 @pytest.mark.parametrize("p,m", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
 def test_translation_table_in_closed_form(p, m):
-    """The table equals the (q-1)^2 rolls of the coordinate grid, rows in
-    (a, b) order, and each row inverts the oracle's row of the same index
-    (the map by the torus point whose logarithms are (a, b))."""
+    """The check answers N = q-1, and each of the (q-1)^2 rolls of the
+    coordinate grid, rows in (a, b) order, inverts the oracle's row of the
+    same index (the map by the torus point whose logarithms are (a, b))."""
     gf = GF(p, m)
     N = gf.q - 1
     code = random_torus_code(gf, 3, np.random.default_rng([41, p, m]))
+    assert _torus_translations(gf, rref(gf, code.gen)[0]) == N
     table = translations_taken(code)
-    grid = np.arange(N * N).reshape(N, N)
-    rolls = [np.roll(grid, (a, b), axis=(0, 1)).ravel() for a in range(N) for b in range(N)]
-    assert np.array_equal(table, rolls)
+    assert table.shape == (N * N, N * N)
     assert np.array_equal(table, np.argsort(translation_permutations(gf), axis=1))
 
 
@@ -1491,42 +1502,182 @@ def dense_restored_witness(gf, ties, n, table, pivots, w):
     return lexmin_row(np.concatenate([gf.mul_table[lam][words[scales[c, lam]]] for lam in gf.units()]))
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+# the fields of the translation path: GF(4) and GF(8) bit planes, GF(5) and
+# GF(7) digit bytes, GF(9) trit planes
+WITNESS_FIELDS = [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("p,m", WITNESS_FIELDS)
 def test_blocked_witness_equals_the_dense_one(monkeypatch, p, m):
     """The witness calls of the searches of fixed-seed random torus codes,
     restricted and unrestricted last levels both, repeated with product
-    blocks of one grid row of translates, of two, and of a single entry
-    (one tie's translates then span several blocks, the last of two rows
-    partial when N is odd): each equals the dense witness of the (n, n)
-    table of all translates."""
+    blocks of N n entries (one tie per block), of 2 N n and of a single
+    entry (one tie and one survivor per block): each equals the dense
+    witness of the (n, n) table of all translates."""
     import toric_codes.codes as codes_module
 
     gf = GF(p, m)
     N = gf.q - 1
     n = N * N
-    table = translations_taken(random_torus_code(gf, 2, np.random.default_rng(0)))
-    calls = {"plain": [], "restored": []}
-    witness, restored = codes_module._witness, codes_module._restored_witness
+    table = grid_rolls(N)
+    calls = []
     with monkeypatch.context() as patch:
-        patch.setattr(codes_module, "_witness",
-                      lambda *a: calls["plain"].append(a) or witness(*a))
-        patch.setattr(codes_module, "_restored_witness",
-                      lambda *a: calls["restored"].append(a) or restored(*a))
+        patch.setattr(codes_module, "_witness", lambda *a: calls.append(a) or _witness(*a))
         for seed in range(8):
             for code in seeded_torus_codes(gf, seed):
                 min_distance_infoset(code)
-    assert calls["plain"] and calls["restored"]
+    assert {len(a) for a in calls} == {4, 6} and max(a[1].shape[1] for a in calls) >= 3
     for block in (N * n, 2 * N * n, 1):
         monkeypatch.setattr(codes_module, "_PRODUCT_BLOCK", block)
-        assert len(codes_module._witness_blocks(n, N)[1]) >= 2
-        for _, ties, n_, N_ in calls["plain"]:
+        for _, ties, n_, N_, *restricted in calls:
             assert (n_, N_) == (n, N)
-            got = codes_module._witness(gf, ties, n, N)
-            assert got.dtype == np.int16 and np.array_equal(got, dense_witness(gf, ties, n, table))
-        for _, ties, n_, N_, pivots, w in calls["restored"]:
-            got = codes_module._restored_witness(gf, ties, n, N, pivots, w)
-            want = dense_restored_witness(gf, ties, n, table, pivots, w)
+            got = _witness(gf, ties, n, N, *restricted)
+            if restricted:
+                want = dense_restored_witness(gf, ties, n, table, *restricted)
+            else:
+                want = dense_witness(gf, ties, n, table)
             assert got.dtype == np.int16 and np.array_equal(got, want)
+
+
+def random_rows(gf, rng, rows):
+    """Random grid rows of length q-1, each with a nonzero entry."""
+    R = rng.integers(0, gf.q, size=(rows, gf.q - 1))
+    R[np.arange(rows), rng.integers(0, gf.q - 1, size=rows)] = rng.integers(1, gf.q, size=rows)
+    return R
+
+
+def maximal_zero_row_runs(words, N):
+    """The start rows, over all the words, of the longest cyclic runs of
+    zero grid rows, by walking each run."""
+    runs = []
+    for c, word in enumerate(words):
+        zero = ~word.reshape(N, N).any(axis=1)
+        for r in range(N):
+            length = 0
+            while length < N and zero[(r + length) % N]:
+                length += 1
+            runs.append((length, c, r))
+    longest = max(runs)[0]
+    return [(c, r) for length, c, r in runs if length == longest]
+
+
+def assert_witness_is_the_oracles(gf, words, pivots=None, w=None):
+    """``_witness`` of the packed words equals the oracle over every
+    translate (``translate_lexmin``), or over every translate and scale
+    (``restored_lexmin``); the same with one tie per block."""
+    import toric_codes.codes as codes_module
+
+    N = gf.q - 1
+    perms = translation_permutations(gf)
+    if pivots is None:
+        want = translate_lexmin(words, perms)
+    else:
+        want = restored_lexmin(gf, words, perms, pivots, w)
+    ties = gf.pack(np.array(words, dtype=np.int16))
+    restricted = () if pivots is None else (pivots, w)
+    for block in (codes_module._PRODUCT_BLOCK, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codes_module, "_PRODUCT_BLOCK", block)
+            got = _witness(gf, ties, N * N, N, *restricted)
+        assert got.dtype == np.int16 and np.array_equal(got, want)
+    return want
+
+
+@pytest.mark.parametrize("p,m", WITNESS_FIELDS)
+def test_witness_keeps_every_longest_run_of_zero_rows(p, m):
+    """Words with two or more longest runs of zero grid rows, the two runs
+    in one word where the grid has four rows or more (GF(4)'s three rows
+    leave room for only one, so there the runs lie in two words): the
+    witness is the oracle's, and over the seeds it starts at a run other
+    than the first that the words hold."""
+    gf = GF(p, m)
+    N = gf.q - 1
+    later_run_won = False
+    for seed in range(12):
+        rng = np.random.default_rng([59, p, m, seed])
+        words = []
+        for zero_rows in ([0, N // 2], [1, 1 + N // 2]) if N >= 4 else ([0], [1]):
+            grid = random_rows(gf, rng, N)
+            grid[zero_rows] = 0
+            words.append(grid.ravel())
+        starts = maximal_zero_row_runs(words, N)
+        assert len(starts) >= 2 and (N < 4 or [c for c, _ in starts].count(0) >= 2)
+        witness = assert_witness_is_the_oracles(gf, words)
+        first_c, first_r = starts[0]
+        # the least translate that starts at the first run: its row rotations
+        first_run = translate_lexmin([np.roll(words[first_c].reshape(N, N), -first_r, axis=0).ravel()],
+                                     grid_rolls(N)[:N])
+        later_run_won |= not np.array_equal(first_run, witness)
+    assert later_run_won
+
+
+@pytest.mark.parametrize("p,m", WITNESS_FIELDS)
+def test_witness_of_translation_periodic_words(p, m):
+    """Words fixed by many translations: the constant words of a k = 1
+    code, whose every translate survives, and words whose grid rows are all
+    one row that repeats with a period dividing q-1.  The witness is the
+    oracle's, and at least q-1 translates reach it."""
+    gf = GF(p, m)
+    N = gf.q - 1
+    n = N * N
+    perms = translation_permutations(gf)
+    period = next(d for d in range(2, N + 1) if N % d == 0)
+    rng = np.random.default_rng([61, p, m])
+    row = np.tile(random_rows(gf, rng, 1)[0, :period], N // period)
+    cases = [[np.full(n, u) for u in gf.units()], [np.tile(row, N)],
+             [np.tile(row, N), np.tile(np.roll(row, 1), N)]]
+    for words in cases:
+        witness = assert_witness_is_the_oracles(gf, words)
+        reached = sum(np.array_equal(word[perm], witness) for word in words for perm in perms)
+        assert reached >= N
+
+
+@pytest.mark.parametrize("p,m", WITNESS_FIELDS)
+def test_witness_decided_after_the_first_nonzero_row(p, m):
+    """Ties that share their zero rows and their first nonzero row and
+    differ only in later rows: every tie's best translate starts alike, so
+    only the rows after the first nonzero one decide, and the witness is
+    the oracle's."""
+    gf = GF(p, m)
+    N = gf.q - 1
+    perms = translation_permutations(gf)
+    for seed in range(6):
+        rng = np.random.default_rng([67, p, m, seed])
+        head = random_rows(gf, rng, 1)[0]
+        words = []
+        for _ in range(4):
+            grid = random_rows(gf, rng, N)
+            grid[0], grid[1] = 0, head
+            words.append(grid.ravel())
+        witness = assert_witness_is_the_oracles(gf, words)
+        best = [translate_lexmin([word], perms) for word in words]
+        assert all(np.array_equal(b[: 2 * N], witness[: 2 * N]) for b in best)
+        assert sum(np.array_equal(b, witness) for b in best) < len(best)
+
+
+@pytest.mark.parametrize("p,m", WITNESS_FIELDS)
+def test_restored_witness_over_several_scales(p, m):
+    """Restricted ties, codewords of information weight 1 or 2 of a random
+    torus code of dimension 4, with the last level w = 2: some tie has two
+    or more scales, and the witness is the oracle's over every translate
+    and scale."""
+    gf = GF(p, m)
+    perms = translation_permutations(gf)
+    several = False
+    for seed in range(6):
+        rng = np.random.default_rng([73, p, m, seed])
+        R, _, pivots = rref(gf, random_torus_code(gf, 4, rng).gen)
+        pivots = np.array(pivots)
+        words = []
+        for weight in (1, 2, 2):
+            msg = np.zeros(4, dtype=np.int16)
+            msg[rng.choice(4, size=weight, replace=False)] = rng.integers(1, gf.q, size=weight)
+            words.append(matvec(gf, R.T, msg))
+        scales = [restoring_scales(gf, word, perms, pivots, 2) for word in words]
+        assert all(scales)
+        several |= max(map(len, scales)) >= 2
+        assert_witness_is_the_oracles(gf, words, pivots, 2)
+    assert several
 
 
 # a code of every packed form whose search runs three or four levels, so that

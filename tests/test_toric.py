@@ -94,6 +94,16 @@ def test_empty_basis_error():
         toric_code(GF(5), FAN1, (-3, -3, 2))
 
 
+@pytest.mark.parametrize("points", [PointSet(), []])
+def test_spec_refuses_an_empty_point_set(points):
+    """No points is refused by the spec itself, before the polytope or a
+    dual is formed, as the CLI's job reader refuses it."""
+    with pytest.raises(CodeError, match="^empty point set$"):
+        ToricCodeSpec(GF(2, 3), FAN1, TDivisor((0, 0, 2)), points)
+    with pytest.raises(CodeError, match="^empty point set$"):
+        toric_code(GF(2, 3), FAN1, (0, 0, 2), torus=False)
+
+
 def test_order_invariance():
     gf = GF(5)
     pts = default_points(gf, FAN1)
