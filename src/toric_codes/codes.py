@@ -50,11 +50,14 @@ form; only the later, disjoint information sets are reduced in the
 search.
 
 Both engines weigh codewords as packed words (``GF.pack``: bit planes for
-p = 2 and 3, one byte per position otherwise) and keep them packed.  A leaf
-of either engine is a block X of packed words and a table T that is closed
-under negation, so the distances ``GF.pdist`` from each x to each t are the
-weights of the words x + t.  The longer of X and T is the inner axis, and
-only the words at the leaf's least weight are formed (x - t, ``GF.psub``).
+p = 2 and 3, one byte per position otherwise) and keep them packed.  Each
+packs only its k x n rows; the multiples c r of a row are scaled from its
+packed form (``GF.pscale``), so no (q-1) k n array of products is formed.
+A leaf of either engine is a block X of packed words and a table T that is
+closed under negation, so the distances ``GF.pdist`` from each x to each t
+are the weights of the words x + t.  The longer of X and T is the inner
+axis, and only the words at the leaf's least weight are formed (x - t,
+``GF.psub``).
 The leaves are:
 
 - exhaustive engine: a message with first nonzero symbol 1 at row j is
@@ -67,8 +70,16 @@ The leaves are:
   (q^k - 1)/(q - 1) however the rows are split;
 - information-set engine, level 1: the zero word, against every row of a
   matrix at once;
-- one support row left: the unit multiples u r_s of the rows after the
-  block's last;
+- level 2: the zero word, against a block of the pair words r_s + u r_t,
+  s < t (s = 0 alone on a restricted level), in lex order of (s, t), formed
+  in one ``GF.padd`` broadcast.  A block holds at most the matrix's share
+  of ``_PAIR_LEAF_BYTES`` below, and at least one pair; the words are X and
+  the zero word is T, so the ties are the words themselves, not their
+  negatives.  The 7 920 pair words of the GF(9) row (64, 45, 4) are one
+  block; as 44 one-row leaves, with packed products, the row took 2.7 ms,
+  and it takes 1.1 ms (CHANGES.md);
+- from level 3 on, one support row left: the unit multiples u r_s of the
+  rows after the block's last;
 - two support rows left: the pair table of the words u r_s + v r_t, s < t,
   from the rows after the block's last, when the block times those words
   holds at most a 1/m share of ``_PAIR_LEAF_BYTES`` (2 MB) of packed words,
@@ -104,7 +115,8 @@ points in the fixed order, N = q-1 >= 2, is the point (a^i, a^j), and a
 translation (t1, t2) -> (s1 t1, s2 t2) rolls this N x N grid.  It
 multiplies every character row by a constant, so an evaluation code on
 these points is invariant by construction (Little and Schwarz, AAECC
-2007): ``toric.build`` marks such a code, and ``dual()`` copies the mark,
+2007): ``toric.build`` marks such a code, as ``decoder.setup`` marks its
+auxiliary code on those points, and ``dual()`` copies the mark,
 since a coordinate permutation fixes a code exactly when it fixes its dual
 (``LinearCode._translation_grid``, N or None).  Every other code is checked
 on its first reduced generator: rolling the grid one step along each axis
@@ -222,7 +234,8 @@ _SUFFIX_WORDS = _PRODUCT_BLOCK >> 3
 
 # the most bytes of packed words in the pair tables of one information-set
 # search together: each of its m matrices has a share of 1/m, and a two-row
-# leaf of that matrix, block times table suffix, holds at most that share
+# leaf of that matrix, block times table suffix, and a block of its level 2
+# hold at most that share
 _PAIR_LEAF_BYTES = 1 << 21
 
 # the numpy ufunc buffer, in elements, under which every task of both
@@ -699,11 +712,11 @@ def _run_tasks(fn, tasks, best_w=None, ties=None, work=0):
 
 def _span_table(gf: GF, multiples: np.ndarray) -> np.ndarray:
     """The packed words sum_t c_t r_t over every choice of the c_t, one per
-    column, from the multiples (word, q, r) of r rows; the last row is the
+    column, from the multiples (word, r, q) of r rows; the last row is the
     fastest digit, so the first q^s words span the last s rows."""
     S = np.zeros((len(multiples), 1), dtype=gf.packed_dtype)
-    for t in reversed(range(multiples.shape[2])):
-        S = gf.padd(multiples[:, :, t, None], S[:, None, :]).reshape(len(S), -1)
+    for t in reversed(range(multiples.shape[1])):
+        S = gf.padd(multiples[:, t, :, None], S[:, None, :]).reshape(len(S), -1)
     return S
 
 
@@ -727,19 +740,20 @@ def min_distance_exhaustive(code: LinearCode, work_cap: int = 2_000_000_000) -> 
     if (q**k - 1) // (q - 1) > work_cap:
         raise WorkCapExceeded(f"{q}^{k}/({q} - 1) messages exceed the work cap {work_cap}")
 
-    # every multiple c * row, packed once (word, q, k).  The suffix table
-    # spans the last v rows in at most _SUFFIX_WORDS words, the block table
-    # the b rows above them, with q^(b+v) <= _PRODUCT_BLOCK; each task's
-    # block adds the block table to one odometer prefix (module docstring)
-    multiples = gf.pack(gf.mul_table[:, G])
+    # every multiple c * row, scaled once from the packed rows (word, k, q).
+    # The suffix table spans the last v rows in at most _SUFFIX_WORDS words,
+    # the block table the b rows above them, with q^(b+v) <= _PRODUCT_BLOCK;
+    # each task's block adds the block table to one odometer prefix (module
+    # docstring)
+    multiples = gf.pscale(gf.pack(G), np.arange(q))
     v = 0
     while v + 1 <= k - 1 and q ** (v + 1) <= _SUFFIX_WORDS:
         v += 1
     b = 0
     while v + b + 1 <= k - 1 and q ** (v + b + 1) <= _PRODUCT_BLOCK:
         b += 1
-    S = _span_table(gf, multiples[:, :, k - v :])
-    B = _span_table(gf, multiples[:, :, k - v - b : k - v])
+    S = _span_table(gf, multiples[:, k - v :])
+    B = _span_table(gf, multiples[:, k - v - b : k - v])
 
     def tasks():
         for j in range(k):
@@ -748,9 +762,9 @@ def min_distance_exhaustive(code: LinearCode, work_cap: int = 2_000_000_000) -> 
 
     def run(task):
         j, combo = task
-        prefix = multiples[:, 1, j : j + 1]  # row j, then the odometer rows
+        prefix = multiples[:, j, 1:2]  # row j, then the odometer rows
         for t, c in enumerate(combo, j + 1):
-            prefix = gf.padd(prefix, multiples[:, c, t : t + 1])
+            prefix = gf.padd(prefix, multiples[:, t, c : c + 1])
         free = k - 1 - j
         # the first q^r words of either table span its last r rows
         block = gf.padd(prefix, B[:, : q ** min(max(0, free - v), b)])
@@ -864,14 +878,14 @@ def min_distance_infoset(
     deficits = [k - rank for _, rank in mats]
 
     # each matrix packed once: its rows (word, k), and from the second level
-    # on the q-1 unit multiples of each row (word, k, q-1)
+    # on the q-1 unit multiples of each row (word, k, q-1), scaled from them
     units = np.array(gf.units(), dtype=np.int16)
     rows = [gf.pack(R) for R, _ in mats]
     multiples: list[np.ndarray | None] = [None] * len(mats)
     # from level 3 on, each matrix's pair table over the rows from
     # pair_first on: it holds pair_sizes[s] words from row s on, and
     # pair_first is the first row whose words fit the matrix's share of the
-    # cap.  The zero word is the table of level 1.
+    # cap.  The zero word is the table of levels 1 and 2.
     pairs: list[np.ndarray | None] = [None] * len(mats)
     pair_words = _PAIR_LEAF_BYTES // (rows[0][:, 0].nbytes * len(mats))
     pair_sizes = [math.comb(k - s, 2) * (q - 1) ** 2 for s in range(k + 1)]
@@ -913,16 +927,24 @@ def min_distance_infoset(
                 upper, witness, "information-set", work, exact=False, lower=lower, upper=upper
             )
 
-        # depth-first support enumeration with prefix-shared packed blocks:
-        # extending a support adds the q-1 unit multiples of the new row to
-        # every word of the block, and a leaf weighs the block against the
-        # table of its last one or two rows (module docstring).  A task
-        # starts at one row s0, or at level 1 at every row of a matrix.  It
-        # keeps a leaf's packed ties only when its least weight is at most
-        # the task's best so far, which starts at the best weight of the
-        # earlier levels; the ties join those of the earlier levels and are
-        # unpacked once, when the search ends.
+        # levels 1 and 2 weigh their words themselves against the zero word:
+        # every row of a matrix, or a block of pair words r_s + u r_t formed
+        # in one broadcast.  From level 3 on, a depth-first support
+        # enumeration with prefix-shared packed blocks: extending a support
+        # adds the q-1 unit multiples of the new row to every word of the
+        # block, and a leaf weighs the block against the table of its last
+        # one or two rows (module docstring); a task starts at one row s0.
+        # A task keeps a leaf's packed ties only when its least weight is at
+        # most the task's best so far, which starts at the best weight of
+        # the earlier levels; the ties join those of the earlier levels and
+        # are unpacked once, when the search ends.
         level_best = best_w
+
+        def leaf(task):
+            X, scaled, s, t = task
+            if scaled is not None:
+                X = gf.padd(X[:, s, None], scaled[:, t]).reshape(len(X), -1)
+            return _nearest(gf, X, zero, level_best)
 
         def run(task):
             block, start, scaled, pair_table = task
@@ -930,9 +952,7 @@ def min_distance_infoset(
 
             def rec(start, block, remaining):
                 nonlocal state
-                if remaining == 0:
-                    T = zero
-                elif remaining == 1:
+                if remaining == 1:
                     T = scaled[:, start:].reshape(len(scaled), -1)
                 elif remaining == 2 and block.shape[1] * pair_sizes[start] <= pair_words:
                     T = pair_table[:, -pair_sizes[start] :]
@@ -947,21 +967,30 @@ def min_distance_infoset(
             return state
 
         tasks = []
-        for j, (R, _rank) in enumerate(mats):
+        for j in range(len(mats)):
             if not active[j]:
                 continue
-            if w == 1:  # one leaf: every row against the zero word
-                tasks.append((rows[j], k, None, None))
+            if w == 1:
+                tasks.append((rows[j], None, None, None))
                 continue
             if multiples[j] is None:
-                multiples[j] = gf.pack(gf.mul_table[units][:, R].transpose(1, 0, 2))
-            if w > 2 and pairs[j] is None and pair_first < k - 1:
+                multiples[j] = gf.pscale(rows[j], units)
+            if w == 2:  # the pairs s < t, s = 0 on a restricted level, in lex order
+                s, t = np.triu_indices(1 if restricted else k, 1, k)
+                per = max(1, pair_words // (q - 1))
+                for b in range(0, len(s), per):
+                    sb, tb = s[b : b + per], t[b : b + per]
+                    if sb[0] == sb[-1]:  # one row s: slices, with no gather
+                        sb, tb = slice(sb[0], sb[0] + 1), slice(tb[0], tb[-1] + 1)
+                    tasks.append((rows[j], multiples[j], sb, tb))
+                continue
+            if pairs[j] is None and pair_first < k - 1:
                 pairs[j] = _pair_table(gf, multiples[j], pair_first)
             tasks.extend(
                 (rows[j][:, s0 : s0 + 1], s0 + 1, multiples[j], pairs[j])
                 for s0 in range(1 if restricted else k - w + 1)
             )
-        best_w, kept, work = _run_tasks(run, tasks, best_w, kept, work)
+        best_w, kept, work = _run_tasks(leaf if w <= 2 else run, tasks, best_w, kept, work)
         if restricted:  # every word of weight at most best_w has been found
             pivots = np.argmax(mats[0][0] != 0, axis=1)
             return WeightReport(

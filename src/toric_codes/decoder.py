@@ -104,13 +104,14 @@ from .codes import (
 )
 from .field import _positive
 from .geometry import (
+    PointSet,
     TDivisor,
     evaluation_matrix,
     lattice_points,
     least_orders,
     polytope_of_divisor,
 )
-from .toric import ToricCodeSpec, ToricCodeResult, build, check_listing
+from .toric import ToricCodeSpec, ToricCodeResult, build, check_listing, _mark_translation_grid
 
 
 class SetupError(ValueError):
@@ -196,9 +197,11 @@ def setup(
     level = -least_orders(basis_gap, spec.points, gf, fan)
     locator = evaluation_matrix(basis_locator, spec.points, gf, fan, level)
 
-    # zero cap from the level-0 columns of the auxiliary code
+    # zero cap from the level-0 columns of the auxiliary code, marked like a
+    # built code when those columns are the torus points in the fixed order
     flat = level == 0
     aux = LinearCode(gf, locator[:, flat])
+    _mark_translation_grid(aux, PointSet._of_rows(spec.points.rows[flat]))
     if aux.k < len(basis_locator):
         zcap, exact = n, True  # eval map on L(G') is not injective: no cap
     else:

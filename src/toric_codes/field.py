@@ -51,8 +51,8 @@ each over the digit rows.  CHANGES.md records the measurements behind
 these paths and the packed kernels below.
 
 The distance engines add and compare whole blocks of codewords in a
-packed form (``pack``, ``unpack``, ``padd``, ``psub``, ``pdist``), with the
-packed word axis first so that a broadcast runs along the contiguous block:
+packed form (``pack``, ``unpack``, ``padd``, ``psub``, ``pscale``, ``pdist``),
+with the packed word axis first so that a broadcast runs along the contiguous block:
 
 - p = 2: m bit planes of ceil(n / 64) uint64, added by XOR;
 - p = 3: 2m bit planes, [digit = 1] and [digit = 2], added by six
@@ -65,6 +65,17 @@ one of its planes differs.  ``pdist`` XORs each plane and ORs it in place
 into one accumulator, then takes the popcount (bit planes) or the count of
 nonzero bytes; a weight is the distance to the zero word, so no sum of
 the block is formed before its weights.
+
+``pscale`` forms the multiples c x of packed words for a list of elements
+c without unpacking them.  Multiplication by c is F_p-linear on the
+digits, so every combination of a word's digit planes is formed once, in
+a table of q packed digits (XORs of bit planes for p = 2; for p = 3 the
+[x = 1] and [x = 2] plane pairs, which multiplying by 2 swaps; bytes for
+p >= 5), and each digit plane of c x is gathered from that table.  A prime
+field p >= 5 gathers c x from its p x p residues in one step.  The engines
+pack only their k x n rows and scale them: over GF(128), k = 40 and
+n = 16 129, packing the unit multiples took 3.7 s and scaling the packed
+rows takes 0.04 s (2 vCPUs, numpy 2.4).
 
 The default modulus for each (p, m) comes from a frozen table of primitive
 polynomials (t itself generates the unit group), so every derived artifact
@@ -316,6 +327,10 @@ class GF:
         # (two above p = 128) per digit, wide enough to hold a digit sum
         self.planes = 2 * m if p == 3 else m
         self.packed_dtype = np.dtype("<u8" if p <= 3 else np.uint8 if 2 * p <= 256 else np.uint16)
+        # for pscale: the residues x y mod p, and the element whose digit j
+        # is digit i of c t^j, at [c, i]
+        self._residues = scaled[:, :p].astype(self.packed_dtype)
+        self._scale_rows = (self.digits[mul[:, self.place]].swapaxes(1, 2) @ self.place).astype(np.intp)
 
     # -- scalar operations ----------------------------------------------
 
@@ -516,6 +531,52 @@ class GF:
             return self.padd(A, np.concatenate([B[h:], B[:h]]))
         C = A - B
         return np.minimum(C, C + self.p)  # when A < B, C wraps above p and C + p is A - B + p
+
+    def pscale(self, P, c) -> np.ndarray:
+        """The packed words c_i x for each packed word x of P and each
+        element c_i of c, on a new last axis: the packed products
+        ``mul_table[c_i][A]``, formed from the packed words alone.
+
+        x -> c x is F_p-linear on the digits: digit i of c x is the
+        combination of the digits x_j whose coefficients are the digits of
+        ``_scale_rows[c, i]`` (digit i of c t^j, for each j).  So one table
+        holds every combination sum_j b_j x_j, indexed by the element of
+        digits b, as one packed digit (XOR of bit planes for p = 2; for
+        p = 3 the planes [x = 1] and [x = 2], which 2 x swaps), and each
+        digit plane of c_i x is gathered from it.  A prime field p >= 5
+        gathers its products from the p x p residues in one step.
+        """
+        p, m = self.p, self.m
+        P, c = np.asarray(P), np.asarray(c)
+        batch = P.shape[1:]
+        if p > 3 and m == 1:
+            return self._residues[:, c][P]
+        r = 2 if p == 3 else 1  # planes per digit
+        D = P.reshape((r, m, -1) + batch)
+        # AX[:, j, ..., a - 1] = a x_j for a = 1 .. p-1
+        if p == 2:
+            AX = D[..., None]
+        elif p == 3:
+            AX = np.stack([D, D[::-1]], axis=-1)
+        else:
+            AX = self._residues[:, 1:][D]
+        span = np.empty((r * D.shape[2],) + batch + (self.q,), dtype=self.packed_dtype)
+        span[..., 0] = 0
+        for j in range(m):
+            # span[..., b + a p^j] = span[..., b] + a x_j for b < p^j
+            h = p**j
+            ax = AX[:, j].reshape(span.shape[:-1] + (p - 1, 1))
+            added = ax if j == 0 else self.padd(span[..., None, :h], ax)
+            span[..., h : p * h] = added.reshape(span.shape[:-1] + (-1,))
+        span = span.reshape(D.shape[0:1] + D.shape[2:] + (self.q,))
+        index = self._scale_rows[c]
+        out = np.empty(D.shape[:3] + batch + (len(c),), dtype=self.packed_dtype)
+        for h in range(r):
+            for i in range(m):
+                # the indices are elements, so "clip" changes none of them;
+                # unlike "raise", it writes to out without a buffer
+                np.take(span[h], index[:, i], axis=-1, out=out[h, i], mode="clip")
+        return out.reshape((-1,) + batch + (len(c),))
 
     def pdist(self, A, B) -> np.ndarray:
         """Hamming distances between packed words, broadcasting over the

@@ -119,6 +119,17 @@ def default_points(
     return pts
 
 
+def _mark_translation_grid(code: LinearCode, points: PointSet) -> None:
+    """Mark ``code``, whose rows are characters evaluated at ``points``,
+    invariant under the torus translations when the points are exactly the
+    (q-1)^2 torus points in the fixed order, q >= 3: a translation
+    multiplies each character row by a constant, so it fixes the row space
+    (codes module docstring)."""
+    q = code.gf.q
+    if q >= 3 and points == torus_points(code.gf):
+        code._translation_grid = q - 1
+
+
 def build(spec: ToricCodeSpec) -> ToricCodeResult:
     """Evaluate every basis monomial at every point and take the row space.
     A code on exactly the (q-1)^2 torus points in the fixed order, q >= 3,
@@ -134,10 +145,7 @@ def build(spec: ToricCodeSpec) -> ToricCodeResult:
         )
     M = evaluation_matrix(spec.basis, spec.points, spec.gf, spec.fan)
     code = LinearCode(spec.gf, M)
-    if q >= 3 and spec.points == torus_points(spec.gf):
-        # a torus translation multiplies each character row by a constant,
-        # so it fixes the row space (codes module docstring)
-        code._translation_grid = q - 1
+    _mark_translation_grid(code, spec.points)
     warnings.extend(code.warnings)
     kc = len(spec.basis)
     injective = code.k == kc

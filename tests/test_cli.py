@@ -793,6 +793,38 @@ def test_mutated_job_and_build_files_never_crash(tmp_path, capsys):
     assert {0, 2, 3} <= set(codes)
 
 
+# the set-up of the decoder job on fan1 over GF(128), G = (0, 0, 28) and G' =
+# (5, 5, 5), printing its zero cap: when its auxiliary search packed every
+# unit multiple of its rows and weighed the pair level as one-row leaves, it
+# took 7.7 s and 2 769 MB max RSS (2 vCPUs, numpy 2.4); scaled from the packed
+# rows, with the pair level in blocks, it takes about 2 s and 640 MB
+GF128_SETUP = """
+import json
+from toric_codes import GF, Fan2D, TDivisor
+from toric_codes.decoder import setup
+from toric_codes.geometry import torus_points
+from toric_codes.toric import ToricCodeSpec
+gf = GF(2, 7)
+spec = ToricCodeSpec(gf, Fan2D([(2, -1), (-1, 2), (-1, -1)]), TDivisor((0, 0, 28)), torus_points(gf))
+st = setup(spec, TDivisor((5, 5, 5)))
+print(json.dumps({"zero_cap": st.zero_cap, "exact": st.zero_cap_exact}))
+"""
+
+
+def test_decoder_setup_of_a_long_torus_code_stays_under_a_gib():
+    """The GF(128) decoder set-up ends with its recorded zero cap, not
+    exact, with no traceback and under 1 GiB max RSS."""
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-c", GF128_SETUP]
+    run = subprocess.run([sys.executable, "-c", MEASURED_RUN, *argv], capture_output=True, text=True,
+                         env=env, timeout=300, check=True)
+    got = json.loads(run.stdout)
+    assert got["code"] == 0 and "Traceback" not in got["err"]
+    assert json.loads(got["out"]) == {"zero_cap": 15077, "exact": False}
+    assert got["maxrss_kib"] < 1 << 20
+
+
 def cli_process(argv, stdout):
     """``python -m toric_codes`` with the package under test, its standard
     error piped."""

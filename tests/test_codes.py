@@ -1753,6 +1753,81 @@ def test_two_leaf_forms_give_one_report_on_the_translation_path(monkeypatch, p, 
             assert never.d == d and np.array_equal(never.witness, witness)
 
 
+def task_enumeration(code, work_budget=None):
+    """Oracle of the translation path as tasks: level w runs one task per
+    first row s0 of a support (only s0 = 0 on a restricted level), the int16
+    words r_s0 + sum u_i r_t over the later rows t of the support and units
+    u_i, so level 2 is k - 1 tasks of one row against the unit multiples of
+    the rows after it.  The stops, interval and witness follow the module
+    docstring's rules; the report is the one of the first stop."""
+    gf, k, n = code.gf, code.k, code.n
+    R, _, pivots = rref(gf, code.gen)
+    units = gf.units()
+    perms = translation_permutations(gf)
+    best, ties, work, lower = n + 1, [], 0, -(-n // k)
+    for w in range(1, k + 1):
+        restricted = w >= 2 and (k - 1) * best < n * w
+        words = []
+        for s0 in range(1 if restricted else k - w + 1):
+            for support in itertools.combinations(range(s0 + 1, k), w - 1):
+                for coeffs in itertools.product(units, repeat=w - 1):
+                    word = R[s0]
+                    for t, u in zip(support, coeffs):
+                        word = gf.vadd(word, gf.vscale(u, R[t]))
+                    words.append(word)
+        if work_budget is not None and work + len(words) > work_budget:
+            upper = min(best, n)
+            witness = translate_lexmin(ties, perms) if ties else None
+            return WeightReport(upper, witness, "information-set", work, False, lower, upper)
+        work += len(words)
+        weights = np.count_nonzero(words, axis=1)
+        if weights.min() < best:
+            best, ties = int(weights.min()), []
+        ties += [word for word, weight in zip(words, weights) if weight == best]
+        if restricted:
+            return WeightReport(best, restored_lexmin(gf, ties, perms, pivots, w), "information-set", work)
+        lower = -(-n * (w + 1) // k)
+        if lower >= best:
+            return WeightReport(best, translate_lexmin(ties, perms), "information-set", work)
+
+
+# GF(4) and GF(8) bit planes, GF(5) and GF(7) digit bytes, GF(9) trit planes
+@pytest.mark.parametrize("p,m", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_pair_leaf_matches_a_task_enumeration(monkeypatch, p, m):
+    """Level 2 weighs its pair words r_s + u r_t, s < t, in blocks against
+    the zero word.  Its report, d, work, witness and interval, equals a task
+    enumeration: ``task_enumeration`` on torus codes, a restricted level 2
+    among them, and the int16 reference on codes that fail the translation
+    check, which search several matrices.  So it does with no budget and
+    with budgets one word short of level 2 and just after it, and with
+    blocks of one pair, of a few pairs across rows, and of every pair."""
+    import toric_codes.codes as codes_module
+
+    gf = GF(p, m)
+    rng = np.random.default_rng([67, p, m])
+    cases = []
+    restricted = 0
+    for k in (3, 3, 4, 4, 5, 6) * 2:
+        code = random_torus_code(gf, k, rng)
+        *_, levels, w = translation_search(code)
+        restricted += w == 2
+        cases.append((code, levels, task_enumeration))
+    assert restricted
+    for n, k in ((3 * gf.q, 4), (2 * gf.q + 5, 5)):
+        code = random_code(gf, n, k, rng)
+        assert translations_taken(code) is None and len(list(_systematic_generators(code))) > 1
+        levels = []
+        min_distance_infoset_reference(code, levels=levels)
+        cases.append((code, levels, min_distance_infoset_reference))
+    for code, levels, oracle in cases:
+        budgets = [None] + ([levels[1] - 1, levels[1]] if len(levels) > 1 else [])
+        wants = {budget: oracle(code, work_budget=budget) for budget in budgets}
+        for cap in (0, 1 << 12, 1 << 21):
+            monkeypatch.setattr(codes_module, "_PAIR_LEAF_BYTES", cap)
+            for budget in budgets:
+                assert_same_report(min_distance_infoset(code, work_budget=budget), wants[budget])
+
+
 def test_record_search_peak_memory():
     """One search of the record (49, 11, 28) holds at most 4 MB of numpy
     buffers at a time."""

@@ -345,6 +345,31 @@ def test_locator_table_is_the_levelled_evaluation(monkeypatch, name):
         assert np.array_equal(evaluation_matrix(st.basis_locator, pts, gf, fan, -beta), want)
 
 
+# the grid side that set-up marks on the auxiliary code of each set-up:
+# recorded-2 has an orbit point at level 0, every other one only torus points
+AUX_GRIDS = {"boundary": 7, "fan2-m3": 6, "fan6": 7, "fan7": 7, "recorded-0": 7, "recorded-1": 7,
+             "recorded-2": None, "torus": 4}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_SETUPS))
+def test_setup_marks_its_auxiliary_code_as_the_translation_check_decides(monkeypatch, name):
+    """Set-up marks the auxiliary code invariant under the torus
+    translations exactly when its level-0 columns are the torus points in
+    the fixed order, and the mark is what ``_torus_translations`` answers
+    on the code, so the check it skips would find the same grid."""
+    marked = []
+    mark = decoder._mark_translation_grid
+    monkeypatch.setattr(decoder, "_mark_translation_grid",
+                        lambda code, points: marked.append(code) or mark(code, points))
+    make = BRACKET_SETUPS[name]
+    if isinstance(make, functools.partial):  # run set-up again, not from the cache
+        make = functools.partial(make.func.__wrapped__, *make.args)
+    st = make()
+    [aux] = marked
+    assert aux._translation_grid == AUX_GRIDS[name]
+    assert aux._translation_grid == codes._torus_translations(st.spec.gf, aux._reduced[0][: aux.k])
+
+
 @pytest.mark.parametrize("name", sorted(set(BRACKET_SETUPS) - {"torus"}))
 def test_bracket_products_factor_at_twisted_levels(name):
     """H[bracket_index[i, j], P] = f~_j(P) g~_i(P): the locator table times

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from toric_codes.field import _DEFAULT_MODULI, GF, FieldError
+from toric_codes.field import _DEFAULT_MODULI, GF, FieldError, prime_power
 from toric_codes.tables import field_for_q
 
 
@@ -336,6 +336,36 @@ def test_packed_add_covers_every_pair(p, m):
     a, b = np.divmod(np.arange(gf.q**2), gf.q)  # one word holding every pair
     got = gf.unpack(gf.padd(gf.pack(a), gf.pack(b)), gf.q**2)
     assert np.array_equal(got, gf.add_table[a, b])
+
+
+def is_prime_power(q):
+    try:
+        return bool(prime_power(q))
+    except FieldError:
+        return False
+
+
+# every q <= 64, then larger fields of each packed form
+PSCALE_QS = [q for q in range(2, 65) if is_prime_power(q)]
+PSCALE_QS += [81, 121, 125, 128, 243, 256, 343, 625, 729, 1021, 1024]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("q", PSCALE_QS)
+def test_pscale_equals_the_packed_products(q, n):
+    """pscale of packed words is the packing of their products, by the
+    units and by every element, on a new last axis after the batch axes."""
+    gf = field_for_q(q)
+    rng = np.random.default_rng([71, q, n])
+    A = rng.integers(0, q, size=(2, 3, n)).astype(np.int16)
+    A[0, 0] = 0
+    A[0, 1] = q - 1
+    PA = gf.pack(A)
+    for c in (np.array(gf.units(), dtype=np.int16), np.arange(q)):
+        got = gf.pscale(PA, c)
+        want = gf.pack(np.moveaxis(gf.mul_table[c][:, A], 0, -2))
+        assert got.dtype == gf.packed_dtype and got.shape == PA.shape + (len(c),)
+        assert np.array_equal(got, want)
 
 
 # every field of the engine tests in test_codes.py, and the two-byte form;
