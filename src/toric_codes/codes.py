@@ -40,7 +40,8 @@ and takes it as it is, with no second validation or rank pass: its
 entries are 1s and negated entries of R, and each row is the only one
 nonzero in its free column, so its rank is n - k by construction.  A dual
 generator of more than ``MATRIX_SIZE_CAP`` = 2^28 entries is refused with
-CodeError before it is allocated, as is an evaluation matrix (``toric``).
+CodeError before it is allocated, as is an evaluation matrix
+(``toric.function_space``).
 The exhaustive engine enumerates one representative per projective
 message class; the information-set engine is a Brouwer-Zimmermann-style
 search over systematic generators on (maximally) disjoint information
@@ -65,9 +66,10 @@ The leaves are:
   c r_i) plus a word of the block table and one of the suffix table.  The
   suffix table spans the last v rows in at most ``_SUFFIX_WORDS`` = 2^15
   words, which stay in cache, and the block table the b rows above them,
-  q^(b+v) <= ``_PRODUCT_BLOCK``; the first q^r words of either span its
-  last r rows.  Each message is weighed once, so the work is
-  (q^k - 1)/(q - 1) however the rows are split;
+  q^(b+v) <= ``_PRODUCT_BLOCK``; both are ``GF.pspan`` of the rows'
+  multiples, whose first q^r words span the last r rows.  Each message is
+  weighed once, so the work is (q^k - 1)/(q - 1) however the rows are
+  split;
 - information-set engine, level 1: the zero word, against every row of a
   matrix at once;
 - level 2: the zero word, against a block of the pair words r_s + u r_t,
@@ -76,8 +78,7 @@ The leaves are:
   of ``_PAIR_LEAF_BYTES`` below, and at least one pair; the words are X and
   the zero word is T, so the ties are the words themselves, not their
   negatives.  The 7 920 pair words of the GF(9) row (64, 45, 4) are one
-  block; as 44 one-row leaves, with packed products, the row took 2.7 ms,
-  and it takes 1.1 ms (CHANGES.md);
+  block, in place of 44 one-row leaves (CHANGES.md records the timings);
 - from level 3 on, one support row left: the unit multiples u r_s of the
   rows after the block's last;
 - two support rows left: the pair table of the words u r_s + v r_t, s < t,
@@ -140,11 +141,11 @@ whose first nonzero entry is least, then those whose whole row is least.
 Only these survivors are formed in full, in blocks of at most max(2^18, n)
 entries, and compared.  A tie fixed by many translations, such as the
 constant word of a k = 1 code, keeps them all.  The rotated rows of a
-block of ties hold at most max(2^18, N n) entries.  Over GF(128), the 127
-ties of a budgeted fan1 search take 0.09 s on 2 vCPUs; forming every
-translate took 13.6 s (CHANGES.md).  Codes with
-orbit points, another point order, Reed-Muller codes and random codes
-fail the check and keep the disjoint information sets.
+block of ties hold at most max(2^18, N n) entries, so a long code pays
+about O(n) per tie, not the O(n^2) of forming every translate (CHANGES.md
+records the timings).  Codes with orbit points, another point order,
+Reed-Muller codes and random codes fail the check and keep the disjoint
+information sets.
 
 The last level through row 0.  Before a level w >= 2, with best the least
 weight found so far: if (k-1) best < n w, the level enumerates only the
@@ -710,16 +711,6 @@ def _run_tasks(fn, tasks, best_w=None, ties=None, work=0):
         return _reduce_results(map(fn, tasks), best_w, ties, work)
 
 
-def _span_table(gf: GF, multiples: np.ndarray) -> np.ndarray:
-    """The packed words sum_t c_t r_t over every choice of the c_t, one per
-    column, from the multiples (word, r, q) of r rows; the last row is the
-    fastest digit, so the first q^s words span the last s rows."""
-    S = np.zeros((len(multiples), 1), dtype=gf.packed_dtype)
-    for t in reversed(range(multiples.shape[1])):
-        S = gf.padd(multiples[:, t, :, None], S[:, None, :]).reshape(len(S), -1)
-    return S
-
-
 def min_distance_exhaustive(code: LinearCode, work_cap: int = 2_000_000_000) -> WeightReport:
     """Exact d by enumerating one representative per projective message
     class (first nonzero message symbol = 1).
@@ -752,8 +743,8 @@ def min_distance_exhaustive(code: LinearCode, work_cap: int = 2_000_000_000) -> 
     b = 0
     while v + b + 1 <= k - 1 and q ** (v + b + 1) <= _PRODUCT_BLOCK:
         b += 1
-    S = _span_table(gf, multiples[:, k - v :])
-    B = _span_table(gf, multiples[:, k - v - b : k - v])
+    S = gf.pspan(multiples[:, k - v :])
+    B = gf.pspan(multiples[:, k - v - b : k - v])
 
     def tasks():
         for j in range(k):

@@ -55,6 +55,8 @@ The flat products read an index >= q as another row of the table, which
 is why only operands made this way reach them; ``matmul`` and ``rref``
 keep their entry checks for every other caller.
 
+Setup lists L(G') and L(G - G') through ``toric.function_space``, the
+gate that lists L(G), with no dual cap: no dual of either is formed.
 Every bracket is an entry of s: a product f_j g_i has its exponent in
 P_G' + P_(G-G'), which lies in P_G, the exponents of the basis h
 (Skorobogatov-Vladut, IEEE Trans. IT 1990).  Setup keeps each product's
@@ -97,21 +99,13 @@ from .codes import (
     _null_basis,
     _rref,
     _solution,
-    check_matrix_size,
     matmul,
     min_distance,
     null_space,
 )
 from .field import _positive
-from .geometry import (
-    PointSet,
-    TDivisor,
-    evaluation_matrix,
-    lattice_points,
-    least_orders,
-    polytope_of_divisor,
-)
-from .toric import ToricCodeSpec, ToricCodeResult, build, check_listing, _mark_translation_grid
+from .geometry import PointSet, TDivisor, evaluation_matrix, least_orders
+from .toric import ToricCodeSpec, ToricCodeResult, build, function_space, _mark_translation_grid
 
 
 class SetupError(ValueError):
@@ -170,15 +164,9 @@ def setup(
             f"the dual code, which this decoder decodes, is zero: the code has k = n = {n}"
         )
 
-    # L(G') and L(G - G') are each evaluated at every point: counted first
-    bases = []
-    for div in (gprime, spec.divisor - gprime):
-        poly = polytope_of_divisor(fan, div)
-        count = poly.lattice_point_count()
-        check_matrix_size(count, n, "evaluation matrix")
-        check_listing(poly, count)
-        bases.append(lattice_points(poly))
-    basis_locator, basis_gap = bases
+    # L(G') and L(G - G') are each evaluated at every point
+    basis_locator = function_space(fan, gprime, n)
+    basis_gap = function_space(fan, spec.divisor - gprime, n)
     if not basis_locator or not basis_gap:  # build has rejected an empty L(G)
         raise SetupError(
             "a required function space is zero: "

@@ -51,8 +51,9 @@ each over the digit rows.  CHANGES.md records the measurements behind
 these paths and the packed kernels below.
 
 The distance engines add and compare whole blocks of codewords in a
-packed form (``pack``, ``unpack``, ``padd``, ``psub``, ``pscale``, ``pdist``),
-with the packed word axis first so that a broadcast runs along the contiguous block:
+packed form (``pack``, ``unpack``, ``padd``, ``psub``, ``pspan``, ``pscale``,
+``pdist``), with the packed word axis first so that a broadcast runs along
+the contiguous block:
 
 - p = 2: m bit planes of ceil(n / 64) uint64, added by XOR;
 - p = 3: 2m bit planes, [digit = 1] and [digit = 2], added by six
@@ -66,16 +67,16 @@ into one accumulator, then takes the popcount (bit planes) or the count of
 nonzero bytes; a weight is the distance to the zero word, so no sum of
 the block is formed before its weights.
 
-``pscale`` forms the multiples c x of packed words for a list of elements
-c without unpacking them.  Multiplication by c is F_p-linear on the
-digits, so every combination of a word's digit planes is formed once, in
-a table of q packed digits (XORs of bit planes for p = 2; for p = 3 the
-[x = 1] and [x = 2] plane pairs, which multiplying by 2 swaps; bytes for
-p >= 5), and each digit plane of c x is gathered from that table.  A prime
-field p >= 5 gathers c x from its p x p residues in one step.  The engines
-pack only their k x n rows and scale them: over GF(128), k = 40 and
-n = 16 129, packing the unit multiples took 3.7 s and scaling the packed
-rows takes 0.04 s (2 vCPUs, numpy 2.4).
+``pspan`` forms the sums sum_t c_t x_t of a few packed words over every
+choice of the c_t, from their multiples.  ``pscale`` forms the multiples
+c x of packed words for a list of elements c without unpacking them.
+Multiplication by c is F_p-linear on the digits, so every combination of a
+word's digit planes is formed once, the ``pspan`` of its digits' multiples
+(XORs of bit planes for p = 2; for p = 3 the [x = 1] and [x = 2] plane
+pairs, which multiplying by 2 swaps; bytes for p >= 5), and each digit
+plane of c x is gathered from that table.  A prime field p >= 5 gathers
+c x from its p x p residues in one step.  The engines pack only their
+k x n rows and scale them (CHANGES.md has the timings).
 
 The default modulus for each (p, m) comes from a frozen table of primitive
 polynomials (t itself generates the unit group), so every derived artifact
@@ -539,7 +540,8 @@ class GF:
 
         x -> c x is F_p-linear on the digits: digit i of c x is the
         combination of the digits x_j whose coefficients are the digits of
-        ``_scale_rows[c, i]`` (digit i of c t^j, for each j).  So one table
+        ``_scale_rows[c, i]`` (digit i of c t^j, for each j).  So one table,
+        the ``pspan`` of the multiples a x_j with digit 0 the fastest,
         holds every combination sum_j b_j x_j, indexed by the element of
         digits b, as one packed digit (XOR of bit planes for p = 2; for
         p = 3 the planes [x = 1] and [x = 2], which 2 x swaps), and each
@@ -552,31 +554,38 @@ class GF:
         if p > 3 and m == 1:
             return self._residues[:, c][P]
         r = 2 if p == 3 else 1  # planes per digit
-        D = P.reshape((r, m, -1) + batch)
-        # AX[:, j, ..., a - 1] = a x_j for a = 1 .. p-1
-        if p == 2:
-            AX = D[..., None]
-        elif p == 3:
-            AX = np.stack([D, D[::-1]], axis=-1)
+        # X[h, ..., j] = plane h of x_(m-1-j), the packed digits of x, digit 0
+        # last, and A[..., j, a] = a x_(m-1-j) for a = 0 .. p-1
+        X = P.reshape((r, m, -1) + batch).transpose(0, *range(2, P.ndim + 2), 1)[..., ::-1]
+        words = X.shape[1:-1]
+        if p > 3:
+            A = self._residues[X]
         else:
-            AX = self._residues[:, 1:][D]
-        span = np.empty((r * D.shape[2],) + batch + (self.q,), dtype=self.packed_dtype)
-        span[..., 0] = 0
-        for j in range(m):
-            # span[..., b + a p^j] = span[..., b] + a x_j for b < p^j
-            h = p**j
-            ax = AX[:, j].reshape(span.shape[:-1] + (p - 1, 1))
-            added = ax if j == 0 else self.padd(span[..., None, :h], ax)
-            span[..., h : p * h] = added.reshape(span.shape[:-1] + (-1,))
-        span = span.reshape(D.shape[0:1] + D.shape[2:] + (self.q,))
+            A = np.zeros(X.shape + (p,), dtype=self.packed_dtype)
+            A[..., 1] = X
+            if p == 3:
+                A[..., 2] = X[::-1]  # 2 x swaps the planes [x = 1] and [x = 2]
+        # span[h, ..., b] = plane h of sum_j b_j x_j
+        span = self.pspan(A.reshape((-1,) + batch + (m, p))).reshape((r,) + words + (self.q,))
         index = self._scale_rows[c]
-        out = np.empty(D.shape[:3] + batch + (len(c),), dtype=self.packed_dtype)
+        out = np.empty((r, m) + words + (len(c),), dtype=self.packed_dtype)
         for h in range(r):
             for i in range(m):
                 # the indices are elements, so "clip" changes none of them;
                 # unlike "raise", it writes to out without a buffer
                 np.take(span[h], index[:, i], axis=-1, out=out[h, i], mode="clip")
         return out.reshape((-1,) + batch + (len(c),))
+
+    def pspan(self, M) -> np.ndarray:
+        """The packed sums sum_t c_t x_t over every choice of the c_t, one
+        per column, from the multiples M (word, ..., r, c) of r packed
+        words x_t, M[..., t, 0] the zero word: c^r columns, the last word
+        the fastest digit, so the first c^s columns span the last s words."""
+        shape, r = M.shape[:-2], M.shape[-2]
+        S = M[..., r - 1, :] if r else np.zeros(shape + (1,), dtype=self.packed_dtype)
+        for t in reversed(range(r - 1)):
+            S = self.padd(M[..., t, :, None], S[..., None, :]).reshape(shape + (-1,))
+        return np.ascontiguousarray(S)
 
     def pdist(self, A, B) -> np.ndarray:
         """Hamming distances between packed words, broadcasting over the

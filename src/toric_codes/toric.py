@@ -8,6 +8,13 @@ at some chosen point is a hard error (silent point exclusion would change
 n); exponents with a coordinate of magnitude >= q-1 only raise a warning,
 since character collisions then merely reduce the rank, which is
 reported.
+
+Every function space that is evaluated, L(G) here and L(G') and L(G - G')
+in the decoder, is listed by one gate, ``function_space``, which counts
+P_D in closed form and refuses an evaluation matrix over the size cap or a
+sliver polytope (few points over many columns) before it lists the points.
+A spec then checks its dual cap from the points listed, as k <= |P_G|;
+that cap can fail only when n > 2^14, so at most 2^14 points come first.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from .codes import CodeError, LinearCode, check_matrix_size
 from .geometry import (
     EvalPoint,
     Fan2D,
-    LatticePolytope,
     PointSet,
     TDivisor,
     evaluation_matrix,
@@ -46,9 +52,12 @@ class ToricCodeSpec:
 
     def __post_init__(self):
         self.points = PointSet.of(self.points)
-        if not len(self.points):
+        n = len(self.points)
+        if not n:
             raise CodeError("empty point set")
-        self.basis = lattice_points(checked_polytope(self.fan, self.divisor, len(self.points)))
+        self.basis = function_space(self.fan, self.divisor, n)
+        # k <= |P_G|, so the dual has at least n - |P_G| rows
+        check_matrix_size(n - len(self.basis), n, "dual generator")
         # equal points are equal rows, which sorting puts next to each other
         rows = self.points.rows[np.lexsort(self.points.rows.T)]
         if (rows[1:] == rows[:-1]).all(axis=1).any():
@@ -79,33 +88,23 @@ class ToricCodeResult:
 LISTING_SLACK = 1 << 18
 
 
-def check_listing(poly: LatticePolytope, count: int) -> None:
-    """CodeError when listing the ``count`` lattice points of ``poly``
-    would step through more than count + 2^18 columns.  The listing takes
-    one step per column and one per point, so under this rule it costs at
-    most a fixed amount beyond the points it returns, which the size caps
-    bound; a sliver polytope, few points over many columns, is refused.
-    The columns are counted, not listed."""
+def function_space(fan: Fan2D, divisor: TDivisor, n: int) -> list[tuple[int, int]]:
+    """The monomial basis of L(D), the lattice points of P_D, for a code on
+    n points: CodeError, before any is listed, when the evaluation matrix
+    |P_D| x n would exceed ``MATRIX_SIZE_CAP`` entries, or when listing
+    would step through more than |P_D| + 2^18 columns t = x + y.  The
+    listing takes one step per column and one per point, so it costs at
+    most a fixed amount beyond the points, which the size cap bounds."""
+    poly = polytope_of_divisor(fan, divisor)
+    count = poly.lattice_point_count()
+    check_matrix_size(count, n, "evaluation matrix")
     columns = poly.column_count()
     if columns > count + LISTING_SLACK:
         raise CodeError(
             f"listing {count} lattice points would step through {columns} columns, "
             f"more than their count plus {LISTING_SLACK} (2^18)"
         )
-
-
-def checked_polytope(fan: Fan2D, divisor: TDivisor, n: int) -> LatticePolytope:
-    """P_G, once its lattice points are counted, not listed: CodeError when
-    the evaluation matrix on n points (|P_G| x n) or the dual of the code
-    it spans (at least (n - |P_G|) x n, as k <= |P_G|) would exceed
-    ``MATRIX_SIZE_CAP`` entries, or when listing them would step through
-    too many columns (``check_listing``)."""
-    poly = polytope_of_divisor(fan, divisor)
-    kc = poly.lattice_point_count()
-    check_matrix_size(kc, n, "evaluation matrix")
-    check_matrix_size(n - kc, n, "dual generator")
-    check_listing(poly, kc)
-    return poly
+    return lattice_points(poly)
 
 
 def default_points(

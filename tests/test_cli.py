@@ -718,6 +718,33 @@ def test_oversize_decoder_basis_exits_3(tmp_path, capsys):
     assert "evaluation matrix would hold 1666716667 x 16" in capsys.readouterr().err
 
 
+# decode jobs over GF(8) whose L(G') or L(G - G') the gate refuses: G' holds
+# one lattice point over 2 000 001 columns t = x + y, and G - G' =
+# (0, 0, 100 010) holds 1 667 050 022 on the 49 torus points
+DECODE_REFUSALS = {
+    "sliver": (SLIVER_RAYS, [0, 0, 0, 0], [0, 0, 0, 2 * 10**6],
+               "listing 1 lattice points would step through 2000001 columns"),
+    "gap": ([[2, -1], [-1, 2], [-1, -1]], [0, 0, 10], [0, 0, -100_000],
+            "evaluation matrix would hold 1667050022 x 49"),
+}
+
+
+@pytest.mark.parametrize("job", list(DECODE_REFUSALS))
+def test_decoder_basis_refused_by_the_gate_exits_3_within_a_second(tmp_path, capsys, job):
+    """``decode`` lists L(G') and L(G - G') through the gate that lists
+    L(G), so each refusal comes before the basis is listed."""
+    rays, divisor, gprime, message = DECODE_REFUSALS[job]
+    spec = write_job(tmp_path, field={"p": 2, "m": 3}, fan={"rays": rays}, divisor=divisor,
+                     decoder={"gprime": gprime})
+    received = tmp_path / "r.txt"
+    received.write_text(" ".join(["0"] * 49))
+    t0 = time.perf_counter()
+    assert main(["decode", "--spec", spec, "--received", str(received)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_mutated_job_and_build_files_never_crash(tmp_path, capsys):
     rng = np.random.default_rng(2024)
     job = {

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from toric_codes import codes, decoder
+from toric_codes import codes, decoder, toric
 from toric_codes.field import GF
 from toric_codes.codes import LinearCode, _elements, matvec, min_distance_exhaustive, null_space, rref, solve
 from toric_codes.decoder import (
@@ -113,7 +113,7 @@ def test_setup_refuses_a_sliver_basis_before_listing_it(monkeypatch):
     rays = [(1000001, -1000000), (1, 1), (-1000001, 1000000), (-1, -1)]
     gf = GF(2, 3)
     spec = ToricCodeSpec(gf, Fan2D(rays), TDivisor((0, 0, 0, 0)), list(torus_points(gf)))
-    monkeypatch.setattr(decoder, "lattice_points", never)
+    monkeypatch.setattr(toric, "lattice_points", never)
     with pytest.raises(codes.CodeError, match="would step through 2000001 columns"):
         decoder_setup(spec, TDivisor((0, 0, 0, 2 * 10**6)))
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import re
 import reprlib
@@ -366,6 +367,29 @@ def test_pscale_equals_the_packed_products(q, n):
         want = gf.pack(np.moveaxis(gf.mul_table[c][:, A], 0, -2))
         assert got.dtype == gf.packed_dtype and got.shape == PA.shape + (len(c),)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("q", [2, 4, 9, 7, 25])
+def test_pspan_equals_every_choice_of_coefficients(q, r):
+    """pspan of the packed multiples c x_t of r words is the packing of
+    sum_t c_t x_t for every choice of the c_t, one per column, the last
+    word the fastest digit, with batch axes between the word axis and the
+    rows: over every element and over two of them, zero first.  No words
+    span the zero word alone."""
+    gf = field_for_q(q)
+    rng = np.random.default_rng([83, q, r])
+    X = rng.integers(0, q, size=(2, 3, 70)).astype(np.int16)
+    for c in (np.arange(q), np.array([0, q - 1])):
+        # the multiples (word, 2, r, c) of the last r words
+        M = np.moveaxis(gf.pack(gf.mul_table[c][:, X]), 1, -1)[:, :, 3 - r :]
+        got = gf.pspan(M)
+        want = []
+        for choice in itertools.product(range(len(c)), repeat=r):
+            terms = [gf.mul_table[c[i], X[:, 3 - r + t]] for t, i in enumerate(choice)]
+            want.append(functools.reduce(lambda a, b: gf.add_table[a, b], terms, np.zeros_like(X[:, 0])))
+        assert got.dtype == gf.packed_dtype and got.shape == M.shape[:2] + (len(c) ** r,)
+        assert np.array_equal(got, gf.pack(np.stack(want, axis=1)))
 
 
 # every field of the engine tests in test_codes.py, and the two-byte form;

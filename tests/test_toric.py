@@ -17,8 +17,8 @@ from toric_codes.geometry import (
 from toric_codes.toric import (
     ToricCodeSpec,
     build,
-    checked_polytope,
     default_points,
+    function_space,
     hansen_code,
     hansen_fan,
     toric_code,
@@ -83,10 +83,11 @@ def test_spec_over_the_size_caps_is_refused_before_listing_p_g():
     with pytest.raises(CodeError, match="evaluation matrix would hold 1666716667 x 49"):
         toric_code(GF(2, 3), FAN1.rays, (0, 0, 100_000))
     # over GF(1021), k <= |P_G| = 2, so the dual has at least n - 2 rows
+    gf = GF(1021)
     with pytest.raises(CodeError, match="dual generator would hold 1040398 x 1040400"):
-        checked_polytope(FAN1, TDivisor((0, 0, 2)), 1020**2)
+        ToricCodeSpec(gf, FAN1, TDivisor((0, 0, 2)), torus_points(gf))
     # fan1 over GF(64), divisor (0, 0, 40): (3969, 287), within both caps
-    assert checked_polytope(FAN1, TDivisor((0, 0, 40)), 63**2).lattice_point_count() == 287
+    assert len(function_space(FAN1, TDivisor((0, 0, 40)), 63**2)) == 287
 
 
 def test_empty_basis_error():
