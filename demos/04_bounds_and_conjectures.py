@@ -1,24 +1,13 @@
 """Bound machinery: Singleton defect, the lattice-segment upper bound,
 Gilbert-Varshamov comparison, and the two conjectural lower bounds."""
 
-from toric_codes import (
-    GF,
-    TDivisor,
-    Fan2D,
-    beats_gv,
-    bound_report,
-    gv_rate,
-    min_distance,
-    polytope_of_divisor,
-    toric_code,
-)
+from toric_codes import GF, Fan2D, beats_gv, bound_report, gv_rate, min_distance, toric_code
 
 fan6 = Fan2D([(2, -1), (-1, 1), (-1, 0)])
 gf7 = GF(7)
 res = toric_code(gf7, fan6, (0, 0, 2))
 d = min_distance(res.code).d
-poly = polytope_of_divisor(fan6, TDivisor((0, 0, 2)))
-rep = bound_report(7, fan6, TDivisor((0, 0, 2)), poly, res.n, res.k, d)
+rep = bound_report(res, d)
 
 print("smooth fan, G = 2*D3 over GF(7):", (res.n, res.k, d))
 print("Singleton defect:", rep.singleton_defect)

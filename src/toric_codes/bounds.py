@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldError, _positive, prime_power
-from .geometry import Fan2D, LatticePolytope, TDivisor, is_ample, is_cartier, is_smooth
+from .geometry import (Fan2D, LatticePolytope, TDivisor, Vec, is_ample, is_cartier, is_smooth,
+                       polytope_of_divisor)
+from .toric import ToricCodeResult
 
 
 class BoundsError(ValueError):
@@ -68,9 +71,11 @@ def hansen_params(case: str, q: int, a: int, b: int = 0, m: int = 1) -> HansenPr
 # -- the segment upper bound --------------------------------------------------
 
 
-def segment_upper_bound(poly: LatticePolytope, n: int, q: int | None = None) -> int:
+def segment_upper_bound(points: Sequence[Vec], n: int, q: int | None = None) -> int:
     """d <= n - h, where h+1 is the longest run of consecutive lattice
-    points along a coordinate direction inside the polytope.
+    points along a coordinate direction among ``points``, the lattice
+    points of a polytope as ``toric.function_space`` lists them (a code's
+    ``spec.basis``).
 
     A run of h+1 points yields, after an integral translation (a monomial
     equivalence), a function (x_j - a_1)...(x_j - a_h) * monomial in the
@@ -80,11 +85,10 @@ def segment_upper_bound(poly: LatticePolytope, n: int, q: int | None = None) -> 
     The polytope is convex, so the lattice points of each row and column
     form one run, and h is the largest max - min over them.
     """
-    pts = poly.lattice_points()
-    if not pts:
+    if not points:
         raise BoundsError("segment bound needs a nonempty polytope")
     lines = defaultdict(list)
-    for x, y in pts:
+    for x, y in points:
         lines["row", y].append(x)
         lines["column", x].append(y)
     h = max(max(line) - min(line) for line in lines.values())
@@ -110,9 +114,13 @@ def entropy_q(q: int, x: float) -> float:
 
 
 def gv_rate(q: int, delta: float) -> float:
-    """Rate of the Gilbert-Varshamov curve at relative distance delta."""
-    if not 0 <= delta <= (q - 1) / q:
-        raise BoundsError(f"delta = {delta} out of [0, (q-1)/q]")
+    """Rate of the Gilbert-Varshamov curve at relative distance delta in
+    [0, 1]: 1 - H_q(delta) up to the Plotkin point (q-1)/q, and 0 past it,
+    where the curve has reached 0 (MacWilliams and Sloane, ch. 17)."""
+    if not 0 <= delta <= 1:
+        raise BoundsError(f"delta = {delta} out of [0, 1]")
+    if delta > (q - 1) / q:
+        return 0.0
     return 1.0 - entropy_q(q, delta)
 
 
@@ -208,34 +216,21 @@ class BoundReport:
     conj2: Conjecture2Report
 
 
-def bound_report(
-    q: int,
-    fan: Fan2D,
-    div: TDivisor,
-    poly: LatticePolytope,
-    n: int,
-    k: int,
-    d: int | None = None,
-) -> BoundReport:
-    rate = None
-    beats = None
-    if d is not None:
-        delta = d / n
-        if delta <= (q - 1) / q:
-            rate = gv_rate(q, delta)
-            beats = k / n > rate
-        else:
-            # beyond the Plotkin point the GV curve is 0: any code beats it
-            rate = 0.0
-            beats = True
+def bound_report(result: ToricCodeResult, d: int | None = None) -> BoundReport:
+    """The bounds of a built code, read from ``result``: its field, fan,
+    divisor, n, k and the lattice points of P_G that its spec has listed.
+    ``d`` is the code's exact minimum distance, if known; the Singleton
+    defect and the GV comparison need it."""
+    spec, n, k, q = result.spec, result.n, result.k, result.spec.gf.q
+    poly = polytope_of_divisor(spec.fan, spec.divisor)
     return BoundReport(
         n=n,
         k=k,
         d=d,
-        singleton_defect=(n + 1 - k - d) if d is not None else None,
-        segment_upper=segment_upper_bound(poly, n, q),
-        gv_rate=rate,
-        beats_gv=beats,
+        singleton_defect=None if d is None else n + 1 - k - d,
+        segment_upper=segment_upper_bound(spec.basis, n, q),
+        gv_rate=None if d is None else gv_rate(q, d / n),
+        beats_gv=None if d is None else beats_gv(n, k, d, q),
         conj1=conjecture1_bound(poly, n),
-        conj2=conjecture2_bound(fan, div, poly, n),
+        conj2=conjecture2_bound(spec.fan, spec.divisor, poly, n),
     )

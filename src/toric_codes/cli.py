@@ -30,7 +30,7 @@ from .codes import (
 )
 from .decoder import SetupError, decode as decoder_decode, setup as decoder_setup
 from .field import GF, FieldError, _integers, _positive, _sequence, _shown
-from .geometry import Fan2D, FanError, OrbitPoint, PoleError, TDivisor, polytope_of_divisor
+from .geometry import Fan2D, FanError, OrbitPoint, PoleError, TDivisor
 from .reproduce import format_results, reproduce_table
 from .tables import GOLDEN_TABLES
 from .toric import ToricCodeSpec, build as toric_build, default_points
@@ -235,15 +235,13 @@ def cmd_mindist(args) -> int:
 
 def cmd_bounds(args) -> int:
     job = load_job(args.spec)
-    spec = job_to_spec(job)
-    result = toric_build(spec)
+    result = toric_build(job_to_spec(job))
     d = interval = None
     if not args.no_mindist:
         dist = _mindist_report(result.code, job, args)
         # an inexact search proves only an interval; nothing is computed from it
         d, interval = (dist.d, None) if dist.exact else (None, [dist.lower, dist.upper])
-    poly = polytope_of_divisor(spec.fan, spec.divisor)
-    rep = bound_report(spec.gf.q, spec.fan, spec.divisor, poly, result.n, result.k, d)
+    rep = bound_report(result, d)
     doc = {
         "n": rep.n,
         "k": rep.k,

@@ -502,22 +502,22 @@ class LinearCode:
         self.warnings = []
         # rref checks the entries, once
         R, rank, pivots = rref(gf, rows)
-        self._reduced = (R, pivots)
         if rank < rows.shape[0]:
             self.warnings.append(
                 f"generator rows are dependent: rank {rank} < {rows.shape[0]}; reduced"
             )
-            self.gen = R[:rank].copy()
+            R = R[:rank].copy()  # the zero rows below are never read
+            self.gen = R.copy()
         else:
             self.gen = rows.astype(np.int16)
+        self._reduced = (R, pivots)
         self.n = int(rows.shape[1])
         self.k = int(rank)
         self.d = None
 
     @cached_property
     def _reduced(self) -> tuple[np.ndarray, list[int]]:
-        """(R, pivots): the reduced echelon form of a matrix with the row
-        space of ``gen`` (its first k rows are that of ``gen``) and its
+        """(R, pivots): the k x n reduced echelon form of ``gen`` and its
         pivot columns.  ``__init__`` keeps the reduction it made; a dual
         reduces its generator the first time this is read."""
         R, _, pivots = rref(self.gf, self.gen)
@@ -790,14 +790,14 @@ def _systematic_generators(code: LinearCode) -> Iterator[tuple[np.ndarray, int]]
 
     Yields (matrix, rank_of_its_set); ranks are k for the first sets and may
     drop for the last one(s).  The first matrix is the code's reduced
-    echelon form, R[:k] of ``code._reduced``; the later ones reduce ``gen``
-    with the columns used so far scanned last.
+    echelon form, ``code._reduced``; the later ones reduce ``gen`` with the
+    columns used so far scanned last.
     """
     gf, G = code.gf, code.gen
     k, n = G.shape
     R, pivots = code._reduced
     used = set(pivots)
-    yield R[:k], len(pivots)
+    yield R, len(pivots)
     while len(used) < n:
         order = [c for c in range(n) if c not in used] + [c for c in range(n) if c in used]
         R, rank, pivots = rref(gf, G, col_order=order)

@@ -542,15 +542,33 @@ def _integer_array(entries, what: str, width: int) -> np.ndarray:
         raise ValueError(f"{what} must be integers of at most 64 bits") from None
 
 
+def _check_orders(largest: int, fan: Fan2D, error) -> None:
+    """``error`` unless int64 holds every order <a, v_r> exactly for
+    exponents a with coordinates of magnitude at most ``largest`` (read as
+    at least 1): largest * max |ray coordinate| < 2^62, so |<a, v_r>| <
+    2^63.  ``_characters`` checks its exponents, and
+    ``toric.function_space`` the vertices of P_D before it lists them."""
+    widest = max(abs(c) for v in fan.rays for c in v)
+    if max(largest, 1) * widest >= 1 << 62:
+        raise error(
+            f"exponent coordinates up to {largest} on rays with coordinates up to {widest}: "
+            "an order <a, v> would not fit in 64 bits (|a| |v| must stay below 2^62)"
+        )
+
+
 def _characters(
     exponents: Sequence[Vec], points: Sequence[EvalPoint], gf: GF, fan: Fan2D | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The checked exponents A (k x 2), the order of each character along
     each ray (k x (s+1), a last column of 0s for the torus), and per point
     its column of those (n) and w (n x 2), all int64: the leading values
-    are g^((A w^T) mod (q-1)) (``evaluation_matrix``)."""
+    are g^((A w^T) mod (q-1)) (``evaluation_matrix``), so w is formed from
+    turn vectors reduced mod q-1.  The orders are exact: exponents too
+    large for that are a ValueError (``_check_orders``)."""
     s = fan.s if fan is not None else 0
     A = _integer_array(exponents, "exponents", 2)
+    if fan is not None:
+        _check_orders(max(-int(A.min()), int(A.max())) if A.size else 0, fan, ValueError)
     # per point the orbit flag, the ray, and two field elements whose logs
     # make w through the ray's turn matrix (row s of the tables: the torus)
     rows = PointSet.of(points).rows
@@ -568,7 +586,7 @@ def _characters(
     for r in range(s):
         m1, m2 = fan.transverse_vector(r)
         normals[r] = fan.rays[r]
-        turns[r, 0] = (-m2, m1)
+        turns[r, 0] = (-m2 % (gf.q - 1), m1 % (gf.q - 1))
     logs = gf.log[coords]
     w = logs[:, :1] * turns[ray, 0] + logs[:, 1:] * turns[ray, 1]
     return A, A @ normals.T, ray, w
@@ -612,31 +630,39 @@ def evaluation_matrix(
     leading value is the orbit character s^det(m_r, a).  Either value is
     g^((a . w) mod (q-1)): w = (log t1, log t2), or log(s) (-m_r2, m_r1).
     Exponents and point fields must be integers, not bools (ValueError).
+    A value is exact at any exponent whose orders int64 holds, as A and the
+    turn vectors enter reduced mod q-1; larger exponents are a ValueError
+    (``_check_orders``).
 
     The points are evaluated in blocks of max(2^18 // k, 1) columns, so
     that of the k x n arrays only the int16 result is formed in full.
     """
     A, orders, ray, w = _characters(exponents, points, gf, fan)
     level = np.zeros(len(w), dtype=np.int64) if level is None else np.asarray(level)
-    if level.shape != (len(w),) or (level.size and level.dtype.kind not in "iu"):
+    if level.shape != (len(w),) or (
+        level.size and (level.dtype.kind not in "iu" or level.max() > np.iinfo(np.int64).max)
+    ):
         raise ValueError(f"level must hold {len(w)} integers, one per point")
     level = level.astype(np.int64, copy=False)
     values = gf.exp.astype(np.int16)
+    # only (A w^T) mod (q-1) is read, so A enters reduced and no product
+    # overflows
+    A_mod = A % (gf.q - 1)
     M = np.empty((len(A), len(w)), dtype=np.int16)
     width = max(_EVALUATION_BLOCK // max(len(A), 1), 1)
     for s in range(0, len(w), width):
         blk = slice(s, s + width)
-        order = orders[:, ray[blk]] - level[blk]
-        if (order < 0).any():
-            j, i = np.argwhere(order.T < 0)[0]
-            a, at = tuple(A[i].tolist()), level[s + j]
+        order, at = orders[:, ray[blk]], level[blk]
+        if (order < at).any():
+            j, i = np.argwhere(order.T < at[:, None])[0]
+            a, lv = tuple(A[i].tolist()), at[j]
             raise PoleError(
-                f"monomial {a} has a pole along D_{ray[s + j] + 1}" if at == 0
-                else f"monomial {a} has order {order[i, j] + at} below the level {at} at point {s + j}"
+                f"monomial {a} has a pole along D_{ray[s + j] + 1}" if lv == 0
+                else f"monomial {a} has order {order[i, j]} below the level {lv} at point {s + j}"
             )
-        e = A @ w[blk].T
+        e = A_mod @ w[blk].T
         np.remainder(e, gf.q - 1, out=e)
-        M[:, blk] = np.where(order == 0, values[e], 0)
+        M[:, blk] = np.where(order == at, values[e], 0)
     return M
 
 

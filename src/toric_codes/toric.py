@@ -11,8 +11,9 @@ reported.
 
 Every function space that is evaluated, L(G) here and L(G') and L(G - G')
 in the decoder, is listed by one gate, ``function_space``, which counts
-P_D in closed form and refuses an evaluation matrix over the size cap or a
-sliver polytope (few points over many columns) before it lists the points.
+P_D in closed form and refuses an evaluation matrix over the size cap, a
+sliver polytope (few points over many columns), or exponents whose orders
+int64 cannot hold exactly, before it lists the points.
 A spec then checks its dual cap from the points listed, as k <= |P_G|;
 that cap can fail only when n > 2^14, so at most 2^14 points come first.
 """
@@ -31,6 +32,7 @@ from .geometry import (
     Fan2D,
     PointSet,
     TDivisor,
+    _check_orders,
     evaluation_matrix,
     lattice_points,
     orbit_points,
@@ -92,9 +94,11 @@ def function_space(fan: Fan2D, divisor: TDivisor, n: int) -> list[tuple[int, int
     """The monomial basis of L(D), the lattice points of P_D, for a code on
     n points: CodeError, before any is listed, when the evaluation matrix
     |P_D| x n would exceed ``MATRIX_SIZE_CAP`` entries, or when listing
-    would step through more than |P_D| + 2^18 columns t = x + y.  The
-    listing takes one step per column and one per point, so it costs at
-    most a fixed amount beyond the points, which the size cap bounds."""
+    would step through more than |P_D| + 2^18 columns t = x + y, or when
+    int64 might not hold the orders <a, v_i> of its points exactly
+    (``geometry._check_orders``).  The listing takes one step per column
+    and one per point, so it costs at most a fixed amount beyond the
+    points, which the size cap bounds."""
     poly = polytope_of_divisor(fan, divisor)
     count = poly.lattice_point_count()
     check_matrix_size(count, n, "evaluation matrix")
@@ -104,6 +108,10 @@ def function_space(fan: Fan2D, divisor: TDivisor, n: int) -> list[tuple[int, int
             f"listing {count} lattice points would step through {columns} columns, "
             f"more than their count plus {LISTING_SLACK} (2^18)"
         )
+    # a lattice point's coordinates are at most its vertices' in magnitude,
+    # Fractions whose floor |num| // den is read without forming |c|
+    largest = max((abs(c.numerator) // c.denominator for v in poly.vertices for c in v), default=0)
+    _check_orders(largest, fan, CodeError)
     return lattice_points(poly)
 
 

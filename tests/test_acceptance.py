@@ -287,9 +287,8 @@ def test_criterion_9_bound_properties():
         ok = ok and defect >= 0
         is_mds = "MDS" in row.note
         ok = ok and (defect == 0) == is_mds
-        poly = polytope_of_divisor(fan, div)
-        ok = ok and d <= segment_upper_bound(poly, n, row.q)
-        c2 = conjecture2_bound(fan, div, poly, n)
+        ok = ok and d <= segment_upper_bound(res.spec.basis, n, row.q)
+        c2 = conjecture2_bound(fan, div, polytope_of_divisor(fan, div), n)
         if c2.applicable:
             ok = ok and k == c2.predicted_k
         if beats_gv(n, k, d, row.q):

@@ -89,18 +89,18 @@ def test_segment_bound_rectangle():
     for a, b in [(1, 3), (2, 2), (3, 1)]:
         p = poly(FAN3, (0, 0, a, b))
         n = 16
-        assert segment_upper_bound(p, n) == n - max(a, b)
+        assert segment_upper_bound(p.lattice_points(), n) == n - max(a, b)
 
 
 def test_segment_bound_single_point():
     p = poly(FAN1, (0, 0, 0))
-    assert segment_upper_bound(p, 16) == 16
+    assert segment_upper_bound(p.lattice_points(), 16) == 16
 
 
 def test_segment_bound_fan1_example():
     # points {(0,0),(1,1),(1,2),(2,1)}: longest run is 2 points -> h = 1
     p = poly(FAN1, (0, 0, 3))
-    assert segment_upper_bound(p, 16) == 15
+    assert segment_upper_bound(p.lattice_points(), 16) == 15
 
 
 def test_segment_bound_field_cap():
@@ -108,8 +108,8 @@ def test_segment_bound_field_cap():
     # saturates, so h caps at q-2 once the field is known
     fan2_10 = Fan2D([(1, 0), (-1, 10), (0, -1)])
     p = poly(fan2_10, (5, 9, 4))
-    assert segment_upper_bound(p, 49, 8) == 49 - 6
-    assert segment_upper_bound(p, 49) < 0  # uncapped raw form
+    assert segment_upper_bound(p.lattice_points(), 49, 8) == 49 - 6
+    assert segment_upper_bound(p.lattice_points(), 49) < 0  # uncapped raw form
 
 
 def segment_walk(poly, n, q=None):
@@ -148,7 +148,7 @@ def test_segment_bound_matches_the_run_walk():
                 continue
             checked += 1
             for q in (None, 4, 9):
-                assert segment_upper_bound(p, 100, q) == segment_walk(p, 100, q)
+                assert segment_upper_bound(p.lattice_points(), 100, q) == segment_walk(p, 100, q)
     assert checked >= 400
 
 
@@ -156,8 +156,7 @@ def test_segment_bound_dominates_observed_d():
     for coeffs, q in [((0, 0, 3), 5), ((1, 1, 2), 5), ((2, 3, 1), 5)]:
         res = toric_code(GF(q), FAN1, coeffs)
         d = min_distance_exhaustive(res.code).d
-        p = poly(FAN1, coeffs)
-        assert d <= segment_upper_bound(p, res.n)
+        assert d <= segment_upper_bound(res.spec.basis, res.n)
 
 
 # -- GV ------------------------------------------------------------------------
@@ -191,8 +190,53 @@ def test_gv_shape_grid():
 
 
 def test_gv_domain_errors():
-    with pytest.raises(BoundsError):
-        gv_rate(5, 0.9)
+    """Past the Plotkin point (q-1)/q the curve is 0, up to delta = 1; a
+    relative distance outside [0, 1] is refused."""
+    for q in (2, 3, 5, 8):
+        for delta in ((q - 1) / q + 1e-9, 0.9999, 1.0):
+            assert gv_rate(q, delta) == 0.0
+    assert gv_rate(5, 0.9) == 0.0
+    for delta in (1.1, -0.1):
+        with pytest.raises(BoundsError, match=re.escape(f"delta = {delta} out of [0, 1]")):
+            gv_rate(5, delta)
+
+
+def gv_oracle(n, k, d, q):
+    """(rate, beats) by the GV rule written out: 1 - H_q(delta) up to the
+    Plotkin point, 0 past it."""
+    delta = d / n
+    if delta > (q - 1) / q:
+        return 0.0, k > 0
+    h = delta * math.log(q - 1, q) if q > 2 else 0.0
+    h -= sum(x * math.log(x, q) for x in (delta, 1 - delta) if x > 0)
+    return 1.0 - h, k / n > 1.0 - h
+
+
+def test_beats_gv_agrees_with_the_bound_report():
+    """On every golden row, at its published d, and on the G = 0 codes,
+    whose d = n lies past the Plotkin point: ``beats_gv`` and
+    ``bound_report`` give the oracle's answer."""
+    from toric_codes.tables import GOLDEN_TABLES, field_for_q
+    from toric_codes.toric import hansen_code
+
+    cases = []
+    for table in GOLDEN_TABLES.values():
+        for row in table.rows:
+            if table.kind == "hansen-b":
+                cases.append((hansen_code("b", field_for_q(row.q), a=row.a), row.d))
+            elif table.kind == "toric":
+                cases.append((toric_code(field_for_q(row.q), table.fan, row.divisor), row.d))
+    past = [toric_code(GF(*pm), FAN1, (0, 0, 0)) for pm in ((2, 1), (3, 1), (2, 2), (7, 1))]
+    cases += [(res, res.n) for res in past]
+    outcomes = []
+    for res, d in cases:
+        n, k, q = res.n, res.k, res.spec.gf.q
+        rate, beats = gv_oracle(n, k, d, q)
+        rep = bound_report(res, d)
+        assert beats_gv(n, k, d, q) is rep.beats_gv is beats
+        assert abs(rep.gv_rate - rate) < 1e-12 and rep.gv_rate == gv_rate(q, d / n)
+        outcomes.append((d / n > (q - 1) / q, beats))
+    assert outcomes.count((True, True)) == 4 and {False, True} <= {b for _, b in outcomes}
 
 
 # -- conjectures ----------------------------------------------------------------
@@ -235,7 +279,7 @@ def test_bound_report_assembly():
     coeffs = (0, 0, 3)
     res = toric_code(GF(5), FAN1, coeffs)
     d = min_distance_exhaustive(res.code).d
-    rep = bound_report(5, FAN1, TDivisor(coeffs), poly(FAN1, coeffs), res.n, res.k, d)
+    rep = bound_report(res, d)
     assert rep.singleton_defect == 16 + 1 - 4 - 10 == 3
     assert rep.segment_upper == 15
     assert rep.d == 10

@@ -948,3 +948,110 @@ def test_budgeted_mindist_of_a_long_torus_code_stays_small(tmp_path, m, cap):
     assert {key: doc[key] for key in fields} == fields
     assert hashlib.sha256(got["out"].encode()).hexdigest() == sha256
     assert got["maxrss_kib"] < ceiling_mib * 1024
+
+
+# the bounds JSON of the record job and of the GF(3) fan1 code with G = 0,
+# (4, 1, 4), whose relative distance 1 lies past the Plotkin point 2/3
+BOUNDS_JSON = {
+    "record": (FAN7_JOB, {
+        "n": 49, "k": 11, "d": 28, "bounds": None, "singleton_defect": 11, "segment_upper": 46,
+        "gv_rate": 0.13685635045380107, "beats_gv": True,
+        "conjecture1": {"applicable": True, "N": 2, "all_N": [2], "d_lower": "47/3"},
+        "conjecture2": {"smooth": False, "strictly_convex": False, "degree_ok": True, "applicable": False,
+                        "predicted_k": None, "d_lower": None, "deg_G2": "50/3"},
+    }),
+    "gf3-g0": ({"field": {"p": 3}, "fan": {"rays": [[2, -1], [-1, 2], [-1, -1]]}, "divisor": [0, 0, 0]}, {
+        "n": 4, "k": 1, "d": 4, "bounds": None, "singleton_defect": 0, "segment_upper": 4,
+        "gv_rate": 0.0, "beats_gv": True,
+        "conjecture1": {"applicable": False, "N": None, "all_N": [], "d_lower": None},
+        "conjecture2": {"smooth": False, "strictly_convex": False, "degree_ok": True, "applicable": False,
+                        "predicted_k": None, "d_lower": None, "deg_G2": "0"},
+    }),
+}
+
+
+@pytest.mark.parametrize("no_mindist", [False, True])
+@pytest.mark.parametrize("name", list(BOUNDS_JSON))
+def test_bounds_prints_the_pinned_json(tmp_path, capsys, name, no_mindist):
+    """Byte for byte; without the distance search, d and what is computed
+    from it are null."""
+    job, doc = BOUNDS_JSON[name]
+    spec = str(tmp_path / "job.json")
+    Path(spec).write_text(json.dumps(job))
+    if no_mindist:
+        doc = dict(doc, d=None, singleton_defect=None, gv_rate=None, beats_gv=None)
+    assert main(["bounds", "--spec", spec] + ["--no-mindist"] * no_mindist) == 0
+    assert capsys.readouterr().out == json.dumps(doc, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("no_mindist", [False, True])
+def test_bounds_lists_p_g_once(tmp_path, capsys, monkeypatch, no_mindist):
+    """The segment bound reads the lattice points that the build listed."""
+    from toric_codes.geometry import LatticePolytope
+
+    calls = []
+    listing = LatticePolytope.lattice_points
+
+    def counted(self):
+        calls.append(self)
+        return listing(self)
+
+    monkeypatch.setattr(LatticePolytope, "lattice_points", counted)
+    spec = write_job(tmp_path, **FAN7_JOB)
+    assert main(["bounds", "--spec", spec] + ["--no-mindist"] * no_mindist) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["segment_upper"] == 46
+
+
+# exponents past int64: fan3 with P_G = {(a, 0)}, and fan1 with P_G =
+# {(2^62, -2^61)}, whose order along D_1 is 2^63 + 2^61
+FAN1_RAYS = [[2, -1], [-1, 2], [-1, -1]]
+FAN3_RAYS = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+ORBIT_DIVISOR = [-(2**63 + 2**61), 2**63, 2**61]
+OVERFLOW_JOBS = {
+    "a=2^63": {"field": {"p": 2, "m": 3}, "fan": {"rays": FAN3_RAYS},
+               "divisor": [-(2**63), 0, 2**63, 0]},
+    "orbit": {"field": {"p": 2, "m": 3}, "fan": {"rays": FAN1_RAYS},
+              "divisor": ORBIT_DIVISOR, "points": {"orbits": [1]}},
+}
+
+
+def run_cli(argv):
+    return subprocess.run([sys.executable, "-m", "toric_codes", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+
+
+def test_build_at_an_exponent_past_2_61_prints_the_exact_generator(tmp_path):
+    """a = 2^61 + 3: each torus point (g^i, g^j) reads g^(a i mod 7), from
+    Python integers."""
+    a = 2**61 + 3
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps({"field": {"p": 2, "m": 3}, "fan": {"rays": FAN3_RAYS},
+                                "divisor": [-a, 0, a, 0]}))
+    run = run_cli(["build", "--spec", str(spec)])
+    assert run.returncode == 0, run.stderr
+    doc = json.loads(run.stdout)
+    gf = toric_codes.GF(2, 3)
+    assert doc["basis"] == [[a, 0]]
+    assert doc["generator"] == [[int(gf.exp[a * i % 7]) for i in range(7) for _ in range(7)]]
+
+
+@pytest.mark.parametrize("command", ["build", "mindist", "bounds", "decode"])
+@pytest.mark.parametrize("name", list(OVERFLOW_JOBS))
+def test_orders_past_int64_exit_3(tmp_path, name, command):
+    """The gate refuses the polytope before it is listed; ``decode`` takes
+    it as G' of a code that builds, on the same points."""
+    job = dict(OVERFLOW_JOBS[name])
+    n = 49
+    if command == "decode":
+        job["decoder"] = {"gprime": job["divisor"]}
+        job["divisor"] = [0, 0, 3, 3] if name == "a=2^63" else [0, 0, 10]
+        n += 7 * ("points" in job)
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps(job))
+    received = tmp_path / "r.txt"
+    received.write_text(" ".join(["0"] * n))
+    run = run_cli([command, "--spec", str(spec)] + ["--received", str(received)] * (command == "decode"))
+    assert run.returncode == 3 and "Traceback" not in run.stderr
+    assert run.stderr.startswith("computation error: exponent coordinates up to ")
+    assert run.stderr.rstrip().endswith("would not fit in 64 bits (|a| |v| must stay below 2^62)")

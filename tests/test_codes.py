@@ -374,9 +374,9 @@ def test_dual_skips_the_checks_of_outside_input(monkeypatch):
 @pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (2, 3), (3, 2), (5, 2)])
 def test_kept_reduction_is_the_rref_of_the_generator(p, m):
     """However a code is made, ``_reduced`` is (R, pivots) of a fresh
-    ``rref`` of its generator, up to the zero rows a rank-deficient input
-    leaves: full-rank, systematic and rank-deficient rows through
-    ``__init__``, ``dual()`` and ``dual().dual()``."""
+    ``rref`` of its generator, k x n with no zero rows kept: full-rank,
+    systematic and rank-deficient rows through ``__init__``, ``dual()``
+    and ``dual().dual()``."""
     gf = GF(p, m)
     rng = np.random.default_rng([29, p, m])
     systematic = np.hstack([np.eye(4, dtype=np.int16), rng.integers(0, gf.q, (4, 5), dtype=np.int16)])
@@ -389,7 +389,7 @@ def test_kept_reduction_is_the_rref_of_the_generator(p, m):
             R, pivots = c._reduced
             want, rank, want_pivots = rref(gf, c.gen)
             assert (rank, pivots) == (c.k, want_pivots)
-            assert np.array_equal(R[: c.k], want) and not R[c.k :].any()
+            assert R.shape == (c.k, c.n) and np.array_equal(R, want)
     assert deficient == 1
 
 

@@ -617,13 +617,72 @@ def test_graded_evaluation_rejects_bad_points():
     with pytest.raises(ValueError, match="no exponents"):
         least_orders([], [TorusPoint(1, 1)], gf)
     pts = [TorusPoint(1, 1), OrbitPoint(0, 1)]
-    for level in ([0], [0, 0, 0], [0.5, 0], [True, False], [[0, 0]]):
+    # 2^63 is read as uint64, which int64 would wrap to -2^63
+    for level in ([0], [0, 0, 0], [0.5, 0], [True, False], [[0, 0]], [1 << 63, 0]):
         with pytest.raises(ValueError, match="level must hold 2 integers"):
             evaluation_matrix([(1, 0)], pts, gf, FAN1, level)
     # a level above every order at a torus point reads a pole there
     with pytest.raises(PoleError, match=re.escape("monomial (1, 0) has order 0 below the level 1 at point 0")):
         evaluation_matrix([(1, 0)], pts, gf, FAN1, [1, 0])
     assert not evaluation_matrix([(1, 0)], pts, gf, FAN1, np.array([-1, -5], dtype=np.int8)).any()
+
+
+FAN3 = Fan2D([(1, 0), (0, 1), (-1, 0), (0, -1)])
+
+
+@pytest.mark.parametrize("fan", [FAN1, FAN3, FAN7], ids=["fan1", "fan3", "fan7"])
+def test_evaluation_is_exact_at_any_exponent_int64_orders_hold(fan):
+    """Exponents up to the largest that keeps every order <a, v_r> in
+    int64 (|a| |v| < 2^62), read at each one's least order: the scalar
+    oracle in Python ints gives the same orders and leading values at the
+    torus points and at every orbit point.  The products A w^T would wrap
+    in int64; the values read them reduced mod q - 1."""
+    gf = GF(2, 3)
+    widest = max(abs(c) for v in fan.rays for c in v)
+    top = ((1 << 62) - 1) // widest
+    rng = np.random.default_rng(62)
+    exps = [(top, -top), (-top, 7)] + [
+        a for a in ((2**61 + 3, 0), (2**62 - 5, 1), (12345678901234567, -5)) if max(map(abs, a)) <= top
+    ]
+    exps += [tuple(int(x) for x in rng.integers(-top, top + 1, size=2)) for _ in range(8)]
+    # a multiple of the orbit lattice generator of ray 1: order 0 there
+    u = (-fan.rays[0][1], fan.rays[0][0])
+    exps.append((u[0] * (top // widest), u[1] * (top // widest)))
+    pts = list(torus_points(gf))
+    for r in range(fan.s):
+        pts += orbit_points(fan, r, gf)
+    for a in exps:
+        least = least_orders([a], pts, gf, fan)
+        got = evaluation_matrix([a], pts, gf, fan, least)[0]
+        for j, pt in enumerate(pts):
+            assert (least[j], got[j]) == reference_graded(a, pt, gf, fan)
+    # at level 0 on the torus points alone, with and without the fan
+    torus = torus_points(gf)
+    M = evaluation_matrix(exps, torus, gf, fan)
+    assert np.array_equal(M, evaluation_matrix(exps, torus, gf))
+    for i, a in enumerate(exps):
+        assert [int(x) for x in M[i]] == [reference_graded(a, pt, gf, fan)[1] for pt in torus]
+    # no fan reads no order: any int64 exponent evaluates exactly
+    big = [((1 << 63) - 1, -(1 << 63)), (2**62 - 5, 1)]
+    got = torus_evaluation_matrix(big, gf)
+    assert [[int(x) for x in row] for row in got] == [
+        [reference_graded(a, pt, gf, fan)[1] for pt in torus] for a in big
+    ]
+
+
+@pytest.mark.parametrize("fan, a, ok", [(FAN3, 2**62 - 1, True), (FAN3, 2**62, False),
+                                         (FAN1, 2**61 - 1, True), (FAN1, -(2**61), False)])
+def test_orders_that_int64_cannot_hold_are_refused(fan, a, ok):
+    """|a| |v| must stay below 2^62: then |<a, v>| < 2^63.  Both readers
+    refuse a larger exponent with ValueError, before any order is formed."""
+    gf = GF(5)
+    pts = [TorusPoint(1, 1), OrbitPoint(0, 1)]
+    for read in (least_orders, lambda e, p, g, f: evaluation_matrix(e, p, g, f, [0, -(1 << 62)])):
+        if ok:
+            read([(a, 0)], pts, gf, fan)
+        else:
+            with pytest.raises(ValueError, match=r"would not fit in 64 bits \(\|a\| \|v\| must stay below 2\^62\)"):
+                read([(a, 0)], pts, gf, fan)
 
 
 def test_evaluation_in_blocks_matches_one_block(monkeypatch):

@@ -90,6 +90,34 @@ def test_spec_over_the_size_caps_is_refused_before_listing_p_g():
     assert len(function_space(FAN1, TDivisor((0, 0, 40)), 63**2)) == 287
 
 
+@pytest.mark.parametrize("rays, divisor, point", [
+    # P_G = {(a, 0)}: the vertex bounds the point exactly
+    ([(1, 0), (0, 1), (-1, 0), (0, -1)], (-(2**62), 0, 2**62, 0), (2**62, 0)),
+    # P_G = {(2^62, -2^61)} on fan1: its order along D_1 is 2^63 + 2^61
+    (FAN1.rays, (-(2**63 + 2**61), 2**63, 2**61), (2**62, -(2**61))),
+])
+def test_function_space_refuses_orders_that_int64_cannot_hold(rays, divisor, point):
+    """Before it lists P_D, the gate refuses a polytope whose vertex
+    coordinates times the fan's ray coordinates reach 2^62, as evaluation
+    would; one step inside, the same polytope is listed."""
+    fan = Fan2D(rays)
+    with pytest.raises(CodeError, match=r"would not fit in 64 bits"):
+        function_space(fan, TDivisor(divisor), 49)
+    widest = max(abs(c) for v in rays for c in v)
+    inside = TDivisor(d // (2 * widest) for d in divisor)
+    listed = function_space(fan, inside, 49)
+    assert listed == [(point[0] // (2 * widest), point[1] // (2 * widest))]
+
+
+def test_function_space_refuses_rays_that_int64_cannot_hold():
+    """P_G = {(0, 0)} on a fan with a ray coordinate of -2^63 - 1, which
+    int64 cannot hold: the gate reads |a| as at least 1, so it refuses
+    every ray coordinate of magnitude 2^62 or more."""
+    with pytest.raises(CodeError, match="would not fit in 64 bits"):
+        function_space(Fan2D([(1, 0), (0, 1), (-1, -(2**63) - 1)]), TDivisor((0, 0, 0)), 49)
+    assert function_space(Fan2D([(1, 0), (0, 1), (-1, 1 - 2**62)]), TDivisor((0, 0, 0)), 49) == [(0, 0)]
+
+
 def test_empty_basis_error():
     with pytest.raises(CodeError, match="empty"):
         toric_code(GF(5), FAN1, (-3, -3, 2))
